@@ -33,9 +33,11 @@ from .montecarlo import (
     su2_irrep_matrix,
 )
 from .repcore import (
+    BlockSpectrum,
     DynkinLabel,
     HighestWeight,
     WeightVector,
+    block_spectrum,
     count_irreps_by_norm,
     enumerate_lambda_set,
     freudenthal_multiplicity,

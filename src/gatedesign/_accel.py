@@ -4,7 +4,9 @@ Hot numeric kernels in this package are decorated with :func:`njit`. By
 default that is ``numba.njit(cache=True)``; setting the environment variable
 ``GATEDESIGN_NUMBA=0`` before import (or running without numba installed)
 swaps in a transparent no-op decorator so the same source runs as plain
-Python/numpy. ``benchmarks/bench_kernels.py`` compares the two paths.
+Python/numpy. numba is an optional extra (``pip install gatedesign[numba]``);
+where it is absent the no-op path is the one that runs and is measured. The
+benchmark in ``bench/`` records which path ran (``numba_enabled``).
 """
 import os
 
@@ -21,7 +23,7 @@ if NUMBA_ENABLED:
                 return numba.njit(**kwargs)
             return numba.njit(**kwargs)(func)
 
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra
         NUMBA_ENABLED = False
 
 if not NUMBA_ENABLED:

@@ -4,12 +4,19 @@ Per-irrep-block bounds (Bernstein and master, for plain and symmetric
 Haar-random sets), their union-bound totals over the block label set, and
 the concentration-around-the-mean tail bounds. All bound values are carried
 in the log domain; reported probabilities are clipped at 1 with a flag.
+
+The totals read the cached block spectrum of Lambda~_t
+(:func:`repcore.block_spectrum`): the plain and Bernstein-symmetric totals
+are one log-sum-exp over its log(2 d_lam) array plus the method's exponent;
+the two master-symmetric totals evaluate their theta objective label by
+label.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,13 +126,22 @@ def bernstein_bound(q: BoundQuery, weyl_cap=MAX_WEYL_DIM):
         raise ValueError("bernstein_bound is per-label; pass lam")
     dl = repcore.weyl_dimension(q.lam)
     if q.kind is GateSetKind.PLAIN:
-        expo = -3.0 * q.S * q.delta**2 / (6.0 + 2.0 * q.delta)
+        expo = _bernstein_plain_exponent(q.S, q.delta)
         return _finish(Method.BERNSTEIN_PLAIN, math.log(2 * dl) + expo)
     if q.kind is GateSetKind.SYMMETRIC:
         fs2 = float(repcore.fs_indicator(q.lam, 2, weyl_cap=weyl_cap))
-        expo = -3.0 * q.S * q.delta**2 / (6.0 * (1.0 + fs2) + 4.0 * q.delta)
+        expo = _bernstein_symmetric_exponent(q.S, q.delta, fs2)
         return _finish(Method.BERNSTEIN_SYMMETRIC, math.log(2 * dl) + expo)
     raise ValueError(f"no Bernstein bound for kind {q.kind}")
+
+
+def _bernstein_plain_exponent(S, delta):
+    return -3.0 * S * delta**2 / (6.0 + 2.0 * delta)
+
+
+def _bernstein_symmetric_exponent(S, delta, fs2):
+    """Exponent for one fs2 value or, elementwise, for an array of them."""
+    return -3.0 * S * delta**2 / (6.0 * (1.0 + fs2) + 4.0 * delta)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +300,19 @@ def _sym_branch_min(S, delta, m0d, gam, branch, theta_max, rtol):
     return f_best, t_best, 0
 
 
+@lru_cache(maxsize=None)
 def _sym_block_data(lam, weyl_cap):
+    """(d_lam, m_lam(0)/d_lam, float gamma_lam(0..d)) of one label.
+
+    Cached per (label, weyl_cap): the data depend on the label alone, so
+    every probe of a search and every t whose label set holds the label
+    share one build. The gamma array is read-only.
+    """
     dl = repcore.weyl_dimension(lam)
     m0 = repcore.zero_weight_multiplicity(lam)
     gam = repcore.gamma_coefficients(lam, weyl_cap=weyl_cap)
     gvec = np.array([float(gam[k]) for k in range(lam.d + 1)])
+    gvec.flags.writeable = False
     return dl, m0 / dl, gvec
 
 
@@ -363,13 +387,23 @@ def total_bound(d, t, kind, S, delta, method, weyl_cap=MAX_WEYL_DIM):
         kind = GateSetKind(kind)
     if method.kind is not kind:
         raise ValueError(f"method {method.value} does not apply to kind {kind.value}")
-    logs = []
-    for lam in repcore.enumerate_lambda_set(d, t):
-        q = BoundQuery(d=d, kind=kind, S=S, delta=delta, lam=lam)
-        res = per_label_bound(q, method, weyl_cap=weyl_cap)
-        logs.append(res.log_bound)
-    log_total = float(np.logaddexp.reduce(np.asarray(logs)))
-    return _finish(method, log_total)
+    BoundQuery(d=d, kind=kind, S=S, delta=delta, t=t)  # validates S and delta
+    spec = repcore.block_spectrum(d, t)
+    if method is Method.BERNSTEIN_PLAIN:
+        logs = spec.log2dim + _bernstein_plain_exponent(S, delta)
+    elif method is Method.MASTER_PLAIN:
+        logs = spec.log2dim + _log_master_plain_factor(S, delta)
+    elif method is Method.BERNSTEIN_SYMMETRIC:
+        logs = spec.log2dim + _bernstein_symmetric_exponent(S, delta, spec.fs2(weyl_cap))
+    else:
+        # the master-symmetric bounds are evaluated label by label
+        logs = np.array([
+            per_label_bound(
+                BoundQuery(d=d, kind=kind, S=S, delta=delta, lam=lam), method, weyl_cap=weyl_cap
+            ).log_bound
+            for lam in spec.labels
+        ])
+    return _finish(method, float(np.logaddexp.reduce(logs)))
 
 
 def total_master_plain_factored(d, t, S, delta):

@@ -201,9 +201,16 @@ def cmd_mc_verify(args):
         row[method.value + "-dominates"] = ok
         columns += [method.value, method.value + "-dominates"]
         verdicts.append(ok)
-    row["dominance"] = "PASS" if all(verdicts) else "FAIL"
+    if verdicts:
+        row["dominance"] = "PASS" if all(verdicts) else "FAIL"
+    else:
+        row["dominance"] = "N/A"
     columns.append("dominance")
     _emit(columns, [row], args)
+    if not verdicts:
+        print(f"error: no tail bound applies to kind {kind.value}; nothing was checked",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -273,7 +273,10 @@ def estimate_delta(
                 total_iters += it
                 break
             v = w / nw
-            if abs(lam - lam_old) <= settle * max(abs(lam), 1e-30):
+            change = abs(lam - lam_old)
+            # the tol^2 floor lets an exact design (delta = 0) settle, with
+            # an error in delta of about sqrt(settle) * tol
+            if change <= settle * max(abs(lam), tol * tol):
                 converged = True
                 total_iters += it
                 break
@@ -281,7 +284,7 @@ def estimate_delta(
         if not converged:
             raise PowerIterationError(
                 f"power iteration did not settle after {max_iter} iterations "
-                f"(last eigenvalue estimate {lam:.6g}, change {abs(lam - lam_old):.3g})"
+                f"(last eigenvalue estimate {lam:.6g}, change {change:.3g})"
             )
         best = max(best, lam)
     delta = math.sqrt(max(best, 0.0))

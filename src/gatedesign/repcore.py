@@ -6,6 +6,11 @@ multiplicities (Kostant alternating sum and an independent Freudenthal
 recursion), Frobenius-Schur indicators delta_lambda(n) and the
 gamma_lambda(k) coefficients entering the symmetric master bound.
 
+The block spectrum (:func:`block_spectrum`) is the one intermediate the
+union bounds and the solver read: per (d, t), cached, the label set
+Lambda~_t with its exact dimensions, their sum, and float log(2 d_lambda);
+the Frobenius-Schur constants delta_lambda(2) are added on first use.
+
 Weights are handled in "centered" coordinates (trace part removed), so a
 U(d) label with nonzero entry sum and its SU(d) restriction share one
 engine. A candidate weight contributes only when it lies in the highest
@@ -21,9 +26,12 @@ closed forms (see tests), so that is what is implemented.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 #: Weyl-group sums iterate over all d! permutations; beyond this cap the
 #: operations that need them raise instead of silently approximating.
@@ -138,20 +146,21 @@ def _as_weight(lam):
 # partitions and the label set Lambda~_t
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _partitions_exact(k, n, max_part=None):
-    """All partitions of k into exactly n parts, each part <= max_part."""
-    if max_part is None:
-        max_part = k
+    """All partitions of k into exactly n parts, each part <= max_part.
+
+    The first (largest) part runs only over ceil(k/n) .. k-n+1, where a
+    completion always exists, so every branch yields: the cost is linear in
+    the output.
+    """
     if n == 0:
-        return ((),) if k == 0 else ()
-    out = []
-    for first in range(min(k, max_part), 0, -1):
-        if k - first < n - 1:
-            continue
-        for rest in _partitions_exact(k - first, n - 1, min(first, k - first) if k - first else 0):
-            out.append((first,) + rest)
-    return tuple(out)
+        if k == 0:
+            yield ()
+        return
+    hi = k - n + 1 if max_part is None else min(k - n + 1, max_part)
+    for first in range(hi, max(1, -(-k // n)) - 1, -1):
+        for rest in _partitions_exact(k - first, n - 1, first):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -202,14 +211,17 @@ def enumerate_lambda_set(d, t):
         raise ValueError(f"need d >= 2 and t >= 1, got d={d}, t={t}")
     labels = []
     for k in range(1, t + 1):
+        # the positive and negative parts determine a label, so there are no
+        # repeats; the one-norm is 2k throughout this block
+        block = []
         for n in range(1, d):
             for pos in _partitions_exact(k, n):
                 for m in range(1, d - n + 1):
                     for neg in _partitions_exact(k, m):
-                        lam = pos + (0,) * (d - n - m) + tuple(-v for v in reversed(neg))
-                        labels.append(lam)
-    uniq = sorted(set(labels), key=lambda l: (sum(abs(v) for v in l), l))
-    return [HighestWeight(l) for l in uniq]
+                        block.append(pos + (0,) * (d - n - m) + tuple(-v for v in reversed(neg)))
+        block.sort()
+        labels.extend(HighestWeight(l) for l in block)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +245,56 @@ def weyl_dimension(lam):
 
 def sum_dimensions(d, t):
     """Sum of d_lambda over Lambda~_t, exact big integer."""
-    return sum(weyl_dimension(lam) for lam in enumerate_lambda_set(d, t))
+    return block_spectrum(d, t).sum_dim
+
+
+# ---------------------------------------------------------------------------
+# the block spectrum of Lambda~_t
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class BlockSpectrum:
+    """The block data of Lambda~_t on U(d) that the union bounds read.
+
+    ``labels`` are in :func:`enumerate_lambda_set` order, ``dims`` the exact
+    d_lambda, ``sum_dim`` their exact sum and ``log2dim`` the read-only
+    float64 array of log(2 d_lambda), each taken by ``math.log`` of the exact
+    integer.
+    """
+
+    d: int
+    t: int
+    labels: tuple
+    dims: tuple
+    sum_dim: int
+    log2dim: np.ndarray
+
+    def fs2(self, weyl_cap=MAX_WEYL_DIM):
+        """Read-only float64 array of delta_lambda(2) per label.
+
+        Built on first use, once per weyl_cap, so plain callers never run a
+        Weyl-group sum.
+        """
+        return _spectrum_fs2(self.d, self.t, weyl_cap)
+
+
+@lru_cache(maxsize=None)
+def block_spectrum(d, t):
+    """The cached :class:`BlockSpectrum` of Lambda~_t on U(d)."""
+    labels = tuple(enumerate_lambda_set(d, t))
+    dims = tuple(weyl_dimension(lam) for lam in labels)
+    log2dim = np.array([math.log(2 * dl) for dl in dims])
+    log2dim.flags.writeable = False
+    return BlockSpectrum(d, t, labels, dims, sum(dims), log2dim)
+
+
+@lru_cache(maxsize=None)
+def _spectrum_fs2(d, t, weyl_cap):
+    fs2 = np.array(
+        [float(fs_indicator(lam, 2, weyl_cap=weyl_cap)) for lam in block_spectrum(d, t).labels]
+    )
+    fs2.flags.writeable = False
+    return fs2
 
 
 # ---------------------------------------------------------------------------

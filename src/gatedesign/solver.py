@@ -54,8 +54,7 @@ def min_size_closed_form(d, t, delta, P):
     with the dimension sum exact.
     """
     _check_delta_p(delta, P)
-    sum_d = repcore.sum_dimensions(d, t)
-    return _closed_form_from_sum(d, t, delta, P, sum_d)
+    return _closed_form_from_sum(d, t, delta, P, repcore.block_spectrum(d, t).sum_dim)
 
 
 def _closed_form_from_sum(d, t, delta, P, sum_d):

@@ -269,6 +269,35 @@ def test_total_master_plain_matches_factored_form():
         assert a.log_bound == pytest.approx(b.log_bound, abs=1e-12 * max(1, abs(b.log_bound)))
 
 
+def per_label_total(d, t, S, delta, method):
+    """The union bound as a loop over labels, one per-label bound each."""
+    return float(np.logaddexp.reduce([
+        bd.per_label_bound(
+            BoundQuery(d=d, kind=method.kind, S=S, delta=delta, lam=lam), method
+        ).log_bound
+        for lam in rc.enumerate_lambda_set(d, t)
+    ]))
+
+
+@pytest.mark.parametrize("d,t", [(2, 5), (2, 500), (4, 3), (8, 2), (64, 5)])
+def test_total_bound_equals_per_label_loop(d, t):
+    for method in Method:
+        if method.kind is GateSetKind.SYMMETRIC and d > rc.MAX_WEYL_DIM:
+            continue
+        for S, delta in [(10, 0.3), (58, 0.5), (400, 0.9)]:
+            got = bd.total_bound(d, t, method.kind, S, delta, method).log_bound
+            assert got == per_label_total(d, t, S, delta, method), (method, S, delta)
+
+
+def test_total_bound_validates_query():
+    with pytest.raises(ValueError):
+        bd.total_bound(2, 2, GateSetKind.PLAIN, 10, 1.0, Method.MASTER_PLAIN)
+    with pytest.raises(ValueError):
+        bd.total_bound(2, 2, GateSetKind.PLAIN, 0, 0.5, Method.BERNSTEIN_PLAIN)
+    with pytest.raises(ValueError):
+        bd.total_bound(2, 2, GateSetKind.SYMMETRIC, 11, 0.5, Method.BERNSTEIN_SYMMETRIC)
+
+
 def test_sum_dimensions_values():
     assert rc.sum_dimensions(4, 2) == 209
     assert rc.sum_dimensions(2, 500) == 251000

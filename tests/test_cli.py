@@ -219,6 +219,19 @@ def test_mc_verify_delta_zero_edge(capsys):
     assert row["dominance"] == "PASS"
 
 
+def test_mc_verify_without_applicable_bound_is_not_a_pass(capsys):
+    code = main([
+        "mc-verify", "--d", "3", "--t", "1", "--size", "2", "--kind", "beamsplitter",
+        "--delta", "0.9", "--trials", "3", "--seed", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    header, rows = parse_csv(captured.out)
+    assert dict(zip(header, rows[0]))["dominance"] == "N/A"
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "no tail bound applies" in captured.err
+
+
 def test_mc_verify_seed_reproducible(capsys):
     args = [
         "mc-verify", "--d", "2", "--t", "2", "--size", "6", "--kind", "symmetric",

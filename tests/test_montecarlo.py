@@ -232,6 +232,45 @@ def test_delta_matches_dense_svd_oracle(d, t, n, seed):
     assert mc.estimate_delta(s, t) == pytest.approx(oracle, abs=1e-6)
 
 
+def single_qubit_clifford_group():
+    """Closure of {H, S} under multiplication, modulo global phase."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    s = np.diag([1, 1j])
+
+    def key(u):
+        first = u.flat[np.flatnonzero(np.abs(u) > 1e-6)[0]]
+        return tuple(np.round(u.ravel() * (abs(first) / first), 8))
+
+    group = {key(np.eye(2)): np.eye(2, dtype=complex)}
+    frontier = list(group.values())
+    while frontier:
+        grown = []
+        for g in frontier:
+            for gen in (h, s):
+                u = gen @ g
+                if key(u) not in group:
+                    group[key(u)] = u
+                    grown.append(u)
+        frontier = grown
+    return np.array(list(group.values()))
+
+
+def test_delta_clifford_group_is_a_2_design():
+    # delta is exactly 0; the iteration must settle instead of raising
+    gates = single_qubit_clifford_group()
+    assert len(gates) == 24
+    sample = mc.GateSetSample(gates, GateSetKind.PLAIN, seed=0)
+    assert mc.estimate_delta(sample, 2) < 1e-6
+
+
+def test_power_iteration_error_reports_last_change():
+    s = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=12)
+    with pytest.raises(mc.PowerIterationError) as err:
+        mc.estimate_delta(s, 2, max_iter=2)
+    change = float(str(err.value).split("change ")[1].rstrip(")"))
+    assert change > 0.0
+
+
 def test_delta_in_unit_interval_and_monotone_in_t():
     for seed in range(5):
         s = mc.sample_gate_set(2, 6, GateSetKind.PLAIN, seed=(100, seed))

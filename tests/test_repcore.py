@@ -6,6 +6,7 @@ Kostant partition function, the Freudenthal recursion as a second
 multiplicity engine, and the SU(2) closed forms.
 """
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,24 @@ def test_lambda_set_invariants():
         assert lam.norm1 % 2 == 0
 
 
+def test_lambda_set_d2_large_t():
+    # d=2: exactly one label (k, -k) per k
+    labels = rc.enumerate_lambda_set(2, 5000)
+    assert [l.entries for l in labels] == [(k, -k) for k in range(1, 5001)]
+
+
+def test_partitions_exact_matches_counts():
+    for k in range(0, 13):
+        for n in range(0, k + 2):
+            parts = list(rc._partitions_exact(k, n))
+            assert len(parts) == rc.count_partitions_exact(k, n)
+            assert len(set(parts)) == len(parts)
+            for p in parts:
+                assert len(p) == n and sum(p) == k and min(p, default=1) >= 1
+                assert all(a >= b for a, b in zip(p, p[1:]))
+    assert list(rc._partitions_exact(6, 2, max_part=4)) == [(4, 2), (3, 3)]
+
+
 @pytest.mark.parametrize("bad", [(1, 0), (2, -1)])
 def test_lambda_set_rejects_bad_args(bad):
     with pytest.raises(ValueError):
@@ -188,6 +207,34 @@ def test_dimension_positive_on_label_set():
 @pytest.mark.parametrize("d", [4, 8])
 def test_sum_dimensions_t2_closed_form(d):
     assert rc.sum_dimensions(d, 2) == d**4 - 3 * d**2 + 1
+
+
+# ---------------------------------------------------------------------------
+# block spectrum
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d,t", [(2, 500), (3, 4), (4, 3), (8, 2), (64, 5)])
+def test_block_spectrum_matches_labels_and_dimensions(d, t):
+    spec = rc.block_spectrum(d, t)
+    labels = rc.enumerate_lambda_set(d, t)
+    dims = [rc.weyl_dimension(l) for l in labels]
+    assert (spec.d, spec.t) == (d, t)
+    assert list(spec.labels) == labels
+    assert list(spec.dims) == dims
+    assert spec.sum_dim == sum(dims) == rc.sum_dimensions(d, t)
+    assert spec.log2dim.tolist() == [math.log(2 * dl) for dl in dims]
+    assert not spec.log2dim.flags.writeable
+    assert rc.block_spectrum(d, t) is spec
+
+
+def test_block_spectrum_fs2():
+    spec = rc.block_spectrum(4, 3)
+    fs2 = spec.fs2()
+    assert fs2.tolist() == [float(rc.fs_indicator(l, 2)) for l in spec.labels]
+    assert not fs2.flags.writeable
+    assert spec.fs2() is fs2
+    with pytest.raises(ValueError):
+        rc.block_spectrum(9, 2).fs2()
 
 
 # ---------------------------------------------------------------------------
