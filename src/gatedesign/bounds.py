@@ -8,8 +8,11 @@ in the log domain; reported probabilities are clipped at 1 with a flag.
 The totals read the cached block spectrum of Lambda~_t
 (:func:`repcore.block_spectrum`): the plain and Bernstein-symmetric totals
 are one log-sum-exp over its log(2 d_lam) array plus the method's exponent;
-the two master-symmetric totals evaluate their theta objective label by
-label.
+the two master-symmetric totals go label by label. With x = 2 theta / S the
+symmetric objective is (S/2) h(x), h(x) = log B(x) - delta x a convex
+log-MGF (Tropp, arXiv:1501.01571, Sec. 3) whose minimizer does not depend
+on S: it is found once per (label, delta) by bisection on the sign of the
+analytic h' and reused by every probe of a size search.
 """
 from __future__ import annotations
 
@@ -21,14 +24,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import repcore
-from ._accel import njit
 from .repcore import MAX_WEYL_DIM, HighestWeight
 from .specfun import log_ive_array
 
 #: theta search cap, as a multiple of the gate count S
 THETA_MAX_FACTOR = 1e4
 
-#: relative tolerance of the golden-section refinement in theta
+#: width in log x (x = 2 theta / S) at which the bisection on h' stops
 THETA_RTOL = 1e-10
 
 
@@ -163,142 +165,9 @@ def _log_master_plain_factor(S, delta):
     return -0.5 * S * math.log1p(-delta * delta) - delta * S * math.atanh(delta)
 
 
-def log_master_plain_binomial_form(S, delta):
-    """The same exponent written as -(S/2) log((1+d)^(1+d) (1-d)^(1-d))."""
-    return -0.5 * S * (
-        (1.0 + delta) * math.log1p(delta) + (1.0 - delta) * math.log1p(-delta)
-    )
-
-
 # ---------------------------------------------------------------------------
 # master bound, symmetric sets
 # ---------------------------------------------------------------------------
-
-@njit
-def _sym_log_bracket(x, branch, m0d, gam):
-    """log of the bracket in F at Bessel argument x >= 0.
-
-    branch +1 evaluates F(theta), -1 evaluates F(-theta). Returns NaN when
-    rounding makes the bracket nonpositive (mathematically it is >= 1).
-    """
-    d = gam.shape[0] - 1
-    ive = log_ive_array(d, x)
-    c = m0d if branch > 0 else m0d * math.exp(-2.0 * x)
-    c += gam[0] * math.exp(ive[0])
-    for k in range(1, d + 1):
-        w = 2.0 * gam[k]
-        if branch < 0 and k % 2 == 1:
-            w = -w
-        c += w * math.exp(ive[k])
-    if c <= 0.0:
-        return np.nan
-    return x + math.log(c)
-
-
-@njit
-def _sym_objective(theta, S, delta, m0d, gam, branch):
-    lb = _sym_log_bracket(2.0 * theta / S, branch, m0d, gam)
-    return -theta * delta + 0.5 * S * lb
-
-
-@njit
-def _sym_branch_min(S, delta, m0d, gam, branch, theta_max, rtol):
-    """Minimize -theta*delta + (S/2) log bracket over theta in (0, theta_max].
-
-    Returns (min log value, minimizer, status): status 0 on success, 1 when
-    the bracket was nonpositive everywhere probed. The objective tends to 0
-    as theta -> 0+, so a minimum pinned at the lower boundary returns (0, 0).
-    The search brackets the (convex) objective on a geometric ladder started
-    at theta0/16 and refines by golden section.
-    """
-    theta0 = S * delta / math.sqrt(1.0 - delta * delta)
-    step = 2.0
-    lo = theta0 / 16.0
-    # climb the ladder until the objective increases
-    t_prev = lo
-    f_prev = _sym_objective(t_prev, S, delta, m0d, gam, branch)
-    seen_finite = not math.isnan(f_prev)
-    t_best = t_prev
-    f_best = f_prev if seen_finite else np.inf
-    a = t_prev
-    b = -1.0
-    t = t_prev
-    while t < theta_max:
-        t = t * step
-        f = _sym_objective(t, S, delta, m0d, gam, branch)
-        if not math.isnan(f):
-            seen_finite = True
-            if f < f_best:
-                f_best = f
-                t_best = t
-        if (math.isnan(f_prev) or f > f_prev) and not math.isnan(f):
-            if t_best < t:
-                b = t
-                break
-        f_prev = f
-    if not seen_finite:
-        return np.nan, np.nan, 1
-    # descend below the start in case the minimum sits near theta -> 0
-    t = lo
-    f_prev = _sym_objective(t, S, delta, m0d, gam, branch)
-    floor = theta0 * 1e-13
-    while t > floor:
-        t = t / step
-        f = _sym_objective(t, S, delta, m0d, gam, branch)
-        if not math.isnan(f):
-            if f < f_best:
-                f_best = f
-                t_best = t
-        if not math.isnan(f) and not math.isnan(f_prev) and f > f_prev:
-            break
-        f_prev = f
-    if t <= floor and f_best >= 0.0:
-        # objective is increasing from the boundary; the infimum is the
-        # theta -> 0 limit, which is exactly 0
-        return 0.0, 0.0, 0
-    if b < 0.0:
-        b = min(t_best * step, theta_max)
-    a = max(t_best / step, floor)
-    # golden section on [a, b] in log-theta
-    la = math.log(a)
-    lb = math.log(b)
-    invphi = 0.6180339887498949
-    c1 = lb - invphi * (lb - la)
-    c2 = la + invphi * (lb - la)
-    f1 = _sym_objective(math.exp(c1), S, delta, m0d, gam, branch)
-    f2 = _sym_objective(math.exp(c2), S, delta, m0d, gam, branch)
-    it = 0
-    while lb - la > rtol and it < 200:
-        nan1 = math.isnan(f1)
-        nan2 = math.isnan(f2)
-        if nan1 and nan2:
-            break
-        if nan2 or (not nan1 and f1 < f2):
-            lb = c2
-            c2 = c1
-            f2 = f1
-            c1 = lb - invphi * (lb - la)
-            f1 = _sym_objective(math.exp(c1), S, delta, m0d, gam, branch)
-        else:
-            la = c1
-            c1 = c2
-            f1 = f2
-            c2 = la + invphi * (lb - la)
-            f2 = _sym_objective(math.exp(c2), S, delta, m0d, gam, branch)
-        it += 1
-    for cand in (c1, c2):
-        fc = _sym_objective(math.exp(cand), S, delta, m0d, gam, branch)
-        if not math.isnan(fc) and fc < f_best:
-            f_best = fc
-            t_best = math.exp(cand)
-    # the theta0 evaluation guards the infimum property against any
-    # bracketing mishap: inf <= value at theta0 must hold
-    f0 = _sym_objective(theta0, S, delta, m0d, gam, branch)
-    if not math.isnan(f0) and f0 < f_best:
-        f_best = f0
-        t_best = theta0
-    return f_best, t_best, 0
-
 
 @lru_cache(maxsize=None)
 def _sym_block_data(lam, weyl_cap):
@@ -316,27 +185,89 @@ def _sym_block_data(lam, weyl_cap):
     return dl, m0 / dl, gvec
 
 
+def _sym_exponent(x, delta, sign, m0d, gvec):
+    """(h(x), h'(x)) with h(x) = log B(x) - delta x at Bessel argument x > 0.
+
+    B+(x) = m0d e^x + gamma_0 I_0(x) + 2 sum_{k>=1} gamma_k I_k(x) is the
+    bracket of F(theta) at x = 2 theta / S (sign +1); B-(x), the bracket of
+    F(-theta) (sign -1), has m0d e^-x and (-1)^k gamma_k. The slope uses
+    I_0' = I_1 and I_k' = (I_{k-1} + I_{k+1}) / 2, so one Bessel array up to
+    order d+1 gives both. Returns NaNs when rounding makes the bracket
+    nonpositive (mathematically it is positive).
+    """
+    d = gvec.shape[0] - 1
+    ive = np.exp(log_ive_array(d + 1, x))  # e^-x I_k(x), k = 0..d+1
+    w = gvec.copy()
+    if sign < 0:
+        w[1::2] = -w[1::2]
+    e = m0d if sign > 0 else m0d * math.exp(-2.0 * x)
+    b = e + w[0] * ive[0] + 2.0 * (w[1:] @ ive[1:d + 1])
+    db = sign * e + w[0] * ive[1] + w[1:] @ (ive[:d] + ive[2:])
+    if b <= 0.0:
+        return math.nan, math.nan
+    return x + math.log(b) - delta * x, db / b - delta
+
+
+# bounded, unlike _sym_block_data, because delta is in the key: a search at
+# one delta needs one entry per label (5000 at d=2, t=5000), and a delta
+# sweep would otherwise grow the cache by a label set per delta
+@lru_cache(maxsize=1 << 16)
+def _sym_min_exponents(lam, weyl_cap, delta):
+    """((h+*, x+*), (h-*, x-*)): the minima of h over x in (0, 2 THETA_MAX_FACTOR].
+
+    With x = 2 theta / S, e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)},
+    so the minimizer does not depend on S and one search per (label, delta)
+    serves every probe. h is convex (a log-MGF) and h(0+) = 0: a slope
+    >= 0 at the floor x0 * 1e-13 gives the theta -> 0 limit (0, 0);
+    otherwise the sign of h' is bisected in log x down to width THETA_RTOL.
+    NaN slopes move the upper end, so the kept lower end is always finite.
+    The value at x0 = 2 delta / sqrt(1 - delta^2), the simplified bound's
+    point, caps the result.
+    """
+    _, m0d, gvec = _sym_block_data(lam, weyl_cap)
+    x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
+    out = []
+    for sign in (1, -1):
+        lo, hi = math.log(x0 * 1e-13), math.log(2.0 * THETA_MAX_FACTOR)
+        h_lo, slope = _sym_exponent(math.exp(lo), delta, sign, m0d, gvec)
+        if slope >= 0.0:
+            out.append((0.0, 0.0))
+            continue
+        while hi - lo > THETA_RTOL:
+            mid = 0.5 * (lo + hi)
+            h, slope = _sym_exponent(math.exp(mid), delta, sign, m0d, gvec)
+            if slope < 0.0:
+                lo, h_lo = mid, h
+            else:
+                hi = mid
+        best = (h_lo, math.exp(lo))
+        h0, _ = _sym_exponent(x0, delta, sign, m0d, gvec)
+        if math.isnan(h_lo) or h0 < h_lo:
+            best = (h0, x0)
+        if math.isnan(best[0]):
+            raise BoundUnavailableError(
+                f"bracket nonpositive over the whole theta range for lam={lam.entries}"
+            )
+        out.append(best)
+    return tuple(out)
+
+
 def master_bound_symmetric(q: BoundQuery, weyl_cap=MAX_WEYL_DIM):
     """d_lam [inf_theta e^{-theta delta} F(theta) + inf e^{-theta delta} F(-theta)].
 
-    The two infima are taken independently; each search starts from
-    theta0 = S delta / sqrt(1 - delta^2) (the simplified bound's point), so
-    the result never exceeds the simplified bound.
+    The two infima are taken independently, each as (S/2) min h over the
+    S-free exponent of :func:`_sym_min_exponents`, at theta* = S x* / 2; the
+    result never exceeds the simplified bound.
     """
     if q.lam is None:
         raise ValueError("master_bound_symmetric is per-label; pass lam")
     if q.kind is not GateSetKind.SYMMETRIC:
         raise ValueError("master_bound_symmetric needs a symmetric gate-set")
-    dl, m0d, gvec = _sym_block_data(q.lam, weyl_cap)
-    theta_max = THETA_MAX_FACTOR * q.S
-    fp, tp, sp = _sym_branch_min(float(q.S), q.delta, m0d, gvec, 1, theta_max, THETA_RTOL)
-    fm, tm, sm = _sym_branch_min(float(q.S), q.delta, m0d, gvec, -1, theta_max, THETA_RTOL)
-    if sp or sm:
-        raise BoundUnavailableError(
-            f"bracket nonpositive over the whole theta range for lam={q.lam.entries}"
-        )
+    dl = _sym_block_data(q.lam, weyl_cap)[0]
+    (hp, xp), (hm, xm) = _sym_min_exponents(q.lam, weyl_cap, q.delta)
+    fp, fm = 0.5 * q.S * hp, 0.5 * q.S * hm
     log_bound = math.log(dl) + np.logaddexp(fp, fm)
-    theta_star = tp if fp >= fm else tm
+    theta_star = 0.5 * q.S * (xp if fp >= fm else xm)
     return _finish(Method.MASTER_SYMMETRIC, float(log_bound), theta_star)
 
 
@@ -347,15 +278,15 @@ def master_bound_symmetric_simplified(q: BoundQuery, weyl_cap=MAX_WEYL_DIM):
     if q.kind is not GateSetKind.SYMMETRIC:
         raise ValueError("master_bound_symmetric_simplified needs a symmetric gate-set")
     dl, m0d, gvec = _sym_block_data(q.lam, weyl_cap)
-    theta0 = q.S * q.delta / math.sqrt(1.0 - q.delta**2)
-    fp = _sym_objective(theta0, float(q.S), q.delta, m0d, gvec, 1)
-    fm = _sym_objective(theta0, float(q.S), q.delta, m0d, gvec, -1)
-    if math.isnan(fp) or math.isnan(fm):
+    x0 = 2.0 * q.delta / math.sqrt(1.0 - q.delta**2)
+    hp, _ = _sym_exponent(x0, q.delta, 1, m0d, gvec)
+    hm, _ = _sym_exponent(x0, q.delta, -1, m0d, gvec)
+    if math.isnan(hp) or math.isnan(hm):
         raise BoundUnavailableError(
             f"bracket nonpositive at theta0 for lam={q.lam.entries}"
         )
-    log_bound = math.log(dl) + np.logaddexp(fp, fm)
-    return _finish(Method.MASTER_SYMMETRIC_SIMPLIFIED, float(log_bound), theta0)
+    log_bound = math.log(dl) + np.logaddexp(0.5 * q.S * hp, 0.5 * q.S * hm)
+    return _finish(Method.MASTER_SYMMETRIC_SIMPLIFIED, float(log_bound), 0.5 * q.S * x0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,7 +328,7 @@ def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None, dim_cap=
     ``S`` is the gate-set cardinality for plain/symmetric kinds and the
     SU(2) seed count for lifted sets. Each trial draws from an independent
     child stream of ``seed``; per-trial records go to ``jsonl_path`` when
-    given. The worker count honours GATEDESIGN_THREADS.
+    given.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -353,12 +351,7 @@ def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None, dim_cap=
             "iterations": info["iterations"],
         }
 
-    workers = int(os.environ.get("GATEDESIGN_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trial, range(trials)))
-    else:
-        records = [run_trial(i) for i in range(trials)]
+    records = [run_trial(i) for i in range(trials)]
     deltas = [r["delta"] for r in records]
     hits = sum(1 for v in deltas if v >= delta)
     frac = hits / trials

@@ -8,14 +8,11 @@ rescaled representation with per-order log bookkeeping so the full order
 range of one pass stays representable.
 
 These are the package's hot kernels: they run inside the theta-minimization
-loop of the symmetric master bound. See `_accel` for the numba/no-numba
-switch.
+of the symmetric master bound, once per bisection step.
 """
 import math
 
 import numpy as np
-
-from ._accel import njit
 
 #: series/Miller crossover; the series needs ~x/2 + O(sqrt x) terms, the
 #: recurrence ~x + O(sqrt x) steps, so the switch point is uncritical
@@ -25,7 +22,6 @@ _RENORM = 1e250
 _LOG_RENORM = math.log(_RENORM)
 
 
-@njit
 def _log_ive_series(n, x):
     """log(e^-x I_n(x)) by the ascending series, x <= ~cutoff."""
     if x == 0.0:
@@ -50,7 +46,6 @@ def _log_ive_series(n, x):
     return mx + math.log(acc) - x
 
 
-@njit
 def log_ive_array(nmax, x):
     """log(e^-x I_k(x)) for k = 0..nmax at one argument x >= 0."""
     out = np.empty(nmax + 1)

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report. Statistical criteria use fixed seeds and 3-sigma tolerances; timing
-budgets are measured after the jit kernels are warm (compilation is cached
-on disk by numba after the first session).
+budgets are measured after a warm-up call has imported and run the Bessel
+and bound kernels once.
 """
 import itertools
 import math

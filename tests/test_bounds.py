@@ -12,7 +12,7 @@ import pytest
 
 from gatedesign import bounds as bd
 from gatedesign import repcore as rc
-from gatedesign._accel import py_func
+from gatedesign import solver, specfun
 from gatedesign.bounds import BoundQuery, GateSetKind, Method
 
 mpmath.mp.dps = 50
@@ -100,7 +100,7 @@ def test_master_plain_two_forms_agree():
     for delta in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
         for S in (1, 10, 57, 400):
             a = bd._log_master_plain_factor(S, delta)
-            b = bd.log_master_plain_binomial_form(S, delta)
+            b = -0.5 * S * solver._log_binomial_rate(delta)
             assert a == pytest.approx(b, abs=1e-12 * max(1, abs(a)))
 
 
@@ -141,12 +141,26 @@ def test_symmetric_simplified_limit_at_small_delta():
     assert res.raw == pytest.approx(6.0, rel=1e-5)
 
 
+def local_h(x, delta, m0d, gvec, branch):
+    """log B(x) - delta x, the bracket summed term by term (NaN if it is <= 0).
+
+    B(x) = m0d e^{+-x} + gamma_0 I_0(x) + 2 sum_k (+-1)^k gamma_k I_k(x); the
+    theta objective is (S/2) h at x = 2 theta / S.
+    """
+    d = len(gvec) - 1
+    ive = specfun.log_ive_array(d, x)
+    c = (m0d if branch > 0 else m0d * math.exp(-2.0 * x)) + gvec[0] * math.exp(ive[0])
+    for k in range(1, d + 1):
+        c += 2.0 * branch**k * gvec[k] * math.exp(ive[k])
+    return x + math.log(c) - delta * x if c > 0.0 else math.nan
+
+
 def grid_branch_min(S, delta, m0d, gvec, branch):
-    theta0 = S * delta / math.sqrt(1 - delta**2)
-    thetas = theta0 * np.exp(np.linspace(-8, 8, 6001))
-    vals = [bd._sym_objective(th, float(S), delta, m0d, np.asarray(gvec), branch) for th in thetas]
+    x0 = 2 * delta / math.sqrt(1 - delta**2)
+    xs = x0 * np.exp(np.linspace(-8, 8, 6001))
+    vals = [local_h(x, delta, m0d, gvec, branch) for x in xs]
     vals = [v for v in vals if not math.isnan(v)]
-    return min(min(vals), 0.0)  # objective tends to 0 at theta -> 0+
+    return 0.5 * S * min(min(vals), 0.0)  # objective tends to 0 at theta -> 0+
 
 
 def test_symmetric_minimizer_matches_grid_scan():
@@ -173,11 +187,8 @@ def test_symmetric_minimizer_matches_grid_scan():
 def test_symmetric_branch_minima_match_grid(lam, S, delta):
     lam = rc.HighestWeight(lam)
     dl, m0d, gvec = bd._sym_block_data(lam, 8)
-    for branch in (1, -1):
-        f, th, status = bd._sym_branch_min(
-            float(S), delta, m0d, gvec, branch, bd.THETA_MAX_FACTOR * S, bd.THETA_RTOL
-        )
-        assert status == 0
+    for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, 8, delta)):
+        f = 0.5 * S * h
         grid = grid_branch_min(S, delta, m0d, gvec, branch)
         assert f <= grid + 1e-9
         assert f >= grid - 1e-4
@@ -199,13 +210,77 @@ def test_simplified_against_mpmath_oracle():
     assert got.log_bound == pytest.approx(float(mpmath.log(oracle)), abs=1e-10)
 
 
-def test_kernel_pure_python_twin_agrees():
-    lam = rc.HighestWeight((1, 0, -1))
-    dl, m0d, gvec = bd._sym_block_data(lam, 8)
-    args = (40.0, 0.5, m0d, gvec, 1, 4e5, bd.THETA_RTOL)
-    jit_out = bd._sym_branch_min(*args)
-    py_out = py_func(bd._sym_branch_min)(*args)
-    assert jit_out[0] == pytest.approx(py_out[0], abs=1e-12)
+@pytest.mark.parametrize(
+    "lam,delta",
+    [((1, -1), 0.5), ((2, -2), 0.3), ((1, 0, -1), 0.45), ((1, 1, -1, -1), 0.7)],
+)
+def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
+    # at an interior minimum x*, (log B)'(x*) = delta, B summed in 50 digits
+    lam = rc.HighestWeight(lam)
+    _, m0d, gvec = bd._sym_block_data(lam, 8)
+    m0d = mpmath.mpf(m0d)
+    gam = [mpmath.mpf(float(g)) for g in gvec]
+    for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, 8, delta)):
+        assert x > 0.0
+
+        def log_b(y):
+            terms = [2 * branch**k * gam[k] * mpmath.besseli(k, y) for k in range(1, lam.d + 1)]
+            b = m0d * mpmath.exp(branch * y) + gam[0] * mpmath.besseli(0, y) + sum(terms)
+            return mpmath.log(b)
+
+        assert float(mpmath.diff(log_b, mpmath.mpf(x))) == pytest.approx(delta, abs=1e-8)
+        assert h == pytest.approx(float(log_b(mpmath.mpf(x))) - delta * x, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.3, 2.0, 39.0, 41.0, 300.0])
+def test_symmetric_slope_matches_central_difference(x):
+    # the Bessel argument crosses the series/Miller switch at 40
+    for lam in [(1, -1), (2, 0, -2), (1, 1, -1, -1)]:
+        _, m0d, gvec = bd._sym_block_data(rc.HighestWeight(lam), 8)
+        for branch in (1, -1):
+            _, slope = bd._sym_exponent(x, 0.4, branch, m0d, gvec)
+            eps = 1e-5 * x
+            up, _ = bd._sym_exponent(x + eps, 0.4, branch, m0d, gvec)
+            down, _ = bd._sym_exponent(x - eps, 0.4, branch, m0d, gvec)
+            assert slope == pytest.approx((up - down) / (2 * eps), abs=1e-7), (lam, branch)
+
+
+def test_master_symmetric_branch_exponents_scale_as_half_S():
+    # bound - log d_lam = log(u^k + v^k) at S = k S0, with u, v the two
+    # branch terms at S0, when the minimizer does not depend on S; the
+    # power sums then obey p3 = (3 p1 p2 - p1^3) / 2
+    lam, S0, delta = (1, 0, -1), 20, 0.5
+    dl = rc.weyl_dimension(rc.HighestWeight(lam))
+    res = [bd.master_bound_symmetric(q_sym(lam, k * S0, delta)) for k in (1, 2, 3)]
+    p1, p2, p3 = (math.exp(r.log_bound - math.log(dl)) for r in res)
+    assert p3 == pytest.approx((3 * p1 * p2 - p1**3) / 2, rel=1e-10)
+    thetas = [r.theta_star / (k * S0) for k, r in zip((1, 2, 3), res)]
+    assert thetas[0] > 0 and thetas == pytest.approx([thetas[0]] * 3, rel=1e-15)
+
+
+def test_master_symmetric_search_reuses_exponents_across_S(monkeypatch):
+    # a size search probes many S at one delta: only the first probe may
+    # evaluate Bessel functions
+    kind, method = GateSetKind.SYMMETRIC, Method.MASTER_SYMMETRIC
+    bd.total_bound(2, 20, kind, 40, 0.37, method)
+    calls = []
+    real = bd.log_ive_array
+
+    def counting(nmax, x):
+        calls.append(x)
+        return real(nmax, x)
+
+    monkeypatch.setattr(bd, "log_ive_array", counting)
+    bd.total_bound(2, 20, kind, 200, 0.37, method)
+    assert calls == []
+
+
+def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
+    # data whose bracket B(x) = -e^{+-x} is negative at every x
+    monkeypatch.setattr(bd, "_sym_block_data", lambda lam, cap: (3, -1.0, np.zeros(3)))
+    for fn in (bd.master_bound_symmetric, bd.master_bound_symmetric_simplified):
+        with pytest.raises(bd.BoundUnavailableError):
+            fn(q_sym((1, -1), 20, 0.4321))
 
 
 def _delta_crossing(d, t, S, method, level):
