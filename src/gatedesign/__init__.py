@@ -43,7 +43,6 @@ from .repcore import (
     freudenthal_multiplicity,
     fs_indicator,
     gamma_coefficients,
-    kostant_partition,
     partition_count,
     sum_dimensions,
     to_dynkin,

@@ -1,10 +1,10 @@
 """Exact representation theory of U(d)/SU(d) irrep blocks.
 
 Everything here is exact integer/rational arithmetic: irrep label
-enumeration, Weyl dimensions, Kostant partition function, weight
-multiplicities (Kostant alternating sum and an independent Freudenthal
-recursion), Frobenius-Schur indicators delta_lambda(n) and the
-gamma_lambda(k) coefficients entering the symmetric master bound.
+enumeration, Weyl dimensions, weight multiplicities (Kostka numbers by
+Gelfand-Tsetlin branching, and an independent Freudenthal recursion),
+Frobenius-Schur indicators delta_lambda(n) and the gamma_lambda(k)
+coefficients entering the symmetric master bound.
 
 The block spectrum (:func:`block_spectrum`) is the one intermediate the
 union bounds and the solver read: per (d, t), cached, the label set
@@ -17,11 +17,13 @@ engine. A candidate weight contributes only when it lies in the highest
 weight's coset of the root lattice; for zero-sum integer labels this
 reduces to entrywise integrality.
 
-Note on the partition function: the source formula for weight
-multiplicities is sometimes quoted over "positive simple roots"; the
-standard Kostant partition function runs over all positive roots, and only
-the standard convention reproduces the Freudenthal recursion and the SU(2)
-closed forms (see tests), so that is what is implemented.
+Note on multiplicities: the weight multiplicity m_lambda(mu) of U(d) is the
+Kostka number K_{lambda, mu} once lambda and mu are shifted by one common
+integer so that lambda is a partition (Macdonald, *Symmetric Functions and
+Hall Polynomials*, I.5-I.7; Fulton, *Young Tableaux*, 8). It is invariant
+under permuting mu and is counted by stripping horizontal strips, so no
+Kostant partition function and no alternating sum over the Weyl group is
+needed; the Kostant engine is kept in the tests as an oracle.
 """
 from __future__ import annotations
 
@@ -30,11 +32,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-#: Weyl-group sums iterate over all d! permutations; beyond this cap the
-#: operations that need them raise instead of silently approximating.
+#: The Frobenius-Schur sums run over the Weyl group S_d: its d! permutations
+#: are walked once per d to build the table of displacement orbits. Beyond
+#: this cap the operations that need them raise instead of silently
+#: approximating.
 MAX_WEYL_DIM = 8
 
 
@@ -163,20 +168,29 @@ def _partitions_exact(k, n, max_part=None):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def count_partitions_exact(k, n):
-    """p_n(k): partitions of k with exactly n parts."""
-    if k == 0:
-        return 1 if n == 0 else 0
-    if n <= 0 or n > k:
+    """p_n(k): partitions of k with exactly n parts.
+
+    Removing the first column of the diagram gives p_n(k) = p~_n(k - n).
+    """
+    if n < 0:
         return 0
-    # p_n(k) = p_{n-1}(k-1) + p_n(k-n)
-    return count_partitions_exact(k - 1, n - 1) + count_partitions_exact(k - n, n)
+    return count_partitions_atmost(k - n, n)
 
 
 def count_partitions_atmost(k, n):
-    """p~_n(k): partitions of k with at most n parts."""
-    return sum(count_partitions_exact(k, m) for m in range(0, min(k, n) + 1))
+    """p~_n(k): partitions of k with at most n parts.
+
+    By conjugation these are the partitions of k into parts <= n, counted
+    by a coin-change table over the part sizes: O(k) memory, no recursion.
+    """
+    if k < 0:
+        return 0
+    ways = [1] + [0] * k
+    for part in range(1, min(k, n) + 1):
+        for s in range(part, k + 1):
+            ways[s] += ways[s - part]
+    return ways[k]
 
 
 def partition_count(k):
@@ -298,67 +312,7 @@ def _spectrum_fs2(d, t, weyl_cap):
 
 
 # ---------------------------------------------------------------------------
-# Kostant partition function
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _positive_roots(d):
-    roots = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            roots.append((i, j))
-    return tuple(roots)
-
-
-@lru_cache(maxsize=None)
-def _kostant_rec(rem, idx, d):
-    if all(v == 0 for v in rem):
-        return 1
-    roots = _positive_roots(d)
-    if idx == len(roots):
-        return 0
-    i, j = roots[idx]
-    # coefficient cap: subtracting c*(e_i - e_j) lowers the prefix sums on
-    # [i, j); they must stay nonnegative for any completion to exist
-    ps = 0
-    cap = None
-    for m in range(j):
-        ps += rem[m]
-        if m >= i:
-            cap = ps if cap is None else min(cap, ps)
-    total = 0
-    lst = list(rem)
-    for c in range(cap + 1):
-        total += _kostant_rec(tuple(lst), idx + 1, d)
-        lst[i] -= 1
-        lst[j] += 1
-    return total
-
-
-def kostant_partition(mu, d=None):
-    """Number of ways to write mu as a nonnegative-integer combination of
-    the positive roots e_i - e_j (i < j) of A_{d-1}.
-
-    Non-integral entries or a nonzero entry sum give 0.
-    """
-    ent = _weight_entries(mu)
-    if d is None:
-        d = len(ent)
-    if len(ent) != d:
-        raise ValueError(f"weight has {len(ent)} entries, expected {d}")
-    if any(v.denominator != 1 for v in ent) or sum(ent) != 0:
-        return 0
-    vec = tuple(int(v) for v in ent)
-    ps = 0
-    for v in vec:
-        ps += v
-        if ps < 0:
-            return 0
-    return _kostant_rec(vec, 0, d)
-
-
-# ---------------------------------------------------------------------------
-# weight multiplicities: Kostant alternating sum
+# weight multiplicities: Kostka numbers
 # ---------------------------------------------------------------------------
 
 def _centered(entries):
@@ -375,63 +329,75 @@ def _check_weyl_cap(d, weyl_cap):
         )
 
 
+def _interlacing(lam, size):
+    """Partitions nu of ``size`` with lam_1 >= nu_1 >= lam_2 >= ... >= nu_{r-1} >= lam_r.
+
+    These are the nu for which lam/nu is a horizontal strip. Each nu_i is
+    drawn only where the parts after it can still reach the size, so every
+    branch yields.
+    """
+    r = len(lam)
+    # least and greatest sum of nu_i..nu_{r-2}
+    lo = list(itertools.accumulate(reversed(lam[1:])))[::-1] + [0]
+    hi = list(itertools.accumulate(reversed(lam[:-1])))[::-1] + [0]
+
+    def rec(i, rest):
+        if i == r - 1:
+            yield ()
+            return
+        for v in range(max(lam[i + 1], rest - hi[i + 1]), min(lam[i], rest - lo[i + 1]) + 1):
+            for tail in rec(i + 1, rest - v):
+                yield (v,) + tail
+
+    if lo[0] <= size <= hi[0]:
+        yield from rec(0, size)
+
+
+def _kostka(lam, mu):
+    """K_{lam, mu}: semistandard tableaux of shape lam and content mu.
+
+    lam is a partition and mu a composition, both of length r. Removing the
+    entries r from such a tableau leaves one of shape nu with content
+    mu_1..mu_{r-1}, where lam/nu is a horizontal strip of size mu_r
+    (Gelfand-Tsetlin branching), so the count recurses on nu. Memoised per
+    call on the shapes reached.
+    """
+    memo = {}
+
+    def count(shape):
+        r = len(shape)
+        if r == 1:
+            return int(shape[0] == mu[0])
+        if shape not in memo:
+            memo[shape] = sum(count(nu) for nu in _interlacing(shape, sum(shape) - mu[r - 1]))
+        return memo[shape]
+
+    return count(lam)
+
+
 @lru_cache(maxsize=None)
 def _mult_centered(lam_entries, mu):
-    """Multiplicity of centered weight mu in pi_lambda, by the Kostant sum.
+    """Multiplicity of the centered weight mu in pi_lambda.
 
-    The sum over the Weyl group is run as a depth-first search assigning the
-    entries of lambda+rho to positions, pruning assignments whose partial
-    sums already make the partition-function argument infeasible.
+    Callers pass mu sorted nonincreasing: multiplicities are Weyl-invariant,
+    so the cache is keyed on that canonical pair. Adding trace(lambda)/d -
+    lambda_d to every entry makes lambda a partition and mu an integer
+    composition of the same size when mu is in lambda's coset of the root
+    lattice; the multiplicity is then their Kostka number.
     """
-    d = len(lam_entries)
-    lam_c = _centered(lam_entries)
-    diff = [a - b for a, b in zip(lam_c, mu)]
-    if any(v.denominator != 1 for v in diff):
-        return 0  # not in the coset lambda + root lattice
-    if sum(mu) != 0:
-        return 0
-    if sum(abs(v) for v in mu) > sum(abs(v) for v in lam_c):
-        return 0
-    rho = tuple(d - 1 - i for i in range(d))
-    # lambda+rho in the integer representative of the coset: shift both
-    # lambda and mu by the common fractional part
-    frac = lam_c[0] - int(lam_c[0])
-    pool = tuple(int(v - frac) + r for v, r in zip(lam_c, rho))
-    target = tuple(int(m - frac) + r for m, r in zip(mu, rho))
-
-    total = 0
-    used = [False] * d
-
-    def dfs(pos, prefix, sign):
-        nonlocal total
-        if pos == d:
-            total += sign * _kostant_rec(tuple(chosen[i] - target[i] for i in range(d)), 0, d)
-            return
-        for idx in range(d):
-            if used[idx]:
-                continue
-            p = prefix + pool[idx] - target[pos]
-            if p < 0:
-                continue  # partition function of the completion is 0
-            used[idx] = True
-            chosen.append(pool[idx])
-            # parity: placing pool[idx] costs one swap per smaller-index
-            # element still unused
-            flips = sum(1 for q in range(idx) if not used[q])
-            dfs(pos + 1, p, sign if flips % 2 == 0 else -sign)
-            chosen.pop()
-            used[idx] = False
-
-    chosen = []
-    dfs(0, 0, 1)
-    return total
+    low = lam_entries[-1]
+    shift = Fraction(sum(lam_entries), len(lam_entries)) - low
+    comp = [m + shift for m in mu]
+    if any(v.denominator != 1 or v < 0 for v in comp):
+        return 0  # off the coset, or an entry below lambda_d
+    return _kostka(tuple(v - low for v in lam_entries), tuple(int(v) for v in comp))
 
 
 def weight_multiplicity(lam, mu, weyl_cap=MAX_WEYL_DIM):
-    """m_lambda(mu) via the Kostant alternating sum.
+    """m_lambda(mu), the Kostka number of the shifted pair (lambda, sort(mu)).
 
     Returns 0 immediately when the one-norm or entry-sum pruning rules rule
-    mu out. Cost is bounded by d! partition-function calls, hence the cap.
+    mu out. d above ``weyl_cap`` raises, as for the Frobenius-Schur sums.
     """
     lam = _as_weight(lam)
     ent = _weight_entries(mu)
@@ -442,7 +408,7 @@ def weight_multiplicity(lam, mu, weyl_cap=MAX_WEYL_DIM):
         return 0
     if sum(abs(v) for v in ent) > lam.norm1:
         return 0
-    return _mult_centered(lam.entries, _centered(ent))
+    return _mult_centered(lam.entries, tuple(sorted(_centered(ent), reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +440,11 @@ def _dominant_below(lam_c):
 
     rec([], Fraction(0))
     return out
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(d):
+    return tuple((i, j) for i in range(d) for j in range(i + 1, d))
 
 
 def _height(lam_c, mu):
@@ -541,35 +512,46 @@ def freudenthal_multiplicity(lam, mu, weyl_cap=MAX_WEYL_DIM):
 # Frobenius-Schur indicators and gamma coefficients
 # ---------------------------------------------------------------------------
 
-def _signed_permutations(d):
-    out = []
-    for p in itertools.permutations(range(d)):
-        inv = sum(1 for a in range(d) for b in range(a + 1, d) if p[a] > p[b])
-        out.append((p, -1 if inv % 2 else 1))
-    return out
+@lru_cache(maxsize=None)
+def _signed_displacements(d):
+    """Net sign of the permutations of S_d per displacement orbit.
 
-
-_signed_permutations = lru_cache(maxsize=None)(_signed_permutations)
+    Maps each displacement (sigma(i) - i)_i, sorted nonincreasing, to the
+    sum of sgn(sigma) over the permutations that share it; orbits whose
+    signs cancel are dropped, in order of one-norm. Built on first use, once
+    per d: this is the one walk over the d! permutations. The identity is
+    the only permutation with displacement zero.
+    """
+    counts = {}
+    for perm in itertools.permutations(range(d)):
+        inv = sum(1 for a in range(d) for b in range(a + 1, d) if perm[a] > perm[b])
+        disp = tuple(sorted((perm[i] - i for i in range(d)), reverse=True))
+        counts[disp] = counts.get(disp, 0) + (-1 if inv % 2 else 1)
+    by_norm = sorted(counts.items(), key=lambda item: sum(map(abs, item[0])))
+    return MappingProxyType({disp: c for disp, c in by_norm if c})
 
 
 def _fs_weyl_sum(lam, n, skip_identity):
-    """sum over sigma (optionally without id) of sgn(sigma)*m((rho-sigma.rho)/n)."""
+    """sum over sigma (optionally without id) of sgn(sigma)*m((rho-sigma.rho)/n).
+
+    One term per displacement orbit: the multiplicity, the one-norm budget
+    and the lattice test all depend on the sorted displacement alone.
+    """
     d = lam.d
     budget = abs(n) * _as_weight(lam).norm1  # ||mu||_1 <= ||lambda||_1 pruning
     lam_c = _centered(lam.entries)
     integral_coset = all(v.denominator == 1 for v in lam_c)
     total = 0
-    for perm, sign in _signed_permutations(d):
-        identity = all(perm[i] == i for i in range(d))
-        if identity and skip_identity:
+    for disp, count in _signed_displacements(d).items():
+        if skip_identity and not any(disp):
             continue
-        disp = [perm[i] - i for i in range(d)]
-        if sum(abs(v) for v in disp) > budget:
-            continue
+        if sum(map(abs, disp)) > budget:
+            break  # the orbits come in one-norm order
         if integral_coset and any(v % n for v in disp):
             continue
-        mu = tuple(Fraction(v, n) for v in disp)
-        total += sign * _mult_centered(lam.entries, _centered(mu))
+        # nonincreasing after dividing by n
+        mu = tuple(Fraction(v, n) for v in (disp if n > 0 else reversed(disp)))
+        total += count * _mult_centered(lam.entries, mu)
     return total
 
 

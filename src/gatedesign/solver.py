@@ -221,7 +221,8 @@ TABLE2_COLUMNS = {
     64: (2, 3, 4, 5),
 }
 
-#: symmetric columns need the Weyl-group machinery, capped at d <= 8
+#: symmetric columns need the Frobenius-Schur sums over the permutations of
+#: S_d, whose orbit table is built up to d <= MAX_WEYL_DIM (8)
 TABLE2_SYMMETRIC_MAX_D = MAX_WEYL_DIM
 
 

@@ -1,0 +1,117 @@
+"""Kostant engine: an independent weight-multiplicity oracle for the tests.
+
+m_lambda(mu) = sum over sigma in S_d of sgn(sigma) P(sigma(lambda+rho) -
+(mu+rho)), with P the Kostant partition function over all positive roots
+e_i - e_j (i < j) of A_{d-1}. The library counts the same multiplicities
+as Kostka numbers; this file keeps the alternating sum to check them.
+
+Note on the partition function: the source formula for weight
+multiplicities is sometimes quoted over "positive simple roots"; the
+standard Kostant partition function runs over all positive roots, and only
+the standard convention reproduces the Freudenthal recursion and the SU(2)
+closed forms, so that is what is implemented.
+"""
+from functools import lru_cache
+
+from gatedesign.repcore import _centered, _positive_roots, _weight_entries
+
+
+@lru_cache(maxsize=None)
+def _kostant_rec(rem, idx, d):
+    if all(v == 0 for v in rem):
+        return 1
+    roots = _positive_roots(d)
+    if idx == len(roots):
+        return 0
+    i, j = roots[idx]
+    # coefficient cap: subtracting c*(e_i - e_j) lowers the prefix sums on
+    # [i, j); they must stay nonnegative for any completion to exist
+    ps = 0
+    cap = None
+    for m in range(j):
+        ps += rem[m]
+        if m >= i:
+            cap = ps if cap is None else min(cap, ps)
+    total = 0
+    lst = list(rem)
+    for c in range(cap + 1):
+        total += _kostant_rec(tuple(lst), idx + 1, d)
+        lst[i] -= 1
+        lst[j] += 1
+    return total
+
+
+def kostant_partition(mu, d=None):
+    """Number of ways to write mu as a nonnegative-integer combination of
+    the positive roots e_i - e_j (i < j) of A_{d-1}.
+
+    Non-integral entries or a nonzero entry sum give 0.
+    """
+    ent = _weight_entries(mu)
+    if d is None:
+        d = len(ent)
+    if len(ent) != d:
+        raise ValueError(f"weight has {len(ent)} entries, expected {d}")
+    if any(v.denominator != 1 for v in ent) or sum(ent) != 0:
+        return 0
+    vec = tuple(int(v) for v in ent)
+    ps = 0
+    for v in vec:
+        ps += v
+        if ps < 0:
+            return 0
+    return _kostant_rec(vec, 0, d)
+
+
+def kostant_multiplicity(lam, mu):
+    """m_lambda(mu) by the Kostant alternating sum, for a label and any weight.
+
+    The sum over the Weyl group is run as a depth-first search assigning the
+    entries of lambda+rho to positions, pruning assignments whose partial
+    sums already make the partition-function argument infeasible.
+    """
+    lam_entries = tuple(lam)
+    d = len(lam_entries)
+    ent = _weight_entries(mu)
+    if sum(ent) != sum(lam_entries):
+        return 0
+    lam_c = _centered(lam_entries)
+    mu = _centered(ent)
+    diff = [a - b for a, b in zip(lam_c, mu)]
+    if any(v.denominator != 1 for v in diff):
+        return 0  # not in the coset lambda + root lattice
+    if sum(abs(v) for v in mu) > sum(abs(v) for v in lam_c):
+        return 0
+    rho = tuple(d - 1 - i for i in range(d))
+    # lambda+rho in the integer representative of the coset: shift both
+    # lambda and mu by the common fractional part
+    frac = lam_c[0] - int(lam_c[0])
+    pool = tuple(int(v - frac) + r for v, r in zip(lam_c, rho))
+    target = tuple(int(m - frac) + r for m, r in zip(mu, rho))
+
+    total = 0
+    used = [False] * d
+
+    def dfs(pos, prefix, sign):
+        nonlocal total
+        if pos == d:
+            total += sign * _kostant_rec(tuple(chosen[i] - target[i] for i in range(d)), 0, d)
+            return
+        for idx in range(d):
+            if used[idx]:
+                continue
+            p = prefix + pool[idx] - target[pos]
+            if p < 0:
+                continue  # partition function of the completion is 0
+            used[idx] = True
+            chosen.append(pool[idx])
+            # parity: placing pool[idx] costs one swap per smaller-index
+            # element still unused
+            flips = sum(1 for q in range(idx) if not used[q])
+            dfs(pos + 1, p, sign if flips % 2 == 0 else -sign)
+            chosen.pop()
+            used[idx] = False
+
+    chosen = []
+    dfs(0, 0, 1)
+    return total

@@ -169,7 +169,7 @@ def test_criterion_4_oracle_equivalence():
                 total += a
             sums_ok = sums_ok and total == rc.weyl_dimension(lam)
     report(
-        "4 (Kostant vs Freudenthal)",
+        "4 (Kostka vs Freudenthal)",
         pairs >= 500 and sums_ok,
         f"{pairs} pairs agree; weight sums match dimensions: {sums_ok}",
     )

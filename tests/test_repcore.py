@@ -1,16 +1,22 @@
 """Exact representation-theory tests.
 
-Derived expectations are computed by independent oracles inside this file:
-brute-force box enumeration for the label set, a coefficient scan for the
-Kostant partition function, the Freudenthal recursion as a second
-multiplicity engine, and the SU(2) closed forms.
+Derived expectations are computed by independent oracles: brute-force box
+enumeration for the label set, a coefficient scan for the Kostant partition
+function, the Kostant alternating sum (``oracles.py``) and the Freudenthal
+recursion as second and third multiplicity engines, a per-permutation
+Frobenius-Schur sum, and the SU(2) closed forms.
 """
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gatedesign import repcore as rc
 from gatedesign.repcore import HighestWeight
 
@@ -170,6 +176,16 @@ def test_counting_identity(d, t):
     assert len(rc.enumerate_lambda_set(d, t)) == total
 
 
+def test_count_irreps_d2_large_t_matches_enumeration():
+    total = sum(rc.count_irreps_by_norm(2, k) for k in range(1, 5001))
+    assert total == len(rc.enumerate_lambda_set(2, 5000))
+
+
+def test_partition_count_values():
+    assert rc.partition_count(100) == 190569292
+    assert rc.partition_count(1000) == 24061467864032622473692149727991
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_count_collapses_to_p_squared(k):
     assert rc.count_irreps_by_norm(2 * k, k) == rc.partition_count(k) ** 2
@@ -242,16 +258,16 @@ def test_block_spectrum_fs2():
 # ---------------------------------------------------------------------------
 
 def test_kostant_zero():
-    assert rc.kostant_partition((0, 0, 0)) == 1
+    assert oracles.kostant_partition((0, 0, 0)) == 1
 
 
 @pytest.mark.parametrize("m,expect", [(0, 1), (1, 1), (3, 1), (-1, 0), (-2, 0)])
 def test_kostant_d2(m, expect):
-    assert rc.kostant_partition((m, -m)) == expect
+    assert oracles.kostant_partition((m, -m)) == expect
 
 
 def test_kostant_d3_simple():
-    assert rc.kostant_partition((1, 0, -1)) == 2
+    assert oracles.kostant_partition((1, 0, -1)) == 2
 
 
 @pytest.mark.parametrize(
@@ -270,16 +286,16 @@ def test_kostant_d3_simple():
     ],
 )
 def test_kostant_matches_coefficient_scan(mu):
-    assert rc.kostant_partition(mu) == brute_kostant(mu, len(mu))
+    assert oracles.kostant_partition(mu) == brute_kostant(mu, len(mu))
 
 
 def test_kostant_rejects_nonintegral_and_nonzero_sum():
-    assert rc.kostant_partition((Fraction(1, 2), Fraction(-1, 2))) == 0
-    assert rc.kostant_partition((1, 0, 0)) == 0
+    assert oracles.kostant_partition((Fraction(1, 2), Fraction(-1, 2))) == 0
+    assert oracles.kostant_partition((1, 0, 0)) == 0
 
 
 # ---------------------------------------------------------------------------
-# weight multiplicities (Kostant sum vs Freudenthal)
+# weight multiplicities (Kostka branching vs Kostant sum vs Freudenthal)
 # ---------------------------------------------------------------------------
 
 def test_highest_weight_is_simple():
@@ -331,11 +347,46 @@ def _weight_box(lam):
 def test_kostant_freudenthal_agree(lam):
     checked = 0
     for mu in _weight_box(lam):
-        a = rc.weight_multiplicity(lam, mu)
+        a = oracles.kostant_multiplicity(lam, mu)
         b = rc.freudenthal_multiplicity(lam, mu)
-        assert a == b, (lam, mu, a, b)
+        c = rc.weight_multiplicity(lam, mu)
+        assert a == b == c, (lam, mu, a, b, c)
         checked += 1
     assert checked >= 7
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_weight_multiplicity_matches_kostant_oracle_on_box(d):
+    for lam in rc.enumerate_lambda_set(d, 4):
+        for mu in _weight_box(lam.entries):
+            assert rc.weight_multiplicity(lam, mu) == oracles.kostant_multiplicity(lam.entries, mu)
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_weight_multiplicity_matches_kostant_oracle_on_dominant_weights(d):
+    # a dominant weight below a label of Lambda~_3 has positive part <= 3,
+    # so it is the zero weight or itself a label of the box scan
+    weights = brute_lambda_set(d, 3) | {(0,) * d}
+    nonzero = 0
+    for lam in rc.enumerate_lambda_set(d, 3):
+        for mu in weights:
+            m = rc.weight_multiplicity(lam, mu)
+            assert m == oracles.kostant_multiplicity(lam.entries, mu), (lam, mu)
+            nonzero += m > 0
+    assert nonzero >= 80
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_weight_multiplicity_is_permutation_invariant_and_matches_freudenthal(data):
+    d = data.draw(st.integers(2, 5), label="d")
+    t = data.draw(st.integers(1, 3), label="t")
+    lam = data.draw(st.sampled_from(rc.enumerate_lambda_set(d, t)), label="lam")
+    mu = data.draw(st.sampled_from(list(_weight_box(lam.entries))), label="mu")
+    perm = data.draw(st.permutations(mu), label="perm")
+    m = rc.weight_multiplicity(lam, mu)
+    assert rc.weight_multiplicity(lam, perm) == m
+    assert rc.freudenthal_multiplicity(lam, mu) == m
 
 
 @pytest.mark.parametrize("lam", [(2, -2), (1, 0, -1), (2, -1, -1), (1, 1, -1, -1), (2, 0, -1, -1)])
@@ -418,6 +469,37 @@ def test_fs_n0():
     assert rc.fs_indicator((3, -3), 0) == 1
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_signed_displacements_table(d):
+    table = rc._signed_displacements(d)
+    assert sum(table.values()) == 0
+    assert table[(0,) * d] == 1
+    assert sum(abs(c) for c in table.values()) <= math.factorial(d)
+    assert 0 not in table.values()
+    for disp in table:
+        assert sum(disp) == 0 and list(disp) == sorted(disp, reverse=True)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_fs_weyl_sum_matches_per_permutation_sum(d):
+    perms = list(itertools.permutations(range(d)))
+    signs = [(-1) ** sum(p[a] > p[b] for a in range(d) for b in range(a + 1, d)) for p in perms]
+    labels = rc.enumerate_lambda_set(d, 3)
+    for n in [s * k for k in range(1, d + 1) for s in (1, -1)]:
+        # the labels sum to zero, so a weight off the integer lattice has
+        # multiplicity 0 and its permutation contributes nothing
+        terms = [
+            (sign, tuple((p[i] - i) // n for i in range(d)))
+            for sign, p in zip(signs, perms)
+            if all((p[i] - i) % n == 0 for i in range(d))
+        ]
+        for lam in labels:
+            full = sum(sign * rc.weight_multiplicity(lam, mu) for sign, mu in terms)
+            assert rc._fs_weyl_sum(lam, n, skip_identity=False) == full, (lam, n)
+            m0 = rc.zero_weight_multiplicity(lam)
+            assert rc._fs_weyl_sum(lam, n, skip_identity=True) == full - m0, (lam, n)
+
+
 # ---------------------------------------------------------------------------
 # gamma coefficients
 # ---------------------------------------------------------------------------
@@ -444,6 +526,18 @@ def test_gamma_symmetric_in_k(d, t):
         gam = rc.gamma_coefficients(lam)
         for k in range(1, d + 1):
             assert gam[k] == gam[-k]
+
+
+def test_gamma_pinned_d8():
+    # exact gamma of every label of (8, 3), the five of (8, 2) among them,
+    # as computed by the Kostant alternating sum over all 8! permutations
+    pinned = json.loads((Path(__file__).parent / "gamma_d8.json").read_text())
+    labels = rc.enumerate_lambda_set(8, 3)
+    assert sorted(pinned) == sorted(" ".join(map(str, lam.entries)) for lam in labels)
+    for lam in labels:
+        gam = rc.gamma_coefficients(lam)
+        expect = pinned[" ".join(map(str, lam.entries))]
+        assert {str(k): str(v) for k, v in gam.items()} == expect, lam
 
 
 def test_gamma_d2_values():
