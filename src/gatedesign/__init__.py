@@ -40,7 +40,6 @@ from .repcore import (
     block_spectrum,
     count_irreps_by_norm,
     enumerate_lambda_set,
-    freudenthal_multiplicity,
     fs_indicator,
     gamma_coefficients,
     partition_count,

@@ -2,9 +2,10 @@
 
 Samples random gate-sets, applies the t-th moment operator matrix-free on
 the d^(2t)-dimensional tensor space, projects onto the Haar (commutant)
-block, and estimates delta(nu_S, t) = ||T_{nu_S,t} - T_{mu,t}|| by power
-iteration. Also carries the SU(2) irrep constructions used to Monte-Carlo
-check the Frobenius-Schur indicators.
+block, and estimates delta(nu_S, t) = ||T_{nu_S,t} - T_{mu,t}|| by Lanczos
+with residual stop, each estimate with its residual bound. Also carries the
+SU(2) irrep constructions used to Monte-Carlo check the Frobenius-Schur
+indicators.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ FACTORIAL_CAP = 720
 
 
 class PowerIterationError(RuntimeError):
-    pass
+    """The Lanczos with residual stop in :func:`estimate_delta` ran out of steps."""
 
 
 # ---------------------------------------------------------------------------
@@ -229,65 +230,57 @@ def estimate_delta(
     sample,
     t,
     tol=1e-8,
-    restarts=3,
     max_iter=10000,
     dim_cap=DIM_CAP,
     return_info=False,
 ):
     """delta(nu_S, t): spectral norm of T_{nu_S,t} - T_{mu,t}.
 
-    Power iteration on (T - Pi)^dagger (T - Pi) with randomized restarts;
-    raises PowerIterationError when the Rayleigh quotient fails to settle.
+    Lanczos with residual stop: one Lanczos run with full
+    reorthogonalization, from a start vector seeded by the sample's seed, on
+    A = T^dagger T - Pi. A equals (T - Pi)^dagger (T - Pi) because T and
+    T^dagger fix the Haar block (T Pi = Pi T = T^dagger Pi = Pi), so
+    delta^2 = ||A||. The run stops when the top Ritz pair (theta, y) has
+    residual ||A y - theta y|| = beta_k |s_k| <= tol * max(theta, tol), or
+    when the Krylov space is exhausted, which takes at most d^(2t) steps.
+    Some eigenvalue of A then lies within that residual of theta (Parlett,
+    *The Symmetric Eigenvalue Problem*, Thm 4.5.1), up to a few ulps of
+    rounding. ``return_info`` adds {"iterations": Lanczos steps,
+    "residual": that bound on delta^2}. Raises PowerIterationError when
+    ``max_iter`` steps do neither.
     """
     top = MomentOperator(sample.unitaries, t, dim_cap=dim_cap)
     proj = _projector_cache(sample.d, t, dim_cap)
-
-    def a_fwd(v):
-        return top.apply(v) - proj.apply(v)
-
-    def a_adj(v):
-        return top.apply_adjoint(v) - proj.apply(v)
-
     rng = np.random.default_rng(
         np.random.SeedSequence(_flatten_seed(sample.seed) + [0x9E3779B9])
     )
-    # stagnation of the Rayleigh quotient overstates accuracy near slow
-    # convergence; demand a hundredth of the target before stopping
-    settle = 0.01 * tol
-    best = 0.0
-    total_iters = 0
-    for _ in range(restarts):
-        v = rng.standard_normal(top.dim) + 1j * rng.standard_normal(top.dim)
-        v /= np.linalg.norm(v)
-        lam_old = np.inf
-        converged = False
-        for it in range(1, max_iter + 1):
-            w = a_adj(a_fwd(v))
-            lam = float(np.real(np.vdot(v, w)))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                lam = 0.0
-                converged = True
-                total_iters += it
-                break
-            v = w / nw
-            change = abs(lam - lam_old)
-            # the tol^2 floor lets an exact design (delta = 0) settle, with
-            # an error in delta of about sqrt(settle) * tol
-            if change <= settle * max(abs(lam), tol * tol):
-                converged = True
-                total_iters += it
-                break
-            lam_old = lam
-        if not converged:
-            raise PowerIterationError(
-                f"power iteration did not settle after {max_iter} iterations "
-                f"(last eigenvalue estimate {lam:.6g}, change {change:.3g})"
-            )
-        best = max(best, lam)
-    delta = math.sqrt(max(best, 0.0))
+    v = rng.standard_normal(top.dim) + 1j * rng.standard_normal(top.dim)
+    basis = [v / np.linalg.norm(v)]
+    alphas, betas = [], []
+    for k in range(1, max_iter + 1):
+        v = basis[-1]
+        w = top.apply_adjoint(top.apply(v)) - proj.apply(v)
+        alphas.append(float(np.vdot(v, w).real))
+        # two Gram-Schmidt passes keep the basis orthonormal to rounding
+        for _ in range(2):
+            for q in basis:
+                w -= np.vdot(q, w) * q
+        beta = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta = float(ritz[-1])
+        residual = beta * abs(float(vecs[-1, -1]))
+        if residual <= tol * max(theta, tol) or k == top.dim:
+            break
+        betas.append(beta)
+        basis.append(w / beta)
+    else:
+        raise PowerIterationError(
+            f"Lanczos did not converge after {max_iter} steps "
+            f"(top Ritz value {theta:.6g}, residual change {residual:.3g})"
+        )
+    delta = math.sqrt(max(theta, 0.0))
     if return_info:
-        return delta, {"iterations": total_iters, "restarts": restarts}
+        return delta, {"iterations": k, "residual": residual}
     return delta
 
 
@@ -327,8 +320,8 @@ def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None, dim_cap=
 
     ``S`` is the gate-set cardinality for plain/symmetric kinds and the
     SU(2) seed count for lifted sets. Each trial draws from an independent
-    child stream of ``seed``; per-trial records go to ``jsonl_path`` when
-    given.
+    child stream of ``seed``; per-trial records (delta, Lanczos steps and
+    the residual bound on delta^2) go to ``jsonl_path`` when given.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -349,6 +342,7 @@ def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None, dim_cap=
             "seed": [seed, i],
             "delta": val,
             "iterations": info["iterations"],
+            "residual": info["residual"],
         }
 
     records = [run_trial(i) for i in range(trials)]

@@ -2,9 +2,8 @@
 
 Everything here is exact integer/rational arithmetic: irrep label
 enumeration, Weyl dimensions, weight multiplicities (Kostka numbers by
-Gelfand-Tsetlin branching, and an independent Freudenthal recursion),
-Frobenius-Schur indicators delta_lambda(n) and the gamma_lambda(k)
-coefficients entering the symmetric master bound.
+Gelfand-Tsetlin branching), Frobenius-Schur indicators delta_lambda(n) and
+the gamma_lambda(k) coefficients entering the symmetric master bound.
 
 The block spectrum (:func:`block_spectrum`) is the one intermediate the
 union bounds and the solver read: per (d, t), cached, the label set
@@ -23,7 +22,8 @@ integer so that lambda is a partition (Macdonald, *Symmetric Functions and
 Hall Polynomials*, I.5-I.7; Fulton, *Young Tableaux*, 8). It is invariant
 under permuting mu and is counted by stripping horizontal strips, so no
 Kostant partition function and no alternating sum over the Weyl group is
-needed; the Kostant engine is kept in the tests as an oracle.
+needed. The Kostant and Freudenthal engines are kept in the tests
+(``tests/oracles.py``) as independent oracles.
 """
 from __future__ import annotations
 
@@ -393,119 +393,21 @@ def _mult_centered(lam_entries, mu):
     return _kostka(tuple(v - low for v in lam_entries), tuple(int(v) for v in comp))
 
 
-def weight_multiplicity(lam, mu, weyl_cap=MAX_WEYL_DIM):
+def weight_multiplicity(lam, mu):
     """m_lambda(mu), the Kostka number of the shifted pair (lambda, sort(mu)).
 
     Returns 0 immediately when the one-norm or entry-sum pruning rules rule
-    mu out. d above ``weyl_cap`` raises, as for the Frobenius-Schur sums.
+    mu out. Runs no Weyl-group sum, so any d is allowed.
     """
     lam = _as_weight(lam)
     ent = _weight_entries(mu)
     if len(ent) != lam.d:
         raise ValueError("weight length does not match d")
-    _check_weyl_cap(lam.d, weyl_cap)
     if sum(ent) != lam.total:
         return 0
     if sum(abs(v) for v in ent) > lam.norm1:
         return 0
     return _mult_centered(lam.entries, tuple(sorted(_centered(ent), reverse=True)))
-
-
-# ---------------------------------------------------------------------------
-# weight multiplicities: Freudenthal recursion (independent oracle)
-# ---------------------------------------------------------------------------
-
-def _dominant_below(lam_c):
-    """Dominant points of the weight lattice coset inside conv(W.lambda)."""
-    d = len(lam_c)
-    hi = lam_c[0]
-    lo = lam_c[-1]
-    prefix_lam = list(itertools.accumulate(lam_c))
-    out = []
-
-    def rec(partial, s):
-        i = len(partial)
-        if i == d:
-            if s == 0:
-                out.append(tuple(partial))
-            return
-        top = min(hi, partial[-1]) if partial else hi
-        v = lo
-        while v <= top:
-            # nonincreasing, majorized by lambda, completable to sum 0
-            if s + v <= prefix_lam[i] and s + v + (d - i - 1) * lo <= 0 <= s + v + (d - i - 1) * v:
-                rec(partial + [v], s + v)
-            v += 1
-        return
-
-    rec([], Fraction(0))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _positive_roots(d):
-    return tuple((i, j) for i in range(d) for j in range(i + 1, d))
-
-
-def _height(lam_c, mu):
-    return int(sum(itertools.accumulate(a - b for a, b in zip(lam_c, mu))))
-
-
-@lru_cache(maxsize=None)
-def _freudenthal_table(lam_entries):
-    """All weights of pi_lambda with multiplicities, by Freudenthal's
-    recursion downward from the highest weight."""
-    d = len(lam_entries)
-    lam_c = _centered(lam_entries)
-    weights = []
-    for dom in _dominant_below(lam_c):
-        weights.extend(set(itertools.permutations(dom)))
-    weights.sort(key=lambda mu: _height(lam_c, mu))
-    rho = tuple(Fraction(d - 1 - i) for i in range(d))
-    lam_rho = [a + b for a, b in zip(lam_c, rho)]
-    lam_norm = sum(v * v for v in lam_rho)
-    roots = _positive_roots(d)
-
-    table = {}
-    for mu in weights:
-        if mu == tuple(lam_c):
-            table[mu] = 1
-            continue
-        acc = Fraction(0)
-        for (i, j) in roots:
-            k = 1
-            while True:
-                up = list(mu)
-                up[i] += k
-                up[j] -= k
-                m_up = table.get(tuple(up))
-                if m_up is None:
-                    break
-                acc += m_up * (up[i] - up[j])
-                k += 1
-        mu_rho = [a + b for a, b in zip(mu, rho)]
-        denom = lam_norm - sum(v * v for v in mu_rho)
-        assert denom > 0
-        val = 2 * acc / denom
-        assert val.denominator == 1
-        table[mu] = int(val)
-    return table
-
-
-def freudenthal_multiplicity(lam, mu, weyl_cap=MAX_WEYL_DIM):
-    """Same contract as :func:`weight_multiplicity`, independent engine."""
-    lam = _as_weight(lam)
-    ent = _weight_entries(mu)
-    if len(ent) != lam.d:
-        raise ValueError("weight length does not match d")
-    _check_weyl_cap(lam.d, weyl_cap)
-    if sum(ent) != lam.total:
-        return 0
-    mu_c = _centered(ent)
-    lam_c = _centered(lam.entries)
-    if any((a - b).denominator != 1 for a, b in zip(lam_c, mu_c)):
-        return 0
-    return _freudenthal_table(lam.entries).get(mu_c, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -531,23 +433,34 @@ def _signed_displacements(d):
     return MappingProxyType({disp: c for disp, c in by_norm if c})
 
 
+@lru_cache(maxsize=None)
+def _lattice_displacements(d, n):
+    """(one-norm, displacement, net sign) of the orbits of
+    :func:`_signed_displacements` whose entries n divides, in one-norm order.
+
+    For a label in an integral coset only these orbits pass the lattice
+    test at +-n; n = 1 keeps every orbit.
+    """
+    return tuple(
+        (sum(map(abs, disp)), disp, count)
+        for disp, count in _signed_displacements(d).items()
+        if not any(v % n for v in disp)
+    )
+
+
 def _fs_weyl_sum(lam, n, skip_identity):
     """sum over sigma (optionally without id) of sgn(sigma)*m((rho-sigma.rho)/n).
 
     One term per displacement orbit: the multiplicity, the one-norm budget
     and the lattice test all depend on the sorted displacement alone.
     """
-    d = lam.d
     budget = abs(n) * _as_weight(lam).norm1  # ||mu||_1 <= ||lambda||_1 pruning
-    lam_c = _centered(lam.entries)
-    integral_coset = all(v.denominator == 1 for v in lam_c)
+    integral_coset = all(v.denominator == 1 for v in _centered(lam.entries))
     total = 0
-    for disp, count in _signed_displacements(d).items():
-        if skip_identity and not any(disp):
-            continue
-        if sum(map(abs, disp)) > budget:
+    for norm, disp, count in _lattice_displacements(lam.d, abs(n) if integral_coset else 1):
+        if norm > budget:
             break  # the orbits come in one-norm order
-        if integral_coset and any(v % n for v in disp):
+        if skip_identity and not norm:
             continue
         # nonincreasing after dividing by n
         mu = tuple(Fraction(v, n) for v in (disp if n > 0 else reversed(disp)))

@@ -1,9 +1,11 @@
-"""Kostant engine: an independent weight-multiplicity oracle for the tests.
+"""Kostant and Freudenthal engines: independent weight-multiplicity oracles.
 
-m_lambda(mu) = sum over sigma in S_d of sgn(sigma) P(sigma(lambda+rho) -
-(mu+rho)), with P the Kostant partition function over all positive roots
-e_i - e_j (i < j) of A_{d-1}. The library counts the same multiplicities
-as Kostka numbers; this file keeps the alternating sum to check them.
+Kostant: m_lambda(mu) = sum over sigma in S_d of sgn(sigma)
+P(sigma(lambda+rho) - (mu+rho)), with P the Kostant partition function over
+all positive roots e_i - e_j (i < j) of A_{d-1}. Freudenthal: the recursion
+downward from the highest weight over the same positive roots. The library
+counts the same multiplicities as Kostka numbers; this file keeps both
+engines to check them.
 
 Note on the partition function: the source formula for weight
 multiplicities is sometimes quoted over "positive simple roots"; the
@@ -11,9 +13,16 @@ standard Kostant partition function runs over all positive roots, and only
 the standard convention reproduces the Freudenthal recursion and the SU(2)
 closed forms, so that is what is implemented.
 """
+import itertools
+from fractions import Fraction
 from functools import lru_cache
 
-from gatedesign.repcore import _centered, _positive_roots, _weight_entries
+from gatedesign.repcore import _as_weight, _centered, _weight_entries
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(d):
+    return tuple((i, j) for i in range(d) for j in range(i + 1, d))
 
 
 @lru_cache(maxsize=None)
@@ -115,3 +124,90 @@ def kostant_multiplicity(lam, mu):
     chosen = []
     dfs(0, 0, 1)
     return total
+
+
+def _dominant_below(lam_c):
+    """Dominant points of the weight lattice coset inside conv(W.lambda)."""
+    d = len(lam_c)
+    hi = lam_c[0]
+    lo = lam_c[-1]
+    prefix_lam = list(itertools.accumulate(lam_c))
+    out = []
+
+    def rec(partial, s):
+        i = len(partial)
+        if i == d:
+            if s == 0:
+                out.append(tuple(partial))
+            return
+        top = min(hi, partial[-1]) if partial else hi
+        v = lo
+        while v <= top:
+            # nonincreasing, majorized by lambda, completable to sum 0
+            if s + v <= prefix_lam[i] and s + v + (d - i - 1) * lo <= 0 <= s + v + (d - i - 1) * v:
+                rec(partial + [v], s + v)
+            v += 1
+        return
+
+    rec([], Fraction(0))
+    return out
+
+
+def _height(lam_c, mu):
+    return int(sum(itertools.accumulate(a - b for a, b in zip(lam_c, mu))))
+
+
+@lru_cache(maxsize=None)
+def _freudenthal_table(lam_entries):
+    """All weights of pi_lambda with multiplicities, by Freudenthal's
+    recursion downward from the highest weight."""
+    d = len(lam_entries)
+    lam_c = _centered(lam_entries)
+    weights = []
+    for dom in _dominant_below(lam_c):
+        weights.extend(set(itertools.permutations(dom)))
+    weights.sort(key=lambda mu: _height(lam_c, mu))
+    rho = tuple(Fraction(d - 1 - i) for i in range(d))
+    lam_rho = [a + b for a, b in zip(lam_c, rho)]
+    lam_norm = sum(v * v for v in lam_rho)
+    roots = _positive_roots(d)
+
+    table = {}
+    for mu in weights:
+        if mu == tuple(lam_c):
+            table[mu] = 1
+            continue
+        acc = Fraction(0)
+        for (i, j) in roots:
+            k = 1
+            while True:
+                up = list(mu)
+                up[i] += k
+                up[j] -= k
+                m_up = table.get(tuple(up))
+                if m_up is None:
+                    break
+                acc += m_up * (up[i] - up[j])
+                k += 1
+        mu_rho = [a + b for a, b in zip(mu, rho)]
+        denom = lam_norm - sum(v * v for v in mu_rho)
+        assert denom > 0
+        val = 2 * acc / denom
+        assert val.denominator == 1
+        table[mu] = int(val)
+    return table
+
+
+def freudenthal_multiplicity(lam, mu):
+    """Same contract as ``repcore.weight_multiplicity``, independent engine."""
+    lam = _as_weight(lam)
+    ent = _weight_entries(mu)
+    if len(ent) != lam.d:
+        raise ValueError("weight length does not match d")
+    if sum(ent) != lam.total:
+        return 0
+    mu_c = _centered(ent)
+    lam_c = _centered(lam.entries)
+    if any((a - b).denominator != 1 for a, b in zip(lam_c, mu_c)):
+        return 0
+    return _freudenthal_table(lam.entries).get(mu_c, 0)

@@ -201,7 +201,7 @@ def test_mc_verify_small_run(capsys, tmp_path):
     assert 0.0 <= float(row["tail_fraction"]) <= 1.0
     recs = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(recs) == 20
-    assert all({"trial", "seed", "delta", "iterations"} <= set(r) for r in recs)
+    assert all({"trial", "seed", "delta", "iterations", "residual"} <= set(r) for r in recs)
 
 
 def test_mc_verify_delta_zero_edge(capsys):

@@ -229,7 +229,26 @@ def test_delta_matches_dense_svd_oracle(d, t, n, seed):
     dim = d ** (2 * t)
     dense = dense_of(op.apply, dim) - dense_of(p.apply, dim)
     oracle = np.linalg.svd(dense, compute_uv=False)[0]
-    assert mc.estimate_delta(s, t) == pytest.approx(oracle, abs=1e-6)
+    delta, info = mc.estimate_delta(s, t, return_info=True)
+    assert delta == pytest.approx(oracle, abs=1e-6)
+    assert info["iterations"] <= d ** (2 * t)
+
+
+@pytest.mark.parametrize("trial", [184, 3])
+def test_delta_near_degenerate_symmetric_trials_match_dense_svd(trial):
+    # criterion 7's symmetric (2, 2, 20) config: trial 184 has a relative
+    # gap of 8e-5 between its top two singular values, trial 3 a threefold
+    # top singular value
+    s = mc.sample_gate_set(2, 10, GateSetKind.SYMMETRIC, seed=(1001, trial))
+    op = mc.MomentOperator(s.unitaries, 2)
+    p = mc.HaarProjector(2, 2)
+    dense = dense_of(op.apply, 16) - dense_of(p.apply, 16)
+    oracle = np.linalg.svd(dense, compute_uv=False)[0]
+    delta, info = mc.estimate_delta(s, 2, return_info=True)
+    assert delta == pytest.approx(oracle, abs=1e-10)
+    # the residual bounds |delta^2 - oracle^2| in exact arithmetic; rounding
+    # adds a few ulps of ||A|| <= 1
+    assert abs(delta**2 - oracle**2) <= info["residual"] + 4 * np.finfo(float).eps
 
 
 def single_qubit_clifford_group():
@@ -256,7 +275,7 @@ def single_qubit_clifford_group():
 
 
 def test_delta_clifford_group_is_a_2_design():
-    # delta is exactly 0; the iteration must settle instead of raising
+    # delta is exactly 0; the iteration must stop instead of raising
     gates = single_qubit_clifford_group()
     assert len(gates) == 24
     sample = mc.GateSetSample(gates, GateSetKind.PLAIN, seed=0)
