@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import repcore
-from .repcore import MAX_WEYL_DIM, HighestWeight
+from .repcore import HighestWeight
 from .specfun import log_ive_array
 
 #: theta search cap, as a multiple of the gate count S
@@ -117,7 +117,7 @@ def _finish(method, log_bound, theta_star=None):
 # Bernstein bounds
 # ---------------------------------------------------------------------------
 
-def bernstein_bound(q: BoundQuery, weyl_cap=MAX_WEYL_DIM):
+def bernstein_bound(q: BoundQuery):
     """Matrix-Bernstein tail bound for one block.
 
     Plain: 2 d_lam exp(-3 S delta^2 / (6 + 2 delta)).
@@ -131,7 +131,7 @@ def bernstein_bound(q: BoundQuery, weyl_cap=MAX_WEYL_DIM):
         expo = _bernstein_plain_exponent(q.S, q.delta)
         return _finish(Method.BERNSTEIN_PLAIN, math.log(2 * dl) + expo)
     if q.kind is GateSetKind.SYMMETRIC:
-        fs2 = float(repcore.fs_indicator(q.lam, 2, weyl_cap=weyl_cap))
+        fs2 = float(repcore.fs_indicator(q.lam, 2))
         expo = _bernstein_symmetric_exponent(q.S, q.delta, fs2)
         return _finish(Method.BERNSTEIN_SYMMETRIC, math.log(2 * dl) + expo)
     raise ValueError(f"no Bernstein bound for kind {q.kind}")
@@ -170,16 +170,15 @@ def _log_master_plain_factor(S, delta):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _sym_block_data(lam, weyl_cap):
+def _sym_block_data(lam):
     """(d_lam, m_lam(0)/d_lam, float gamma_lam(0..d)) of one label.
 
-    Cached per (label, weyl_cap): the data depend on the label alone, so
-    every probe of a search and every t whose label set holds the label
-    share one build. The gamma array is read-only.
+    Cached per label, so every probe of a search and every t whose label
+    set holds the label share one build. The gamma array is read-only.
     """
     dl = repcore.weyl_dimension(lam)
     m0 = repcore.zero_weight_multiplicity(lam)
-    gam = repcore.gamma_coefficients(lam, weyl_cap=weyl_cap)
+    gam = repcore.gamma_coefficients(lam)
     gvec = np.array([float(gam[k]) for k in range(lam.d + 1)])
     gvec.flags.writeable = False
     return dl, m0 / dl, gvec
@@ -212,7 +211,7 @@ def _sym_exponent(x, delta, sign, m0d, gvec):
 # one delta needs one entry per label (5000 at d=2, t=5000), and a delta
 # sweep would otherwise grow the cache by a label set per delta
 @lru_cache(maxsize=1 << 16)
-def _sym_min_exponents(lam, weyl_cap, delta):
+def _sym_min_exponents(lam, delta):
     """((h+*, x+*), (h-*, x-*)): the minima of h over x in (0, 2 THETA_MAX_FACTOR].
 
     With x = 2 theta / S, e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)},
@@ -224,7 +223,7 @@ def _sym_min_exponents(lam, weyl_cap, delta):
     The value at x0 = 2 delta / sqrt(1 - delta^2), the simplified bound's
     point, caps the result.
     """
-    _, m0d, gvec = _sym_block_data(lam, weyl_cap)
+    _, m0d, gvec = _sym_block_data(lam)
     x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
     out = []
     for sign in (1, -1):
@@ -252,7 +251,7 @@ def _sym_min_exponents(lam, weyl_cap, delta):
     return tuple(out)
 
 
-def master_bound_symmetric(q: BoundQuery, weyl_cap=MAX_WEYL_DIM):
+def master_bound_symmetric(q: BoundQuery):
     """d_lam [inf_theta e^{-theta delta} F(theta) + inf e^{-theta delta} F(-theta)].
 
     The two infima are taken independently, each as (S/2) min h over the
@@ -263,21 +262,21 @@ def master_bound_symmetric(q: BoundQuery, weyl_cap=MAX_WEYL_DIM):
         raise ValueError("master_bound_symmetric is per-label; pass lam")
     if q.kind is not GateSetKind.SYMMETRIC:
         raise ValueError("master_bound_symmetric needs a symmetric gate-set")
-    dl = _sym_block_data(q.lam, weyl_cap)[0]
-    (hp, xp), (hm, xm) = _sym_min_exponents(q.lam, weyl_cap, q.delta)
+    dl = _sym_block_data(q.lam)[0]
+    (hp, xp), (hm, xm) = _sym_min_exponents(q.lam, q.delta)
     fp, fm = 0.5 * q.S * hp, 0.5 * q.S * hm
     log_bound = math.log(dl) + np.logaddexp(fp, fm)
     theta_star = 0.5 * q.S * (xp if fp >= fm else xm)
     return _finish(Method.MASTER_SYMMETRIC, float(log_bound), theta_star)
 
 
-def master_bound_symmetric_simplified(q: BoundQuery, weyl_cap=MAX_WEYL_DIM):
+def master_bound_symmetric_simplified(q: BoundQuery):
     """The closed form at theta0 = S delta / sqrt(1 - delta^2)."""
     if q.lam is None:
         raise ValueError("master_bound_symmetric_simplified is per-label; pass lam")
     if q.kind is not GateSetKind.SYMMETRIC:
         raise ValueError("master_bound_symmetric_simplified needs a symmetric gate-set")
-    dl, m0d, gvec = _sym_block_data(q.lam, weyl_cap)
+    dl, m0d, gvec = _sym_block_data(q.lam)
     x0 = 2.0 * q.delta / math.sqrt(1.0 - q.delta**2)
     hp, _ = _sym_exponent(x0, q.delta, 1, m0d, gvec)
     hm, _ = _sym_exponent(x0, q.delta, -1, m0d, gvec)
@@ -302,15 +301,12 @@ _PER_LABEL = {
 }
 
 
-def per_label_bound(q: BoundQuery, method, weyl_cap=MAX_WEYL_DIM):
+def per_label_bound(q: BoundQuery, method):
     """Dispatch one block bound by method."""
-    fn = _PER_LABEL[method]
-    if fn is bernstein_bound or method.kind is GateSetKind.SYMMETRIC:
-        return fn(q, weyl_cap=weyl_cap)
-    return fn(q)
+    return _PER_LABEL[method](q)
 
 
-def total_bound(d, t, kind, S, delta, method, weyl_cap=MAX_WEYL_DIM):
+def total_bound(d, t, kind, S, delta, method):
     """Union bound over all block labels of the t-th moment operator."""
     if not isinstance(method, Method):
         method = Method(method)
@@ -325,13 +321,11 @@ def total_bound(d, t, kind, S, delta, method, weyl_cap=MAX_WEYL_DIM):
     elif method is Method.MASTER_PLAIN:
         logs = spec.log2dim + _log_master_plain_factor(S, delta)
     elif method is Method.BERNSTEIN_SYMMETRIC:
-        logs = spec.log2dim + _bernstein_symmetric_exponent(S, delta, spec.fs2(weyl_cap))
+        logs = spec.log2dim + _bernstein_symmetric_exponent(S, delta, spec.fs2())
     else:
         # the master-symmetric bounds are evaluated label by label
         logs = np.array([
-            per_label_bound(
-                BoundQuery(d=d, kind=kind, S=S, delta=delta, lam=lam), method, weyl_cap=weyl_cap
-            ).log_bound
+            per_label_bound(BoundQuery(d=d, kind=kind, S=S, delta=delta, lam=lam), method).log_bound
             for lam in spec.labels
         ])
     return _finish(method, float(np.logaddexp.reduce(logs)))

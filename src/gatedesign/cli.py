@@ -59,13 +59,15 @@ def _parse_delta_grid(spec):
     if ":" in spec:
         start, stop, num = spec.split(":")
         start, stop, num = float(start), float(stop), int(num)
-        if num < 1:
-            raise ValueError("delta grid needs at least one point")
         if num == 1:
             return [start]
         step = (stop - start) / (num - 1)
-        return [start + i * step for i in range(num)]
-    return [float(v) for v in spec.split(",") if v]
+        grid = [start + i * step for i in range(num)]
+    else:
+        grid = [float(v) for v in spec.split(",") if v]
+    if not grid:
+        raise ValueError("delta grid needs at least one point")
+    return grid
 
 
 def _parse_methods(spec, kind):

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,7 +81,9 @@ class GateSetSample:
     def d(self):
         return self.unitaries.shape[1]
 
-    def validate(self, tol=1e-10):
+    def validate(self):
+        """Check unitarity (and exact inverse pairs) to Frobenius norm 1e-10."""
+        tol = 1e-10
         eye = np.eye(self.d)
         for u in self.unitaries:
             if np.linalg.norm(u.conj().T @ u - eye) > tol:
@@ -93,20 +96,21 @@ class GateSetSample:
         return self
 
 
-def sample_gate_set(d, n, kind, seed, special=False):
+def sample_gate_set(d, n, kind, seed):
     """Sample a gate-set of the given kind.
 
     ``n`` counts independent Haar draws: plain sets have n gates, symmetric
     sets 2n (gates plus exact inverses), lifted sets n SU(2) seeds embedded
-    into all d(d-1) mode pairs.
+    into all d(d-1) mode pairs. Gates are Haar on U(d); the lifted seeds
+    are Haar on SU(2).
     """
     if not isinstance(kind, GateSetKind):
         kind = GateSetKind(kind)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if kind is GateSetKind.PLAIN:
-        gates = [sample_haar(d, rng, special) for _ in range(n)]
+        gates = [sample_haar(d, rng) for _ in range(n)]
     elif kind is GateSetKind.SYMMETRIC:
-        gates = [sample_haar(d, rng, special) for _ in range(n)]
+        gates = [sample_haar(d, rng) for _ in range(n)]
         gates = gates + [u.conj().T for u in gates]
     elif kind is GateSetKind.BEAMSPLITTER_LIFTED:
         if d <= 2:
@@ -124,10 +128,10 @@ def sample_gate_set(d, n, kind, seed, special=False):
 # moment operators, matrix-free
 # ---------------------------------------------------------------------------
 
-def _check_dim(d, t, dim_cap):
+def _check_dim(d, t):
     dim = d ** (2 * t)
-    if dim > dim_cap:
-        raise ValueError(f"d^(2t) = {dim} exceeds the cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise ValueError(f"d^(2t) = {dim} exceeds the cap DIM_CAP={DIM_CAP}")
     if math.factorial(t) > FACTORIAL_CAP:
         raise ValueError(f"t! = {math.factorial(t)} exceeds the cap {FACTORIAL_CAP}")
     return dim
@@ -140,11 +144,11 @@ class MomentOperator:
     d^(2t) x d^(2t) matrix is never materialized.
     """
 
-    def __init__(self, gates, t, dim_cap=DIM_CAP):
+    def __init__(self, gates, t):
         self.gates = np.asarray(gates)
         self.t = int(t)
         self.d = self.gates.shape[1]
-        self.dim = _check_dim(self.d, self.t, dim_cap)
+        self.dim = _check_dim(self.d, self.t)
         self._shape = (self.d,) * (2 * self.t)
 
     def _apply_gates(self, v, gates):
@@ -169,14 +173,15 @@ class MomentOperator:
 class HaarProjector:
     """Orthogonal projector onto span{vec(P_sigma)}: the Haar moment block.
 
-    Gram matrix G[s,t] = d^(#cycles(s^-1 t)), pseudo-inverted with an
-    eigenvalue threshold to cover the rank-deficient t > d case.
+    Gram matrix G[s,t] = d^(#cycles(s^-1 t)), pseudo-inverted with a
+    relative eigenvalue threshold of 1e-10 to cover the rank-deficient t > d
+    case.
     """
 
-    def __init__(self, d, t, dim_cap=DIM_CAP, eig_threshold=1e-10):
+    def __init__(self, d, t):
         self.d = int(d)
         self.t = int(t)
-        self.dim = _check_dim(d, t, dim_cap)
+        self.dim = _check_dim(d, t)
         perms = list(itertools.permutations(range(t)))
         dt = d**t
         flat = np.arange(dt).reshape((d,) * t)
@@ -195,7 +200,7 @@ class HaarProjector:
                 gram[a, b] = float(d) ** _cycle_count(comp)
         self.gram = gram
         evals, evecs = np.linalg.eigh(gram)
-        keep = evals > eig_threshold * evals.max()
+        keep = evals > 1e-10 * evals.max()
         self.rank = int(np.count_nonzero(keep))
         self._pinv = (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T
 
@@ -226,14 +231,7 @@ def _cycle_count(perm):
 # operator-norm estimation
 # ---------------------------------------------------------------------------
 
-def estimate_delta(
-    sample,
-    t,
-    tol=1e-8,
-    max_iter=10000,
-    dim_cap=DIM_CAP,
-    return_info=False,
-):
+def estimate_delta(sample, t, max_iter=10000, return_info=False):
     """delta(nu_S, t): spectral norm of T_{nu_S,t} - T_{mu,t}.
 
     Lanczos with residual stop: one Lanczos run with full
@@ -241,16 +239,28 @@ def estimate_delta(
     A = T^dagger T - Pi. A equals (T - Pi)^dagger (T - Pi) because T and
     T^dagger fix the Haar block (T Pi = Pi T = T^dagger Pi = Pi), so
     delta^2 = ||A||. The run stops when the top Ritz pair (theta, y) has
-    residual ||A y - theta y|| = beta_k |s_k| <= tol * max(theta, tol), or
+    residual ||A y - theta y|| = beta_k |s_k| <= 1e-8 * max(theta, 1e-8), or
     when the Krylov space is exhausted, which takes at most d^(2t) steps.
-    Some eigenvalue of A then lies within that residual of theta (Parlett,
-    *The Symmetric Eigenvalue Problem*, Thm 4.5.1), up to a few ulps of
-    rounding. ``return_info`` adds {"iterations": Lanczos steps,
-    "residual": that bound on delta^2}. Raises PowerIterationError when
-    ``max_iter`` steps do neither.
+    In exact arithmetic some eigenvalue of A then lies within beta_k |s_k|
+    of theta (Parlett, *The Symmetric Eigenvalue Problem*, Thm 4.5.1).
+
+    Rounding model: with unit roundoff u = eps/2, a chain of m roundings
+    moves the result of an operator of norm <= 1 by at most m u, to first
+    order. T v and T^dagger w each chain 2t mode contractions of length d
+    and a sum over the S gates (2td + S roundings), Pi v combines t!
+    coefficients, and each of the k Lanczos steps adds one rounding to the
+    basis and the Ritz values (full reorthogonalization keeps the basis
+    orthonormal to about k u). So rounding moves theta by at most
+    m u (||T^dagger T|| + ||Pi||) <= m eps, m = 2(2td + S) + t! + k. The
+    reported residual adds this floor to beta_k |s_k|; the stop rule uses
+    beta_k |s_k| alone, so exact designs (A = 0) still stop at once.
+
+    ``return_info`` adds {"iterations": k, "residual": that bound on
+    |delta^2 - ||A|| |}. Raises PowerIterationError when ``max_iter`` steps
+    do neither.
     """
-    top = MomentOperator(sample.unitaries, t, dim_cap=dim_cap)
-    proj = _projector_cache(sample.d, t, dim_cap)
+    top = MomentOperator(sample.unitaries, t)
+    proj = _projector(sample.d, t)
     rng = np.random.default_rng(
         np.random.SeedSequence(_flatten_seed(sample.seed) + [0x9E3779B9])
     )
@@ -269,7 +279,7 @@ def estimate_delta(
         ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         theta = float(ritz[-1])
         residual = beta * abs(float(vecs[-1, -1]))
-        if residual <= tol * max(theta, tol) or k == top.dim:
+        if residual <= 1e-8 * max(theta, 1e-8) or k == top.dim:
             break
         betas.append(beta)
         basis.append(w / beta)
@@ -280,18 +290,14 @@ def estimate_delta(
         )
     delta = math.sqrt(max(theta, 0.0))
     if return_info:
-        return delta, {"iterations": k, "residual": residual}
+        chain = 2 * (2 * t * top.d + len(top.gates)) + math.factorial(t) + k
+        return delta, {"iterations": k, "residual": residual + chain * np.finfo(float).eps}
     return delta
 
 
-_PROJECTORS = {}
-
-
-def _projector_cache(d, t, dim_cap):
-    key = (d, t)
-    if key not in _PROJECTORS:
-        _PROJECTORS[key] = HaarProjector(d, t, dim_cap=dim_cap)
-    return _PROJECTORS[key]
+@lru_cache(maxsize=None)
+def _projector(d, t):
+    return HaarProjector(d, t)
 
 
 def _flatten_seed(seed):
@@ -315,7 +321,7 @@ class TailEstimate:
     records: list = field(default_factory=list)
 
 
-def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None, dim_cap=DIM_CAP):
+def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None):
     """Fraction of seeded trials with delta(nu_S, t) >= delta.
 
     ``S`` is the gate-set cardinality for plain/symmetric kinds and the
@@ -336,7 +342,7 @@ def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None, dim_cap=
 
     def run_trial(i):
         sample = sample_gate_set(d, n, kind, seed=(seed, i))
-        val, info = estimate_delta(sample, t, dim_cap=dim_cap, return_info=True)
+        val, info = estimate_delta(sample, t, return_info=True)
         return {
             "trial": i,
             "seed": [seed, i],

@@ -37,9 +37,8 @@ from types import MappingProxyType
 import numpy as np
 
 #: The Frobenius-Schur sums run over the Weyl group S_d: its d! permutations
-#: are walked once per d to build the table of displacement orbits. Beyond
-#: this cap the operations that need them raise instead of silently
-#: approximating.
+#: are walked once per d to build the table of displacement orbits. That walk
+#: raises beyond this d instead of silently approximating.
 MAX_WEYL_DIM = 8
 
 
@@ -283,13 +282,12 @@ class BlockSpectrum:
     sum_dim: int
     log2dim: np.ndarray
 
-    def fs2(self, weyl_cap=MAX_WEYL_DIM):
+    def fs2(self):
         """Read-only float64 array of delta_lambda(2) per label.
 
-        Built on first use, once per weyl_cap, so plain callers never run a
-        Weyl-group sum.
+        Built on first use, so plain callers never run a Weyl-group sum.
         """
-        return _spectrum_fs2(self.d, self.t, weyl_cap)
+        return _spectrum_fs2(self.d, self.t)
 
 
 @lru_cache(maxsize=None)
@@ -303,10 +301,8 @@ def block_spectrum(d, t):
 
 
 @lru_cache(maxsize=None)
-def _spectrum_fs2(d, t, weyl_cap):
-    fs2 = np.array(
-        [float(fs_indicator(lam, 2, weyl_cap=weyl_cap)) for lam in block_spectrum(d, t).labels]
-    )
+def _spectrum_fs2(d, t):
+    fs2 = np.array([float(fs_indicator(lam, 2)) for lam in block_spectrum(d, t).labels])
     fs2.flags.writeable = False
     return fs2
 
@@ -319,14 +315,6 @@ def _centered(entries):
     ent = [Fraction(v) for v in entries]
     shift = Fraction(sum(ent), len(ent))
     return tuple(v - shift for v in ent)
-
-
-def _check_weyl_cap(d, weyl_cap):
-    if d > weyl_cap:
-        raise ValueError(
-            f"Weyl-group sum needs {d}! permutations; d={d} exceeds the cap "
-            f"of {weyl_cap} (pass weyl_cap explicitly to raise it)"
-        )
 
 
 def _interlacing(lam, size):
@@ -421,9 +409,15 @@ def _signed_displacements(d):
     Maps each displacement (sigma(i) - i)_i, sorted nonincreasing, to the
     sum of sgn(sigma) over the permutations that share it; orbits whose
     signs cancel are dropped, in order of one-norm. Built on first use, once
-    per d: this is the one walk over the d! permutations. The identity is
-    the only permutation with displacement zero.
+    per d: this is the one walk over the d! permutations, so it refuses
+    d > MAX_WEYL_DIM. The identity is the only permutation with displacement
+    zero.
     """
+    if d > MAX_WEYL_DIM:
+        raise ValueError(
+            f"the Frobenius-Schur sum walks the {d}! permutations of S_{d}; "
+            f"d={d} exceeds the cap MAX_WEYL_DIM={MAX_WEYL_DIM}"
+        )
     counts = {}
     for perm in itertools.permutations(range(d)):
         inv = sum(1 for a in range(d) for b in range(a + 1, d) if perm[a] > perm[b])
@@ -468,13 +462,14 @@ def _fs_weyl_sum(lam, n, skip_identity):
     return total
 
 
-def fs_indicator(lam, n, weyl_cap=MAX_WEYL_DIM, force_general=False):
+def fs_indicator(lam, n, force_general=False):
     """delta_lambda(n): the Haar average of chi_lambda(U^n)/d_lambda on SU(d).
 
     Exact rational. n=0 gives 1; |n| >= d+1 collapses to m_lambda(0)/d_lambda
     (only the identity survives the lattice test at those n); in between the
-    signed Weyl-group sum is evaluated. ``force_general`` runs the full sum
-    even where the shortcut applies, for cross-checking.
+    signed Weyl-group sum is evaluated, which needs d <= MAX_WEYL_DIM.
+    ``force_general`` runs the full sum even where the shortcut applies, for
+    cross-checking.
     """
     lam = _as_weight(lam)
     n = int(n)
@@ -485,7 +480,6 @@ def fs_indicator(lam, n, weyl_cap=MAX_WEYL_DIM, force_general=False):
     if abs(n) >= d + 1 and not force_general:
         m0 = _mult_centered(lam.entries, _centered((0,) * d))
         return Fraction(m0, dl)
-    _check_weyl_cap(d, weyl_cap)
     return Fraction(_fs_weyl_sum(lam, n, skip_identity=False), dl)
 
 
@@ -497,10 +491,9 @@ def zero_weight_multiplicity(lam):
 
 
 @lru_cache(maxsize=None)
-def _gamma_cached(lam_entries, weyl_cap):
+def _gamma_cached(lam_entries):
     lam = HighestWeight(lam_entries)
     d = lam.d
-    _check_weyl_cap(d, weyl_cap)
     dl = weyl_dimension(lam)
     m0 = zero_weight_multiplicity(lam)
     gam = {0: 1 - Fraction(m0, dl)}
@@ -510,7 +503,7 @@ def _gamma_cached(lam_entries, weyl_cap):
     return gam
 
 
-def gamma_coefficients(lam, weyl_cap=MAX_WEYL_DIM):
+def gamma_coefficients(lam):
     """gamma_lambda(k) for k in [-d, d].
 
     gamma(0) = 1 - m_lambda(0)/d_lambda; for k != 0 the identity-free signed
@@ -518,7 +511,7 @@ def gamma_coefficients(lam, weyl_cap=MAX_WEYL_DIM):
     delta_lambda(k) = m_lambda(0)/d_lambda + gamma_lambda(k) for 0 < |k| <= d.
     """
     lam = _as_weight(lam)
-    return dict(_gamma_cached(lam.entries, weyl_cap))
+    return dict(_gamma_cached(lam.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from . import bounds, repcore
 from .bounds import GateSetKind, Method
-from .repcore import MAX_WEYL_DIM
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def _closed_form_from_sum(d, t, delta, P, sum_d):
     )
 
 
-def min_size_search(d, t, delta, P, method, weyl_cap=MAX_WEYL_DIM):
+def min_size_search(d, t, delta, P, method):
     """Smallest S (even, for symmetric methods) with total bound <= 1 - P.
 
     Exponential bracketing followed by binary search on the step lattice;
@@ -87,9 +86,7 @@ def min_size_search(d, t, delta, P, method, weyl_cap=MAX_WEYL_DIM):
     target = math.log1p(-P)
 
     def log_bound(S):
-        return bounds.total_bound(
-            d, t, method.kind, S, delta, method, weyl_cap=weyl_cap
-        ).log_bound
+        return bounds.total_bound(d, t, method.kind, S, delta, method).log_bound
 
     # exponential bracket, seeded near the plain closed form to save probes
     hint = max(step, (min_size_closed_form(d, t, delta, P).S_min // (2 * step)) * step)
@@ -221,13 +218,13 @@ TABLE2_COLUMNS = {
     64: (2, 3, 4, 5),
 }
 
-#: symmetric columns need the Frobenius-Schur sums over the permutations of
-#: S_d, whose orbit table is built up to d <= MAX_WEYL_DIM (8)
-TABLE2_SYMMETRIC_MAX_D = MAX_WEYL_DIM
 
+def table2_cells(delta=0.5, P=0.99, dims=None, methods=None):
+    """Generate the minimal-size table: (d, t, method, MinSizeResult).
 
-def table2_cells(delta=0.5, P=0.99, dims=None, methods=None, weyl_cap=MAX_WEYL_DIM):
-    """Generate the minimal-size table: (d, t, method, MinSizeResult)."""
+    Symmetric columns need the Frobenius-Schur sums over the permutations of
+    S_d, so they stop at d = repcore.MAX_WEYL_DIM.
+    """
     dims = tuple(dims) if dims is not None else tuple(TABLE2_COLUMNS)
     methods = tuple(methods) if methods is not None else tuple(Method)
     for d in dims:
@@ -235,6 +232,6 @@ def table2_cells(delta=0.5, P=0.99, dims=None, methods=None, weyl_cap=MAX_WEYL_D
             for method in methods:
                 if method is Method.MASTER_SYMMETRIC_SIMPLIFIED:
                     continue  # the table's symmetric column is the full bound
-                if method.kind is GateSetKind.SYMMETRIC and d > TABLE2_SYMMETRIC_MAX_D:
+                if method.kind is GateSetKind.SYMMETRIC and d > repcore.MAX_WEYL_DIM:
                     continue
-                yield d, t, method, min_size_search(d, t, delta, P, method, weyl_cap=weyl_cap)
+                yield d, t, method, min_size_search(d, t, delta, P, method)

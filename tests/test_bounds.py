@@ -167,7 +167,7 @@ def test_symmetric_minimizer_matches_grid_scan():
     # S=30, delta=0.5, lam=(1,-1): flat objective near the minimum
     lam = rc.HighestWeight((1, -1))
     S, delta = 30, 0.5
-    dl, m0d, gvec = bd._sym_block_data(lam, 8)
+    dl, m0d, gvec = bd._sym_block_data(lam)
     got = bd.master_bound_symmetric(q_sym((1, -1), S, delta))
     grid = float(
         math.log(dl)
@@ -186,8 +186,8 @@ def test_symmetric_minimizer_matches_grid_scan():
 )
 def test_symmetric_branch_minima_match_grid(lam, S, delta):
     lam = rc.HighestWeight(lam)
-    dl, m0d, gvec = bd._sym_block_data(lam, 8)
-    for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, 8, delta)):
+    dl, m0d, gvec = bd._sym_block_data(lam)
+    for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, delta)):
         f = 0.5 * S * h
         grid = grid_branch_min(S, delta, m0d, gvec, branch)
         assert f <= grid + 1e-9
@@ -217,10 +217,10 @@ def test_simplified_against_mpmath_oracle():
 def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
     # at an interior minimum x*, (log B)'(x*) = delta, B summed in 50 digits
     lam = rc.HighestWeight(lam)
-    _, m0d, gvec = bd._sym_block_data(lam, 8)
+    _, m0d, gvec = bd._sym_block_data(lam)
     m0d = mpmath.mpf(m0d)
     gam = [mpmath.mpf(float(g)) for g in gvec]
-    for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, 8, delta)):
+    for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, delta)):
         assert x > 0.0
 
         def log_b(y):
@@ -236,7 +236,7 @@ def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
 def test_symmetric_slope_matches_central_difference(x):
     # the Bessel argument crosses the series/Miller switch at 40
     for lam in [(1, -1), (2, 0, -2), (1, 1, -1, -1)]:
-        _, m0d, gvec = bd._sym_block_data(rc.HighestWeight(lam), 8)
+        _, m0d, gvec = bd._sym_block_data(rc.HighestWeight(lam))
         for branch in (1, -1):
             _, slope = bd._sym_exponent(x, 0.4, branch, m0d, gvec)
             eps = 1e-5 * x
@@ -277,7 +277,7 @@ def test_master_symmetric_search_reuses_exponents_across_S(monkeypatch):
 
 def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
     # data whose bracket B(x) = -e^{+-x} is negative at every x
-    monkeypatch.setattr(bd, "_sym_block_data", lambda lam, cap: (3, -1.0, np.zeros(3)))
+    monkeypatch.setattr(bd, "_sym_block_data", lambda lam: (3, -1.0, np.zeros(3)))
     for fn in (bd.master_bound_symmetric, bd.master_bound_symmetric_simplified):
         with pytest.raises(bd.BoundUnavailableError):
             fn(q_sym((1, -1), 20, 0.4321))

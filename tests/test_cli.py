@@ -117,6 +117,15 @@ def test_bounds_curve_rejects_mismatched_method(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("grid", [",", "0.1:0.9:0"])
+def test_bounds_curve_rejects_empty_delta_grid(capsys, grid):
+    code = main(["bounds-curve", "--d", "2", "--t", "2", "--size", "50", "--delta-grid", grid])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "delta grid needs at least one point" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # min-size / table
 # ---------------------------------------------------------------------------

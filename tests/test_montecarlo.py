@@ -246,9 +246,37 @@ def test_delta_near_degenerate_symmetric_trials_match_dense_svd(trial):
     oracle = np.linalg.svd(dense, compute_uv=False)[0]
     delta, info = mc.estimate_delta(s, 2, return_info=True)
     assert delta == pytest.approx(oracle, abs=1e-10)
-    # the residual bounds |delta^2 - oracle^2| in exact arithmetic; rounding
-    # adds a few ulps of ||A|| <= 1
-    assert abs(delta**2 - oracle**2) <= info["residual"] + 4 * np.finfo(float).eps
+    # the residual bounds |delta^2 - oracle^2|, rounding included
+    assert abs(delta**2 - oracle**2) <= info["residual"]
+
+
+def kron_moment(unitaries, t):
+    """(1/S) sum_U U^{(x)t} (x) conj(U)^{(x)t}, built with np.kron."""
+    total = 0
+    for u in unitaries:
+        m = np.ones((1, 1), dtype=complex)
+        for f in [u] * t + [u.conj()] * t:
+            m = np.kron(m, f)
+        total = total + m
+    return total / len(unitaries)
+
+
+@pytest.mark.parametrize(
+    "d, t, n, kind",
+    [(2, 1, 3, "plain"), (2, 2, 5, "plain"), (3, 1, 4, "plain"),
+     (2, 2, 5, "symmetric"), (3, 2, 4, "plain"), (2, 3, 4, "plain")],
+)
+def test_reported_residual_covers_rounding(d, t, n, kind):
+    # the stop residual beta_k |s_k| can fall far below the few-ulp rounding
+    # error of delta^2 (to ~1e-41 at (3, 1, 4)); the reported residual must
+    # still cover that error
+    p = mc.HaarProjector(d, t)
+    projector = dense_of(p.apply, d ** (2 * t))
+    for seed in range(12):
+        s = mc.sample_gate_set(d, n, kind, seed=seed)
+        oracle = np.linalg.svd(kron_moment(s.unitaries, t) - projector, compute_uv=False)[0]
+        delta, info = mc.estimate_delta(s, t, return_info=True)
+        assert abs(delta**2 - oracle**2) <= info["residual"], seed
 
 
 def single_qubit_clifford_group():

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gatedesign import bounds as bd
 from gatedesign import repcore as rc
 from gatedesign.repcore import HighestWeight
 
@@ -410,17 +411,18 @@ def test_weight_multiplicity_prunes():
 
 
 def test_weyl_cap_enforced():
-    lam9 = (1,) + (0,) * 7 + (-1,)  # d = 9 exceeds the default cap of 8
+    lam9 = (1,) + (0,) * 7 + (-1,)  # d = 9 exceeds MAX_WEYL_DIM = 8
     # a Kostka count runs no Weyl sum: the zero weight of the SU(9) adjoint
     assert rc.weight_multiplicity(lam9, (0,) * 9) == 8
-    with pytest.raises(ValueError):
+    capped = r"walks the 9! permutations of S_9; d=9 exceeds the cap MAX_WEYL_DIM=8"
+    with pytest.raises(ValueError, match=capped):
         rc.fs_indicator(lam9, 2)
+    with pytest.raises(ValueError, match=capped):
+        rc.gamma_coefficients(lam9)
+    with pytest.raises(ValueError, match=capped):
+        bd.total_bound(9, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
     # shortcut path does not need the Weyl sum, so large |n| still works
     assert rc.fs_indicator(lam9, 10) == Fraction(8, rc.weyl_dimension(lam9))
-    # the cap is configurable
-    lam5 = (1, 0, 0, 0, -1)
-    with pytest.raises(ValueError):
-        rc.fs_indicator(lam5, 2, weyl_cap=4)
 
 
 # ---------------------------------------------------------------------------
