@@ -56,15 +56,20 @@ def _emit(columns, rows, args):
 
 
 def _parse_delta_grid(spec):
-    if ":" in spec:
-        start, stop, num = spec.split(":")
-        start, stop, num = float(start), float(stop), int(num)
-        if num == 1:
-            return [start]
-        step = (stop - start) / (num - 1)
-        grid = [start + i * step for i in range(num)]
-    else:
-        grid = [float(v) for v in spec.split(",") if v]
+    try:
+        if ":" in spec:
+            start, stop, num = spec.split(":")
+            start, stop, num = float(start), float(stop), int(num)
+            if num == 1:
+                return [start]
+            step = (stop - start) / (num - 1)
+            grid = [start + i * step for i in range(num)]
+        else:
+            grid = [float(v) for v in spec.split(",") if v]
+    except ValueError:
+        raise ValueError(
+            f"bad delta grid {spec!r}: use start:stop:num or a comma list"
+        ) from None
     if not grid:
         raise ValueError("delta grid needs at least one point")
     return grid

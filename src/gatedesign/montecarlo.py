@@ -286,7 +286,7 @@ def estimate_delta(sample, t, max_iter=10000, return_info=False):
     else:
         raise PowerIterationError(
             f"Lanczos did not converge after {max_iter} steps "
-            f"(top Ritz value {theta:.6g}, residual change {residual:.3g})"
+            f"(top Ritz value {theta:.6g}, residual {residual:.3g})"
         )
     delta = math.sqrt(max(theta, 0.0))
     if return_info:

@@ -226,6 +226,12 @@ def table2_cells(delta=0.5, P=0.99, dims=None, methods=None):
     S_d, so they stop at d = repcore.MAX_WEYL_DIM.
     """
     dims = tuple(dims) if dims is not None else tuple(TABLE2_COLUMNS)
+    for d in dims:
+        if d not in TABLE2_COLUMNS:
+            raise ValueError(
+                f"the table grid has no dimension {d}; "
+                f"its dimensions are {', '.join(map(str, TABLE2_COLUMNS))}"
+            )
     methods = tuple(methods) if methods is not None else tuple(Method)
     for d in dims:
         for t in TABLE2_COLUMNS[d]:

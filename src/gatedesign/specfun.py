@@ -1,11 +1,14 @@
 """Log-domain modified Bessel functions of the first kind.
 
 The symmetric master bound needs log I_n(x) for n up to ~2*64 and x up to
-~1e6 without overflow. Small arguments use the ascending power series with a
-streaming log-sum-exp (all terms positive); large arguments use Miller's
-downward recurrence normalized through e^x = I_0 + 2*sum_k I_k, carried in a
-rescaled representation with per-order log bookkeeping so the full order
-range of one pass stays representable.
+~1e6 without overflow. Every x > 0 takes one path: Miller's algorithm in
+continued-fraction form (W. Gautschi, SIAM Rev. 9 (1967) 24-82). The ratios
+rho_k = I_k/I_{k-1} obey rho_k = x / (2k + x rho_{k+1}); the recurrence
+starts from rho = 0 at k = nmax + floor(9 sqrt(x)) + 20, far enough out that
+I_k/I_0 ~ exp(-k^2/2x) is below rounding. The normalization
+e^x = I_0 + 2 sum_{k>=1} I_k fixes I_0 through T_1 = sum_{k>=1} I_k/I_0,
+carried as T_k = rho_k (1 + T_{k+1}). Every rho lies in (0, 1), so nothing
+overflows and no rescaling is needed.
 
 These are the package's hot kernels: they run inside the theta-minimization
 of the symmetric master bound, once per bisection step.
@@ -14,75 +17,23 @@ import math
 
 import numpy as np
 
-#: series/Miller crossover; the series needs ~x/2 + O(sqrt x) terms, the
-#: recurrence ~x + O(sqrt x) steps, so the switch point is uncritical
-_SERIES_CUTOFF = 40.0
-
-_RENORM = 1e250
-_LOG_RENORM = math.log(_RENORM)
-
-
-def _log_ive_series(n, x):
-    """log(e^-x I_n(x)) by the ascending series, x <= ~cutoff."""
-    if x == 0.0:
-        return 0.0 if n == 0 else -np.inf
-    lh = math.log(0.5 * x)
-    m = n * lh - math.lgamma(n + 1.0)
-    mx = m
-    acc = 1.0
-    j = 0
-    while True:
-        j += 1
-        m += 2.0 * lh - math.log(float(j)) - math.log(float(n + j))
-        if m > mx:
-            acc = acc * math.exp(mx - m) + 1.0
-            mx = m
-        else:
-            acc += math.exp(m - mx)
-            if m < mx - 60.0 and 2.0 * j > x:
-                break
-        if j > 600:
-            break
-    return mx + math.log(acc) - x
-
 
 def log_ive_array(nmax, x):
     """log(e^-x I_k(x)) for k = 0..nmax at one argument x >= 0."""
     out = np.empty(nmax + 1)
     if x == 0.0:
         out[0] = 0.0
-        for k in range(1, nmax + 1):
-            out[k] = -np.inf
+        out[1:] = -np.inf
         return out
-    if x <= _SERIES_CUTOFF:
-        for k in range(nmax + 1):
-            out[k] = _log_ive_series(k, x)
-        return out
-    top = max(nmax, int(x))
-    start = top + 2 * int(math.sqrt(40.0 * top)) + 20
-    fkp1 = 0.0
-    fk = 1e-30
-    scale = 0.0
-    ssum = 0.0
-    logf = np.empty(nmax + 1)
-    for k in range(start, 0, -1):
-        ssum += 2.0 * fk
+    rho = 0.0
+    tail = 0.0
+    for k in range(nmax + int(9.0 * math.sqrt(x)) + 20, 0, -1):
+        rho = x / (2.0 * k + x * rho)
+        tail = rho * (1.0 + tail)
         if k <= nmax:
-            logf[k] = math.log(fk) + scale
-        fkm1 = fkp1 + (2.0 * k / x) * fk
-        fkp1 = fk
-        fk = fkm1
-        if fk > _RENORM:
-            fk /= _RENORM
-            fkp1 /= _RENORM
-            ssum /= _RENORM
-            scale += _LOG_RENORM
-    ssum += fk
-    logf[0] = math.log(fk) + scale
-    lsum = math.log(ssum) + scale
-    for k in range(nmax + 1):
-        out[k] = logf[k] - lsum
-    return out
+            out[k] = math.log(rho)
+    out[0] = -math.log1p(2.0 * tail)
+    return np.cumsum(out, out=out)
 
 
 def log_bessel_i(n, x):
@@ -91,10 +42,6 @@ def log_bessel_i(n, x):
     x = float(x)
     if n < 0 or x < 0.0:
         raise ValueError(f"need n >= 0 and x >= 0, got n={n}, x={x}")
-    if x == 0.0:
-        return 0.0 if n == 0 else -math.inf
-    if x <= _SERIES_CUTOFF:
-        return float(_log_ive_series(n, x)) + x
     return float(log_ive_array(n, x)[n]) + x
 
 

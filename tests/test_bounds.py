@@ -234,7 +234,7 @@ def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
 
 @pytest.mark.parametrize("x", [0.3, 2.0, 39.0, 41.0, 300.0])
 def test_symmetric_slope_matches_central_difference(x):
-    # the Bessel argument crosses the series/Miller switch at 40
+    # small and large Bessel arguments
     for lam in [(1, -1), (2, 0, -2), (1, 1, -1, -1)]:
         _, m0d, gvec = bd._sym_block_data(rc.HighestWeight(lam))
         for branch in (1, -1):

@@ -126,6 +126,15 @@ def test_bounds_curve_rejects_empty_delta_grid(capsys, grid):
     assert "delta grid needs at least one point" in captured.err
 
 
+@pytest.mark.parametrize("grid", ["0.1:0.9", "a:b:3"])
+def test_bounds_curve_rejects_malformed_delta_grid(capsys, grid):
+    code = main(["bounds-curve", "--d", "2", "--t", "2", "--size", "50", "--delta-grid", grid])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "start:stop:num or a comma list" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # min-size / table
 # ---------------------------------------------------------------------------
@@ -163,6 +172,14 @@ def test_table_subset(capsys):
     assert cells[("2", "500", "master-plain")][header.index("S_min")] == "136"
     assert cells[("2", "2", "bernstein-plain")][header.index("S_min")] == "69"
     assert cells[("2", "2", "bernstein-symmetric")][header.index("n_pairs")] == "47"
+
+
+def test_table_rejects_dimension_off_the_grid(capsys):
+    code = main(["table", "--table2", "--dims", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "2, 4, 8, 16, 32, 64" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -300,5 +317,11 @@ def test_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "gatedesign.cli", "--help"], capture_output=True
     )
+    assert proc.returncode == 0
+    assert b"mc-verify" in proc.stdout
+
+
+def test_package_runs_as_module():
+    proc = subprocess.run([sys.executable, "-m", "gatedesign", "--help"], capture_output=True)
     assert proc.returncode == 0
     assert b"mc-verify" in proc.stdout

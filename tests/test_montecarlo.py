@@ -314,8 +314,8 @@ def test_power_iteration_error_reports_last_change():
     s = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=12)
     with pytest.raises(mc.PowerIterationError) as err:
         mc.estimate_delta(s, 2, max_iter=2)
-    change = float(str(err.value).split("change ")[1].rstrip(")"))
-    assert change > 0.0
+    residual = float(str(err.value).split("residual ")[1].rstrip(")"))
+    assert residual > 0.0
 
 
 def test_delta_in_unit_interval_and_monotone_in_t():

@@ -3,8 +3,11 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedesign import specfun
+from gatedesign.bounds import THETA_MAX_FACTOR
 
 mpmath.mp.dps = 50
 
@@ -41,6 +44,43 @@ def test_twelve_digit_accuracy(n, x):
     got = specfun.log_bessel_i(n, x)
     want = mp_log_bessel(n, x)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, x, got, want)
+
+
+#: the Bessel arguments the symmetric bisection probes: its floor x0 * 1e-13
+#: (x0 = 2 delta / sqrt(1 - delta^2)), its ceiling 2 THETA_MAX_FACTOR, and
+#: points on both sides of x = 40 and out to 1e6
+_PROBED_X = sorted(
+    [2.0 * dl / math.sqrt(1.0 - dl * dl) * 1e-13 for dl in (0.05, 0.5, 0.93)]
+    + [1e-14, 0.3, 39.5, 40.5, 2.0 * THETA_MAX_FACTOR, 1e6]
+)
+#: orders 0..d+1 of the bracket for d in {2, 4, 8}, and the largest orders
+_PROBED_N = list(range(10)) + [64, 129]
+
+
+def mp_log_ive(n, x):
+    x = mpmath.mpf(x)
+    return float(mpmath.log(mpmath.besseli(n, x)) - x)
+
+
+@pytest.mark.parametrize("x", _PROBED_X)
+def test_array_matches_mpmath_on_probed_grid(x):
+    arr = specfun.log_ive_array(max(_PROBED_N), x)
+    for n in _PROBED_N:
+        want = mp_log_ive(n, x)
+        assert abs(arr[n] - want) <= 1e-14 * max(1.0, abs(want)), (n, x, arr[n], want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(0, 130), log10_x=st.floats(-14.0, 6.0))
+def test_array_matches_mpmath_anywhere(n, log10_x):
+    x = 10.0**log10_x
+    got = specfun.log_ive_array(n, x)[n]
+    want = mp_log_ive(n, x)
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, x, got, want)
+
+
+def test_array_at_zero():
+    assert specfun.log_ive_array(4, 0.0).tolist() == [0.0] + [-math.inf] * 4
 
 
 def test_rejects_bad_arguments():
