@@ -30,13 +30,11 @@ from .montecarlo import (
     estimate_fs_indicator_mc,
     sample_gate_set,
     sample_haar,
-    su2_irrep_matrix,
 )
 from .repcore import (
     BlockSpectrum,
     DynkinLabel,
     HighestWeight,
-    WeightVector,
     block_spectrum,
     count_irreps_by_norm,
     enumerate_lambda_set,

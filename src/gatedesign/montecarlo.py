@@ -3,9 +3,9 @@
 Samples random gate-sets, applies the t-th moment operator matrix-free on
 the d^(2t)-dimensional tensor space, projects onto the Haar (commutant)
 block, and estimates delta(nu_S, t) = ||T_{nu_S,t} - T_{mu,t}|| by Lanczos
-with residual stop, each estimate with its residual bound. Also carries the
-SU(2) irrep constructions used to Monte-Carlo check the Frobenius-Schur
-indicators.
+with residual stop, each estimate with its residual bound. Also checks the
+Frobenius-Schur indicators by a Monte Carlo over SU(2) characters, each
+evaluated from the trace of the sampled element.
 """
 from __future__ import annotations
 
@@ -34,34 +34,35 @@ class PowerIterationError(RuntimeError):
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_haar(d, rng, special=False):
-    """One Haar-random unitary from U(d) (Ginibre + QR, phases fixed).
+def sample_haar(d, rng, n, special=False):
+    """n Haar-random unitaries from U(d), as an (n, d, d) array.
 
-    With ``special`` the global phase is divided out by the principal d-th
-    root of the determinant, giving Haar on SU(d).
+    Ginibre + QR with the phases of R's diagonal fixed. With ``special`` the
+    global phase is divided out by the principal d-th root of the
+    determinant, giving Haar on SU(d). The n draws take the stream in the
+    order of n successive single draws (real then imaginary part of each),
+    so unitary k is bitwise the one the k-th single draw would give.
     """
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    g = rng.standard_normal((n, 2, d, d))
+    z = (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
     if special:
-        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / d)
+        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / d)[:, None, None]
     return q
 
 
 def beamsplitter_embeddings(b, d):
-    """All d(d-1) two-mode embeddings of a 2x2 matrix into dimension d."""
-    out = []
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            g = np.eye(d, dtype=complex)
-            g[i, i] = b[0, 0]
-            g[i, j] = b[0, 1]
-            g[j, i] = b[1, 0]
-            g[j, j] = b[1, 1]
-            out.append(g)
+    """All d(d-1) two-mode embeddings of each 2x2 matrix in b: (n, d(d-1), d, d)."""
+    i, j = np.nonzero(~np.eye(d, dtype=bool))
+    pair = np.arange(len(i))
+    out = np.zeros((len(b), len(i), d, d), dtype=complex)
+    out[:, :, range(d), range(d)] = 1.0
+    out[:, pair, i, i] = b[:, None, 0, 0]
+    out[:, pair, i, j] = b[:, None, 0, 1]
+    out[:, pair, j, i] = b[:, None, 1, 0]
+    out[:, pair, j, j] = b[:, None, 1, 1]
     return out
 
 
@@ -85,14 +86,13 @@ class GateSetSample:
         """Check unitarity (and exact inverse pairs) to Frobenius norm 1e-10."""
         tol = 1e-10
         eye = np.eye(self.d)
-        for u in self.unitaries:
-            if np.linalg.norm(u.conj().T @ u - eye) > tol:
-                raise ValueError("sample contains a non-unitary matrix")
+        u = self.unitaries
+        if np.any(np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - eye, axis=(1, 2)) > tol):
+            raise ValueError("sample contains a non-unitary matrix")
         if self.kind is GateSetKind.SYMMETRIC:
             n = self.size // 2
-            for k in range(n):
-                if np.linalg.norm(self.unitaries[n + k] @ self.unitaries[k] - eye) > tol:
-                    raise ValueError("symmetric sample lacks exact inverse pairs")
+            if np.any(np.linalg.norm(u[n : 2 * n] @ u[:n] - eye, axis=(1, 2)) > tol):
+                raise ValueError("symmetric sample lacks exact inverse pairs")
         return self
 
 
@@ -106,22 +106,19 @@ def sample_gate_set(d, n, kind, seed):
     """
     if not isinstance(kind, GateSetKind):
         kind = GateSetKind(kind)
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 Haar draws of dimension d >= 1, got n={n}, d={d}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if kind is GateSetKind.PLAIN:
-        gates = [sample_haar(d, rng) for _ in range(n)]
-    elif kind is GateSetKind.SYMMETRIC:
-        gates = [sample_haar(d, rng) for _ in range(n)]
-        gates = gates + [u.conj().T for u in gates]
-    elif kind is GateSetKind.BEAMSPLITTER_LIFTED:
+    if kind is GateSetKind.BEAMSPLITTER_LIFTED:
         if d <= 2:
             raise ValueError(f"beamsplitter lifting needs d > 2, got d={d}")
-        gates = []
-        for _ in range(n):
-            b = sample_haar(2, rng, special=True)
-            gates.extend(beamsplitter_embeddings(b, d))
-    else:  # pragma: no cover
-        raise ValueError(kind)
-    return GateSetSample(np.asarray(gates), kind, seed)
+        b = sample_haar(2, rng, n, special=True)
+        gates = beamsplitter_embeddings(b, d).reshape(-1, d, d)
+    else:
+        gates = sample_haar(d, rng, n)
+        if kind is GateSetKind.SYMMETRIC:
+            gates = np.concatenate([gates, gates.conj().transpose(0, 2, 1)])
+    return GateSetSample(gates, kind, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +135,14 @@ def _check_dim(d, t):
 
 
 class MomentOperator:
-    """(1/S) sum_U U^{x t} (x) conj(U)^{x t}, applied by mode contractions.
+    """(1/S) sum_U U^{x t} (x) conj(U)^{x t}, applied by a rotating contraction.
 
-    Each gate costs 2t sequential tensordots of cost O(d * d^(2t)); the
-    d^(2t) x d^(2t) matrix is never materialized.
+    A vector is a tensor with 2t factors of dimension d. One matrix product
+    w.reshape(d, -1).T @ m contracts the leading factor with a gate and
+    appends the result as the last factor: m = U^T for the first t factors
+    and m = conj(U)^T = U^dagger for the last t, so after 2t products the
+    factors are back in order. Each gate costs 2t products of d * d^(2t)
+    multiply-adds; the d^(2t) x d^(2t) matrix is never materialized.
     """
 
     def __init__(self, gates, t):
@@ -149,25 +150,22 @@ class MomentOperator:
         self.t = int(t)
         self.d = self.gates.shape[1]
         self.dim = _check_dim(self.d, self.t)
-        self._shape = (self.d,) * (2 * self.t)
 
     def _apply_gates(self, v, gates):
-        t = self.t
-        acc = np.zeros(self._shape, dtype=complex)
-        for u in gates:
-            w = v.reshape(self._shape)
-            uc = u.conj()
-            for mode in range(2 * t):
-                m = u if mode < t else uc
-                w = np.moveaxis(np.tensordot(m, w, axes=([1], [mode])), 0, mode)
-            acc += w
-        return (acc / len(gates)).reshape(-1)
+        d, t = self.d, self.t
+        acc = np.zeros(self.dim, dtype=complex)
+        for ut, uh in zip(gates.transpose(0, 2, 1), gates.conj().transpose(0, 2, 1)):
+            w = v
+            for m in (ut,) * t + (uh,) * t:
+                w = w.reshape(d, -1).T @ m
+            acc += w.reshape(-1)
+        return acc / len(gates)
 
     def apply(self, v):
         return self._apply_gates(v, self.gates)
 
     def apply_adjoint(self, v):
-        return self._apply_gates(v, [u.conj().T for u in self.gates])
+        return self._apply_gates(v, self.gates.conj().transpose(0, 2, 1))
 
 
 class HaarProjector:
@@ -185,14 +183,10 @@ class HaarProjector:
         perms = list(itertools.permutations(range(t)))
         dt = d**t
         flat = np.arange(dt).reshape((d,) * t)
-        positions = []
-        for sigma in perms:
-            inv = [0] * t
-            for k, s in enumerate(sigma):
-                inv[s] = k
-            i_of_j = flat.transpose(tuple(inv)).reshape(-1)
-            positions.append(i_of_j * dt + np.arange(dt))
-        self._positions = np.asarray(positions)
+        # vec(P_sigma) is 1 at i * d^t + j, i being j with its t factors permuted
+        inverses = [sorted(range(t), key=sigma.__getitem__) for sigma in perms]
+        cols = np.arange(dt)
+        self._positions = np.asarray([flat.transpose(p).reshape(-1) * dt + cols for p in inverses])
         gram = np.empty((len(perms), len(perms)))
         for a, sa in enumerate(perms):
             for b, sb in enumerate(perms):
@@ -208,8 +202,7 @@ class HaarProjector:
         coeffs = v[self._positions].sum(axis=1)
         weights = self._pinv @ coeffs
         out = np.zeros(self.dim, dtype=complex)
-        for w, pos in zip(weights, self._positions):
-            out[pos] += w
+        np.add.at(out, self._positions, weights[:, None])
         return out
 
 
@@ -364,48 +357,29 @@ def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None):
 
 
 # ---------------------------------------------------------------------------
-# SU(2) irreps and the character Monte Carlo
+# the SU(2) character Monte Carlo
 # ---------------------------------------------------------------------------
 
-def su2_irrep_matrix(j2, u):
-    """The spin-j2/2 irrep of a 2x2 unitary (dimension j2+1).
-
-    Symmetric-power construction in the orthonormal weight basis, ordered
-    from highest weight down: a diagonal U = diag(p, conj(p)) maps to
-    diag(p^j2, p^(j2-2), ..., p^-j2).
-    """
-    n = int(j2)
-    if n < 0:
-        raise ValueError(f"need j2 >= 0, got {j2}")
-    a, b = u[0, 0], u[0, 1]
-    c, e = u[1, 0], u[1, 1]
-    out = np.zeros((n + 1, n + 1), dtype=complex)
-    for r in range(n + 1):
-        for s in range(n + 1):
-            acc = 0.0 + 0.0j
-            for k in range(max(0, s - r), min(n - r, s) + 1):
-                acc += (
-                    math.comb(n - r, k)
-                    * math.comb(r, s - k)
-                    * a ** (n - r - k)
-                    * b**k
-                    * c ** (r - s + k)
-                    * e ** (s - k)
-                )
-            out[r, s] = acc * math.sqrt(math.comb(n, r) / math.comb(n, s))
-    return out
-
-
 def estimate_fs_indicator_mc(j2, n, trials, seed):
-    """Haar average of tr pi_j2(U^n) / (j2+1) over SU(2), with its stderr."""
+    """Haar average of chi_j2(U^n) / (j2+1) over SU(2), with its stderr.
+
+    U in SU(2) has eigenvalues e^(+-i phi) with cos phi = Re tr U / 2, so U^n
+    has e^(+-i n phi) and the spin-j2/2 character is chi_j2(U^n) =
+    U_j2(cos n phi), the Chebyshev polynomial of the second kind. It is
+    evaluated by U_(k+1) = 2x U_k - U_(k-1) from U_(-1) = 0, U_0 = 1.
+    """
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
+    if j2 < 0:
+        raise ValueError(f"need j2 >= 0, got {j2}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, j2, n & 0xFFFF)))
-    vals = np.empty(trials)
-    for i in range(trials):
-        u = sample_haar(2, rng, special=True)
-        un = np.linalg.matrix_power(u, n)
-        vals[i] = np.trace(su2_irrep_matrix(j2, un)).real / (j2 + 1)
+    u = sample_haar(2, rng, trials, special=True)
+    cos_phi = np.clip(np.trace(u, axis1=1, axis2=2).real / 2.0, -1.0, 1.0)
+    x = np.cos(n * np.arccos(cos_phi))
+    prev, chi = np.zeros(trials), np.ones(trials)
+    for _ in range(j2):
+        prev, chi = chi, 2.0 * x * chi - prev
+    vals = chi / (j2 + 1)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials))
     return mean, stderr

@@ -102,39 +102,7 @@ class DynkinLabel:
         return len(self.entries) + 1
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """A weight as a d-tuple of rationals.
-
-    Rational entries occur naturally: the Frobenius-Schur sum probes
-    (rho - sigma.rho)/n, which may be fractional before the lattice test.
-    """
-
-    entries: tuple
-
-    def __post_init__(self):
-        ent = tuple(Fraction(v) for v in self.entries)
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def d(self):
-        return len(self.entries)
-
-    @property
-    def norm1(self):
-        return sum(abs(v) for v in self.entries)
-
-    @property
-    def total(self):
-        return sum(self.entries)
-
-    def is_integral(self):
-        return all(v.denominator == 1 for v in self.entries)
-
-
 def _weight_entries(mu):
-    if isinstance(mu, WeightVector):
-        return mu.entries
     if isinstance(mu, HighestWeight):
         return tuple(Fraction(v) for v in mu.entries)
     return tuple(Fraction(v) for v in mu)

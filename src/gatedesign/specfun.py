@@ -14,8 +14,11 @@ These are the package's hot kernels: they run inside the theta-minimization
 of the symmetric master bound, once per bisection step.
 """
 import math
+import sys
 
 import numpy as np
+
+_TINY = sys.float_info.min
 
 
 def log_ive_array(nmax, x):
@@ -28,10 +31,12 @@ def log_ive_array(nmax, x):
     rho = 0.0
     tail = 0.0
     for k in range(nmax + int(9.0 * math.sqrt(x)) + 20, 0, -1):
-        rho = x / (2.0 * k + x * rho)
+        denom = 2.0 * k + x * rho
+        rho = x / denom
         tail = rho * (1.0 + tail)
         if k <= nmax:
-            out[k] = math.log(rho)
+            # below the normal range rho has lost digits (at x ~ 5e-324 it is 0)
+            out[k] = math.log(rho) if rho >= _TINY else math.log(x) - math.log(denom)
     out[0] = -math.log1p(2.0 * tail)
     return np.cumsum(out, out=out)
 

@@ -12,10 +12,16 @@ multiplicities is sometimes quoted over "positive simple roots"; the
 standard Kostant partition function runs over all positive roots, and only
 the standard convention reproduces the Freudenthal recursion and the SU(2)
 closed forms, so that is what is implemented.
+
+Also the SU(2) irreps as explicit matrices, the oracle for the characters
+that the Frobenius-Schur Monte Carlo evaluates from traces.
 """
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from gatedesign.repcore import _as_weight, _centered, _weight_entries
 
@@ -211,3 +217,32 @@ def freudenthal_multiplicity(lam, mu):
     if any((a - b).denominator != 1 for a, b in zip(lam_c, mu_c)):
         return 0
     return _freudenthal_table(lam.entries).get(mu_c, 0)
+
+
+def su2_irrep_matrix(j2, u):
+    """The spin-j2/2 irrep of a 2x2 unitary (dimension j2+1).
+
+    Symmetric-power construction in the orthonormal weight basis, ordered
+    from highest weight down: a diagonal U = diag(p, conj(p)) maps to
+    diag(p^j2, p^(j2-2), ..., p^-j2).
+    """
+    n = int(j2)
+    if n < 0:
+        raise ValueError(f"need j2 >= 0, got {j2}")
+    a, b = u[0, 0], u[0, 1]
+    c, e = u[1, 0], u[1, 1]
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    for r in range(n + 1):
+        for s in range(n + 1):
+            acc = 0.0 + 0.0j
+            for k in range(max(0, s - r), min(n - r, s) + 1):
+                acc += (
+                    math.comb(n - r, k)
+                    * math.comb(r, s - k)
+                    * a ** (n - r - k)
+                    * b**k
+                    * c ** (r - s + k)
+                    * e ** (s - k)
+                )
+            out[r, s] = acc * math.sqrt(math.comb(n, r) / math.comb(n, s))
+    return out

@@ -2,8 +2,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +260,15 @@ def test_mc_verify_without_applicable_bound_is_not_a_pass(capsys):
     assert "no tail bound applies" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["plain", "symmetric", "beamsplitter"])
+def test_mc_verify_rejects_empty_gate_set(capsys, kind):
+    code = main(["mc-verify", "--d", "3", "--t", "1", "--size", "0", "--kind", kind,
+                 "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and "n=0" in captured.err
+
+
 def test_mc_verify_seed_reproducible(capsys):
     args = [
         "mc-verify", "--d", "2", "--t", "2", "--size", "6", "--kind", "symmetric",
@@ -305,23 +316,26 @@ def test_byte_stable_across_runs(capsys):
     assert a == b
 
 
+def run_module(*argv):
+    """Run ``python -m ...`` in a child interpreter that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, env=env)
+
+
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gatedesign.cli", "min-size", "--d", "2"],
-        capture_output=True,
-    )
+    proc = run_module("gatedesign.cli", "min-size", "--d", "2")
     assert proc.returncode == 2
 
 
 def test_entry_point_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gatedesign.cli", "--help"], capture_output=True
-    )
+    proc = run_module("gatedesign.cli", "--help")
     assert proc.returncode == 0
     assert b"mc-verify" in proc.stdout
 
 
 def test_package_runs_as_module():
-    proc = subprocess.run([sys.executable, "-m", "gatedesign", "--help"], capture_output=True)
+    proc = run_module("gatedesign", "--help")
     assert proc.returncode == 0
     assert b"mc-verify" in proc.stdout

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gatedesign import bounds as bd
 from gatedesign import montecarlo as mc
 from gatedesign import repcore as rc
@@ -31,18 +32,19 @@ def dense_of(apply_fn, dim):
 
 def test_sample_haar_unitary_and_det():
     rng = np.random.default_rng(7)
-    u = mc.sample_haar(5, rng)
-    assert np.linalg.norm(u.conj().T @ u - np.eye(5)) < 1e-10
-    v = mc.sample_haar(5, rng, special=True)
-    assert abs(np.linalg.det(v) - 1.0) < 1e-10
+    u = mc.sample_haar(5, rng, 3)
+    assert u.shape == (3, 5, 5)
+    for g in u:
+        assert np.linalg.norm(g.conj().T @ g - np.eye(5)) < 1e-10
+    v = mc.sample_haar(5, rng, 3, special=True)
+    for g in v:
+        assert abs(np.linalg.det(g) - 1.0) < 1e-10
 
 
 def test_sample_haar_first_moment_vanishes():
     rng = np.random.default_rng(11)
-    total = np.zeros((2, 2), dtype=complex)
     n = 10000
-    for _ in range(n):
-        total += mc.sample_haar(2, rng)
+    total = mc.sample_haar(2, rng, n).sum(axis=0)
     assert np.abs(total / n).max() < 5e-2
 
 
@@ -50,13 +52,10 @@ def test_sample_haar_second_moment_and_invariance():
     # E|U_11|^2 = 1/d; |U_11|^2 is uniform on [0,1] at d=2 (var 1/12)
     rng = np.random.default_rng(13)
     n = 10000
-    fixed = mc.sample_haar(2, np.random.default_rng(99))
-    plain = np.empty(n)
-    rotated = np.empty(n)
-    for i in range(n):
-        u = mc.sample_haar(2, rng)
-        plain[i] = abs(u[0, 0]) ** 2
-        rotated[i] = abs((fixed @ u)[0, 0]) ** 2
+    fixed = mc.sample_haar(2, np.random.default_rng(99), 1)[0]
+    u = mc.sample_haar(2, rng, n)
+    plain = np.abs(u[:, 0, 0]) ** 2
+    rotated = np.abs((fixed @ u)[:, 0, 0]) ** 2
     sigma = math.sqrt(1.0 / 12.0 / n)
     assert abs(plain.mean() - 0.5) < 3 * sigma
     assert abs(rotated.mean() - 0.5) < 3 * sigma
@@ -89,6 +88,51 @@ def test_beamsplitter_sample_count_and_unitarity():
         mc.sample_gate_set(2, 2, GateSetKind.BEAMSPLITTER_LIFTED, seed=3)
 
 
+def single_haar_draw(d, rng, special=False):
+    """One Ginibre + QR draw with the phases fixed, as the batched sampler does."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    q = q * (diag / np.abs(diag))
+    if special:
+        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / d)
+    return q
+
+
+@pytest.mark.parametrize("kind", ["plain", "symmetric", "beamsplitter"])
+@pytest.mark.parametrize("seed", [0, (1001, 3)])
+def test_sample_gate_set_matches_single_draws(kind, seed):
+    # the batched draw takes the stream in the order of one draw per gate
+    d, n = 3, 5
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if kind == "beamsplitter":
+        want = []
+        for _ in range(n):
+            b = single_haar_draw(2, rng, special=True)
+            for i in range(d):
+                for j in range(d):
+                    if i != j:
+                        g = np.eye(d, dtype=complex)
+                        g[np.ix_([i, j], [i, j])] = b
+                        want.append(g)
+    else:
+        want = [single_haar_draw(d, rng) for _ in range(n)]
+        if kind == "symmetric":
+            want += [u.conj().T for u in want]
+    want = np.asarray(want)
+    got = mc.sample_gate_set(d, n, kind, seed=seed).unitaries
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["plain", "symmetric", "beamsplitter"])
+def test_sample_gate_set_rejects_empty(kind):
+    with pytest.raises(ValueError, match="n=0"):
+        mc.sample_gate_set(3, 0, kind, seed=1)
+    with pytest.raises(ValueError, match="d=0"):
+        mc.sample_gate_set(0, 2, kind, seed=1)
+
+
 def test_sampling_reproducible():
     a = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=42)
     b = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=42)
@@ -99,12 +143,21 @@ def test_sampling_reproducible():
 # moment operator
 # ---------------------------------------------------------------------------
 
+#: (d, t, n, kind) beyond the d=2, t<=2 plain cases: d > 2, t > 2 and a lifted set
+KRON_CASES = [(3, 2, 2, "plain"), (2, 3, 2, "plain"), (3, 2, 1, "beamsplitter")]
+
+
 def test_moment_operator_matches_kron_oracle():
     s = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=5)
     op = mc.MomentOperator(s.unitaries, t=1)
     dense = dense_of(op.apply, 4)
     oracle = sum(np.kron(u, u.conj()) for u in s.unitaries) / 3
     assert np.linalg.norm(dense - oracle) < 1e-12
+    for d, t, n, kind in KRON_CASES:
+        s = mc.sample_gate_set(d, n, kind, seed=5)
+        op = mc.MomentOperator(s.unitaries, t)
+        dense = dense_of(op.apply, d ** (2 * t))
+        assert np.linalg.norm(dense - kron_moment(s.unitaries, t)) < 1e-12, (d, t, kind)
 
 
 def test_moment_operator_t2_matches_kron_oracle():
@@ -127,13 +180,16 @@ def test_moment_operator_norm_nonincreasing():
 
 
 def test_moment_operator_adjoint_is_adjoint():
-    s = mc.sample_gate_set(2, 2, GateSetKind.PLAIN, seed=8)
-    op = mc.MomentOperator(s.unitaries, t=2)
     rng = np.random.default_rng(1)
-    for _ in range(3):
-        u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.vdot(u, op.apply(v)) == pytest.approx(np.vdot(op.apply_adjoint(u), v), abs=1e-10)
+    for d, t, n, kind in [(2, 2, 2, "plain")] + KRON_CASES:
+        s = mc.sample_gate_set(d, n, kind, seed=8)
+        op = mc.MomentOperator(s.unitaries, t)
+        for _ in range(3):
+            u = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+            v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+            assert np.vdot(u, op.apply(v)) == pytest.approx(
+                np.vdot(op.apply_adjoint(u), v), abs=1e-10
+            ), (d, t, kind)
 
 
 def test_symmetric_moment_operator_hermitian():
@@ -187,8 +243,7 @@ def test_projector_rank_deficient_when_t_exceeds_d():
 def test_projector_commutes_with_gate_action():
     rng = np.random.default_rng(3)
     for d, t in [(2, 2), (3, 2)]:
-        u = mc.sample_haar(d, rng)
-        op = mc.MomentOperator(np.asarray([u]), t)
+        op = mc.MomentOperator(mc.sample_haar(d, rng, 1), t)
         p = mc.HaarProjector(d, t)
         v = rng.standard_normal(d ** (2 * t)) + 1j * rng.standard_normal(d ** (2 * t))
         lhs = op.apply(p.apply(v))
@@ -385,20 +440,20 @@ def test_tail_below_clipped_bound_smoke():
 
 
 # ---------------------------------------------------------------------------
-# SU(2) irreps and the character Monte Carlo
+# SU(2) irreps (the oracle) and the character Monte Carlo
 # ---------------------------------------------------------------------------
 
 def test_su2_trivial_and_defining():
-    u = mc.sample_haar(2, np.random.default_rng(1), special=True)
-    assert mc.su2_irrep_matrix(0, u).shape == (1, 1)
-    assert mc.su2_irrep_matrix(0, u)[0, 0] == pytest.approx(1.0)
-    np.testing.assert_allclose(mc.su2_irrep_matrix(1, u), u, atol=1e-12)
+    u = mc.sample_haar(2, np.random.default_rng(1), 1, special=True)[0]
+    assert oracles.su2_irrep_matrix(0, u).shape == (1, 1)
+    assert oracles.su2_irrep_matrix(0, u)[0, 0] == pytest.approx(1.0)
+    np.testing.assert_allclose(oracles.su2_irrep_matrix(1, u), u, atol=1e-12)
 
 
 def test_su2_diagonal_weights():
     phi = 0.7
     u = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
-    m = mc.su2_irrep_matrix(2, u)
+    m = oracles.su2_irrep_matrix(2, u)
     np.testing.assert_allclose(
         m, np.diag([np.exp(2j * phi), 1.0, np.exp(-2j * phi)]), atol=1e-12
     )
@@ -407,11 +462,10 @@ def test_su2_diagonal_weights():
 @pytest.mark.parametrize("j2", [1, 2, 3, 5])
 def test_su2_multiplicative_and_unitary(j2):
     rng = np.random.default_rng(17)
-    u = mc.sample_haar(2, rng, special=True)
-    v = mc.sample_haar(2, rng, special=True)
-    pu = mc.su2_irrep_matrix(j2, u)
-    pv = mc.su2_irrep_matrix(j2, v)
-    puv = mc.su2_irrep_matrix(j2, u @ v)
+    u, v = mc.sample_haar(2, rng, 2, special=True)
+    pu = oracles.su2_irrep_matrix(j2, u)
+    pv = oracles.su2_irrep_matrix(j2, v)
+    puv = oracles.su2_irrep_matrix(j2, u @ v)
     assert np.linalg.norm(puv - pu @ pv) < 1e-10
     assert np.linalg.norm(pu.conj().T @ pu - np.eye(j2 + 1)) < 1e-10
 
@@ -422,7 +476,7 @@ def test_su2_character_matches_weyl_formula(j2):
     for _ in range(3):
         phi = rng.uniform(0.1, 3.0)
         u = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
-        chi = np.trace(mc.su2_irrep_matrix(j2, u))
+        chi = np.trace(oracles.su2_irrep_matrix(j2, u))
         weyl = math.sin((j2 + 1) * phi) / math.sin(phi)
         assert chi.real == pytest.approx(weyl, abs=1e-10)
         assert abs(chi.imag) < 1e-10
@@ -442,3 +496,25 @@ def test_fs_indicator_mc_agrees_with_exact():
     exact = float(rc.fs_indicator(lam, 2))
     mean, err = mc.estimate_fs_indicator_mc(2, 2, trials=20000, seed=6)
     assert abs(mean - exact) < 3 * err
+
+
+def test_fs_indicator_mc_characters_match_irrep_traces():
+    # redraw each run's elements from its seed and take the traces of the
+    # explicit irrep matrices: the mean and stderr must follow
+    trials = 12
+    for j2 in range(9):
+        for n in range(-3, 4):
+            rng = np.random.default_rng(np.random.SeedSequence((5, j2, n & 0xFFFF)))
+            us = mc.sample_haar(2, rng, trials, special=True)
+            vals = np.array([
+                np.trace(oracles.su2_irrep_matrix(j2, np.linalg.matrix_power(u, n))).real
+                for u in us
+            ]) / (j2 + 1)
+            mean, err = mc.estimate_fs_indicator_mc(j2, n, trials=trials, seed=5)
+            assert abs(mean - vals.mean()) < 1e-12, (j2, n)
+            assert abs(err - vals.std(ddof=1) / math.sqrt(trials)) < 1e-12, (j2, n)
+
+
+def test_fs_indicator_mc_rejects_negative_label():
+    with pytest.raises(ValueError, match="j2 >= 0"):
+        mc.estimate_fs_indicator_mc(-1, 2, trials=10, seed=1)

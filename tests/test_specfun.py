@@ -79,6 +79,18 @@ def test_array_matches_mpmath_anywhere(n, log10_x):
     assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, x, got, want)
 
 
+@pytest.mark.parametrize("x", [1e-310, 1e-320, 5e-324])
+def test_subnormal_arguments_match_mpmath(x):
+    # rho_k = x/(2k) is subnormal (few digits) or 0 here; log rho must not lose
+    # digits or fail
+    arr = specfun.log_ive_array(9, x)
+    for n in range(10):
+        want = mp_log_bessel(n, x)
+        got = specfun.log_bessel_i(n, x)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, x, got, want)
+        assert abs(arr[n] + x - want) <= 1e-14 * max(1.0, abs(want)), (n, x, arr[n], want)
+
+
 def test_array_at_zero():
     assert specfun.log_ive_array(4, 0.0).tolist() == [0.0] + [-math.inf] * 4
 
