@@ -63,28 +63,29 @@ class BoundUnavailableError(RuntimeError):
     """The bracket in F(theta) was numerically nonpositive wherever probed."""
 
 
+def _check_query(kind, S, delta):
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if S < 1:
+        raise ValueError(f"S must be >= 1, got {S}")
+    if kind is GateSetKind.SYMMETRIC and S % 2:
+        raise ValueError(f"symmetric sets have even cardinality, got {S}")
+
+
 @dataclass(frozen=True)
 class BoundQuery:
-    """One bound evaluation: block label (or t), set kind, size, threshold."""
+    """One per-block bound evaluation: set kind, size, threshold, block label."""
 
     d: int
     kind: GateSetKind
     S: int
     delta: float
-    lam: HighestWeight | None = None
-    t: int | None = None
+    lam: HighestWeight
 
     def __post_init__(self):
-        if (self.lam is None) == (self.t is None):
-            raise ValueError("exactly one of lam / t must be given")
-        if self.lam is not None and self.lam.d != self.d:
+        if self.lam.d != self.d:
             raise ValueError("label length does not match d")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.S < 1:
-            raise ValueError(f"S must be >= 1, got {self.S}")
-        if self.kind is GateSetKind.SYMMETRIC and self.S % 2:
-            raise ValueError(f"symmetric sets have even cardinality, got {self.S}")
+        _check_query(self.kind, self.S, self.delta)
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,6 @@ def bernstein_bound(q: BoundQuery):
     Symmetric: 2 d_lam exp(-3 S delta^2 / (6 (1 + delta_lam(2)) + 4 delta)),
     with delta_lam(2) the Frobenius-Schur constant of the block.
     """
-    if q.lam is None:
-        raise ValueError("bernstein_bound is per-label; pass lam")
     dl = repcore.weyl_dimension(q.lam)
     if q.kind is GateSetKind.PLAIN:
         expo = _bernstein_plain_exponent(q.S, q.delta)
@@ -152,8 +151,6 @@ def _bernstein_symmetric_exponent(S, delta, fs2):
 
 def master_bound_plain(q: BoundQuery):
     """2 d_lam (1 - delta^2)^{-S/2} exp(-delta S arctanh delta)."""
-    if q.lam is None:
-        raise ValueError("master_bound_plain is per-label; pass lam")
     if q.kind is not GateSetKind.PLAIN:
         raise ValueError("master_bound_plain needs a plain gate-set")
     dl = repcore.weyl_dimension(q.lam)
@@ -258,8 +255,6 @@ def master_bound_symmetric(q: BoundQuery):
     S-free exponent of :func:`_sym_min_exponents`, at theta* = S x* / 2; the
     result never exceeds the simplified bound.
     """
-    if q.lam is None:
-        raise ValueError("master_bound_symmetric is per-label; pass lam")
     if q.kind is not GateSetKind.SYMMETRIC:
         raise ValueError("master_bound_symmetric needs a symmetric gate-set")
     dl = _sym_block_data(q.lam)[0]
@@ -272,8 +267,6 @@ def master_bound_symmetric(q: BoundQuery):
 
 def master_bound_symmetric_simplified(q: BoundQuery):
     """The closed form at theta0 = S delta / sqrt(1 - delta^2)."""
-    if q.lam is None:
-        raise ValueError("master_bound_symmetric_simplified is per-label; pass lam")
     if q.kind is not GateSetKind.SYMMETRIC:
         raise ValueError("master_bound_symmetric_simplified needs a symmetric gate-set")
     dl, m0d, gvec = _sym_block_data(q.lam)
@@ -314,7 +307,7 @@ def total_bound(d, t, kind, S, delta, method):
         kind = GateSetKind(kind)
     if method.kind is not kind:
         raise ValueError(f"method {method.value} does not apply to kind {kind.value}")
-    BoundQuery(d=d, kind=kind, S=S, delta=delta, t=t)  # validates S and delta
+    _check_query(kind, S, delta)
     spec = repcore.block_spectrum(d, t)
     if method is Method.BERNSTEIN_PLAIN:
         logs = spec.log2dim + _bernstein_plain_exponent(S, delta)

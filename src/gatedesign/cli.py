@@ -148,7 +148,10 @@ def cmd_min_size(args):
 def cmd_table(args):
     if not args.table2:
         raise ValueError("pass --table2 to emit the minimal-size table")
-    dims = tuple(int(v) for v in args.dims.split(",")) if args.dims else None
+    try:
+        dims = tuple(int(v) for v in args.dims.split(",")) if args.dims else None
+    except ValueError:
+        raise ValueError(f"bad --dims {args.dims!r}: use a comma list, e.g. 2,4") from None
     rows = [
         _minsize_row(res)
         for _, _, _, res in solver.table2_cells(delta=args.delta, P=args.prob, dims=dims)
@@ -158,6 +161,8 @@ def cmd_table(args):
 
 
 def cmd_clifford(args):
+    if args.max_qubits < 1:
+        raise ValueError(f"need --max-qubits >= 1, got {args.max_qubits}")
     columns = ["n", "clifford_cardinality", "s_min_printed", "s_min_closed_form", "log10_ratio"]
     rows = []
     for n in range(1, args.max_qubits + 1):

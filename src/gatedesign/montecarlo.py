@@ -171,9 +171,9 @@ class MomentOperator:
 class HaarProjector:
     """Orthogonal projector onto span{vec(P_sigma)}: the Haar moment block.
 
-    Gram matrix G[s,t] = d^(#cycles(s^-1 t)), pseudo-inverted with a
-    relative eigenvalue threshold of 1e-10 to cover the rank-deficient t > d
-    case.
+    Gram matrix G[s,t] = d^(#cycles(s^-1 t)), the number of multi-indices
+    that s^-1 t fixes, pseudo-inverted with a relative eigenvalue threshold
+    of 1e-10 to cover the rank-deficient t > d case.
     """
 
     def __init__(self, d, t):
@@ -187,13 +187,11 @@ class HaarProjector:
         inverses = [sorted(range(t), key=sigma.__getitem__) for sigma in perms]
         cols = np.arange(dt)
         self._positions = np.asarray([flat.transpose(p).reshape(-1) * dt + cols for p in inverses])
-        gram = np.empty((len(perms), len(perms)))
-        for a, sa in enumerate(perms):
-            for b, sb in enumerate(perms):
-                comp = tuple(sb[sa.index(k)] for k in range(t))
-                gram[a, b] = float(d) ** _cycle_count(comp)
-        self.gram = gram
-        evals, evecs = np.linalg.eigh(gram)
+        # <vec P_a, vec P_b> counts the columns j where both place their 1 in
+        # the same row: the multi-indices fixed by sigma_a^-1 sigma_b
+        rows = self._positions // dt
+        self.gram = np.array([(rows == r).sum(axis=1) for r in rows], dtype=float)
+        evals, evecs = np.linalg.eigh(self.gram)
         keep = evals > 1e-10 * evals.max()
         self.rank = int(np.count_nonzero(keep))
         self._pinv = (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T
@@ -204,20 +202,6 @@ class HaarProjector:
         out = np.zeros(self.dim, dtype=complex)
         np.add.at(out, self._positions, weights[:, None])
         return out
-
-
-def _cycle_count(perm):
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +308,8 @@ def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None):
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     if not isinstance(kind, GateSetKind):
         kind = GateSetKind(kind)
     if kind is GateSetKind.SYMMETRIC:

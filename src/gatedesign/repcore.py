@@ -8,7 +8,10 @@ the gamma_lambda(k) coefficients entering the symmetric master bound.
 The block spectrum (:func:`block_spectrum`) is the one intermediate the
 union bounds and the solver read: per (d, t), cached, the label set
 Lambda~_t with its exact dimensions, their sum, and float log(2 d_lambda);
-the Frobenius-Schur constants delta_lambda(2) are added on first use.
+the Frobenius-Schur constants delta_lambda(2) are added on first use. The
+signed Weyl sums behind the Frobenius-Schur indicators and the gamma
+coefficients are cached per (label, n), so the Bernstein and master
+symmetric columns share the n = 2 sum of each label.
 
 Weights are handled in "centered" coordinates (trace part removed), so a
 U(d) label with nonzero entry sum and its SU(d) restriction share one
@@ -410,20 +413,21 @@ def _lattice_displacements(d, n):
     )
 
 
-def _fs_weyl_sum(lam, n, skip_identity):
-    """sum over sigma (optionally without id) of sgn(sigma)*m((rho-sigma.rho)/n).
+@lru_cache(maxsize=None)
+def _fs_weyl_sum(lam, n):
+    """sum over sigma in S_d of sgn(sigma) * m_lambda((rho - sigma.rho)/n), exact.
 
-    One term per displacement orbit: the multiplicity, the one-norm budget
-    and the lattice test all depend on the sorted displacement alone.
+    Cached per (label, n), so fs_indicator and gamma_coefficients share each
+    sum; the identity's term is m_lambda(0). One term per displacement
+    orbit: the multiplicity, the one-norm budget and the lattice test all
+    depend on the sorted displacement alone.
     """
-    budget = abs(n) * _as_weight(lam).norm1  # ||mu||_1 <= ||lambda||_1 pruning
+    budget = abs(n) * lam.norm1  # ||mu||_1 <= ||lambda||_1 pruning
     integral_coset = all(v.denominator == 1 for v in _centered(lam.entries))
     total = 0
     for norm, disp, count in _lattice_displacements(lam.d, abs(n) if integral_coset else 1):
         if norm > budget:
             break  # the orbits come in one-norm order
-        if skip_identity and not norm:
-            continue
         # nonincreasing after dividing by n
         mu = tuple(Fraction(v, n) for v in (disp if n > 0 else reversed(disp)))
         total += count * _mult_centered(lam.entries, mu)
@@ -443,12 +447,10 @@ def fs_indicator(lam, n, force_general=False):
     n = int(n)
     if n == 0:
         return Fraction(1)
-    d = lam.d
     dl = weyl_dimension(lam)
-    if abs(n) >= d + 1 and not force_general:
-        m0 = _mult_centered(lam.entries, _centered((0,) * d))
-        return Fraction(m0, dl)
-    return Fraction(_fs_weyl_sum(lam, n, skip_identity=False), dl)
+    if abs(n) >= lam.d + 1 and not force_general:
+        return Fraction(zero_weight_multiplicity(lam), dl)
+    return Fraction(_fs_weyl_sum(lam, n), dl)
 
 
 def zero_weight_multiplicity(lam):
@@ -458,28 +460,23 @@ def zero_weight_multiplicity(lam):
     return _mult_centered(lam.entries, _centered((0,) * lam.d))
 
 
-@lru_cache(maxsize=None)
-def _gamma_cached(lam_entries):
-    lam = HighestWeight(lam_entries)
-    d = lam.d
-    dl = weyl_dimension(lam)
-    m0 = zero_weight_multiplicity(lam)
-    gam = {0: 1 - Fraction(m0, dl)}
-    for k in range(1, d + 1):
-        gam[k] = Fraction(_fs_weyl_sum(lam, k, skip_identity=True), dl)
-        gam[-k] = Fraction(_fs_weyl_sum(lam, -k, skip_identity=True), dl)
-    return gam
-
-
 def gamma_coefficients(lam):
     """gamma_lambda(k) for k in [-d, d].
 
-    gamma(0) = 1 - m_lambda(0)/d_lambda; for k != 0 the identity-free signed
-    Weyl sum of m((rho - sigma.rho)/k), normalized by d_lambda. Satisfies
-    delta_lambda(k) = m_lambda(0)/d_lambda + gamma_lambda(k) for 0 < |k| <= d.
+    gamma(0) = 1 - m_lambda(0)/d_lambda; for k != 0 the signed Weyl sum of
+    m((rho - sigma.rho)/k) without the identity's term m_lambda(0),
+    normalized by d_lambda. The sums are the cached ones of fs_indicator, so
+    delta_lambda(k) = m_lambda(0)/d_lambda + gamma_lambda(k) for
+    0 < |k| <= d.
     """
     lam = _as_weight(lam)
-    return dict(_gamma_cached(lam.entries))
+    dl = weyl_dimension(lam)
+    m0 = zero_weight_multiplicity(lam)
+    gam = {0: 1 - Fraction(m0, dl)}
+    for k in range(1, lam.d + 1):
+        for n in (k, -k):
+            gam[n] = Fraction(_fs_weyl_sum(lam, n) - m0, dl)
+    return gam
 
 
 # ---------------------------------------------------------------------------

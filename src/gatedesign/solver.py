@@ -75,65 +75,48 @@ def _closed_form_from_sum(d, t, delta, P, sum_d):
 def min_size_search(d, t, delta, P, method):
     """Smallest S (even, for symmetric methods) with total bound <= 1 - P.
 
-    Exponential bracketing followed by binary search on the step lattice;
-    the bound values seen while bracketing are checked to decrease, and the
-    result is checked to be a genuine crossing.
+    Each probed S costs one total bound, kept in a memo. The search gallops
+    up from the plain closed form (lo = 0, hi doubling) until the bound
+    crosses, then bisects on the step lattice. The memo is then checked:
+    the bound decreases across every probed S, and the result is a genuine
+    crossing.
     """
     _check_delta_p(delta, P)
     if not isinstance(method, Method):
         method = Method(method)
     step = 2 if method.kind is GateSetKind.SYMMETRIC else 1
     target = math.log1p(-P)
+    seen = {}
 
-    def log_bound(S):
-        return bounds.total_bound(d, t, method.kind, S, delta, method).log_bound
+    def crossed(S):
+        if S not in seen:
+            seen[S] = bounds.total_bound(d, t, method.kind, S, delta, method).log_bound
+        return seen[S] <= target
 
-    # exponential bracket, seeded near the plain closed form to save probes
-    hint = max(step, (min_size_closed_form(d, t, delta, P).S_min // (2 * step)) * step)
-    probes = [(hint, log_bound(hint))]
-    if probes[0][1] <= target:
-        s = hint
-        while s > step:
-            s = max(step, (s // (2 * step)) * step)
-            val = log_bound(s)
-            probes.append((s, val))
-            if val > target:
-                break
-    else:
-        s = hint
-        while True:
-            s *= 2
-            val = log_bound(s)
-            probes.append((s, val))
-            if val <= target:
-                break
-            if s > 10**9:
-                raise RuntimeError("bound does not reach the target probability")
-    probes.sort(key=lambda p: p[0])
-    for (s1, v1), (s2, v2) in zip(probes, probes[1:]):
-        if s1 != s2 and not v2 < v1 + 1e-12:
-            raise RuntimeError(
-                f"bound not decreasing across bracket: b({s1})={v1}, b({s2})={v2}"
-            )
-    lo = max((s for s, v in probes if v > target), default=0)
-    hi = min(s for s, v in probes if v <= target)
-    if lo > hi:
-        raise RuntimeError("bracket inverted; bound is not monotone in S")
+    # gallop up from near the plain closed form, which saves probes
+    lo, hi = 0, max(step, (min_size_closed_form(d, t, delta, P).S_min // (2 * step)) * step)
+    while not crossed(hi):
+        if hi > 10**9:
+            raise RuntimeError("bound does not reach the target probability")
+        lo, hi = hi, 2 * hi
     while hi - lo > step:
         mid = lo + ((hi - lo) // (2 * step)) * step
-        if log_bound(mid) <= target:
+        if crossed(mid):
             hi = mid
         else:
             lo = mid
+    probes = sorted(seen.items())
+    for (s1, v1), (s2, v2) in zip(probes, probes[1:]):
+        if not v2 < v1 + 1e-12:
+            raise RuntimeError(f"bound not decreasing in S: b({s1})={v1}, b({s2})={v2}")
     # crossing property
-    final = log_bound(hi)
-    assert final <= target
+    assert seen[hi] <= target
     if hi > step:
-        assert log_bound(hi - step) > target
+        assert seen[hi - step] > target
     return MinSizeResult(
         S_min=hi,
         method=method,
-        raw_bound_at_S_min=math.exp(final),
+        raw_bound_at_S_min=math.exp(seen[hi]),
         d=d,
         t=t,
         delta=delta,

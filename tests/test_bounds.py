@@ -34,9 +34,9 @@ def q_sym(lam, S, delta):
 
 def test_query_validation():
     lam = rc.HighestWeight((1, -1))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         BoundQuery(d=2, kind=GateSetKind.PLAIN, S=10, delta=0.5)  # no target
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         BoundQuery(d=2, kind=GateSetKind.PLAIN, S=10, delta=0.5, lam=lam, t=2)
     with pytest.raises(ValueError):
         BoundQuery(d=2, kind=GateSetKind.PLAIN, S=10, delta=1.5, lam=lam)

@@ -165,6 +165,24 @@ def test_table_requires_flag(capsys):
     assert code == 1
 
 
+#: `table --table2` rows for d = 2 and d = 8, 16, 32, 64, kept as reference
+PINNED_TABLE2 = Path(__file__).resolve().parent / "table2_pinned.csv"
+
+
+def assert_matches_pinned(out, dims):
+    """Every column equal to the pinned rows but bound_at_S_min, which may
+    move by 1e-12 relative."""
+    header, rows = parse_csv(out)
+    pinned_header, pinned = parse_csv(PINNED_TABLE2.read_text())
+    assert header == pinned_header
+    want = [r for r in pinned if int(r[0]) in dims]
+    assert len(rows) == len(want)
+    bound = header.index("bound_at_S_min")
+    for got, exp in zip(rows, want):
+        assert got[:bound] == exp[:bound]
+        assert float(got[bound]) == pytest.approx(float(exp[bound]), rel=1e-12, abs=0)
+
+
 def test_table_subset(capsys):
     code, out = run_cli(capsys, "table", "--table2", "--dims", "2")
     assert code == 0
@@ -174,6 +192,21 @@ def test_table_subset(capsys):
     assert cells[("2", "500", "master-plain")][header.index("S_min")] == "136"
     assert cells[("2", "2", "bernstein-plain")][header.index("S_min")] == "69"
     assert cells[("2", "2", "bernstein-symmetric")][header.index("n_pairs")] == "47"
+    assert_matches_pinned(out, {2})
+
+
+def test_table_large_dimensions_match_pinned(capsys):
+    code, out = run_cli(capsys, "table", "--table2", "--dims", "8,16,32,64")
+    assert code == 0
+    assert_matches_pinned(out, {8, 16, 32, 64})
+
+
+def test_table_rejects_malformed_dims(capsys):
+    code = main(["table", "--table2", "--dims", "2,,4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --dims '2,,4'")
 
 
 def test_table_rejects_dimension_off_the_grid(capsys):
@@ -196,6 +229,14 @@ def test_clifford_small(capsys):
     ratios = [float(r[header.index("log10_ratio")]) for r in rows]
     assert ratios[2] > ratios[1] > ratios[0]
     assert ratios[2] > 0  # the Clifford group overtakes by three qubits
+
+
+def test_clifford_rejects_nonpositive_qubit_count(capsys):
+    code = main(["clifford", "--max-qubits", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--max-qubits" in captured.err
 
 
 def test_clifford_full_range_runs_fast(capsys):
@@ -267,6 +308,14 @@ def test_mc_verify_rejects_empty_gate_set(capsys, kind):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ") and "n=0" in captured.err
+
+
+def test_mc_verify_rejects_negative_seed(capsys):
+    code = main(["mc-verify", "--seed", "-1", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: need seed >= 0, got -1\n"
 
 
 def test_mc_verify_seed_reproducible(capsys):

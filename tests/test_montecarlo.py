@@ -4,6 +4,7 @@ Dense linear algebra at tiny dimensions serves as the oracle for the
 matrix-free operators; statistical checks use fixed seeds and 3-sigma
 tolerances.
 """
+import itertools
 import math
 
 import numpy as np
@@ -225,6 +226,30 @@ def test_projector_gram_d2_t2():
     p = mc.HaarProjector(2, 2)
     assert p.rank == 2
     np.testing.assert_allclose(p.gram, [[4.0, 2.0], [2.0, 4.0]])
+
+
+def _cycles(perm):
+    seen, count = set(), 0
+    for start in perm:
+        if start not in seen:
+            count += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = perm[k]
+    return count
+
+
+@pytest.mark.parametrize("d,t", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 5), (2, 6)])
+def test_projector_gram_is_d_to_the_cycle_count(d, t):
+    perms = np.array(list(itertools.permutations(range(t))))
+    cycles = {tuple(p): _cycles(p) for p in perms}
+    want = np.empty((len(perms), len(perms)))
+    for a, sa in enumerate(perms):
+        # row b composes sigma_b with sigma_a^-1
+        for b, comp in enumerate(perms[:, np.argsort(sa)]):
+            want[a, b] = float(d) ** cycles[tuple(comp)]
+    np.testing.assert_array_equal(mc.HaarProjector(d, t).gram, want)
 
 
 @pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2)])

@@ -497,9 +497,10 @@ def test_fs_weyl_sum_matches_per_permutation_sum(d):
         ]
         for lam in labels:
             full = sum(sign * rc.weight_multiplicity(lam, mu) for sign, mu in terms)
-            assert rc._fs_weyl_sum(lam, n, skip_identity=False) == full, (lam, n)
+            assert rc._fs_weyl_sum(lam, n) == full, (lam, n)
             m0 = rc.zero_weight_multiplicity(lam)
-            assert rc._fs_weyl_sum(lam, n, skip_identity=True) == full - m0, (lam, n)
+            dl = rc.weyl_dimension(lam)
+            assert rc.gamma_coefficients(lam)[n] == Fraction(full - m0, dl), (lam, n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gatedesign import bounds as bd
 from gatedesign import repcore as rc
 from gatedesign import solver
 from gatedesign.bounds import Method
@@ -58,13 +59,51 @@ def test_search_master_symmetric_d2_t2():
 
 
 def test_crossing_property():
-    from gatedesign import bounds as bd
-
     for method, step in [(Method.MASTER_PLAIN, 1), (Method.BERNSTEIN_SYMMETRIC, 2)]:
         res = solver.min_size_search(2, 3, 0.5, 0.99, method)
         at = bd.total_bound(2, 3, method.kind, res.S_min, 0.5, method).raw
         below = bd.total_bound(2, 3, method.kind, res.S_min - step, 0.5, method).raw
         assert at <= 0.01 < below
+
+
+@pytest.mark.parametrize(
+    "d,t,method",
+    [(2, 2, Method.MASTER_PLAIN), (2, 3, Method.BERNSTEIN_PLAIN),
+     (2, 2, Method.BERNSTEIN_SYMMETRIC), (2, 3, Method.MASTER_SYMMETRIC),
+     (4, 2, Method.MASTER_SYMMETRIC), (64, 5, Method.BERNSTEIN_PLAIN)],
+)
+def test_search_probes_each_size_once(monkeypatch, d, t, method):
+    probed = []
+    real = bd.total_bound
+
+    def counting(d_, t_, kind, S, delta, method_):
+        probed.append(S)
+        return real(d_, t_, kind, S, delta, method_)
+
+    monkeypatch.setattr(bd, "total_bound", counting)
+    res = solver.min_size_search(d, t, 0.5, 0.99, method)
+    assert res.S_min in probed
+    assert len(probed) == len(set(probed)), sorted(probed)
+
+
+def _stub_bound(log_bound):
+    """A total_bound stand-in whose log bound is log_bound(S)."""
+    def stub(d, t, kind, S, delta, method):
+        return bd.BoundResult(method=method, log_bound=log_bound(S))
+    return stub
+
+
+def test_search_rejects_bound_not_decreasing(monkeypatch):
+    # below the target everywhere, but growing with S
+    monkeypatch.setattr(bd, "total_bound", _stub_bound(lambda S: -10.0 + 1e-3 * S))
+    with pytest.raises(RuntimeError, match="bound not decreasing"):
+        solver.min_size_search(2, 2, 0.5, 0.99, Method.MASTER_PLAIN)
+
+
+def test_search_rejects_bound_that_never_crosses(monkeypatch):
+    monkeypatch.setattr(bd, "total_bound", _stub_bound(lambda S: -1.0 / S))
+    with pytest.raises(RuntimeError, match="does not reach the target probability"):
+        solver.min_size_search(2, 2, 0.5, 0.99, Method.BERNSTEIN_SYMMETRIC)
 
 
 def test_master_at_most_bernstein_sizes():
