@@ -22,6 +22,10 @@ from .bounds import GateSetKind
 #: refuse to build tensor spaces larger than this
 DIM_CAP = 2**16
 
+#: Lanczos steps after which :func:`estimate_delta` gives up; it stops by
+#: itself after d^(2t) steps, when the Krylov space is exhausted
+MAX_LANCZOS_STEPS = 10000
+
 #: permutation count cap for the Haar projector (t <= 6)
 FACTORIAL_CAP = 720
 
@@ -208,7 +212,7 @@ class HaarProjector:
 # operator-norm estimation
 # ---------------------------------------------------------------------------
 
-def estimate_delta(sample, t, max_iter=10000, return_info=False):
+def estimate_delta(sample, t, return_info=False):
     """delta(nu_S, t): spectral norm of T_{nu_S,t} - T_{mu,t}.
 
     Lanczos with residual stop: one Lanczos run with full
@@ -233,8 +237,8 @@ def estimate_delta(sample, t, max_iter=10000, return_info=False):
     beta_k |s_k| alone, so exact designs (A = 0) still stop at once.
 
     ``return_info`` adds {"iterations": k, "residual": that bound on
-    |delta^2 - ||A|| |}. Raises PowerIterationError when ``max_iter`` steps
-    do neither.
+    |delta^2 - ||A|| |}. Raises PowerIterationError when MAX_LANCZOS_STEPS
+    steps do neither.
     """
     top = MomentOperator(sample.unitaries, t)
     proj = _projector(sample.d, t)
@@ -244,7 +248,7 @@ def estimate_delta(sample, t, max_iter=10000, return_info=False):
     v = rng.standard_normal(top.dim) + 1j * rng.standard_normal(top.dim)
     basis = [v / np.linalg.norm(v)]
     alphas, betas = [], []
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_LANCZOS_STEPS + 1):
         v = basis[-1]
         w = top.apply_adjoint(top.apply(v)) - proj.apply(v)
         alphas.append(float(np.vdot(v, w).real))
@@ -262,7 +266,7 @@ def estimate_delta(sample, t, max_iter=10000, return_info=False):
         basis.append(w / beta)
     else:
         raise PowerIterationError(
-            f"Lanczos did not converge after {max_iter} steps "
+            f"Lanczos did not converge after {MAX_LANCZOS_STEPS} steps "
             f"(top Ritz value {theta:.6g}, residual {residual:.3g})"
         )
     delta = math.sqrt(max(theta, 0.0))
@@ -304,8 +308,15 @@ def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None):
     ``S`` is the gate-set cardinality for plain/symmetric kinds and the
     SU(2) seed count for lifted sets. Each trial draws from an independent
     child stream of ``seed``; per-trial records (delta, Lanczos steps and
-    the residual bound on delta^2) go to ``jsonl_path`` when given.
+    the residual bound on delta^2) go to ``jsonl_path`` when given. The
+    inputs are checked before the first trial runs.
     """
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d={d}")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"need 0 < delta < 1, got delta={delta}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if seed < 0:

@@ -8,10 +8,23 @@ the gamma_lambda(k) coefficients entering the symmetric master bound.
 The block spectrum (:func:`block_spectrum`) is the one intermediate the
 union bounds and the solver read: per (d, t), cached, the label set
 Lambda~_t with its exact dimensions, their sum, and float log(2 d_lambda);
-the Frobenius-Schur constants delta_lambda(2) are added on first use. The
-signed Weyl sums behind the Frobenius-Schur indicators and the gamma
-coefficients are cached per (label, n), so the Bernstein and master
-symmetric columns share the n = 2 sum of each label.
+the Frobenius-Schur constants delta_lambda(2) are added on first use.
+
+Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
+over SU(d). Only 2 <= |n| <= d needs a signed Weyl-group sum; the other n
+are closed forms that :func:`fs_indicator` alone decides:
+
+- Reality: Haar measure is invariant under U -> U^-1, so
+  delta_lambda(-n) = delta_lambda(n).
+- Schur orthogonality: int chi_lambda dU is the multiplicity of the trivial
+  representation, so delta_lambda(1) is 1 for a label whose entries are all
+  equal (trivial on SU(d)) and 0 otherwise (Bump, *Lie Groups*, Ch. 2).
+- For |n| >= d+1 only the identity passes the lattice test, so
+  delta_lambda(n) = m_lambda(0)/d_lambda.
+
+The sums at n = 2..d are cached per (label, n), so the Bernstein and master
+symmetric columns share the n = 2 sum of each label, and gamma_lambda reads
+d - 1 sums per label.
 
 Weights are handled in "centered" coordinates (trace part removed), so a
 U(d) label with nonzero entry sum and its SU(d) restriction share one
@@ -81,9 +94,6 @@ class HighestWeight:
     def positive_sum(self):
         """Sum of the positive entries."""
         return sum(v for v in self.entries if v > 0)
-
-    def is_trivial(self):
-        return all(v == 0 for v in self.entries)
 
 
 @dataclass(frozen=True)
@@ -404,7 +414,7 @@ def _lattice_displacements(d, n):
     :func:`_signed_displacements` whose entries n divides, in one-norm order.
 
     For a label in an integral coset only these orbits pass the lattice
-    test at +-n; n = 1 keeps every orbit.
+    test at n; n = 1 keeps every orbit.
     """
     return tuple(
         (sum(map(abs, disp)), disp, count)
@@ -417,38 +427,43 @@ def _lattice_displacements(d, n):
 def _fs_weyl_sum(lam, n):
     """sum over sigma in S_d of sgn(sigma) * m_lambda((rho - sigma.rho)/n), exact.
 
-    Cached per (label, n), so fs_indicator and gamma_coefficients share each
-    sum; the identity's term is m_lambda(0). One term per displacement
-    orbit: the multiplicity, the one-norm budget and the lattice test all
-    depend on the sorted displacement alone.
+    For n >= 1; this is d_lambda * delta_lambda(n) at every such n, and the
+    reference the closed forms of :func:`fs_indicator` are tested against.
+    Cached per (label, n); the identity's term is m_lambda(0). One term per
+    displacement orbit: the multiplicity, the one-norm budget and the
+    lattice test all depend on the sorted displacement alone.
     """
-    budget = abs(n) * lam.norm1  # ||mu||_1 <= ||lambda||_1 pruning
-    integral_coset = all(v.denominator == 1 for v in _centered(lam.entries))
+    lam_c = _centered(lam.entries)
+    # centered weights lie in the hull of the Weyl orbit of the centered
+    # label, so ||mu||_1 <= ||lambda_c||_1; ||lambda||_1 can be smaller when
+    # the entries do not sum to zero
+    budget = n * sum(map(abs, lam_c))
+    integral_coset = all(v.denominator == 1 for v in lam_c)
     total = 0
-    for norm, disp, count in _lattice_displacements(lam.d, abs(n) if integral_coset else 1):
+    for norm, disp, count in _lattice_displacements(lam.d, n if integral_coset else 1):
         if norm > budget:
             break  # the orbits come in one-norm order
-        # nonincreasing after dividing by n
-        mu = tuple(Fraction(v, n) for v in (disp if n > 0 else reversed(disp)))
-        total += count * _mult_centered(lam.entries, mu)
+        total += count * _mult_centered(lam.entries, tuple(Fraction(v, n) for v in disp))
     return total
 
 
-def fs_indicator(lam, n, force_general=False):
+def fs_indicator(lam, n):
     """delta_lambda(n): the Haar average of chi_lambda(U^n)/d_lambda on SU(d).
 
-    Exact rational. n=0 gives 1; |n| >= d+1 collapses to m_lambda(0)/d_lambda
-    (only the identity survives the lattice test at those n); in between the
-    signed Weyl-group sum is evaluated, which needs d <= MAX_WEYL_DIM.
-    ``force_general`` runs the full sum even where the shortcut applies, for
-    cross-checking.
+    Exact rational, even in n (reality: U -> U^-1 preserves Haar measure).
+    |n| = 0 gives 1; |n| = 1 gives 1 for a label with all entries equal and
+    0 otherwise (Schur orthogonality); |n| >= d+1 gives m_lambda(0)/d_lambda
+    (only the identity passes the lattice test). Only 2 <= |n| <= d runs the
+    signed Weyl-group sum, which needs d <= MAX_WEYL_DIM.
     """
     lam = _as_weight(lam)
-    n = int(n)
+    n = abs(int(n))
     if n == 0:
         return Fraction(1)
+    if n == 1:
+        return Fraction(int(len(set(lam.entries)) == 1))
     dl = weyl_dimension(lam)
-    if abs(n) >= lam.d + 1 and not force_general:
+    if n > lam.d:
         return Fraction(zero_weight_multiplicity(lam), dl)
     return Fraction(_fs_weyl_sum(lam, n), dl)
 
@@ -463,19 +478,17 @@ def zero_weight_multiplicity(lam):
 def gamma_coefficients(lam):
     """gamma_lambda(k) for k in [-d, d].
 
-    gamma(0) = 1 - m_lambda(0)/d_lambda; for k != 0 the signed Weyl sum of
-    m((rho - sigma.rho)/k) without the identity's term m_lambda(0),
-    normalized by d_lambda. The sums are the cached ones of fs_indicator, so
-    delta_lambda(k) = m_lambda(0)/d_lambda + gamma_lambda(k) for
-    0 < |k| <= d.
+    gamma(0) = 1 - m_lambda(0)/d_lambda and gamma(+-k) = delta_lambda(k) -
+    m_lambda(0)/d_lambda for k = 1..d, read from :func:`fs_indicator`. By
+    reality gamma is even in k, and by Schur orthogonality gamma(+-1) =
+    -m_lambda(0)/d_lambda off the SU(d)-trivial labels, so only k = 2..d
+    runs a Weyl-group sum.
     """
     lam = _as_weight(lam)
-    dl = weyl_dimension(lam)
-    m0 = zero_weight_multiplicity(lam)
-    gam = {0: 1 - Fraction(m0, dl)}
+    m0d = Fraction(zero_weight_multiplicity(lam), weyl_dimension(lam))
+    gam = {0: 1 - m0d}
     for k in range(1, lam.d + 1):
-        for n in (k, -k):
-            gam[n] = Fraction(_fs_weyl_sum(lam, n) - m0, dl)
+        gam[k] = gam[-k] = fs_indicator(lam, k) - m0d
     return gam
 
 

@@ -1,11 +1,12 @@
 """Log-domain modified Bessel functions of the first kind.
 
-The symmetric master bound needs log I_n(x) for n up to ~2*64 and x up to
-~1e6 without overflow. Every x > 0 takes one path: Miller's algorithm in
-continued-fraction form (W. Gautschi, SIAM Rev. 9 (1967) 24-82). The ratios
-rho_k = I_k/I_{k-1} obey rho_k = x / (2k + x rho_{k+1}); the recurrence
-starts from rho = 0 at k = nmax + floor(9 sqrt(x)) + 20, far enough out that
-I_k/I_0 ~ exp(-k^2/2x) is below rounding. The normalization
+The symmetric master bound of a U(d) block needs log I_k(x) for the orders
+k = 0..d+1 and x up to ~1e6 without overflow. Every x > 0 takes one path:
+Miller's algorithm in continued-fraction form (W. Gautschi, SIAM Rev. 9
+(1967) 24-82). The ratios rho_k = I_k/I_{k-1} obey
+rho_k = x / (2k + x rho_{k+1}); the recurrence starts from rho = 0 at
+k = nmax + floor(9 sqrt(x)) + 20, far enough out that I_k/I_0 ~
+exp(-k^2/2x) is below rounding. The normalization
 e^x = I_0 + 2 sum_{k>=1} I_k fixes I_0 through T_1 = sum_{k>=1} I_k/I_0,
 carried as T_k = rho_k (1 + T_{k+1}). Every rho lies in (0, 1), so nothing
 overflows and no rescaling is needed.

@@ -165,7 +165,7 @@ def test_table_requires_flag(capsys):
     assert code == 1
 
 
-#: `table --table2` rows for d = 2 and d = 8, 16, 32, 64, kept as reference
+#: `table --table2` rows for d = 2, 4, 8, 16, 32, 64, kept as reference
 PINNED_TABLE2 = Path(__file__).resolve().parent / "table2_pinned.csv"
 
 
@@ -199,6 +199,12 @@ def test_table_large_dimensions_match_pinned(capsys):
     code, out = run_cli(capsys, "table", "--table2", "--dims", "8,16,32,64")
     assert code == 0
     assert_matches_pinned(out, {8, 16, 32, 64})
+
+
+def test_table_d4_matches_pinned(capsys):
+    code, out = run_cli(capsys, "table", "--table2", "--dims", "4")
+    assert code == 0
+    assert_matches_pinned(out, {4})
 
 
 def test_table_rejects_malformed_dims(capsys):

@@ -6,6 +6,7 @@ tolerances.
 """
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -390,10 +391,11 @@ def test_delta_clifford_group_is_a_2_design():
     assert mc.estimate_delta(sample, 2) < 1e-6
 
 
-def test_power_iteration_error_reports_last_change():
+def test_power_iteration_error_reports_last_change(monkeypatch):
+    monkeypatch.setattr(mc, "MAX_LANCZOS_STEPS", 2)
     s = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=12)
     with pytest.raises(mc.PowerIterationError) as err:
-        mc.estimate_delta(s, 2, max_iter=2)
+        mc.estimate_delta(s, 2)
     residual = float(str(err.value).split("residual ")[1].rstrip(")"))
     assert residual > 0.0
 
@@ -435,10 +437,26 @@ def test_mean_delta_below_half_probability_crossing():
 # ---------------------------------------------------------------------------
 
 def test_tail_edges():
-    est = mc.empirical_tail(2, 1, GateSetKind.PLAIN, 3, 0.0, trials=5, seed=21)
+    est = mc.empirical_tail(2, 1, GateSetKind.PLAIN, 3, 1e-9, trials=5, seed=21)
     assert est.fraction == 1.0
-    est = mc.empirical_tail(2, 1, GateSetKind.PLAIN, 3, 1.0 + 1e-9, trials=5, seed=21)
+    est = mc.empirical_tail(2, 1, GateSetKind.PLAIN, 3, 1.0 - 1e-9, trials=5, seed=21)
     assert est.fraction == 0.0 and est.stderr == 0.0
+
+
+@pytest.mark.parametrize("d,t,kind,delta,message", [
+    (2, 2, GateSetKind.PLAIN, 1.5, "need 0 < delta < 1, got delta=1.5"),
+    (2, 2, GateSetKind.PLAIN, 0.0, "need 0 < delta < 1, got delta=0.0"),
+    (3, 1, GateSetKind.BEAMSPLITTER_LIFTED, -1.0, "need 0 < delta < 1, got delta=-1.0"),
+    (2, 0, GateSetKind.PLAIN, 0.5, "need t >= 1, got t=0"),
+    (1, 2, GateSetKind.PLAIN, 0.5, "need d >= 2, got d=1"),
+])
+def test_tail_rejects_bad_inputs_before_any_trial(monkeypatch, d, t, kind, delta, message):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(mc, "estimate_delta", no_trial)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mc.empirical_tail(d, t, kind, 4, delta, trials=3, seed=1)
 
 
 def test_tail_reproducible_and_jsonl(tmp_path):

@@ -454,7 +454,7 @@ def test_fs_shortcut_agrees_with_general_path(d, t):
     for lam in rc.enumerate_lambda_set(d, t):
         for n in (d + 1, d + 2, -(d + 1)):
             fast = rc.fs_indicator(lam, n)
-            slow = rc.fs_indicator(lam, n, force_general=True)
+            slow = Fraction(rc._fs_weyl_sum(lam, abs(n)), rc.weyl_dimension(lam))
             assert fast == slow
             m0 = rc.zero_weight_multiplicity(lam)
             assert fast == Fraction(m0, rc.weyl_dimension(lam))
@@ -497,10 +497,83 @@ def test_fs_weyl_sum_matches_per_permutation_sum(d):
         ]
         for lam in labels:
             full = sum(sign * rc.weight_multiplicity(lam, mu) for sign, mu in terms)
-            assert rc._fs_weyl_sum(lam, n) == full, (lam, n)
+            assert rc._fs_weyl_sum(lam, abs(n)) == full, (lam, n)
             m0 = rc.zero_weight_multiplicity(lam)
             dl = rc.weyl_dimension(lam)
             assert rc.gamma_coefficients(lam)[n] == Fraction(full - m0, dl), (lam, n)
+
+
+def per_permutation_fs_sum(lam, n):
+    """d_lambda * delta_lambda(n) as one multiplicity per permutation of S_d.
+
+    The weight (sigma(i) - i)/n is centered; adding trace(lambda)/d lifts it
+    to the U(d) weight of the same entry sum as lambda.
+    """
+    d = lam.d
+    shift = Fraction(lam.total, d)
+    total = 0
+    for p in itertools.permutations(range(d)):
+        sign = (-1) ** sum(p[a] > p[b] for a in range(d) for b in range(a + 1, d))
+        mu = [Fraction(p[i] - i, n) + shift for i in range(d)]
+        total += sign * rc.weight_multiplicity(lam, mu)
+    return total
+
+
+@st.composite
+def fs_labels(draw):
+    """Zero-sum labels of Lambda~_3 (or the zero label) with d <= 6, or any
+    nonincreasing integer d-tuple of nonzero sum with d <= 4."""
+    if draw(st.booleans(), label="zero_sum"):
+        d = draw(st.integers(2, 6), label="d")
+        labels = [HighestWeight((0,) * d)] + rc.enumerate_lambda_set(d, 3)
+        return draw(st.sampled_from(labels), label="lam")
+    d = draw(st.integers(2, 4), label="d")
+    entries = draw(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(lambda v: sum(v) != 0),
+        label="entries",
+    )
+    return HighestWeight(tuple(sorted(entries, reverse=True)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lam=fs_labels())
+def test_fs_closed_forms_match_weyl_sum_and_per_permutation_oracle(lam):
+    d = lam.d
+    dl = rc.weyl_dimension(lam)
+    # Schur orthogonality: only an SU(d)-trivial label has an invariant vector
+    assert rc._fs_weyl_sum(lam, 1) == dl * (len(set(lam.entries)) == 1)
+    # reality: the oracle at -n is the sum at n
+    for n in range(1, d + 3):
+        assert per_permutation_fs_sum(lam, -n) == rc._fs_weyl_sum(lam, n), n
+    # beyond d only the identity passes the lattice test
+    for n in (d + 1, d + 2):
+        assert rc._fs_weyl_sum(lam, n) == rc.zero_weight_multiplicity(lam), n
+    for n in range(1, d + 3):
+        want = Fraction(rc._fs_weyl_sum(lam, n), dl)
+        assert rc.fs_indicator(lam, n) == rc.fs_indicator(lam, -n) == want, n
+
+
+def test_weyl_sums_run_only_at_2_to_d(monkeypatch):
+    # positive part 21 keeps the label out of every Table-2 label set
+    fresh = HighestWeight((21, 0, -10, -11))
+    before = rc._fs_weyl_sum.cache_info().currsize
+    rc.gamma_coefficients(fresh)
+    assert rc._fs_weyl_sum.cache_info().currsize - before == fresh.d - 1
+    seen = set()
+    real = rc._fs_weyl_sum
+
+    def recording(lam, n):
+        seen.add(n)
+        return real(lam, n)
+
+    monkeypatch.setattr(rc, "_fs_weyl_sum", recording)
+    labels = rc.enumerate_lambda_set(4, 2) + [fresh, HighestWeight((1, 1, 1, 1)),
+                                              HighestWeight((2, 1, 0, 0))]
+    for lam in labels:
+        rc.gamma_coefficients(lam)
+        for n in range(-6, 7):
+            rc.fs_indicator(lam, n)
+    assert seen == {2, 3, 4}
 
 
 # ---------------------------------------------------------------------------
