@@ -16,7 +16,6 @@ analytic h' and reused by every probe of a size search.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import repcore
+from .kinds import GateSetKind, Method, methods_for_kind  # noqa: F401  (re-exported)
 from .repcore import HighestWeight
 from .specfun import log_ive_array
 
@@ -32,31 +32,6 @@ THETA_MAX_FACTOR = 1e4
 
 #: width in log x (x = 2 theta / S) at which the bisection on h' stops
 THETA_RTOL = 1e-10
-
-
-class GateSetKind(enum.Enum):
-    PLAIN = "plain"
-    SYMMETRIC = "symmetric"
-    BEAMSPLITTER_LIFTED = "beamsplitter"
-
-
-class Method(enum.Enum):
-    BERNSTEIN_PLAIN = "bernstein-plain"
-    BERNSTEIN_SYMMETRIC = "bernstein-symmetric"
-    MASTER_PLAIN = "master-plain"
-    MASTER_SYMMETRIC = "master-symmetric"
-    MASTER_SYMMETRIC_SIMPLIFIED = "master-symmetric-simplified"
-
-    @property
-    def kind(self):
-        if self in (Method.BERNSTEIN_PLAIN, Method.MASTER_PLAIN):
-            return GateSetKind.PLAIN
-        return GateSetKind.SYMMETRIC
-
-
-def methods_for_kind(kind):
-    """Bound methods applicable to a gate-set kind (none for lifted sets)."""
-    return tuple(m for m in Method if m.kind is kind)
 
 
 class BoundUnavailableError(RuntimeError):

@@ -6,6 +6,13 @@ printed with 17 significant digits and LF line endings so outputs are
 byte-stable for fixed inputs.
 
 Exit codes: 0 success, 1 computation error, 2 usage error.
+
+Imports are on demand: this module loads only the standard library and
+:mod:`gatedesign.kinds`, and each ``cmd_*`` imports the modules it runs. So
+``--help``, a usage error and ``lambda-set`` never load numpy. The paths of
+``--output`` and ``--trial-log`` are checked before any work starts: a
+missing directory, a path that is a directory, or one the user may not write
+exits 1 at once, and any other failure to write exits 1 with one line.
 """
 from __future__ import annotations
 
@@ -14,11 +21,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
-from . import bounds, montecarlo, repcore, solver
-from .bounds import BoundUnavailableError, GateSetKind, Method
+from .kinds import GateSetKind, Method, methods_for_kind
 
 
 def _cell(value):
@@ -77,7 +84,7 @@ def _parse_delta_grid(spec):
 
 def _parse_methods(spec, kind):
     if spec == "all":
-        methods = bounds.methods_for_kind(kind)
+        methods = methods_for_kind(kind)
         if not methods:
             raise ValueError(f"no bound methods apply to kind {kind.value}")
         return methods
@@ -89,6 +96,8 @@ def _parse_methods(spec, kind):
 # ---------------------------------------------------------------------------
 
 def cmd_lambda_set(args):
+    from . import repcore
+
     columns = ["lam", "norm1", "dim", "m0", "fs2"]
     rows = []
     for lam in repcore.enumerate_lambda_set(args.d, args.t):
@@ -106,6 +115,8 @@ def cmd_lambda_set(args):
 
 
 def cmd_bounds_curve(args):
+    from . import bounds
+
     kind = GateSetKind(args.kind)
     methods = _parse_methods(args.methods, kind)
     deltas = _parse_delta_grid(args.delta_grid)
@@ -139,6 +150,8 @@ def _minsize_row(res):
 
 
 def cmd_min_size(args):
+    from . import solver
+
     method = Method(args.method)
     res = solver.min_size_search(args.d, args.t, args.delta, args.prob, method)
     _emit(_MINSIZE_COLUMNS, [_minsize_row(res)], args)
@@ -146,6 +159,8 @@ def cmd_min_size(args):
 
 
 def cmd_table(args):
+    from . import solver
+
     if not args.table2:
         raise ValueError("pass --table2 to emit the minimal-size table")
     try:
@@ -161,6 +176,8 @@ def cmd_table(args):
 
 
 def cmd_clifford(args):
+    from . import solver
+
     if args.max_qubits < 1:
         raise ValueError(f"need --max-qubits >= 1, got {args.max_qubits}")
     columns = ["n", "clifford_cardinality", "s_min_printed", "s_min_closed_form", "log10_ratio"]
@@ -182,6 +199,8 @@ def cmd_clifford(args):
 
 
 def cmd_mc_verify(args):
+    from . import bounds, montecarlo
+
     kind = GateSetKind(args.kind)
     est = montecarlo.empirical_tail(
         args.d,
@@ -206,7 +225,7 @@ def cmd_mc_verify(args):
     }
     columns = list(row)
     verdicts = []
-    for method in bounds.methods_for_kind(kind):
+    for method in methods_for_kind(kind):
         prob = bounds.total_bound(args.d, args.t, kind, args.size, args.delta, method).probability
         ok = est.fraction <= prob + 3.0 * est.stderr
         row[method.value] = prob
@@ -286,12 +305,30 @@ def build_parser():
     return parser
 
 
+def _check_target(flag, path):
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        problem = f"no directory {folder}"
+    elif os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write {flag} {path}: {problem}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, path in (("--output", args.output),
+                           ("--trial-log", getattr(args, "trial_log", None))):
+            if path is not None:
+                _check_target(flag, path)
         return args.fn(args)
-    except (ValueError, BoundUnavailableError, RuntimeError, montecarlo.PowerIterationError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
+        # BoundUnavailableError and PowerIterationError are RuntimeErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import GateSetKind
+from .kinds import GateSetKind
 
 #: refuse to build tensor spaces larger than this
 DIM_CAP = 2**16

@@ -9,6 +9,8 @@ The block spectrum (:func:`block_spectrum`) is the one intermediate the
 union bounds and the solver read: per (d, t), cached, the label set
 Lambda~_t with its exact dimensions, their sum, and float log(2 d_lambda);
 the Frobenius-Schur constants delta_lambda(2) are added on first use.
+Those two float arrays are the only numpy in this module, and numpy is
+imported where they are built, so the exact data loads without it.
 
 Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
 over SU(d). Only 2 <= |n| <= d needs a signed Weyl-group sum; the other n
@@ -49,8 +51,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The Frobenius-Schur sums run over the Weyl group S_d: its d! permutations
 #: are walked once per d to build the table of displacement orbits. That walk
@@ -274,6 +278,8 @@ class BlockSpectrum:
 @lru_cache(maxsize=None)
 def block_spectrum(d, t):
     """The cached :class:`BlockSpectrum` of Lambda~_t on U(d)."""
+    import numpy as np
+
     labels = tuple(enumerate_lambda_set(d, t))
     dims = tuple(weyl_dimension(lam) for lam in labels)
     log2dim = np.array([math.log(2 * dl) for dl in dims])
@@ -283,6 +289,8 @@ def block_spectrum(d, t):
 
 @lru_cache(maxsize=None)
 def _spectrum_fs2(d, t):
+    import numpy as np
+
     fs2 = np.array([float(fs_indicator(lam, 2)) for lam in block_spectrum(d, t).labels])
     fs2.flags.writeable = False
     return fs2

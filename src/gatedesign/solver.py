@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, repcore
-from .bounds import GateSetKind, Method
+from .kinds import GateSetKind, Method
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gatedesign import bounds as bd
 from gatedesign import repcore as rc
@@ -124,16 +126,28 @@ def test_master_plain_rejects_delta_out_of_range():
 # master bound, symmetric
 # ---------------------------------------------------------------------------
 
-def test_symmetric_infimum_below_simplified():
-    for lam, S, delta in [
-        ((1, -1), 30, 0.5),
-        ((2, -2), 100, 0.3),
-        ((1, 0, -1), 40, 0.6),
-        ((1, 1, -1, -1), 60, 0.5),
-    ]:
-        full = bd.master_bound_symmetric(q_sym(lam, S, delta))
-        simp = bd.master_bound_symmetric_simplified(q_sym(lam, S, delta))
-        assert full.log_bound <= simp.log_bound + 1e-9
+#: labels of Lambda~_t at d in {2, 3, 4}, t <= 4, as entry tuples
+sym_labels = st.integers(2, 4).flatmap(
+    lambda d: st.integers(1, 4).flatmap(
+        lambda t: st.sampled_from([lam.entries for lam in rc.enumerate_lambda_set(d, t)])
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    lam=sym_labels,
+    S=st.integers(1, 500).map(lambda k: 2 * k),
+    delta=st.floats(0.05, 0.95),
+)
+@example(lam=(1, -1), S=30, delta=0.5)
+@example(lam=(2, -2), S=100, delta=0.3)
+@example(lam=(1, 0, -1), S=40, delta=0.6)
+@example(lam=(1, 1, -1, -1), S=60, delta=0.5)
+def test_symmetric_infimum_below_simplified(lam, S, delta):
+    full = bd.master_bound_symmetric(q_sym(lam, S, delta))
+    simp = bd.master_bound_symmetric_simplified(q_sym(lam, S, delta))
+    assert full.log_bound <= simp.log_bound + 1e-9
 
 
 def test_symmetric_simplified_limit_at_small_delta():

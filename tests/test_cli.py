@@ -1,5 +1,7 @@
-"""CLI tests: golden headers, byte stability, csv/json value parity."""
+"""CLI tests: golden headers, byte stability, csv/json value parity, and the
+package namespace with what each import loads."""
 import csv
+import importlib
 import io
 import json
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import gatedesign
+from gatedesign import kinds, montecarlo, solver
 from gatedesign.cli import main
 
 
@@ -363,6 +367,84 @@ def test_output_file_lf_only(capsys, tmp_path):
     assert data.endswith(b"\n")
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+def test_output_into_missing_directory_fails_before_any_work(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "clifford_cardinality", _must_not_run)
+    target = tmp_path / "missing" / "x.csv"
+    code = main(["--output", str(target), "clifford", "--max-qubits", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --output {target}: no directory {target.parent}\n"
+    assert not target.parent.exists()
+
+
+def test_trial_log_into_missing_directory_fails_before_any_trial(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(montecarlo, "estimate_delta", _must_not_run)
+    target = tmp_path / "missing" / "trials.jsonl"
+    code = main(["mc-verify", "--trials", "2", "--trial-log", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot write --trial-log {target}: no directory {target.parent}\n"
+    )
+    assert not target.parent.exists()
+
+
+#: a command per write flag; its work function is monkeypatched to fail if called
+WRITE_TARGETS = [
+    ("--output", ["clifford", "--max-qubits", "2"], (solver, "clifford_cardinality")),
+    ("--trial-log", ["mc-verify", "--trials", "2"], (montecarlo, "estimate_delta")),
+]
+
+
+def _argv(flag, command, target):
+    if flag == "--output":
+        return [flag, str(target), *command]
+    return [*command, flag, str(target)]
+
+
+@pytest.mark.parametrize("flag,command,work", WRITE_TARGETS, ids=["output", "trial-log"])
+def test_directory_target_fails_before_any_work(capsys, tmp_path, monkeypatch, flag, command,
+                                                work):
+    monkeypatch.setattr(*work, _must_not_run)
+    code = main(_argv(flag, command, tmp_path))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {flag} {tmp_path}: it is a directory\n"
+
+
+@pytest.mark.parametrize("flag,command,work", WRITE_TARGETS, ids=["output", "trial-log"])
+def test_unwritable_target_fails_before_any_work(capsys, tmp_path, monkeypatch, flag, command,
+                                                 work):
+    # a permission check on the filesystem passes for a superuser, so deny it here
+    monkeypatch.setattr(*work, _must_not_run)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    target = tmp_path / "x.out"
+    code = main(_argv(flag, command, target))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {flag} {target}: permission denied\n"
+    assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_write_failure_is_a_one_line_error(capsys):
+    # every write to /dev/full fails with ENOSPC, after the checks have passed
+    code = main(["--output", "/dev/full", "clifford", "--max-qubits", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_byte_stable_across_runs(capsys):
     _, a = run_cli(capsys, "bounds-curve", "--d", "2", "--t", "2", "--size", "30",
                    "--kind", "symmetric", "--delta-grid", "0.2:0.8:7")
@@ -371,12 +453,17 @@ def test_byte_stable_across_runs(capsys):
     assert a == b
 
 
-def run_module(*argv):
-    """Run ``python -m ...`` in a child interpreter that imports this checkout's src."""
+def run_python(*argv):
+    """Run a child interpreter that imports this checkout's src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+
+
+def run_module(*argv):
+    """Run ``python -m ...`` in a child interpreter that imports this checkout's src."""
+    return run_python("-m", *argv)
 
 
 def test_usage_error_exit_code():
@@ -394,3 +481,120 @@ def test_package_runs_as_module():
     proc = run_module("gatedesign", "--help")
     assert proc.returncode == 0
     assert b"mc-verify" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# package namespace and what each import loads
+# ---------------------------------------------------------------------------
+
+#: the names ``gatedesign`` exported when its __init__ imported every module
+EXPORTS = {
+    "bounds": (
+        "BoundQuery", "BoundResult", "BoundUnavailableError", "GateSetKind", "Method",
+        "bernstein_bound", "concentration_bound_beamsplitter", "concentration_bound_lambda",
+        "concentration_bound_t", "equivalent_plain_size", "master_bound_plain",
+        "master_bound_symmetric", "master_bound_symmetric_simplified", "methods_for_kind",
+        "total_bound", "total_master_plain_factored",
+    ),
+    "montecarlo": (
+        "GateSetSample", "HaarProjector", "MomentOperator", "PowerIterationError",
+        "TailEstimate", "empirical_tail", "estimate_delta", "estimate_fs_indicator_mc",
+        "sample_gate_set", "sample_haar",
+    ),
+    "repcore": (
+        "BlockSpectrum", "DynkinLabel", "HighestWeight", "block_spectrum",
+        "count_irreps_by_norm", "enumerate_lambda_set", "fs_indicator", "gamma_coefficients",
+        "partition_count", "sum_dimensions", "to_dynkin", "to_u_weight", "weight_multiplicity",
+        "weyl_dimension", "zero_weight_multiplicity",
+    ),
+    "solver": (
+        "MinSizeResult", "clifford_cardinality", "clifford_random_set_size",
+        "clifford_random_set_size_exact", "clifford_ratio", "depth_for_target",
+        "min_size_closed_form", "min_size_scaling", "min_size_search", "table2_cells",
+    ),
+    "specfun": ("bessel_ratio_bounds", "log_bessel_i"),
+}
+EXPORTED = [name for names in EXPORTS.values() for name in names]
+
+
+def test_exported_names_resolve_to_their_module_attributes():
+    assert len(EXPORTED) == len(set(EXPORTED)) == 53
+    assert sorted(gatedesign.__all__) == sorted([*EXPORTS, *EXPORTED])
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"gatedesign.{module}")
+        for name in names:
+            assert getattr(gatedesign, name) is getattr(owner, name), name
+            assert vars(gatedesign)[name] is getattr(owner, name), name  # bound once resolved
+    assert set(EXPORTED) <= set(dir(gatedesign))
+
+
+def test_star_import_binds_every_exported_name_and_module():
+    namespace = {}
+    exec("from gatedesign import *", namespace)
+    for name in EXPORTED:
+        assert namespace[name] is getattr(gatedesign, name), name
+    for module in EXPORTS:
+        assert namespace[module] is importlib.import_module(f"gatedesign.{module}"), module
+    assert set(namespace) - {"__builtins__"} == {*EXPORTED, *EXPORTS}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gatedesign.no_such_name
+    assert not hasattr(gatedesign, "BOUNDS")
+
+
+def test_kinds_are_the_objects_bounds_exports():
+    from gatedesign import bounds
+
+    assert bounds.GateSetKind is kinds.GateSetKind
+    assert bounds.Method is kinds.Method
+    assert bounds.methods_for_kind is kinds.methods_for_kind
+
+
+def test_submodule_resolves_after_bare_import():
+    proc = run_python("-c", "import gatedesign; print(gatedesign.bounds.Method.MASTER_PLAIN.value)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"master-plain\n"
+
+
+def loaded_after(code, *argv):
+    """Run ``code`` in a child interpreter; return it and the modules loaded when it exits."""
+    probe = "import atexit, sys\n"
+    probe += "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+    proc = run_python("-c", probe + code, *argv)
+    return proc, set(proc.stderr.decode().splitlines()[-1].split())
+
+
+#: what ``python -m gatedesign`` runs, with the command-line arguments of the child
+RUN_CLI = "import runpy\nrunpy.run_module('gatedesign', run_name='__main__', alter_sys=True)"
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    proc, modules = loaded_after("import gatedesign")
+    assert proc.returncode == 0
+    assert "gatedesign" in modules
+    assert "numpy" not in modules
+    for name in ("bounds", "montecarlo", "repcore", "solver", "specfun"):
+        assert f"gatedesign.{name}" not in modules, name
+
+
+@pytest.mark.parametrize(
+    "argv,code", [(("--help",), 0), (("min-size", "--d", "2"), 2)], ids=["help", "usage-error"]
+)
+def test_help_and_usage_error_load_no_numpy(argv, code):
+    proc, modules = loaded_after(RUN_CLI, *argv)
+    assert proc.returncode == code
+    assert "gatedesign.cli" in modules
+    assert "numpy" not in modules
+
+
+def test_lambda_set_loads_no_numpy_and_matches_in_process(capsys):
+    argv = ("lambda-set", "--d", "3", "--t", "2")
+    proc, modules = loaded_after(RUN_CLI, *argv)
+    assert proc.returncode == 0
+    assert "gatedesign.repcore" in modules
+    assert "numpy" not in modules
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out.encode()
