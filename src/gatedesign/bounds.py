@@ -24,7 +24,6 @@ import numpy as np
 
 from . import repcore
 from .kinds import GateSetKind, Method, methods_for_kind  # noqa: F401  (re-exported)
-from .repcore import HighestWeight
 from .specfun import log_ive_array
 
 #: theta search cap, as a multiple of the gate count S
@@ -55,7 +54,7 @@ class BoundQuery:
     kind: GateSetKind
     S: int
     delta: float
-    lam: HighestWeight
+    lam: repcore.HighestWeight
 
     def __post_init__(self):
         if self.lam.d != self.d:
@@ -289,7 +288,7 @@ def total_bound(d, t, kind, S, delta, method):
     elif method is Method.MASTER_PLAIN:
         logs = spec.log2dim + _log_master_plain_factor(S, delta)
     elif method is Method.BERNSTEIN_SYMMETRIC:
-        logs = spec.log2dim + _bernstein_symmetric_exponent(S, delta, spec.fs2())
+        logs = spec.log2dim + _bernstein_symmetric_exponent(S, delta, spec.fs2)
     else:
         # the master-symmetric bounds are evaluated label by label
         logs = np.array([
@@ -322,7 +321,7 @@ def concentration_bound_lambda(d, lam, S, alpha):
     """Per-block version: exponent -d S alpha^2 / (2 pi^2 ||lam||_1^2)."""
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    norm1 = HighestWeight(tuple(lam)).norm1 if not isinstance(lam, HighestWeight) else lam.norm1
+    norm1 = repcore._as_weight(lam).norm1
     return math.exp(-d * S * alpha**2 / (2.0 * math.pi**2 * norm1**2))
 
 

@@ -33,8 +33,6 @@ def _cell(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

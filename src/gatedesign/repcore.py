@@ -7,13 +7,13 @@ the gamma_lambda(k) coefficients entering the symmetric master bound.
 
 The block spectrum (:func:`block_spectrum`) is the one intermediate the
 union bounds and the solver read: per (d, t), cached, the label set
-Lambda~_t with its exact dimensions, their sum, and float log(2 d_lambda);
-the Frobenius-Schur constants delta_lambda(2) are added on first use.
-Those two float arrays are the only numpy in this module, and numpy is
-imported where they are built, so the exact data loads without it.
+Lambda~_t with its exact dimensions, their sum, float log(2 d_lambda) and
+the float Frobenius-Schur constants delta_lambda(2), built with the
+spectrum. Those two float arrays are the only numpy in this module, and
+numpy is imported where they are built, so the exact data loads without it.
 
 Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
-over SU(d). Only 2 <= |n| <= d needs a signed Weyl-group sum; the other n
+over SU(d). Only 3 <= |n| <= d needs a signed Weyl-group sum; the other n
 are closed forms that :func:`fs_indicator` alone decides:
 
 - Reality: Haar measure is invariant under U -> U^-1, so
@@ -21,12 +21,16 @@ are closed forms that :func:`fs_indicator` alone decides:
 - Schur orthogonality: int chi_lambda dU is the multiplicity of the trivial
   representation, so delta_lambda(1) is 1 for a label whose entries are all
   equal (trivial on SU(d)) and 0 otherwise (Bump, *Lie Groups*, Ch. 2).
+- Frobenius-Schur indicator: d_lambda delta_lambda(2) is 1, 0 or -1 as
+  pi_lambda is real, not self-dual or quaternionic. It is 0 unless the
+  Dynkin label a reads the same reversed (self-dual), and otherwise the
+  sign (-1)^(sum_j j (d - j) a_j) by which the central element
+  exp(2 pi i rho^vee) acts (Bourbaki, *Lie Groups*, Ch. VIII, 7.5).
 - For |n| >= d+1 only the identity passes the lattice test, so
   delta_lambda(n) = m_lambda(0)/d_lambda.
 
-The sums at n = 2..d are cached per (label, n), so the Bernstein and master
-symmetric columns share the n = 2 sum of each label, and gamma_lambda reads
-d - 1 sums per label.
+The sums at n = 3..d are cached per (label, n); gamma_lambda reads d - 2
+sums per label.
 
 Weights are handled in "centered" coordinates (trace part removed), so a
 U(d) label with nonzero entry sum and its SU(d) restriction share one
@@ -56,9 +60,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-#: The Frobenius-Schur sums run over the Weyl group S_d: its d! permutations
-#: are walked once per d to build the table of displacement orbits. That walk
-#: raises beyond this d instead of silently approximating.
+#: The Frobenius-Schur sums at 3 <= n <= d walk the d! permutations of S_d,
+#: once per d; beyond this d they raise instead of silently approximating.
+#: So the cap binds only gamma_lambda(k), k >= 3: the master-symmetric bounds.
 MAX_WEYL_DIM = 8
 
 
@@ -255,9 +259,9 @@ class BlockSpectrum:
     """The block data of Lambda~_t on U(d) that the union bounds read.
 
     ``labels`` are in :func:`enumerate_lambda_set` order, ``dims`` the exact
-    d_lambda, ``sum_dim`` their exact sum and ``log2dim`` the read-only
-    float64 array of log(2 d_lambda), each taken by ``math.log`` of the exact
-    integer.
+    d_lambda, ``sum_dim`` their exact sum, ``log2dim`` the read-only float64
+    array of log(2 d_lambda), each taken by ``math.log`` of the exact
+    integer, and ``fs2`` the read-only float64 array of delta_lambda(2).
     """
 
     d: int
@@ -266,13 +270,7 @@ class BlockSpectrum:
     dims: tuple
     sum_dim: int
     log2dim: np.ndarray
-
-    def fs2(self):
-        """Read-only float64 array of delta_lambda(2) per label.
-
-        Built on first use, so plain callers never run a Weyl-group sum.
-        """
-        return _spectrum_fs2(self.d, self.t)
+    fs2: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -284,16 +282,9 @@ def block_spectrum(d, t):
     dims = tuple(weyl_dimension(lam) for lam in labels)
     log2dim = np.array([math.log(2 * dl) for dl in dims])
     log2dim.flags.writeable = False
-    return BlockSpectrum(d, t, labels, dims, sum(dims), log2dim)
-
-
-@lru_cache(maxsize=None)
-def _spectrum_fs2(d, t):
-    import numpy as np
-
-    fs2 = np.array([float(fs_indicator(lam, 2)) for lam in block_spectrum(d, t).labels])
+    fs2 = np.array([_frobenius_schur(lam) / dl for lam, dl in zip(labels, dims)])
     fs2.flags.writeable = False
-    return fs2
+    return BlockSpectrum(d, t, labels, dims, sum(dims), log2dim, fs2)
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +321,20 @@ def _interlacing(lam, size):
         yield from rec(0, size)
 
 
-def _kostka(lam, mu):
-    """K_{lam, mu}: semistandard tableaux of shape lam and content mu.
+@lru_cache(maxsize=None)
+def _kostka(shape, content):
+    """K_{shape, content}: semistandard tableaux of that shape and content.
 
-    lam is a partition and mu a composition, both of length r. Removing the
-    entries r from such a tableau leaves one of shape nu with content
-    mu_1..mu_{r-1}, where lam/nu is a horizontal strip of size mu_r
-    (Gelfand-Tsetlin branching), so the count recurses on nu. Memoised per
-    call on the shapes reached.
+    shape is a partition and content a composition, both of length r.
+    Removing the entries r from such a tableau leaves one of shape nu with
+    content content_1..content_{r-1}, where shape/nu is a horizontal strip of
+    size content_r (Gelfand-Tsetlin branching), so the count recurses on
+    (nu, content prefix). One cache, shared by every weight and label, holds
+    the pairs reached.
     """
-    memo = {}
-
-    def count(shape):
-        r = len(shape)
-        if r == 1:
-            return int(shape[0] == mu[0])
-        if shape not in memo:
-            memo[shape] = sum(count(nu) for nu in _interlacing(shape, sum(shape) - mu[r - 1]))
-        return memo[shape]
-
-    return count(lam)
+    if len(shape) == 1:
+        return int(shape[0] == content[0])
+    return sum(_kostka(nu, content[:-1]) for nu in _interlacing(shape, sum(shape) - content[-1]))
 
 
 @lru_cache(maxsize=None)
@@ -455,14 +440,22 @@ def _fs_weyl_sum(lam, n):
     return total
 
 
+def _frobenius_schur(lam):
+    """d_lambda delta_lambda(2), the Frobenius-Schur indicator 1, 0 or -1."""
+    a = to_dynkin(lam).entries
+    d = len(a) + 1
+    return (-1) ** sum(j * (d - j) * v for j, v in enumerate(a, 1)) if a == a[::-1] else 0
+
+
 def fs_indicator(lam, n):
     """delta_lambda(n): the Haar average of chi_lambda(U^n)/d_lambda on SU(d).
 
     Exact rational, even in n (reality: U -> U^-1 preserves Haar measure).
     |n| = 0 gives 1; |n| = 1 gives 1 for a label with all entries equal and
-    0 otherwise (Schur orthogonality); |n| >= d+1 gives m_lambda(0)/d_lambda
-    (only the identity passes the lattice test). Only 2 <= |n| <= d runs the
-    signed Weyl-group sum, which needs d <= MAX_WEYL_DIM.
+    0 otherwise (Schur orthogonality); |n| = 2 gives the Frobenius-Schur
+    indicator over d_lambda; |n| >= d+1 gives m_lambda(0)/d_lambda (only the
+    identity passes the lattice test). Only 3 <= |n| <= d runs the signed
+    Weyl-group sum, which needs d <= MAX_WEYL_DIM.
     """
     lam = _as_weight(lam)
     n = abs(int(n))
@@ -471,6 +464,8 @@ def fs_indicator(lam, n):
     if n == 1:
         return Fraction(int(len(set(lam.entries)) == 1))
     dl = weyl_dimension(lam)
+    if n == 2:
+        return Fraction(_frobenius_schur(lam), dl)
     if n > lam.d:
         return Fraction(zero_weight_multiplicity(lam), dl)
     return Fraction(_fs_weyl_sum(lam, n), dl)
@@ -488,9 +483,9 @@ def gamma_coefficients(lam):
 
     gamma(0) = 1 - m_lambda(0)/d_lambda and gamma(+-k) = delta_lambda(k) -
     m_lambda(0)/d_lambda for k = 1..d, read from :func:`fs_indicator`. By
-    reality gamma is even in k, and by Schur orthogonality gamma(+-1) =
-    -m_lambda(0)/d_lambda off the SU(d)-trivial labels, so only k = 2..d
-    runs a Weyl-group sum.
+    reality gamma is even in k, and delta_lambda(1) (Schur orthogonality)
+    and delta_lambda(2) (the Frobenius-Schur indicator) are closed forms, so
+    only k = 3..d runs a Weyl-group sum.
     """
     lam = _as_weight(lam)
     m0d = Fraction(zero_weight_multiplicity(lam), weyl_dimension(lam))

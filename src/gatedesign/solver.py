@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bounds, repcore
+from . import repcore
 from .kinds import GateSetKind, Method
 
 
@@ -81,6 +81,8 @@ def min_size_search(d, t, delta, P, method):
     the bound decreases across every probed S, and the result is a genuine
     crossing.
     """
+    from . import bounds
+
     _check_delta_p(delta, P)
     if not isinstance(method, Method):
         method = Method(method)
@@ -162,7 +164,10 @@ def clifford_random_set_size_exact(n, delta=0.01, P=0.99):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     d = 2**n
-    sum_d = d**4 - 3 * d**2 + 1 if d >= 4 else repcore.sum_dimensions(d, 2)
+    if d >= 4:
+        sum_d = d**4 - 3 * d**2 + 1
+    else:
+        sum_d = sum(map(repcore.weyl_dimension, repcore.enumerate_lambda_set(d, 2)))
     return _closed_form_from_sum(d, 2, delta, P, sum_d).S_min
 
 
@@ -202,11 +207,12 @@ TABLE2_COLUMNS = {
 }
 
 
-def table2_cells(delta=0.5, P=0.99, dims=None, methods=None):
+def table2_cells(delta=0.5, P=0.99, dims=None):
     """Generate the minimal-size table: (d, t, method, MinSizeResult).
 
-    Symmetric columns need the Frobenius-Schur sums over the permutations of
-    S_d, so they stop at d = repcore.MAX_WEYL_DIM.
+    Symmetric columns stop at d = repcore.MAX_WEYL_DIM, where master-symmetric
+    needs the Frobenius-Schur sums over S_d. Bernstein-symmetric reads only
+    the closed form delta_lambda(2), but waits to be pinned with it.
     """
     dims = tuple(dims) if dims is not None else tuple(TABLE2_COLUMNS)
     for d in dims:
@@ -215,10 +221,9 @@ def table2_cells(delta=0.5, P=0.99, dims=None, methods=None):
                 f"the table grid has no dimension {d}; "
                 f"its dimensions are {', '.join(map(str, TABLE2_COLUMNS))}"
             )
-    methods = tuple(methods) if methods is not None else tuple(Method)
     for d in dims:
         for t in TABLE2_COLUMNS[d]:
-            for method in methods:
+            for method in Method:
                 if method is Method.MASTER_SYMMETRIC_SIMPLIFIED:
                     continue  # the table's symmetric column is the full bound
                 if method.kind is GateSetKind.SYMMETRIC and d > repcore.MAX_WEYL_DIM:

@@ -69,11 +69,6 @@ def test_lambda_set_d3_t3_row_count_matches_oracle(capsys):
     assert len(rows) == brute
 
 
-def test_lambda_set_rejects_large_d(capsys):
-    code, _ = run_cli(capsys, "lambda-set", "--d", "9", "--t", "2")
-    assert code == 1
-
-
 # ---------------------------------------------------------------------------
 # bounds-curve
 # ---------------------------------------------------------------------------
@@ -594,6 +589,21 @@ def test_lambda_set_loads_no_numpy_and_matches_in_process(capsys):
     proc, modules = loaded_after(RUN_CLI, *argv)
     assert proc.returncode == 0
     assert "gatedesign.repcore" in modules
+    assert "numpy" not in modules
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("lambda-set", "--d", "16", "--t", "3"), ("clifford", "--max-qubits", "50")],
+    ids=["lambda-set-d16", "clifford"],
+)
+def test_exact_command_loads_no_numpy_and_matches_in_process(capsys, argv):
+    # lambda-set past the Weyl cap: delta_lambda(2) is a closed form
+    proc, modules = loaded_after(RUN_CLI, *argv)
+    assert proc.returncode == 0, proc.stderr
     assert "numpy" not in modules
     code, out = run_cli(capsys, *argv)
     assert code == 0

@@ -20,6 +20,7 @@ import oracles
 from gatedesign import bounds as bd
 from gatedesign import repcore as rc
 from gatedesign.repcore import HighestWeight
+from gatedesign.solver import TABLE2_COLUMNS
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +247,14 @@ def test_block_spectrum_matches_labels_and_dimensions(d, t):
 
 def test_block_spectrum_fs2():
     spec = rc.block_spectrum(4, 3)
-    fs2 = spec.fs2()
-    assert fs2.tolist() == [float(rc.fs_indicator(l, 2)) for l in spec.labels]
-    assert not fs2.flags.writeable
-    assert spec.fs2() is fs2
-    with pytest.raises(ValueError):
-        rc.block_spectrum(9, 2).fs2()
+    assert spec.fs2.tolist() == [float(rc.fs_indicator(l, 2)) for l in spec.labels]
+    assert not spec.fs2.flags.writeable
+    # beyond the Weyl cap: a zero-sum label is trivial on the centre, so it
+    # is real exactly when it is self-dual, lam = -reverse(lam)
+    spec = rc.block_spectrum(9, 2)
+    want = [(l.entries == tuple(-v for v in reversed(l.entries))) / dl
+            for l, dl in zip(spec.labels, spec.dims)]
+    assert spec.fs2.tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +419,15 @@ def test_weyl_cap_enforced():
     assert rc.weight_multiplicity(lam9, (0,) * 9) == 8
     capped = r"walks the 9! permutations of S_9; d=9 exceeds the cap MAX_WEYL_DIM=8"
     with pytest.raises(ValueError, match=capped):
-        rc.fs_indicator(lam9, 2)
+        rc.fs_indicator(lam9, 3)
     with pytest.raises(ValueError, match=capped):
         rc.gamma_coefficients(lam9)
     with pytest.raises(ValueError, match=capped):
-        bd.total_bound(9, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
+        bd.total_bound(9, 2, "symmetric", 20, 0.5, "master-symmetric")
+    # n = 2 is a closed form, so the Bernstein-symmetric total needs no sum
+    assert rc.fs_indicator(lam9, 2) == Fraction(1, rc.weyl_dimension(lam9))
+    total = bd.total_bound(9, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
+    assert math.isfinite(total.log_bound)
     # shortcut path does not need the Weyl sum, so large |n| still works
     assert rc.fs_indicator(lam9, 10) == Fraction(8, rc.weyl_dimension(lam9))
 
@@ -469,6 +476,24 @@ def test_fs_indicator_integrality():
 
 def test_fs_n0():
     assert rc.fs_indicator((3, -3), 0) == 1
+
+
+@pytest.mark.parametrize("entries,want", [
+    ((1, 0), Fraction(-1, 2)),
+    ((1, 1, 1, 0, 0, 0), Fraction(-1, 20)),
+    ((1, 1, 0, 0), Fraction(1, 6)),
+    ((1, 1, 1, 1, 0, 0, 0, 0), Fraction(1, 70)),
+    ((2, 2, 2, 0, 0, 0), Fraction(1, 175)),
+    ((1, 0, -1), Fraction(1, 8)),
+    ((1, 0, 0), 0),
+    ((3, 1, 1, 1, 1, 1, 1, 1), 0),
+])
+def test_fs2_closed_form_signs(entries, want):
+    # self-dual labels of both signs, most of nonzero entry sum (the label
+    # sets reach only zero-sum ones), and two labels that are not self-dual
+    lam = HighestWeight(entries)
+    assert rc.fs_indicator(lam, 2) == want
+    assert Fraction(rc._fs_weyl_sum(lam, 2), rc.weyl_dimension(lam)) == want
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -553,12 +578,12 @@ def test_fs_closed_forms_match_weyl_sum_and_per_permutation_oracle(lam):
         assert rc.fs_indicator(lam, n) == rc.fs_indicator(lam, -n) == want, n
 
 
-def test_weyl_sums_run_only_at_2_to_d(monkeypatch):
+def test_weyl_sums_run_only_at_3_to_d(monkeypatch):
     # positive part 21 keeps the label out of every Table-2 label set
     fresh = HighestWeight((21, 0, -10, -11))
     before = rc._fs_weyl_sum.cache_info().currsize
     rc.gamma_coefficients(fresh)
-    assert rc._fs_weyl_sum.cache_info().currsize - before == fresh.d - 1
+    assert rc._fs_weyl_sum.cache_info().currsize - before == fresh.d - 2
     seen = set()
     real = rc._fs_weyl_sum
 
@@ -573,7 +598,14 @@ def test_weyl_sums_run_only_at_2_to_d(monkeypatch):
         rc.gamma_coefficients(lam)
         for n in range(-6, 7):
             rc.fs_indicator(lam, n)
-    assert seen == {2, 3, 4}
+    # a fresh build of each Table-2 spectrum and the Bernstein-symmetric
+    # totals past the Weyl cap run no sum either
+    for d, ts in TABLE2_COLUMNS.items():
+        for t in ts:
+            rc.block_spectrum.__wrapped__(d, t)
+    for d in (9, 16, 64):
+        bd.total_bound(d, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
+    assert seen == {3, 4}
 
 
 # ---------------------------------------------------------------------------

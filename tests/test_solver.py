@@ -7,7 +7,7 @@ import pytest
 from gatedesign import bounds as bd
 from gatedesign import repcore as rc
 from gatedesign import solver
-from gatedesign.bounds import Method
+from gatedesign.bounds import GateSetKind, Method
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +218,7 @@ def test_depth_for_target_rejects_bad_args():
 # ---------------------------------------------------------------------------
 
 def test_table2_cells_filtering():
-    cells = list(
-        solver.table2_cells(dims=(16,), methods=(Method.MASTER_PLAIN, Method.MASTER_SYMMETRIC))
-    )
+    cells = list(solver.table2_cells(dims=(16,)))
     # symmetric columns are dropped beyond the Weyl cap
-    assert all(m is Method.MASTER_PLAIN for _, _, m, _ in cells)
-    assert [t for _, t, _, _ in cells] == [2, 3, 4, 5]
+    assert all(m.kind is GateSetKind.PLAIN for _, _, m, _ in cells)
+    assert [t for _, t, m, _ in cells if m is Method.MASTER_PLAIN] == [2, 3, 4, 5]
