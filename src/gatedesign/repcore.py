@@ -29,8 +29,10 @@ are closed forms that :func:`fs_indicator` alone decides:
 - For |n| >= d+1 only the identity passes the lattice test, so
   delta_lambda(n) = m_lambda(0)/d_lambda.
 
-The sums at n = 3..d are cached per (label, n); gamma_lambda reads d - 2
-sums per label.
+At 3 <= n <= d a permutation passes the lattice test only if it keeps
+residue classes mod n, shifted by r = -n Sigma(lambda)/d, so each sum runs
+over prod |class|! permutations (72 at d = 8, n = 3) in place of d!. The sums
+are cached per (label, n); gamma_lambda reads d - 2 sums per label.
 
 Weights are handled in "centered" coordinates (trace part removed), so a
 U(d) label with nonzero entry sum and its SU(d) restriction share one
@@ -54,15 +56,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
-#: The Frobenius-Schur sums at 3 <= n <= d walk the d! permutations of S_d,
-#: once per d; beyond this d they raise instead of silently approximating.
-#: So the cap binds only gamma_lambda(k), k >= 3: the master-symmetric bounds.
+#: The Frobenius-Schur sums at 3 <= n <= d run over the prod |class|!
+#: permutations that keep residue classes mod n, most at n = 3, where the
+#: product grows like ((d/3)!)^3 (10 368 000 at d = 16); beyond this d they
+#: raise instead of silently approximating. So the cap binds only
+#: gamma_lambda(k), k >= 3: the master-symmetric bounds.
 MAX_WEYL_DIM = 8
 
 
@@ -376,44 +379,55 @@ def weight_multiplicity(lam, mu):
 # Frobenius-Schur indicators and gamma coefficients
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _signed_displacements(d):
-    """Net sign of the permutations of S_d per displacement orbit.
+def _permutation_sign(perm):
+    """sgn(perm) = (-1)^(d - number of cycles)."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return -1 if (len(perm) - cycles) % 2 else 1
 
-    Maps each displacement (sigma(i) - i)_i, sorted nonincreasing, to the
-    sum of sgn(sigma) over the permutations that share it; orbits whose
-    signs cancel are dropped, in order of one-norm. Built on first use, once
-    per d: this is the one walk over the d! permutations, so it refuses
-    d > MAX_WEYL_DIM. The identity is the only permutation with displacement
-    zero.
+
+@lru_cache(maxsize=None)
+def _lattice_displacements(d, n, r):
+    """(one-norm, displacement, net sign) of the permutations sigma of S_d
+    whose displacements sigma(i) - i are all r mod n, in one-norm order.
+
+    Such a sigma maps each residue class mod n of {0, ..., d-1} onto the
+    class r steps further on (the runners of the n-abacus in Littlewood's
+    rule for s_lambda o p_n), so it is one bijection per class: prod |class|!
+    permutations, and none when the sizes of a class and its image differ.
+    They are grouped by displacement sorted nonincreasing, each group summing
+    sgn(sigma); groups whose signs cancel are dropped. The identity is the
+    only permutation with displacement zero. Cached per (d, n, r); refuses
+    d > MAX_WEYL_DIM.
     """
     if d > MAX_WEYL_DIM:
+        classes3 = math.prod(math.factorial(len(range(c, d, 3))) for c in range(3))
         raise ValueError(
-            f"the Frobenius-Schur sum walks the {d}! permutations of S_{d}; "
+            f"the Frobenius-Schur sum at n = 3 runs over the prod |class|! = "
+            f"{classes3} permutations of S_{d} that keep residue classes mod 3; "
             f"d={d} exceeds the cap MAX_WEYL_DIM={MAX_WEYL_DIM}"
         )
+    classes = [range(c, d, n) for c in range(n)]
+    images = [classes[(c + r) % n] for c in range(n)]
+    if any(len(a) != len(b) for a, b in zip(classes, images)):
+        return ()
     counts = {}
-    for perm in itertools.permutations(range(d)):
-        inv = sum(1 for a in range(d) for b in range(a + 1, d) if perm[a] > perm[b])
-        disp = tuple(sorted((perm[i] - i for i in range(d)), reverse=True))
-        counts[disp] = counts.get(disp, 0) + (-1 if inv % 2 else 1)
-    by_norm = sorted(counts.items(), key=lambda item: sum(map(abs, item[0])))
-    return MappingProxyType({disp: c for disp, c in by_norm if c})
-
-
-@lru_cache(maxsize=None)
-def _lattice_displacements(d, n):
-    """(one-norm, displacement, net sign) of the orbits of
-    :func:`_signed_displacements` whose entries n divides, in one-norm order.
-
-    For a label in an integral coset only these orbits pass the lattice
-    test at n; n = 1 keeps every orbit.
-    """
-    return tuple(
-        (sum(map(abs, disp)), disp, count)
-        for disp, count in _signed_displacements(d).items()
-        if not any(v % n for v in disp)
-    )
+    sigma = [0] * d
+    for choice in itertools.product(*(itertools.permutations(b) for b in images)):
+        for src, dst in zip(classes, choice):
+            for i, j in zip(src, dst):
+                sigma[i] = j
+        disp = tuple(sorted((sigma[i] - i for i in range(d)), reverse=True))
+        counts[disp] = counts.get(disp, 0) + _permutation_sign(sigma)
+    by_norm = sorted((sum(map(abs, disp)), disp, c) for disp, c in counts.items() if c)
+    return tuple(by_norm)
 
 
 @lru_cache(maxsize=None)
@@ -422,20 +436,25 @@ def _fs_weyl_sum(lam, n):
 
     For n >= 1; this is d_lambda * delta_lambda(n) at every such n, and the
     reference the closed forms of :func:`fs_indicator` are tested against.
-    Cached per (label, n); the identity's term is m_lambda(0). One term per
-    displacement orbit: the multiplicity, the one-norm budget and the
-    lattice test all depend on the sorted displacement alone.
+    Cached per (label, n); the identity's term is m_lambda(0). The centered
+    weight (sigma(i) - i)/n lies in the label's coset of the root lattice only
+    when every sigma(i) - i + n Sigma(lambda)/d is a multiple of n, so the
+    sum runs over the :func:`_lattice_displacements` table of
+    r = -n Sigma(lambda)/d mod n, and is 0 when n Sigma(lambda)/d is not an
+    integer. One term per displacement group: the multiplicity and the
+    one-norm budget depend on the sorted displacement alone.
     """
-    lam_c = _centered(lam.entries)
+    lift = Fraction(n * lam.total, lam.d)
+    if lift.denominator != 1:
+        return 0
     # centered weights lie in the hull of the Weyl orbit of the centered
     # label, so ||mu||_1 <= ||lambda_c||_1; ||lambda||_1 can be smaller when
     # the entries do not sum to zero
-    budget = n * sum(map(abs, lam_c))
-    integral_coset = all(v.denominator == 1 for v in lam_c)
+    budget = n * sum(map(abs, _centered(lam.entries)))
     total = 0
-    for norm, disp, count in _lattice_displacements(lam.d, n if integral_coset else 1):
+    for norm, disp, count in _lattice_displacements(lam.d, n, -lift.numerator % n):
         if norm > budget:
-            break  # the orbits come in one-norm order
+            break  # the groups come in one-norm order
         total += count * _mult_centered(lam.entries, tuple(Fraction(v, n) for v in disp))
     return total
 
@@ -455,7 +474,8 @@ def fs_indicator(lam, n):
     0 otherwise (Schur orthogonality); |n| = 2 gives the Frobenius-Schur
     indicator over d_lambda; |n| >= d+1 gives m_lambda(0)/d_lambda (only the
     identity passes the lattice test). Only 3 <= |n| <= d runs the signed
-    Weyl-group sum, which needs d <= MAX_WEYL_DIM.
+    Weyl-group sum, over the permutations that keep residue classes mod n,
+    which needs d <= MAX_WEYL_DIM.
     """
     lam = _as_weight(lam)
     n = abs(int(n))

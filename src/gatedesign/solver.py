@@ -211,7 +211,8 @@ def table2_cells(delta=0.5, P=0.99, dims=None):
     """Generate the minimal-size table: (d, t, method, MinSizeResult).
 
     Symmetric columns stop at d = repcore.MAX_WEYL_DIM, where master-symmetric
-    needs the Frobenius-Schur sums over S_d. Bernstein-symmetric reads only
+    needs the Frobenius-Schur sums at 3 <= n <= d, each over the permutations
+    of S_d that keep residue classes mod n. Bernstein-symmetric reads only
     the closed form delta_lambda(2), but waits to be pinned with it.
     """
     dims = tuple(dims) if dims is not None else tuple(TABLE2_COLUMNS)

@@ -14,12 +14,15 @@ the standard convention reproduces the Freudenthal recursion and the SU(2)
 closed forms, so that is what is implemented.
 
 Also the SU(2) irreps as explicit matrices, the oracle for the characters
-that the Frobenius-Schur Monte Carlo evaluates from traces.
+that the Frobenius-Schur Monte Carlo evaluates from traces, and the walk over
+the d! permutations of S_d grouped by displacement, the oracle for the
+library's residue-class tables of the Frobenius-Schur sums.
 """
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -246,3 +249,23 @@ def su2_irrep_matrix(j2, u):
                 )
             out[r, s] = acc * math.sqrt(math.comb(n, r) / math.comb(n, s))
     return out
+
+
+@lru_cache(maxsize=None)
+def signed_displacements(d):
+    """Net sign of the permutations of S_d per displacement orbit.
+
+    Maps each displacement (sigma(i) - i)_i, sorted nonincreasing, to the
+    sum of sgn(sigma) over the permutations that share it; orbits whose
+    signs cancel are dropped, in order of one-norm. One walk over the d!
+    permutations, sign by inversion count: the oracle for the library's
+    residue-class tables, which enumerate only the permutations that keep
+    residue classes mod n.
+    """
+    counts = {}
+    for perm in itertools.permutations(range(d)):
+        inv = sum(1 for a in range(d) for b in range(a + 1, d) if perm[a] > perm[b])
+        disp = tuple(sorted((perm[i] - i for i in range(d)), reverse=True))
+        counts[disp] = counts.get(disp, 0) + (-1 if inv % 2 else 1)
+    by_norm = sorted(counts.items(), key=lambda item: sum(map(abs, item[0])))
+    return MappingProxyType({disp: c for disp, c in by_norm if c})

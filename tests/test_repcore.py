@@ -4,12 +4,15 @@ Derived expectations are computed by independent oracles: brute-force box
 enumeration for the label set, a coefficient scan for the Kostant partition
 function, the Kostant alternating sum and the Freudenthal recursion (both
 in ``oracles.py``) as second and third multiplicity engines, a per-permutation
-Frobenius-Schur sum, and the SU(2) closed forms.
+Frobenius-Schur sum, the walk over all d! permutations (``oracles.py``) for
+the residue-class tables, and the SU(2) closed forms.
 """
 import itertools
 import json
 import math
+import types
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -417,7 +420,11 @@ def test_weyl_cap_enforced():
     lam9 = (1,) + (0,) * 7 + (-1,)  # d = 9 exceeds MAX_WEYL_DIM = 8
     # a Kostka count runs no Weyl sum: the zero weight of the SU(9) adjoint
     assert rc.weight_multiplicity(lam9, (0,) * 9) == 8
-    capped = r"walks the 9! permutations of S_9; d=9 exceeds the cap MAX_WEYL_DIM=8"
+    capped = (
+        r"the Frobenius-Schur sum at n = 3 runs over the prod \|class\|! = 216 "
+        r"permutations of S_9 that keep residue classes mod 3; "
+        r"d=9 exceeds the cap MAX_WEYL_DIM=8"
+    )
     with pytest.raises(ValueError, match=capped):
         rc.fs_indicator(lam9, 3)
     with pytest.raises(ValueError, match=capped):
@@ -498,13 +505,97 @@ def test_fs2_closed_form_signs(entries, want):
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_signed_displacements_table(d):
-    table = rc._signed_displacements(d)
+    table = oracles.signed_displacements(d)
     assert sum(table.values()) == 0
     assert table[(0,) * d] == 1
     assert sum(abs(c) for c in table.values()) <= math.factorial(d)
     assert 0 not in table.values()
     for disp in table:
         assert sum(disp) == 0 and list(disp) == sorted(disp, reverse=True)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_lattice_tables_match_walk_oracle(d):
+    walk = oracles.signed_displacements(d)
+    for n in range(1, d + 3):
+        for r in range(n):
+            table = rc._lattice_displacements(d, n, r)
+            got = {disp: (norm, sign) for norm, disp, sign in table}
+            want = {
+                disp: (sum(map(abs, disp)), sign)
+                for disp, sign in walk.items()
+                if all((v - r) % n == 0 for v in disp)
+            }
+            assert len(got) == len(table) and got == want, (n, r)
+            norms = [norm for norm, _, _ in table]
+            assert norms == sorted(norms), (n, r)
+
+
+def test_gamma_d8_permutes_one_residue_class_at_a_time(monkeypatch):
+    # every sum at 3 <= n <= 8 permutes within classes mod n of at most
+    # ceil(8/3) elements; fresh caches make each table be built here
+    d = 8
+    sizes = []
+
+    def recording(pool, *args):
+        pool = tuple(pool)
+        sizes.append(len(pool))
+        return itertools.permutations(pool, *args)
+
+    patched = types.SimpleNamespace(**{**vars(itertools), "permutations": recording})
+    monkeypatch.setattr(rc, "itertools", patched)
+    monkeypatch.setattr(rc, "_lattice_displacements", lru_cache(rc._lattice_displacements.__wrapped__))
+    monkeypatch.setattr(rc, "_fs_weyl_sum", lru_cache(rc._fs_weyl_sum.__wrapped__))
+    pinned = json.loads((Path(__file__).parent / "gamma_d8.json").read_text())
+    for lam in rc.enumerate_lambda_set(d, 2):
+        gam = rc.gamma_coefficients(lam)
+        assert {str(k): str(v) for k, v in gam.items()} == pinned[" ".join(map(str, lam.entries))]
+    assert sizes and max(sizes) == -(-d // 3)
+
+
+def walk_fs_sum(lam, n):
+    """d_lambda * delta_lambda(n) as one multiplicity per orbit of the walk
+    oracle, every orbit tried: off-lattice weights have multiplicity 0."""
+    shift = Fraction(lam.total, lam.d)
+    return sum(
+        sign * rc.weight_multiplicity(lam, [Fraction(v, n) + shift for v in disp])
+        for disp, sign in oracles.signed_displacements(lam.d).items()
+    )
+
+
+@pytest.mark.parametrize("entries,shifts", [
+    ((1, 1, 0, 0, 0, 0), {3: 2, 6: 4}),
+    ((2, 1, 0, 0, 0, 0), {6: 3}),
+    ((2, 0, 0, 0, 0, 0, -1), {7: 6}),
+    ((1, 1, 0, 0, 0, 0, 0, 0), {4: 3, 8: 6}),
+])
+def test_fs_weyl_sum_on_shifted_residue_classes(entries, shifts):
+    # nonzero entry sums: the permutations that pass the lattice test move
+    # each residue class mod n onto the class r = -n Sigma(lambda)/d further on
+    lam = HighestWeight(entries)
+    d = lam.d
+    for n, r in shifts.items():
+        assert Fraction(-n * lam.total, d) % n == r
+        assert rc._lattice_displacements(d, n, r), (n, r)
+    for n in range(3, d + 1):
+        want = per_permutation_fs_sum(lam, n) if d <= 7 else walk_fs_sum(lam, n)
+        assert rc._fs_weyl_sum(lam, n) == want, n
+        assert want or n not in shifts, n
+
+
+@pytest.mark.parametrize("d,t", [(3, 3), (4, 3), (5, 3), (6, 3), (7, 2), (8, 2)])
+def test_fs_weyl_sum_matches_transposition_closed_form(d, t):
+    # at n >= d/2 each residue class mod n has at most two elements, so the
+    # permutations that pass the lattice test of a zero-sum label are the
+    # products of m disjoint transpositions (i, i+n), 0 <= m <= d - n
+    for lam in rc.enumerate_lambda_set(d, t):
+        for n in range(max(3, -(-d // 2)), d + 1):
+            want = sum(
+                (-1) ** m * math.comb(d - n, m)
+                * rc.weight_multiplicity(lam, (1,) * m + (0,) * (d - 2 * m) + (-1,) * m)
+                for m in range(min(d - n, lam.norm1 // 2) + 1)
+            )
+            assert rc._fs_weyl_sum(lam, n) == want, (lam, n)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
