@@ -46,28 +46,31 @@ def _check_query(kind, S, delta):
         raise ValueError(f"symmetric sets have even cardinality, got {S}")
 
 
+def _check_method(method, kind):
+    if method.kind is not kind:
+        raise ValueError(f"method {method.value} does not apply to kind {kind.value}")
+
+
 @dataclass(frozen=True)
 class BoundQuery:
-    """One per-block bound evaluation: set kind, size, threshold, block label."""
+    """One per-block bound evaluation: set kind, size, threshold, block label (d = lam.d)."""
 
-    d: int
     kind: GateSetKind
     S: int
     delta: float
     lam: repcore.HighestWeight
 
     def __post_init__(self):
-        if self.lam.d != self.d:
-            raise ValueError("label length does not match d")
         _check_query(self.kind, self.S, self.delta)
 
 
 @dataclass(frozen=True)
 class BoundResult:
+    """A bound in the log domain; ``raw``, ``probability`` and ``clipped`` derive from it."""
+
     method: Method
     log_bound: float
     theta_star: float | None = None
-    clipped: bool = False
 
     @property
     def raw(self):
@@ -78,14 +81,10 @@ class BoundResult:
     def probability(self):
         return min(1.0, math.exp(self.log_bound))
 
-
-def _finish(method, log_bound, theta_star=None):
-    return BoundResult(
-        method=method,
-        log_bound=log_bound,
-        theta_star=theta_star,
-        clipped=log_bound > 0.0,
-    )
+    @property
+    def clipped(self):
+        """True when the bound exceeds 1, so ``probability`` is clipped to 1."""
+        return self.log_bound > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +101,11 @@ def bernstein_bound(q: BoundQuery):
     dl = repcore.weyl_dimension(q.lam)
     if q.kind is GateSetKind.PLAIN:
         expo = _bernstein_plain_exponent(q.S, q.delta)
-        return _finish(Method.BERNSTEIN_PLAIN, math.log(2 * dl) + expo)
+        return BoundResult(Method.BERNSTEIN_PLAIN, math.log(2 * dl) + expo)
     if q.kind is GateSetKind.SYMMETRIC:
         fs2 = float(repcore.fs_indicator(q.lam, 2))
         expo = _bernstein_symmetric_exponent(q.S, q.delta, fs2)
-        return _finish(Method.BERNSTEIN_SYMMETRIC, math.log(2 * dl) + expo)
+        return BoundResult(Method.BERNSTEIN_SYMMETRIC, math.log(2 * dl) + expo)
     raise ValueError(f"no Bernstein bound for kind {q.kind}")
 
 
@@ -129,7 +128,7 @@ def master_bound_plain(q: BoundQuery):
         raise ValueError("master_bound_plain needs a plain gate-set")
     dl = repcore.weyl_dimension(q.lam)
     log_bound = math.log(2 * dl) + _log_master_plain_factor(q.S, q.delta)
-    return _finish(Method.MASTER_PLAIN, log_bound)
+    return BoundResult(Method.MASTER_PLAIN, log_bound)
 
 
 def _log_master_plain_factor(S, delta):
@@ -236,7 +235,7 @@ def master_bound_symmetric(q: BoundQuery):
     fp, fm = 0.5 * q.S * hp, 0.5 * q.S * hm
     log_bound = math.log(dl) + np.logaddexp(fp, fm)
     theta_star = 0.5 * q.S * (xp if fp >= fm else xm)
-    return _finish(Method.MASTER_SYMMETRIC, float(log_bound), theta_star)
+    return BoundResult(Method.MASTER_SYMMETRIC, float(log_bound), theta_star)
 
 
 def master_bound_symmetric_simplified(q: BoundQuery):
@@ -252,7 +251,7 @@ def master_bound_symmetric_simplified(q: BoundQuery):
             f"bracket nonpositive at theta0 for lam={q.lam.entries}"
         )
     log_bound = math.log(dl) + np.logaddexp(0.5 * q.S * hp, 0.5 * q.S * hm)
-    return _finish(Method.MASTER_SYMMETRIC_SIMPLIFIED, float(log_bound), 0.5 * q.S * x0)
+    return BoundResult(Method.MASTER_SYMMETRIC_SIMPLIFIED, float(log_bound), 0.5 * q.S * x0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,8 @@ _PER_LABEL = {
 
 
 def per_label_bound(q: BoundQuery, method):
-    """Dispatch one block bound by method."""
+    """Dispatch one block bound by method; the method must fit ``q.kind``."""
+    _check_method(method, q.kind)
     return _PER_LABEL[method](q)
 
 
@@ -279,8 +279,7 @@ def total_bound(d, t, kind, S, delta, method):
         method = Method(method)
     if not isinstance(kind, GateSetKind):
         kind = GateSetKind(kind)
-    if method.kind is not kind:
-        raise ValueError(f"method {method.value} does not apply to kind {kind.value}")
+    _check_method(method, kind)
     _check_query(kind, S, delta)
     spec = repcore.block_spectrum(d, t)
     if method is Method.BERNSTEIN_PLAIN:
@@ -292,10 +291,10 @@ def total_bound(d, t, kind, S, delta, method):
     else:
         # the master-symmetric bounds are evaluated label by label
         logs = np.array([
-            per_label_bound(BoundQuery(d=d, kind=kind, S=S, delta=delta, lam=lam), method).log_bound
+            per_label_bound(BoundQuery(kind=kind, S=S, delta=delta, lam=lam), method).log_bound
             for lam in spec.labels
         ])
-    return _finish(method, float(np.logaddexp.reduce(logs)))
+    return BoundResult(method, float(np.logaddexp.reduce(logs)))
 
 
 def total_master_plain_factored(d, t, S, delta):
@@ -303,7 +302,7 @@ def total_master_plain_factored(d, t, S, delta):
     2 e^{-delta S arctanh delta} (1-delta^2)^{-S/2} * sum d_lam."""
     sum_d = repcore.sum_dimensions(d, t)
     log_bound = math.log(2) + math.log(sum_d) + _log_master_plain_factor(S, delta)
-    return _finish(Method.MASTER_PLAIN, log_bound)
+    return BoundResult(Method.MASTER_PLAIN, log_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +316,12 @@ def concentration_bound_t(d, t, S, alpha):
     return math.exp(-d * S * alpha**2 / (32.0 * t * t))
 
 
-def concentration_bound_lambda(d, lam, S, alpha):
-    """Per-block version: exponent -d S alpha^2 / (2 pi^2 ||lam||_1^2)."""
+def concentration_bound_lambda(lam, S, alpha):
+    """Per-block version: exponent -d S alpha^2 / (2 pi^2 ||lam||_1^2), d = lam.d."""
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    norm1 = repcore._as_weight(lam).norm1
-    return math.exp(-d * S * alpha**2 / (2.0 * math.pi**2 * norm1**2))
+    lam = repcore._as_weight(lam)
+    return math.exp(-lam.d * S * alpha**2 / (2.0 * math.pi**2 * lam.norm1**2))
 
 
 def concentration_bound_beamsplitter(t, S, alpha):

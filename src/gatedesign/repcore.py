@@ -32,7 +32,7 @@ are closed forms that :func:`fs_indicator` alone decides:
 At 3 <= n <= d a permutation passes the lattice test only if it keeps
 residue classes mod n, shifted by r = -n Sigma(lambda)/d, so each sum runs
 over prod |class|! permutations (72 at d = 8, n = 3) in place of d!. The sums
-are cached per (label, n); gamma_lambda reads d - 2 sums per label.
+are not cached: gamma_lambda reads d - 2 per label, and the bounds cache it.
 
 Weights are handled in "centered" coordinates (trace part removed), so a
 U(d) label with nonzero entry sum and its SU(d) restriction share one
@@ -73,6 +73,14 @@ MAX_WEYL_DIM = 8
 # domain types
 # ---------------------------------------------------------------------------
 
+def _integral(v, what):
+    """v as an int; a value that is not integral raises instead of truncating."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{what} must be integral, got {v!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class HighestWeight:
     """A U(d) highest weight: nonincreasing integer d-tuple."""
@@ -80,7 +88,7 @@ class HighestWeight:
     entries: tuple
 
     def __post_init__(self):
-        ent = tuple(int(v) for v in self.entries)
+        ent = tuple(_integral(v, "label entries") for v in self.entries)
         object.__setattr__(self, "entries", ent)
         if len(ent) < 2:
             raise ValueError("highest weight needs d >= 2 entries")
@@ -101,11 +109,6 @@ class HighestWeight:
         """Entry sum Sigma(lambda)."""
         return sum(self.entries)
 
-    @property
-    def positive_sum(self):
-        """Sum of the positive entries."""
-        return sum(v for v in self.entries if v > 0)
-
 
 @dataclass(frozen=True)
 class DynkinLabel:
@@ -114,7 +117,7 @@ class DynkinLabel:
     entries: tuple
 
     def __post_init__(self):
-        ent = tuple(int(v) for v in self.entries)
+        ent = tuple(_integral(v, "Dynkin labels") for v in self.entries)
         object.__setattr__(self, "entries", ent)
         if not ent:
             raise ValueError("empty Dynkin label")
@@ -430,13 +433,13 @@ def _lattice_displacements(d, n, r):
     return tuple(by_norm)
 
 
-@lru_cache(maxsize=None)
 def _fs_weyl_sum(lam, n):
     """sum over sigma in S_d of sgn(sigma) * m_lambda((rho - sigma.rho)/n), exact.
 
     For n >= 1; this is d_lambda * delta_lambda(n) at every such n, and the
     reference the closed forms of :func:`fs_indicator` are tested against.
-    Cached per (label, n); the identity's term is m_lambda(0). The centered
+    Not cached: :func:`gamma_coefficients` runs once per label, behind the
+    bounds' block-data cache. The identity's term is m_lambda(0). The centered
     weight (sigma(i) - i)/n lies in the label's coset of the root lattice only
     when every sigma(i) - i + n Sigma(lambda)/d is a multiple of n, so the
     sum runs over the :func:`_lattice_displacements` table of
@@ -478,7 +481,7 @@ def fs_indicator(lam, n):
     which needs d <= MAX_WEYL_DIM.
     """
     lam = _as_weight(lam)
-    n = abs(int(n))
+    n = abs(_integral(n, "n"))
     if n == 0:
         return Fraction(1)
     if n == 1:

@@ -159,8 +159,9 @@ def clifford_random_set_size(n):
     return math.ceil(2e4 * (math.log(arg) + 4.61))
 
 
-def clifford_random_set_size_exact(n, delta=0.01, P=0.99):
-    """Same quantity from the unrounded closed form, exact dimension sum."""
+def clifford_random_set_size_exact(n):
+    """Same quantity from the unrounded closed form, exact dimension sum, at the
+    targets the printed constants stand for: delta = 0.01 and P = 0.99."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     d = 2**n
@@ -168,7 +169,7 @@ def clifford_random_set_size_exact(n, delta=0.01, P=0.99):
         sum_d = d**4 - 3 * d**2 + 1
     else:
         sum_d = sum(map(repcore.weyl_dimension, repcore.enumerate_lambda_set(d, 2)))
-    return _closed_form_from_sum(d, 2, delta, P, sum_d).S_min
+    return _closed_form_from_sum(d, 2, 0.01, 0.99, sum_d).S_min
 
 
 def clifford_ratio(n):

@@ -311,9 +311,7 @@ def test_criterion_9_property_suite():
     # infimum below the theta0 plug-in
     inf_ok = True
     for lam, S in [((1, -1), 30), ((2, -2), 60), ((1, 0, -1), 40)]:
-        q = bd.BoundQuery(
-            d=len(lam), kind=GateSetKind.SYMMETRIC, S=S, delta=0.5, lam=rc.HighestWeight(lam)
-        )
+        q = bd.BoundQuery(kind=GateSetKind.SYMMETRIC, S=S, delta=0.5, lam=rc.HighestWeight(lam))
         inf_ok = inf_ok and (
             bd.master_bound_symmetric(q).log_bound
             <= bd.master_bound_symmetric_simplified(q).log_bound + 1e-9

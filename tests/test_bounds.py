@@ -20,14 +20,12 @@ from gatedesign.bounds import BoundQuery, GateSetKind, Method
 mpmath.mp.dps = 50
 
 
-def q_plain(lam, S, delta, d=None):
-    lam = rc.HighestWeight(tuple(lam))
-    return BoundQuery(d=d or lam.d, kind=GateSetKind.PLAIN, S=S, delta=delta, lam=lam)
+def q_plain(lam, S, delta):
+    return BoundQuery(kind=GateSetKind.PLAIN, S=S, delta=delta, lam=rc.HighestWeight(tuple(lam)))
 
 
 def q_sym(lam, S, delta):
-    lam = rc.HighestWeight(tuple(lam))
-    return BoundQuery(d=lam.d, kind=GateSetKind.SYMMETRIC, S=S, delta=delta, lam=lam)
+    return BoundQuery(kind=GateSetKind.SYMMETRIC, S=S, delta=delta, lam=rc.HighestWeight(tuple(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -37,15 +35,13 @@ def q_sym(lam, S, delta):
 def test_query_validation():
     lam = rc.HighestWeight((1, -1))
     with pytest.raises(TypeError):
-        BoundQuery(d=2, kind=GateSetKind.PLAIN, S=10, delta=0.5)  # no target
+        BoundQuery(kind=GateSetKind.PLAIN, S=10, delta=0.5)  # no target
     with pytest.raises(TypeError):
-        BoundQuery(d=2, kind=GateSetKind.PLAIN, S=10, delta=0.5, lam=lam, t=2)
+        BoundQuery(kind=GateSetKind.PLAIN, S=10, delta=0.5, lam=lam, t=2)
     with pytest.raises(ValueError):
-        BoundQuery(d=2, kind=GateSetKind.PLAIN, S=10, delta=1.5, lam=lam)
+        BoundQuery(kind=GateSetKind.PLAIN, S=10, delta=1.5, lam=lam)
     with pytest.raises(ValueError):
-        BoundQuery(d=2, kind=GateSetKind.SYMMETRIC, S=11, delta=0.5, lam=lam)
-    with pytest.raises(ValueError):
-        BoundQuery(d=3, kind=GateSetKind.PLAIN, S=10, delta=0.5, lam=lam)
+        BoundQuery(kind=GateSetKind.SYMMETRIC, S=11, delta=0.5, lam=lam)
 
 
 def test_method_kind_compatibility():
@@ -53,6 +49,17 @@ def test_method_kind_compatibility():
         bd.total_bound(2, 2, GateSetKind.PLAIN, 10, 0.5, Method.MASTER_SYMMETRIC)
     with pytest.raises(ValueError):
         bd.master_bound_plain(q_sym((1, -1), 10, 0.5))
+
+
+@pytest.mark.parametrize("kind", list(GateSetKind))
+@pytest.mark.parametrize("method", list(Method))
+def test_per_label_bound_needs_method_of_query_kind(method, kind):
+    q = BoundQuery(kind=kind, S=20, delta=0.5, lam=rc.HighestWeight((1, -1)))
+    if method.kind is kind:
+        assert bd.per_label_bound(q, method).method is method
+    else:
+        with pytest.raises(ValueError, match=f"method {method.value} does not apply to kind {kind.value}"):
+            bd.per_label_bound(q, method)
 
 
 def test_methods_for_kind():
@@ -362,7 +369,7 @@ def per_label_total(d, t, S, delta, method):
     """The union bound as a loop over labels, one per-label bound each."""
     return float(np.logaddexp.reduce([
         bd.per_label_bound(
-            BoundQuery(d=d, kind=method.kind, S=S, delta=delta, lam=lam), method
+            BoundQuery(kind=method.kind, S=S, delta=delta, lam=lam), method
         ).log_bound
         for lam in rc.enumerate_lambda_set(d, t)
     ]))
@@ -406,6 +413,12 @@ def test_bounds_positive_and_clip_flag():
     assert 0 < res.raw < 1 and not res.clipped
 
 
+def test_clip_flag_read_from_log_bound():
+    # a result built from its log bound alone, as a stub builds one
+    assert bd.BoundResult(Method.MASTER_PLAIN, 0.5).clipped
+    assert not bd.BoundResult(Method.MASTER_PLAIN, -0.5).clipped
+
+
 def test_master_tighter_than_bernstein_where_informative():
     for S in (40, 80, 160):
         m = bd.total_bound(2, 2, GateSetKind.PLAIN, S, 0.5, Method.MASTER_PLAIN)
@@ -433,10 +446,10 @@ def test_concentration_t_limits_and_scaling():
 
 def test_concentration_lambda_formula():
     lam = rc.HighestWeight((2, 0, -2))
-    val = bd.concentration_bound_lambda(3, lam, 80, 0.4)
+    val = bd.concentration_bound_lambda(lam, 80, 0.4)
     assert val == pytest.approx(math.exp(-3 * 80 * 0.16 / (2 * math.pi**2 * 16)), rel=1e-12)
-    assert bd.concentration_bound_lambda(3, (2, 0, -2), 80, 1e-12) == pytest.approx(1.0)
-    assert bd.concentration_bound_lambda(3, lam, 160, 0.4) == pytest.approx(val**2, rel=1e-9)
+    assert bd.concentration_bound_lambda((2, 0, -2), 80, 1e-12) == pytest.approx(1.0)
+    assert bd.concentration_bound_lambda(lam, 160, 0.4) == pytest.approx(val**2, rel=1e-9)
 
 
 def test_concentration_beamsplitter():

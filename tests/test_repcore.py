@@ -10,11 +10,13 @@ the residue-class tables, and the SU(2) closed forms.
 import itertools
 import json
 import math
+import re
 import types
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,7 +125,7 @@ def test_lambda_set_sorted_and_unique():
 def test_lambda_set_invariants():
     for lam in rc.enumerate_lambda_set(3, 4):
         assert lam.total == 0
-        assert lam.positive_sum <= 4
+        assert sum(v for v in lam.entries if v > 0) <= 4
         assert lam.norm1 % 2 == 0
 
 
@@ -154,6 +156,22 @@ def test_lambda_set_rejects_bad_args(bad):
 def test_highest_weight_rejects_increasing():
     with pytest.raises(ValueError):
         HighestWeight((0, 1))
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda v: HighestWeight((v, -v)), 1.5),
+    (lambda v: rc.DynkinLabel((v,)), 1.9),
+    (lambda v: rc.to_u_weight((v,)), 2.5),
+    (lambda v: rc.weyl_dimension((v, 0)), 1.5),
+    (lambda v: rc.fs_indicator((1, 0, -1), v), 2.7),
+], ids=["HighestWeight", "DynkinLabel", "to_u_weight", "weyl_dimension", "fs_indicator"])
+def test_non_integral_input_raises(call, bad):
+    # a value that is not integral is named, not truncated; integral values
+    # of other types give what the int gives
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        call(bad)
+    for good in (2.0, Fraction(4, 2), np.int64(2)):
+        assert call(good) == call(2), good
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +563,6 @@ def test_gamma_d8_permutes_one_residue_class_at_a_time(monkeypatch):
     patched = types.SimpleNamespace(**{**vars(itertools), "permutations": recording})
     monkeypatch.setattr(rc, "itertools", patched)
     monkeypatch.setattr(rc, "_lattice_displacements", lru_cache(rc._lattice_displacements.__wrapped__))
-    monkeypatch.setattr(rc, "_fs_weyl_sum", lru_cache(rc._fs_weyl_sum.__wrapped__))
     pinned = json.loads((Path(__file__).parent / "gamma_d8.json").read_text())
     for lam in rc.enumerate_lambda_set(d, 2):
         gam = rc.gamma_coefficients(lam)
@@ -670,19 +687,18 @@ def test_fs_closed_forms_match_weyl_sum_and_per_permutation_oracle(lam):
 
 
 def test_weyl_sums_run_only_at_3_to_d(monkeypatch):
-    # positive part 21 keeps the label out of every Table-2 label set
+    # gamma of one label runs the sum once at each n = 3..d
     fresh = HighestWeight((21, 0, -10, -11))
-    before = rc._fs_weyl_sum.cache_info().currsize
-    rc.gamma_coefficients(fresh)
-    assert rc._fs_weyl_sum.cache_info().currsize - before == fresh.d - 2
-    seen = set()
+    calls = []
     real = rc._fs_weyl_sum
 
     def recording(lam, n):
-        seen.add(n)
+        calls.append((lam, n))
         return real(lam, n)
 
     monkeypatch.setattr(rc, "_fs_weyl_sum", recording)
+    rc.gamma_coefficients(fresh)
+    assert calls == [(fresh, n) for n in range(3, fresh.d + 1)]
     labels = rc.enumerate_lambda_set(4, 2) + [fresh, HighestWeight((1, 1, 1, 1)),
                                               HighestWeight((2, 1, 0, 0))]
     for lam in labels:
@@ -696,7 +712,7 @@ def test_weyl_sums_run_only_at_3_to_d(monkeypatch):
             rc.block_spectrum.__wrapped__(d, t)
     for d in (9, 16, 64):
         bd.total_bound(d, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
-    assert seen == {3, 4}
+    assert {n for _, n in calls} == {3, 4}
 
 
 # ---------------------------------------------------------------------------
