@@ -8,11 +8,12 @@ in the log domain; reported probabilities are clipped at 1 with a flag.
 The totals read the cached block spectrum of Lambda~_t
 (:func:`repcore.block_spectrum`): the plain and Bernstein-symmetric totals
 are one log-sum-exp over its log(2 d_lam) array plus the method's exponent;
-the two master-symmetric totals go label by label. With x = 2 theta / S the
-symmetric objective is (S/2) h(x), h(x) = log B(x) - delta x a convex
-log-MGF (Tropp, arXiv:1501.01571, Sec. 3) whose minimizer does not depend
-on S: it is found once per (label, delta) by bisection on the sign of the
-analytic h' and reused by every probe of a size search.
+the two master-symmetric totals go label by label, through
+:func:`per_label_bound`, over label objects built once per (d, t). With
+x = 2 theta / S the symmetric objective is (S/2) h(x), h(x) = log B(x) -
+delta x a convex log-MGF (Tropp, arXiv:1501.01571, Sec. 3) whose minimizer
+does not depend on S: it is found once per (label, delta) by bisection on
+the sign of the analytic h' and reused by every probe of a size search.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ class BoundUnavailableError(RuntimeError):
 def _check_query(kind, S, delta):
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
+    repcore._integral(S, "the gate count S")
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
     if kind is GateSetKind.SYMMETRIC and S % 2:
@@ -268,9 +270,18 @@ _PER_LABEL = {
 
 
 def per_label_bound(q: BoundQuery, method):
-    """Dispatch one block bound by method; the method must fit ``q.kind``."""
+    """Dispatch one block bound by method (a :class:`Method` or its value);
+    the method must fit ``q.kind``."""
+    method = Method(method)
     _check_method(method, q.kind)
     return _PER_LABEL[method](q)
+
+
+@lru_cache(maxsize=None)
+def _label_objects(d, t):
+    """Lambda~_t as :class:`repcore.HighestWeight` objects, built once per
+    (d, t) for the totals that go label by label, not once per probe."""
+    return tuple(repcore.enumerate_lambda_set(d, t))
 
 
 def total_bound(d, t, kind, S, delta, method):
@@ -292,7 +303,7 @@ def total_bound(d, t, kind, S, delta, method):
         # the master-symmetric bounds are evaluated label by label
         logs = np.array([
             per_label_bound(BoundQuery(kind=kind, S=S, delta=delta, lam=lam), method).log_bound
-            for lam in spec.labels
+            for lam in _label_objects(d, t)
         ])
     return BoundResult(method, float(np.logaddexp.reduce(logs)))
 
@@ -313,6 +324,8 @@ def concentration_bound_t(d, t, S, alpha):
     """P(delta(nu_S,t) >= E delta + alpha) <= exp(-d S alpha^2 / (32 t^2))."""
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
     return math.exp(-d * S * alpha**2 / (32.0 * t * t))
 
 
@@ -321,6 +334,8 @@ def concentration_bound_lambda(lam, S, alpha):
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     lam = repcore._as_weight(lam)
+    if lam.norm1 == 0:
+        raise ValueError(f"label {lam.entries} has one-norm 0; the per-block bound needs a nonzero label")
     return math.exp(-lam.d * S * alpha**2 / (2.0 * math.pi**2 * lam.norm1**2))
 
 

@@ -7,10 +7,13 @@ the gamma_lambda(k) coefficients entering the symmetric master bound.
 
 The block spectrum (:func:`block_spectrum`) is the one intermediate the
 union bounds and the solver read: per (d, t), cached, the label set
-Lambda~_t with its exact dimensions, their sum, float log(2 d_lambda) and
-the float Frobenius-Schur constants delta_lambda(2), built with the
-spectrum. Those two float arrays are the only numpy in this module, and
-numpy is imported where they are built, so the exact data loads without it.
+Lambda~_t as an int array of entry rows, with its exact dimensions, their
+sum, float log(2 d_lambda) and the float Frobenius-Schur constants
+delta_lambda(2). It is built from plain int tuples (:func:`_label_rows`,
+:func:`_weyl_dim`, :func:`_frobenius_schur`), the same formulas the
+per-label functions call, and builds no :class:`HighestWeight`. Its three
+arrays are the only numpy in this module, and numpy is imported where they
+are built, so the exact data loads without it.
 
 Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
 over SU(d). Only 3 <= |n| <= d needs a signed Weyl-group sum; the other n
@@ -206,21 +209,18 @@ def count_irreps_by_norm(d, k):
     )
 
 
-def enumerate_lambda_set(d, t):
-    """All nontrivial block labels of the t-th moment operator on U(d).
+def _label_rows(d, t):
+    """Lambda~_t as plain int tuples, in :func:`enumerate_lambda_set` order.
 
-    Returns Lambda~_t: nonincreasing zero-sum integer d-tuples with positive
-    part at most t, the zero label excluded. Built by pairing a partition of
-    k into exactly n parts (the positive entries) with a partition of k into
-    at most d-n parts (the negated negative entries), k = 1..t. Sorted by
-    (one-norm, entries) so emitted tables are byte-stable.
+    Each label pairs a partition of k into exactly n parts (the positive
+    entries) with a partition of k into at most d-n parts (the negated
+    negative entries), k = 1..t; the two parts determine the label, so there
+    are no repeats. Rows come sorted by (one-norm, entries): the one-norm is
+    2k throughout one k.
     """
     if d < 2 or t < 1:
         raise ValueError(f"need d >= 2 and t >= 1, got d={d}, t={t}")
-    labels = []
     for k in range(1, t + 1):
-        # the positive and negative parts determine a label, so there are no
-        # repeats; the one-norm is 2k throughout this block
         block = []
         for n in range(1, d):
             for pos in _partitions_exact(k, n):
@@ -228,8 +228,19 @@ def enumerate_lambda_set(d, t):
                     for neg in _partitions_exact(k, m):
                         block.append(pos + (0,) * (d - n - m) + tuple(-v for v in reversed(neg)))
         block.sort()
-        labels.extend(HighestWeight(l) for l in block)
-    return labels
+        yield from block
+
+
+def enumerate_lambda_set(d, t):
+    """All nontrivial block labels of the t-th moment operator on U(d).
+
+    Returns Lambda~_t as a list of :class:`HighestWeight`: nonincreasing
+    zero-sum integer d-tuples with positive part at most t, the zero label
+    excluded, sorted by (one-norm, entries) so emitted tables are
+    byte-stable. :func:`block_spectrum` reads the same rows as plain tuples
+    and builds no label objects; this list is for per-label callers.
+    """
+    return [HighestWeight(row) for row in _label_rows(d, t)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +248,30 @@ def enumerate_lambda_set(d, t):
 # ---------------------------------------------------------------------------
 
 def weyl_dimension(lam):
-    """dim pi_lambda = prod_{i<j} (lam_i - lam_j + j - i)/(j - i), exact."""
-    ent = _as_weight(lam).entries
+    """dim pi_lambda = prod_{i<j} (lam_i - lam_j + j - i)/(j - i), exact.
+
+    Computed by :func:`_weyl_dim` over the pairs of distinct entries only;
+    :func:`block_spectrum` calls that on its rows directly, so it does not
+    pass through here.
+    """
+    return _weyl_dim(_as_weight(lam).entries)
+
+
+def _weyl_dim(ent):
+    """The Weyl dimension of the label with nonincreasing entries ``ent``.
+
+    A pair with ent[i] == ent[j] contributes (j - i)/(j - i) = 1, so only
+    the other pairs are multiplied, and the quotient stays exact: a d = 64
+    label of Lambda~_5 has at least 54 zero entries, so at most 585 of its
+    2 016 pairs.
+    """
     d = len(ent)
-    num = 1
-    den = 1
+    num = den = 1
     for i in range(d):
         for j in range(i + 1, d):
-            num *= ent[i] - ent[j] + j - i
-            den *= j - i
+            if ent[i] != ent[j]:
+                num *= ent[i] - ent[j] + j - i
+                den *= j - i
     q, r = divmod(num, den)
     assert r == 0
     return q
@@ -264,15 +290,17 @@ def sum_dimensions(d, t):
 class BlockSpectrum:
     """The block data of Lambda~_t on U(d) that the union bounds read.
 
-    ``labels`` are in :func:`enumerate_lambda_set` order, ``dims`` the exact
-    d_lambda, ``sum_dim`` their exact sum, ``log2dim`` the read-only float64
-    array of log(2 d_lambda), each taken by ``math.log`` of the exact
-    integer, and ``fs2`` the read-only float64 array of delta_lambda(2).
+    ``labels`` is the read-only int64 array of shape (n, d) whose rows are
+    the label entries in :func:`enumerate_lambda_set` order, ``dims`` the
+    exact d_lambda ints, ``sum_dim`` their exact sum, ``log2dim`` the
+    read-only float64 array of log(2 d_lambda), each taken by ``math.log``
+    of the exact integer, and ``fs2`` the read-only float64 array of
+    delta_lambda(2). No :class:`HighestWeight` is built for it.
     """
 
     d: int
     t: int
-    labels: tuple
+    labels: np.ndarray
     dims: tuple
     sum_dim: int
     log2dim: np.ndarray
@@ -284,12 +312,13 @@ def block_spectrum(d, t):
     """The cached :class:`BlockSpectrum` of Lambda~_t on U(d)."""
     import numpy as np
 
-    labels = tuple(enumerate_lambda_set(d, t))
-    dims = tuple(weyl_dimension(lam) for lam in labels)
+    rows = list(_label_rows(d, t))
+    dims = tuple(map(_weyl_dim, rows))
+    labels = np.array(rows, dtype=np.int64)
     log2dim = np.array([math.log(2 * dl) for dl in dims])
-    log2dim.flags.writeable = False
-    fs2 = np.array([_frobenius_schur(lam) / dl for lam, dl in zip(labels, dims)])
-    fs2.flags.writeable = False
+    fs2 = np.array([_frobenius_schur(row) / dl for row, dl in zip(rows, dims)])
+    for arr in (labels, log2dim, fs2):
+        arr.flags.writeable = False
     return BlockSpectrum(d, t, labels, dims, sum(dims), log2dim, fs2)
 
 
@@ -462,10 +491,11 @@ def _fs_weyl_sum(lam, n):
     return total
 
 
-def _frobenius_schur(lam):
-    """d_lambda delta_lambda(2), the Frobenius-Schur indicator 1, 0 or -1."""
-    a = to_dynkin(lam).entries
-    d = len(a) + 1
+def _frobenius_schur(ent):
+    """d_lambda delta_lambda(2), the Frobenius-Schur indicator 1, 0 or -1, of
+    the label with nonincreasing entries ``ent`` (a is its Dynkin label)."""
+    d = len(ent)
+    a = [ent[j - 1] - ent[j] for j in range(1, d)]
     return (-1) ** sum(j * (d - j) * v for j, v in enumerate(a, 1)) if a == a[::-1] else 0
 
 
@@ -488,7 +518,7 @@ def fs_indicator(lam, n):
         return Fraction(int(len(set(lam.entries)) == 1))
     dl = weyl_dimension(lam)
     if n == 2:
-        return Fraction(_frobenius_schur(lam), dl)
+        return Fraction(_frobenius_schur(lam.entries), dl)
     if n > lam.d:
         return Fraction(zero_weight_multiplicity(lam), dl)
     return Fraction(_fs_weyl_sum(lam, n), dl)

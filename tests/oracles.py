@@ -14,9 +14,11 @@ the standard convention reproduces the Freudenthal recursion and the SU(2)
 closed forms, so that is what is implemented.
 
 Also the SU(2) irreps as explicit matrices, the oracle for the characters
-that the Frobenius-Schur Monte Carlo evaluates from traces, and the walk over
+that the Frobenius-Schur Monte Carlo evaluates from traces, the walk over
 the d! permutations of S_d grouped by displacement, the oracle for the
-library's residue-class tables of the Frobenius-Schur sums.
+library's residue-class tables of the Frobenius-Schur sums, and the Weyl
+dimension formula over all pairs, the oracle for the library's product over
+the pairs of distinct entries.
 """
 import itertools
 import math
@@ -57,6 +59,16 @@ def _kostant_rec(rem, idx, d):
         lst[i] -= 1
         lst[j] += 1
     return total
+
+
+def weyl_dimension_all_pairs(entries):
+    """prod over all i < j of (lam_i - lam_j + j - i)/(j - i), as a Fraction."""
+    d = len(entries)
+    out = Fraction(1)
+    for i in range(d):
+        for j in range(i + 1, d):
+            out *= Fraction(entries[i] - entries[j] + j - i, j - i)
+    return out
 
 
 def kostant_partition(mu, d=None):

@@ -51,6 +51,13 @@ def test_method_kind_compatibility():
         bd.master_bound_plain(q_sym((1, -1), 10, 0.5))
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_per_label_bound_accepts_method_values(method):
+    q = BoundQuery(kind=method.kind, S=20, delta=0.5, lam=rc.HighestWeight((1, -1)))
+    assert bd.per_label_bound(q, method.value) == bd.per_label_bound(q, method)
+    assert bd.per_label_bound(q, method.value).method is method
+
+
 @pytest.mark.parametrize("kind", list(GateSetKind))
 @pytest.mark.parametrize("method", list(Method))
 def test_per_label_bound_needs_method_of_query_kind(method, kind):
@@ -396,6 +403,19 @@ def test_total_bound_validates_query():
         bd.total_bound(2, 2, GateSetKind.SYMMETRIC, 11, 0.5, Method.BERNSTEIN_SYMMETRIC)
 
 
+def test_query_rejects_non_integral_gate_count():
+    for kind, method in [("plain", "master-plain"), ("plain", "bernstein-plain"),
+                         ("symmetric", "bernstein-symmetric")]:
+        with pytest.raises(ValueError, match="S must be integral, got 57.5"):
+            bd.total_bound(2, 2, kind, 57.5, 0.5, method)
+    with pytest.raises(ValueError, match="57.5"):
+        BoundQuery(kind=GateSetKind.PLAIN, S=57.5, delta=0.5, lam=rc.HighestWeight((1, -1)))
+    # integral floats and numpy ints are gate counts
+    want = bd.total_bound(2, 2, "plain", 57, 0.5, "master-plain").log_bound
+    for S in (57.0, np.int64(57), np.int32(57)):
+        assert bd.total_bound(2, 2, "plain", S, 0.5, "master-plain").log_bound == want
+
+
 def test_sum_dimensions_values():
     assert rc.sum_dimensions(4, 2) == 209
     assert rc.sum_dimensions(2, 500) == 251000
@@ -442,6 +462,8 @@ def test_concentration_t_limits_and_scaling():
     assert double == pytest.approx(single**2, rel=1e-9)
     with pytest.raises(ValueError):
         bd.concentration_bound_t(2, 2, 100, 0.0)
+    with pytest.raises(ValueError, match="need t >= 1, got t=0"):
+        bd.concentration_bound_t(2, 0, 10, 0.3)
 
 
 def test_concentration_lambda_formula():
@@ -450,6 +472,9 @@ def test_concentration_lambda_formula():
     assert val == pytest.approx(math.exp(-3 * 80 * 0.16 / (2 * math.pi**2 * 16)), rel=1e-12)
     assert bd.concentration_bound_lambda((2, 0, -2), 80, 1e-12) == pytest.approx(1.0)
     assert bd.concentration_bound_lambda(lam, 160, 0.4) == pytest.approx(val**2, rel=1e-9)
+    for zero in ((0, 0), rc.HighestWeight((0, 0, 0))):
+        with pytest.raises(ValueError, match=r"label \(0, 0(, 0)?\) has one-norm 0"):
+            bd.concentration_bound_lambda(zero, 10, 0.3)
 
 
 def test_concentration_beamsplitter():

@@ -243,6 +243,15 @@ def test_dimension_positive_on_label_set():
         assert rc.weyl_dimension(lam) >= 1
 
 
+@given(entries=st.lists(st.integers(-6, 6), min_size=2, max_size=64).map(
+    lambda v: tuple(sorted(v, reverse=True))))
+@settings(max_examples=150, deadline=None)
+def test_weyl_dimension_matches_all_pairs_oracle(entries):
+    # runs of equal entries are common in the draws, so the skipped pairs
+    # are exercised at every d up to 64
+    assert rc.weyl_dimension(entries) == oracles.weyl_dimension_all_pairs(entries)
+
+
 @pytest.mark.parametrize("d", [4, 8])
 def test_sum_dimensions_t2_closed_form(d):
     assert rc.sum_dimensions(d, 2) == d**4 - 3 * d**2 + 1
@@ -258,7 +267,10 @@ def test_block_spectrum_matches_labels_and_dimensions(d, t):
     labels = rc.enumerate_lambda_set(d, t)
     dims = [rc.weyl_dimension(l) for l in labels]
     assert (spec.d, spec.t) == (d, t)
-    assert list(spec.labels) == labels
+    assert spec.labels.dtype == np.int64
+    assert spec.labels.shape == (len(labels), d)
+    assert not spec.labels.flags.writeable
+    assert [tuple(row) for row in spec.labels.tolist()] == [l.entries for l in labels]
     assert list(spec.dims) == dims
     assert spec.sum_dim == sum(dims) == rc.sum_dimensions(d, t)
     assert spec.log2dim.tolist() == [math.log(2 * dl) for dl in dims]
@@ -268,14 +280,33 @@ def test_block_spectrum_matches_labels_and_dimensions(d, t):
 
 def test_block_spectrum_fs2():
     spec = rc.block_spectrum(4, 3)
-    assert spec.fs2.tolist() == [float(rc.fs_indicator(l, 2)) for l in spec.labels]
+    labels = rc.enumerate_lambda_set(4, 3)
+    assert spec.fs2.tolist() == [float(rc.fs_indicator(l, 2)) for l in labels]
     assert not spec.fs2.flags.writeable
     # beyond the Weyl cap: a zero-sum label is trivial on the centre, so it
     # is real exactly when it is self-dual, lam = -reverse(lam)
     spec = rc.block_spectrum(9, 2)
-    want = [(l.entries == tuple(-v for v in reversed(l.entries))) / dl
-            for l, dl in zip(spec.labels, spec.dims)]
+    want = [(row == [-v for v in reversed(row)]) / dl
+            for row, dl in zip(spec.labels.tolist(), spec.dims)]
     assert spec.fs2.tolist() == want
+
+
+def test_block_spectrum_builds_no_label_objects(monkeypatch):
+    built = []
+    for cls in (rc.HighestWeight, rc.DynkinLabel):
+        real = cls.__post_init__
+
+        def counting(self, real=real):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    assert rc.HighestWeight((1, -1)).d == 2 and len(built) == 1  # the patch counts
+    built.clear()
+    for d, ts in TABLE2_COLUMNS.items():
+        for t in ts:
+            rc.block_spectrum.__wrapped__(d, t)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,29 @@ def test_search_probes_each_size_once(monkeypatch, d, t, method):
     assert len(probed) == len(set(probed)), sorted(probed)
 
 
+def test_master_symmetric_search_builds_each_label_once(monkeypatch):
+    # the label-by-label totals build Lambda~_t once per (d, t), not once
+    # per probe of the search
+    want = sorted(l.entries for l in rc.enumerate_lambda_set(2, 20))
+    probed, built = [], []
+    real_total, real_init = bd.total_bound, rc.HighestWeight.__post_init__
+
+    def counting_total(*args):
+        probed.append(args[3])
+        return real_total(*args)
+
+    def counting_init(self):
+        built.append(self.entries)
+        real_init(self)
+
+    monkeypatch.setattr(bd, "total_bound", counting_total)
+    monkeypatch.setattr(rc.HighestWeight, "__post_init__", counting_init)
+    bd._label_objects.cache_clear()
+    solver.min_size_search(2, 20, 0.5, 0.99, Method.MASTER_SYMMETRIC)
+    assert len(probed) > 1
+    assert sorted(built) == want
+
+
 def _stub_bound(log_bound):
     """A total_bound stand-in whose log bound is log_bound(S)."""
     def stub(d, t, kind, S, delta, method):
