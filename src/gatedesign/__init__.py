@@ -21,13 +21,11 @@ _MODULES = {
         "concentration_bound_beamsplitter",
         "concentration_bound_lambda",
         "concentration_bound_t",
-        "equivalent_plain_size",
         "master_bound_plain",
         "master_bound_symmetric",
         "master_bound_symmetric_simplified",
         "methods_for_kind",
         "total_bound",
-        "total_master_plain_factored",
     ),
     "montecarlo": (
         "GateSetSample",
@@ -52,7 +50,6 @@ _MODULES = {
         "gamma_coefficients",
         "partition_count",
         "sum_dimensions",
-        "to_dynkin",
         "to_u_weight",
         "weight_multiplicity",
         "weyl_dimension",
@@ -63,10 +60,7 @@ _MODULES = {
         "clifford_cardinality",
         "clifford_random_set_size",
         "clifford_random_set_size_exact",
-        "clifford_ratio",
-        "depth_for_target",
         "min_size_closed_form",
-        "min_size_scaling",
         "min_size_search",
         "table2_cells",
     ),

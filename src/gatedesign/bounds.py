@@ -9,7 +9,10 @@ The totals read the cached block spectrum of Lambda~_t
 (:func:`repcore.block_spectrum`): the plain and Bernstein-symmetric totals
 are one log-sum-exp over its log(2 d_lam) array plus the method's exponent;
 the two master-symmetric totals go label by label, through
-:func:`per_label_bound`, over label objects built once per (d, t). With
+:func:`per_label_bound`, over the spectrum's label rows. A label is its
+checked entries tuple (:func:`repcore._label_entries`) everywhere here:
+:class:`BoundQuery` reduces the one it is given, and the per-label caches
+are keyed on it. With
 x = 2 theta / S the symmetric objective is (S/2) h(x), h(x) = log B(x) -
 delta x a convex log-MGF (Tropp, arXiv:1501.01571, Sec. 3) whose minimizer
 does not depend on S: it is found once per (label, delta) by bisection on
@@ -55,15 +58,21 @@ def _check_method(method, kind):
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """One per-block bound evaluation: set kind, size, threshold, block label (d = lam.d)."""
+    """One per-block bound evaluation: set kind, size, threshold, block label.
+
+    ``lam`` may be given as a :class:`repcore.HighestWeight` or any sequence
+    of entries; it is stored as the checked entries tuple, so a bad label
+    raises ``ValueError`` here, and d = len(lam).
+    """
 
     kind: GateSetKind
     S: int
     delta: float
-    lam: repcore.HighestWeight
+    lam: tuple
 
     def __post_init__(self):
         _check_query(self.kind, self.S, self.delta)
+        object.__setattr__(self, "lam", repcore._label_entries(self.lam))
 
 
 @dataclass(frozen=True)
@@ -145,13 +154,13 @@ def _log_master_plain_factor(S, delta):
 def _sym_block_data(lam):
     """(d_lam, m_lam(0)/d_lam, float gamma_lam(0..d)) of one label.
 
-    Cached per label, so every probe of a search and every t whose label
-    set holds the label share one build. The gamma array is read-only.
+    Cached per entries tuple, so every probe of a search and every t whose
+    label set holds the label share one build. The gamma array is read-only.
     """
-    dl = repcore.weyl_dimension(lam)
+    dl = repcore._weyl_dim(lam)
     m0 = repcore.zero_weight_multiplicity(lam)
     gam = repcore.gamma_coefficients(lam)
-    gvec = np.array([float(gam[k]) for k in range(lam.d + 1)])
+    gvec = np.array([float(gam[k]) for k in range(len(lam) + 1)])
     gvec.flags.writeable = False
     return dl, m0 / dl, gvec
 
@@ -187,10 +196,11 @@ def _sym_min_exponents(lam, delta):
     """((h+*, x+*), (h-*, x-*)): the minima of h over x in (0, 2 THETA_MAX_FACTOR].
 
     With x = 2 theta / S, e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)},
-    so the minimizer does not depend on S and one search per (label, delta)
-    serves every probe. h is convex (a log-MGF) and h(0+) = 0: a slope
-    >= 0 at the floor x0 * 1e-13 gives the theta -> 0 limit (0, 0);
-    otherwise the sign of h' is bisected in log x down to width THETA_RTOL.
+    so the minimizer does not depend on S and one search per (label
+    entries tuple, delta) serves every probe. h is convex (a log-MGF) and
+    h(0+) = 0: a slope >= 0 at the floor x0 * 1e-13 gives the theta -> 0
+    limit (0, 0); otherwise the sign of h' is bisected in log x down to
+    width THETA_RTOL.
     NaN slopes move the upper end, so the kept lower end is always finite.
     The value at x0 = 2 delta / sqrt(1 - delta^2), the simplified bound's
     point, caps the result.
@@ -217,7 +227,7 @@ def _sym_min_exponents(lam, delta):
             best = (h0, x0)
         if math.isnan(best[0]):
             raise BoundUnavailableError(
-                f"bracket nonpositive over the whole theta range for lam={lam.entries}"
+                f"bracket nonpositive over the whole theta range for lam={lam}"
             )
         out.append(best)
     return tuple(out)
@@ -250,7 +260,7 @@ def master_bound_symmetric_simplified(q: BoundQuery):
     hm, _ = _sym_exponent(x0, q.delta, -1, m0d, gvec)
     if math.isnan(hp) or math.isnan(hm):
         raise BoundUnavailableError(
-            f"bracket nonpositive at theta0 for lam={q.lam.entries}"
+            f"bracket nonpositive at theta0 for lam={q.lam}"
         )
     log_bound = math.log(dl) + np.logaddexp(0.5 * q.S * hp, 0.5 * q.S * hm)
     return BoundResult(Method.MASTER_SYMMETRIC_SIMPLIFIED, float(log_bound), 0.5 * q.S * x0)
@@ -277,13 +287,6 @@ def per_label_bound(q: BoundQuery, method):
     return _PER_LABEL[method](q)
 
 
-@lru_cache(maxsize=None)
-def _label_objects(d, t):
-    """Lambda~_t as :class:`repcore.HighestWeight` objects, built once per
-    (d, t) for the totals that go label by label, not once per probe."""
-    return tuple(repcore.enumerate_lambda_set(d, t))
-
-
 def total_bound(d, t, kind, S, delta, method):
     """Union bound over all block labels of the t-th moment operator."""
     if not isinstance(method, Method):
@@ -303,17 +306,9 @@ def total_bound(d, t, kind, S, delta, method):
         # the master-symmetric bounds are evaluated label by label
         logs = np.array([
             per_label_bound(BoundQuery(kind=kind, S=S, delta=delta, lam=lam), method).log_bound
-            for lam in _label_objects(d, t)
+            for lam in spec.labels.tolist()
         ])
     return BoundResult(method, float(np.logaddexp.reduce(logs)))
-
-
-def total_master_plain_factored(d, t, S, delta):
-    """Theorem-1 closed form: the per-label master-plain total collapses to
-    2 e^{-delta S arctanh delta} (1-delta^2)^{-S/2} * sum d_lam."""
-    sum_d = repcore.sum_dimensions(d, t)
-    log_bound = math.log(2) + math.log(sum_d) + _log_master_plain_factor(S, delta)
-    return BoundResult(Method.MASTER_PLAIN, log_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +325,14 @@ def concentration_bound_t(d, t, S, alpha):
 
 
 def concentration_bound_lambda(lam, S, alpha):
-    """Per-block version: exponent -d S alpha^2 / (2 pi^2 ||lam||_1^2), d = lam.d."""
+    """Per-block version: exponent -d S alpha^2 / (2 pi^2 ||lam||_1^2), d = len(lam)."""
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    lam = repcore._as_weight(lam)
-    if lam.norm1 == 0:
-        raise ValueError(f"label {lam.entries} has one-norm 0; the per-block bound needs a nonzero label")
-    return math.exp(-lam.d * S * alpha**2 / (2.0 * math.pi**2 * lam.norm1**2))
+    lam = repcore._label_entries(lam)
+    norm1 = sum(map(abs, lam))
+    if norm1 == 0:
+        raise ValueError(f"label {lam} has one-norm 0; the per-block bound needs a nonzero label")
+    return math.exp(-len(lam) * S * alpha**2 / (2.0 * math.pi**2 * norm1**2))
 
 
 def concentration_bound_beamsplitter(t, S, alpha):
@@ -344,11 +340,3 @@ def concentration_bound_beamsplitter(t, S, alpha):
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     return math.exp(-S * alpha**2 / (16.0 * t * t))
-
-
-def equivalent_plain_size(d, S):
-    """Plain SU(d) set size with the same concentration rate as a lifted
-    SU(2) seed set of size S: 2S/d."""
-    if d <= 2:
-        raise ValueError(f"beamsplitter lifting needs d > 2, got d={d}")
-    return 2.0 * S / d

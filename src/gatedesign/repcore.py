@@ -5,6 +5,12 @@ enumeration, Weyl dimensions, weight multiplicities (Kostka numbers by
 Gelfand-Tsetlin branching), Frobenius-Schur indicators delta_lambda(n) and
 the gamma_lambda(k) coefficients entering the symmetric master bound.
 
+Labels: the public per-label functions take a :class:`HighestWeight` or
+any sequence of entries and reduce it once, by :func:`_label_entries`, to a
+checked int tuple; every private helper takes that tuple, and caches keyed
+on a label are keyed on it. :class:`HighestWeight` is the public wrapper of
+the same tuple.
+
 The block spectrum (:func:`block_spectrum`) is the one intermediate the
 union bounds and the solver read: per (d, t), cached, the label set
 Lambda~_t as an int array of entry rows, with its exact dimensions, their
@@ -77,40 +83,48 @@ MAX_WEYL_DIM = 8
 # ---------------------------------------------------------------------------
 
 def _integral(v, what):
-    """v as an int; a value that is not integral raises instead of truncating."""
-    i = int(v)
-    if i != v:
+    """v as an int; a value that is not integral (inf and nan included)
+    raises instead of truncating."""
+    try:
+        i = int(v)
+    except (OverflowError, ValueError):
+        i = None
+    if i is None or i != v:
         raise ValueError(f"{what} must be integral, got {v!r}")
     return i
 
 
+def _label_entries(lam):
+    """The entries of a label as a checked int tuple.
+
+    ``lam`` is a :class:`HighestWeight` or any sequence of integral values;
+    the tuple has d >= 2 nonincreasing entries. Every function below the
+    public edge takes labels in this form.
+    """
+    if isinstance(lam, HighestWeight):
+        return lam.entries
+    ent = tuple(_integral(v, "label entries") for v in lam)
+    if len(ent) < 2:
+        raise ValueError(f"a label needs d >= 2 entries, got {ent}")
+    if any(a < b for a, b in zip(ent, ent[1:])):
+        raise ValueError(f"label entries must be nonincreasing: {ent}")
+    return ent
+
+
 @dataclass(frozen=True)
 class HighestWeight:
-    """A U(d) highest weight: nonincreasing integer d-tuple."""
+    """A U(d) highest weight: ``entries`` is the checked int tuple of
+    :func:`_label_entries`, with d = len(entries)."""
 
     entries: tuple
 
     def __post_init__(self):
-        ent = tuple(_integral(v, "label entries") for v in self.entries)
-        object.__setattr__(self, "entries", ent)
-        if len(ent) < 2:
-            raise ValueError("highest weight needs d >= 2 entries")
-        if any(a < b for a, b in zip(ent, ent[1:])):
-            raise ValueError(f"entries must be nonincreasing: {ent}")
-
-    @property
-    def d(self):
-        return len(self.entries)
+        object.__setattr__(self, "entries", _label_entries(self.entries))
 
     @property
     def norm1(self):
         """One-norm sum of |entries|."""
         return sum(abs(v) for v in self.entries)
-
-    @property
-    def total(self):
-        """Entry sum Sigma(lambda)."""
-        return sum(self.entries)
 
 
 @dataclass(frozen=True)
@@ -136,12 +150,6 @@ def _weight_entries(mu):
     if isinstance(mu, HighestWeight):
         return tuple(Fraction(v) for v in mu.entries)
     return tuple(Fraction(v) for v in mu)
-
-
-def _as_weight(lam):
-    if isinstance(lam, HighestWeight):
-        return lam
-    return HighestWeight(tuple(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +259,10 @@ def weyl_dimension(lam):
     """dim pi_lambda = prod_{i<j} (lam_i - lam_j + j - i)/(j - i), exact.
 
     Computed by :func:`_weyl_dim` over the pairs of distinct entries only;
-    :func:`block_spectrum` calls that on its rows directly, so it does not
-    pass through here.
+    :func:`block_spectrum` and the other per-label functions call that on
+    entries tuples directly, so they do not pass through here.
     """
-    return _weyl_dim(_as_weight(lam).entries)
+    return _weyl_dim(_label_entries(lam))
 
 
 def _weyl_dim(ent):
@@ -396,15 +404,15 @@ def weight_multiplicity(lam, mu):
     Returns 0 immediately when the one-norm or entry-sum pruning rules rule
     mu out. Runs no Weyl-group sum, so any d is allowed.
     """
-    lam = _as_weight(lam)
+    lam = _label_entries(lam)
     ent = _weight_entries(mu)
-    if len(ent) != lam.d:
+    if len(ent) != len(lam):
         raise ValueError("weight length does not match d")
-    if sum(ent) != lam.total:
+    if sum(ent) != sum(lam):
         return 0
-    if sum(abs(v) for v in ent) > lam.norm1:
+    if sum(map(abs, ent)) > sum(map(abs, lam)):
         return 0
-    return _mult_centered(lam.entries, tuple(sorted(_centered(ent), reverse=True)))
+    return _mult_centered(lam, tuple(sorted(_centered(ent), reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +470,12 @@ def _lattice_displacements(d, n, r):
     return tuple(by_norm)
 
 
-def _fs_weyl_sum(lam, n):
+def _fs_weyl_sum(ent, n):
     """sum over sigma in S_d of sgn(sigma) * m_lambda((rho - sigma.rho)/n), exact.
 
-    For n >= 1; this is d_lambda * delta_lambda(n) at every such n, and the
-    reference the closed forms of :func:`fs_indicator` are tested against.
+    For the label with entries tuple ``ent`` and n >= 1; this is d_lambda *
+    delta_lambda(n) at every such n, and the reference the closed forms of
+    :func:`fs_indicator` are tested against.
     Not cached: :func:`gamma_coefficients` runs once per label, behind the
     bounds' block-data cache. The identity's term is m_lambda(0). The centered
     weight (sigma(i) - i)/n lies in the label's coset of the root lattice only
@@ -476,18 +485,18 @@ def _fs_weyl_sum(lam, n):
     integer. One term per displacement group: the multiplicity and the
     one-norm budget depend on the sorted displacement alone.
     """
-    lift = Fraction(n * lam.total, lam.d)
+    lift = Fraction(n * sum(ent), len(ent))
     if lift.denominator != 1:
         return 0
     # centered weights lie in the hull of the Weyl orbit of the centered
     # label, so ||mu||_1 <= ||lambda_c||_1; ||lambda||_1 can be smaller when
     # the entries do not sum to zero
-    budget = n * sum(map(abs, _centered(lam.entries)))
+    budget = n * sum(map(abs, _centered(ent)))
     total = 0
-    for norm, disp, count in _lattice_displacements(lam.d, n, -lift.numerator % n):
+    for norm, disp, count in _lattice_displacements(len(ent), n, -lift.numerator % n):
         if norm > budget:
             break  # the groups come in one-norm order
-        total += count * _mult_centered(lam.entries, tuple(Fraction(v, n) for v in disp))
+        total += count * _mult_centered(ent, tuple(Fraction(v, n) for v in disp))
     return total
 
 
@@ -510,25 +519,25 @@ def fs_indicator(lam, n):
     Weyl-group sum, over the permutations that keep residue classes mod n,
     which needs d <= MAX_WEYL_DIM.
     """
-    lam = _as_weight(lam)
+    ent = _label_entries(lam)
     n = abs(_integral(n, "n"))
     if n == 0:
         return Fraction(1)
     if n == 1:
-        return Fraction(int(len(set(lam.entries)) == 1))
-    dl = weyl_dimension(lam)
+        return Fraction(int(len(set(ent)) == 1))
+    dl = _weyl_dim(ent)
     if n == 2:
-        return Fraction(_frobenius_schur(lam.entries), dl)
-    if n > lam.d:
-        return Fraction(zero_weight_multiplicity(lam), dl)
-    return Fraction(_fs_weyl_sum(lam, n), dl)
+        return Fraction(_frobenius_schur(ent), dl)
+    if n > len(ent):
+        return Fraction(zero_weight_multiplicity(ent), dl)
+    return Fraction(_fs_weyl_sum(ent, n), dl)
 
 
 def zero_weight_multiplicity(lam):
     """m_lambda(0) of the SU(d) restriction (0 when the label has no
     zero-sum lift; always >= 1 on Lambda~_t)."""
-    lam = _as_weight(lam)
-    return _mult_centered(lam.entries, _centered((0,) * lam.d))
+    ent = _label_entries(lam)
+    return _mult_centered(ent, _centered((0,) * len(ent)))
 
 
 def gamma_coefficients(lam):
@@ -540,23 +549,17 @@ def gamma_coefficients(lam):
     and delta_lambda(2) (the Frobenius-Schur indicator) are closed forms, so
     only k = 3..d runs a Weyl-group sum.
     """
-    lam = _as_weight(lam)
-    m0d = Fraction(zero_weight_multiplicity(lam), weyl_dimension(lam))
+    ent = _label_entries(lam)
+    m0d = Fraction(zero_weight_multiplicity(ent), _weyl_dim(ent))
     gam = {0: 1 - m0d}
-    for k in range(1, lam.d + 1):
-        gam[k] = gam[-k] = fs_indicator(lam, k) - m0d
+    for k in range(1, len(ent) + 1):
+        gam[k] = gam[-k] = fs_indicator(ent, k) - m0d
     return gam
 
 
 # ---------------------------------------------------------------------------
-# U(d) <-> SU(d) label conversion
+# SU(d) -> U(d) label lift
 # ---------------------------------------------------------------------------
-
-def to_dynkin(lam):
-    """Consecutive differences: the SU(d) Dynkin label of the restriction."""
-    ent = _as_weight(lam).entries
-    return DynkinLabel(tuple(ent[i] - ent[i + 1] for i in range(len(ent) - 1)))
-
 
 def to_u_weight(dynkin, m=None):
     """U(d) lift of an SU(d) label; lowest entry m.

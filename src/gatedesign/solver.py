@@ -1,14 +1,13 @@
 """Inverting the tail bounds: minimal gate-set sizes and applications.
 
 Covers the closed-form minimal size from the factored plain master bound,
-integer search against any of the five bound methods, the coarse scaling
-estimate, the Clifford-group comparison, and depth amplification.
+integer search against any of the five bound methods, the Clifford-group
+comparison, and the minimal-size table grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import repcore
 from .kinds import GateSetKind, Method
@@ -126,17 +125,6 @@ def min_size_search(d, t, delta, P, method):
     )
 
 
-def min_size_scaling(d, t, delta, P):
-    """Coarse over-estimate using sum d_lam <= d^(2t).
-
-    2 (2t log d + log 2 - log(1-P)) / log((1+d)^(1+d)(1-d)^(1-d)); always at
-    least the closed-form value.
-    """
-    _check_delta_p(delta, P)
-    num = 2.0 * (2.0 * t * math.log(d) + math.log(2.0) - math.log1p(-P))
-    return num / _log_binomial_rate(delta)
-
-
 # ---------------------------------------------------------------------------
 # Clifford-group comparison (0.01-approximate 2-designs on n qubits)
 # ---------------------------------------------------------------------------
@@ -168,29 +156,8 @@ def clifford_random_set_size_exact(n):
     if d >= 4:
         sum_d = d**4 - 3 * d**2 + 1
     else:
-        sum_d = sum(map(repcore.weyl_dimension, repcore.enumerate_lambda_set(d, 2)))
+        sum_d = sum(map(repcore._weyl_dim, repcore._label_rows(d, 2)))
     return _closed_form_from_sum(d, 2, 0.01, 0.99, sum_d).S_min
-
-
-def clifford_ratio(n):
-    """|C_n| / S_n as an exact rational, S_n from the printed-constant formula."""
-    if not 1 <= n <= 50:
-        raise ValueError(f"need 1 <= n <= 50, got {n}")
-    return Fraction(clifford_cardinality(n), clifford_random_set_size(n))
-
-
-# ---------------------------------------------------------------------------
-# depth amplification
-# ---------------------------------------------------------------------------
-
-def depth_for_target(delta0, delta_target):
-    """Smallest circuit depth l with delta0^l <= delta_target."""
-    if not 0.0 < delta_target <= delta0 < 1.0:
-        raise ValueError(
-            f"need 0 < delta_target <= delta0 < 1, got {delta0}, {delta_target}"
-        )
-    ratio = math.log(delta_target) / math.log(delta0)
-    return max(1, math.ceil(ratio - 1e-12))
 
 
 # ---------------------------------------------------------------------------

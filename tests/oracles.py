@@ -19,6 +19,11 @@ the d! permutations of S_d grouped by displacement, the oracle for the
 library's residue-class tables of the Frobenius-Schur sums, and the Weyl
 dimension formula over all pairs, the oracle for the library's product over
 the pairs of distinct entries.
+
+Last, two closed forms the tests compare the library with: the Dynkin label
+of a U(d) label, which ``repcore.to_u_weight`` inverts, and the coarse
+minimal size from sum d_lambda <= d^(2t), which the paper's qubit formula
+rounds.
 """
 import itertools
 import math
@@ -28,7 +33,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from gatedesign.repcore import _as_weight, _centered, _weight_entries
+from gatedesign.repcore import _centered, _label_entries, _weight_entries
 
 
 @lru_cache(maxsize=None)
@@ -221,17 +226,17 @@ def _freudenthal_table(lam_entries):
 
 def freudenthal_multiplicity(lam, mu):
     """Same contract as ``repcore.weight_multiplicity``, independent engine."""
-    lam = _as_weight(lam)
+    lam = _label_entries(lam)
     ent = _weight_entries(mu)
-    if len(ent) != lam.d:
+    if len(ent) != len(lam):
         raise ValueError("weight length does not match d")
-    if sum(ent) != lam.total:
+    if sum(ent) != sum(lam):
         return 0
     mu_c = _centered(ent)
-    lam_c = _centered(lam.entries)
+    lam_c = _centered(lam)
     if any((a - b).denominator != 1 for a, b in zip(lam_c, mu_c)):
         return 0
-    return _freudenthal_table(lam.entries).get(mu_c, 0)
+    return _freudenthal_table(lam).get(mu_c, 0)
 
 
 def su2_irrep_matrix(j2, u):
@@ -281,3 +286,15 @@ def signed_displacements(d):
         counts[disp] = counts.get(disp, 0) + (-1 if inv % 2 else 1)
     by_norm = sorted(counts.items(), key=lambda item: sum(map(abs, item[0])))
     return MappingProxyType({disp: c for disp, c in by_norm if c})
+
+
+def dynkin_label(entries):
+    """Consecutive differences: the SU(d) Dynkin label of the restriction."""
+    return tuple(entries[i] - entries[i + 1] for i in range(len(entries) - 1))
+
+
+def min_size_scaling(d, t, delta, P):
+    """Coarse minimal size from sum d_lambda <= d^(2t):
+    2 (2t log d + log 2 - log(1-P)) / log((1+delta)^(1+delta) (1-delta)^(1-delta))."""
+    rate = (1.0 + delta) * math.log1p(delta) + (1.0 - delta) * math.log1p(-delta)
+    return 2.0 * (2.0 * t * math.log(d) + math.log(2.0) - math.log1p(-P)) / rate

@@ -150,7 +150,7 @@ def test_criterion_3_closed_forms():
 
 def _weight_box(lam):
     r = lam.norm1 // 2 + 1
-    for mu in itertools.product(range(-r, r + 1), repeat=lam.d - 1):
+    for mu in itertools.product(range(-r, r + 1), repeat=len(lam.entries) - 1):
         last = -sum(mu)
         if abs(last) <= r + 1:
             yield mu + (last,)
@@ -203,7 +203,7 @@ def test_criterion_5_fs_closed_forms():
             for n in (d + 1, -(d + 1), d + 3):
                 shortcut_ok = shortcut_ok and rc.fs_indicator(lam, n) == m0_over_d
                 shortcut_ok = shortcut_ok and (
-                    Fraction(rc._fs_weyl_sum(lam, abs(n)), rc.weyl_dimension(lam)) == m0_over_d
+                    Fraction(rc._fs_weyl_sum(lam.entries, abs(n)), rc.weyl_dimension(lam)) == m0_over_d
                 )
     report(
         "5 (Frobenius-Schur closed forms)",

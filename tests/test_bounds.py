@@ -42,6 +42,10 @@ def test_query_validation():
         BoundQuery(kind=GateSetKind.PLAIN, S=10, delta=1.5, lam=lam)
     with pytest.raises(ValueError):
         BoundQuery(kind=GateSetKind.SYMMETRIC, S=11, delta=0.5, lam=lam)
+    # the label is checked where the query is built
+    for bad in ((1, 2), (1,), (1.5, -1.5), "junk"):
+        with pytest.raises(ValueError):
+            BoundQuery(kind=GateSetKind.SYMMETRIC, S=10, delta=0.5, lam=bad)
 
 
 def test_method_kind_compatibility():
@@ -56,6 +60,17 @@ def test_per_label_bound_accepts_method_values(method):
     q = BoundQuery(kind=method.kind, S=20, delta=0.5, lam=rc.HighestWeight((1, -1)))
     assert bd.per_label_bound(q, method.value) == bd.per_label_bound(q, method)
     assert bd.per_label_bound(q, method.value).method is method
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_per_label_bound_takes_every_label_form(method):
+    # the query stores the entries tuple, so a tuple, a list and a label
+    # object are one label to every method
+    forms = ((1, 0, -1), [1, 0, -1], rc.HighestWeight((1, 0, -1)))
+    queries = [BoundQuery(kind=method.kind, S=20, delta=0.5, lam=lam) for lam in forms]
+    assert all(q.lam == (1, 0, -1) and type(q.lam) is tuple for q in queries)
+    logs = {bd.per_label_bound(q, method).log_bound for q in queries}
+    assert len(logs) == 1 and math.isfinite(logs.pop())
 
 
 @pytest.mark.parametrize("kind", list(GateSetKind))
@@ -193,7 +208,7 @@ def grid_branch_min(S, delta, m0d, gvec, branch):
 
 def test_symmetric_minimizer_matches_grid_scan():
     # S=30, delta=0.5, lam=(1,-1): flat objective near the minimum
-    lam = rc.HighestWeight((1, -1))
+    lam = (1, -1)
     S, delta = 30, 0.5
     dl, m0d, gvec = bd._sym_block_data(lam)
     got = bd.master_bound_symmetric(q_sym((1, -1), S, delta))
@@ -213,7 +228,6 @@ def test_symmetric_minimizer_matches_grid_scan():
     [((1, -1), 10, 0.5), ((2, -2), 100, 0.3), ((1, 0, -1), 50, 0.45)],
 )
 def test_symmetric_branch_minima_match_grid(lam, S, delta):
-    lam = rc.HighestWeight(lam)
     dl, m0d, gvec = bd._sym_block_data(lam)
     for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, delta)):
         f = 0.5 * S * h
@@ -244,7 +258,6 @@ def test_simplified_against_mpmath_oracle():
 )
 def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
     # at an interior minimum x*, (log B)'(x*) = delta, B summed in 50 digits
-    lam = rc.HighestWeight(lam)
     _, m0d, gvec = bd._sym_block_data(lam)
     m0d = mpmath.mpf(m0d)
     gam = [mpmath.mpf(float(g)) for g in gvec]
@@ -252,7 +265,7 @@ def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
         assert x > 0.0
 
         def log_b(y):
-            terms = [2 * branch**k * gam[k] * mpmath.besseli(k, y) for k in range(1, lam.d + 1)]
+            terms = [2 * branch**k * gam[k] * mpmath.besseli(k, y) for k in range(1, len(lam) + 1)]
             b = m0d * mpmath.exp(branch * y) + gam[0] * mpmath.besseli(0, y) + sum(terms)
             return mpmath.log(b)
 
@@ -264,7 +277,7 @@ def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
 def test_symmetric_slope_matches_central_difference(x):
     # small and large Bessel arguments
     for lam in [(1, -1), (2, 0, -2), (1, 1, -1, -1)]:
-        _, m0d, gvec = bd._sym_block_data(rc.HighestWeight(lam))
+        _, m0d, gvec = bd._sym_block_data(lam)
         for branch in (1, -1):
             _, slope = bd._sym_exponent(x, 0.4, branch, m0d, gvec)
             eps = 1e-5 * x
@@ -366,10 +379,13 @@ def test_simplified_matches_full_infimum_pointwise_d4():
 # ---------------------------------------------------------------------------
 
 def test_total_master_plain_matches_factored_form():
+    # Theorem 1: the per-label master-plain total collapses to
+    # 2 e^{-delta S arctanh delta} (1-delta^2)^{-S/2} * sum d_lam
     for d, t, S, delta in [(2, 2, 57, 0.5), (4, 2, 82, 0.5), (2, 5, 30, 0.3)]:
         a = bd.total_bound(d, t, GateSetKind.PLAIN, S, delta, Method.MASTER_PLAIN)
-        b = bd.total_master_plain_factored(d, t, S, delta)
-        assert a.log_bound == pytest.approx(b.log_bound, abs=1e-12 * max(1, abs(b.log_bound)))
+        b = (math.log(2) + math.log(rc.sum_dimensions(d, t))
+             - 0.5 * S * math.log1p(-delta * delta) - delta * S * math.atanh(delta))
+        assert a.log_bound == pytest.approx(b, abs=1e-12 * max(1, abs(b)))
 
 
 def per_label_total(d, t, S, delta, method):
@@ -410,6 +426,10 @@ def test_query_rejects_non_integral_gate_count():
             bd.total_bound(2, 2, kind, 57.5, 0.5, method)
     with pytest.raises(ValueError, match="57.5"):
         BoundQuery(kind=GateSetKind.PLAIN, S=57.5, delta=0.5, lam=rc.HighestWeight((1, -1)))
+    # an infinite or NaN count is named too, not an OverflowError
+    for S in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"S must be integral, got {S!r}"):
+            bd.total_bound(2, 2, "plain", S, 0.5, "master-plain")
     # integral floats and numpy ints are gate counts
     want = bd.total_bound(2, 2, "plain", 57, 0.5, "master-plain").log_bound
     for S in (57.0, np.int64(57), np.int32(57)):
@@ -482,6 +502,3 @@ def test_concentration_beamsplitter():
     assert val == pytest.approx(math.exp(-64 * 0.0625 / 64), rel=1e-12)
     assert bd.concentration_bound_beamsplitter(2, 64, 1e-12) == pytest.approx(1.0)
     assert bd.concentration_bound_beamsplitter(2, 128, 0.25) == pytest.approx(val**2, rel=1e-9)
-    assert bd.equivalent_plain_size(4, 10) == 5.0
-    with pytest.raises(ValueError):
-        bd.equivalent_plain_size(2, 10)

@@ -124,7 +124,7 @@ def test_lambda_set_sorted_and_unique():
 
 def test_lambda_set_invariants():
     for lam in rc.enumerate_lambda_set(3, 4):
-        assert lam.total == 0
+        assert sum(lam.entries) == 0
         assert sum(v for v in lam.entries if v > 0) <= 4
         assert lam.norm1 % 2 == 0
 
@@ -166,12 +166,21 @@ def test_highest_weight_rejects_increasing():
     (lambda v: rc.fs_indicator((1, 0, -1), v), 2.7),
 ], ids=["HighestWeight", "DynkinLabel", "to_u_weight", "weyl_dimension", "fs_indicator"])
 def test_non_integral_input_raises(call, bad):
-    # a value that is not integral is named, not truncated; integral values
-    # of other types give what the int gives
-    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
-        call(bad)
+    # a value that is not integral is named, not truncated, and an infinite
+    # or NaN one is named too; integral values of other types give what the
+    # int gives
+    for v in (bad, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"got {v!r}")):
+            call(v)
     for good in (2.0, Fraction(4, 2), np.int64(2)):
         assert call(good) == call(2), good
+
+
+def test_label_entries_beyond_float_range_are_valid():
+    # integral, so a label, though no float can hold it
+    big = 10**400
+    assert HighestWeight((big, -big)).entries == (big, -big)
+    assert rc.weyl_dimension((big, -big)) == 2 * big + 1
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +206,14 @@ def test_count_irreps_matches_enumeration_slice():
 def test_counting_identity(d, t):
     total = sum(rc.count_irreps_by_norm(d, k) for k in range(1, t + 1))
     assert len(rc.enumerate_lambda_set(d, t)) == total
+
+
+@given(d=st.integers(2, 12), t=st.integers(1, 8))
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_counting_identity_holds_on_the_block_spectrum(d, t):
+    # |Lambda~_t| = sum_k alpha_2k, read off the spectrum's label rows
+    total = sum(rc.count_irreps_by_norm(d, k) for k in range(1, t + 1))
+    assert len(rc.block_spectrum(d, t).labels) == total
 
 
 def test_count_irreps_d2_large_t_matches_enumeration():
@@ -301,11 +318,17 @@ def test_block_spectrum_builds_no_label_objects(monkeypatch):
             real(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
-    assert rc.HighestWeight((1, -1)).d == 2 and len(built) == 1  # the patch counts
+    assert rc.HighestWeight((1, -1)).entries == (1, -1) and len(built) == 1  # the patch counts
     built.clear()
     for d, ts in TABLE2_COLUMNS.items():
         for t in ts:
             rc.block_spectrum.__wrapped__(d, t)
+    # nor does a union bound, by any method, on the Table-2 cells up to
+    # d = 8 and t = 5
+    for d in (2, 4, 8):
+        for t in (t for t in TABLE2_COLUMNS[d] if t <= 5):
+            for method in bd.Method:
+                bd.total_bound(d, t, method.kind, 58, 0.5, method)
     assert built == []
 
 
@@ -380,8 +403,8 @@ def _weight_box(lam):
     """All integer weights with the right entry sum inside the norm ball."""
     lam = HighestWeight(lam)
     r = lam.norm1 // 2 + 1
-    for mu in itertools.product(range(-r, r + 1), repeat=lam.d - 1):
-        last = lam.total - sum(mu)
+    for mu in itertools.product(range(-r, r + 1), repeat=len(lam.entries) - 1):
+        last = sum(lam.entries) - sum(mu)
         if abs(last) <= r + 1:
             yield mu + (last,)
 
@@ -517,7 +540,7 @@ def test_fs_shortcut_agrees_with_general_path(d, t):
     for lam in rc.enumerate_lambda_set(d, t):
         for n in (d + 1, d + 2, -(d + 1)):
             fast = rc.fs_indicator(lam, n)
-            slow = Fraction(rc._fs_weyl_sum(lam, abs(n)), rc.weyl_dimension(lam))
+            slow = Fraction(rc._fs_weyl_sum(lam.entries, abs(n)), rc.weyl_dimension(lam))
             assert fast == slow
             m0 = rc.zero_weight_multiplicity(lam)
             assert fast == Fraction(m0, rc.weyl_dimension(lam))
@@ -549,7 +572,7 @@ def test_fs2_closed_form_signs(entries, want):
     # sets reach only zero-sum ones), and two labels that are not self-dual
     lam = HighestWeight(entries)
     assert rc.fs_indicator(lam, 2) == want
-    assert Fraction(rc._fs_weyl_sum(lam, 2), rc.weyl_dimension(lam)) == want
+    assert Fraction(rc._fs_weyl_sum(lam.entries, 2), rc.weyl_dimension(lam)) == want
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -604,10 +627,10 @@ def test_gamma_d8_permutes_one_residue_class_at_a_time(monkeypatch):
 def walk_fs_sum(lam, n):
     """d_lambda * delta_lambda(n) as one multiplicity per orbit of the walk
     oracle, every orbit tried: off-lattice weights have multiplicity 0."""
-    shift = Fraction(lam.total, lam.d)
+    shift = Fraction(sum(lam.entries), len(lam.entries))
     return sum(
         sign * rc.weight_multiplicity(lam, [Fraction(v, n) + shift for v in disp])
-        for disp, sign in oracles.signed_displacements(lam.d).items()
+        for disp, sign in oracles.signed_displacements(len(lam.entries)).items()
     )
 
 
@@ -621,13 +644,13 @@ def test_fs_weyl_sum_on_shifted_residue_classes(entries, shifts):
     # nonzero entry sums: the permutations that pass the lattice test move
     # each residue class mod n onto the class r = -n Sigma(lambda)/d further on
     lam = HighestWeight(entries)
-    d = lam.d
+    d = len(entries)
     for n, r in shifts.items():
-        assert Fraction(-n * lam.total, d) % n == r
+        assert Fraction(-n * sum(entries), d) % n == r
         assert rc._lattice_displacements(d, n, r), (n, r)
     for n in range(3, d + 1):
         want = per_permutation_fs_sum(lam, n) if d <= 7 else walk_fs_sum(lam, n)
-        assert rc._fs_weyl_sum(lam, n) == want, n
+        assert rc._fs_weyl_sum(lam.entries, n) == want, n
         assert want or n not in shifts, n
 
 
@@ -643,7 +666,7 @@ def test_fs_weyl_sum_matches_transposition_closed_form(d, t):
                 * rc.weight_multiplicity(lam, (1,) * m + (0,) * (d - 2 * m) + (-1,) * m)
                 for m in range(min(d - n, lam.norm1 // 2) + 1)
             )
-            assert rc._fs_weyl_sum(lam, n) == want, (lam, n)
+            assert rc._fs_weyl_sum(lam.entries, n) == want, (lam, n)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -661,7 +684,7 @@ def test_fs_weyl_sum_matches_per_permutation_sum(d):
         ]
         for lam in labels:
             full = sum(sign * rc.weight_multiplicity(lam, mu) for sign, mu in terms)
-            assert rc._fs_weyl_sum(lam, abs(n)) == full, (lam, n)
+            assert rc._fs_weyl_sum(lam.entries, abs(n)) == full, (lam, n)
             m0 = rc.zero_weight_multiplicity(lam)
             dl = rc.weyl_dimension(lam)
             assert rc.gamma_coefficients(lam)[n] == Fraction(full - m0, dl), (lam, n)
@@ -673,8 +696,8 @@ def per_permutation_fs_sum(lam, n):
     The weight (sigma(i) - i)/n is centered; adding trace(lambda)/d lifts it
     to the U(d) weight of the same entry sum as lambda.
     """
-    d = lam.d
-    shift = Fraction(lam.total, d)
+    d = len(lam.entries)
+    shift = Fraction(sum(lam.entries), d)
     total = 0
     for p in itertools.permutations(range(d)):
         sign = (-1) ** sum(p[a] > p[b] for a in range(d) for b in range(a + 1, d))
@@ -702,18 +725,18 @@ def fs_labels(draw):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(lam=fs_labels())
 def test_fs_closed_forms_match_weyl_sum_and_per_permutation_oracle(lam):
-    d = lam.d
+    d = len(lam.entries)
     dl = rc.weyl_dimension(lam)
     # Schur orthogonality: only an SU(d)-trivial label has an invariant vector
-    assert rc._fs_weyl_sum(lam, 1) == dl * (len(set(lam.entries)) == 1)
+    assert rc._fs_weyl_sum(lam.entries, 1) == dl * (len(set(lam.entries)) == 1)
     # reality: the oracle at -n is the sum at n
     for n in range(1, d + 3):
-        assert per_permutation_fs_sum(lam, -n) == rc._fs_weyl_sum(lam, n), n
+        assert per_permutation_fs_sum(lam, -n) == rc._fs_weyl_sum(lam.entries, n), n
     # beyond d only the identity passes the lattice test
     for n in (d + 1, d + 2):
-        assert rc._fs_weyl_sum(lam, n) == rc.zero_weight_multiplicity(lam), n
+        assert rc._fs_weyl_sum(lam.entries, n) == rc.zero_weight_multiplicity(lam), n
     for n in range(1, d + 3):
-        want = Fraction(rc._fs_weyl_sum(lam, n), dl)
+        want = Fraction(rc._fs_weyl_sum(lam.entries, n), dl)
         assert rc.fs_indicator(lam, n) == rc.fs_indicator(lam, -n) == want, n
 
 
@@ -729,7 +752,7 @@ def test_weyl_sums_run_only_at_3_to_d(monkeypatch):
 
     monkeypatch.setattr(rc, "_fs_weyl_sum", recording)
     rc.gamma_coefficients(fresh)
-    assert calls == [(fresh, n) for n in range(3, fresh.d + 1)]
+    assert calls == [(fresh.entries, n) for n in range(3, len(fresh.entries) + 1)]
     labels = rc.enumerate_lambda_set(4, 2) + [fresh, HighestWeight((1, 1, 1, 1)),
                                               HighestWeight((2, 1, 0, 0))]
     for lam in labels:
@@ -797,10 +820,6 @@ def test_gamma_d2_values():
 # label conversion
 # ---------------------------------------------------------------------------
 
-def test_to_dynkin_simple():
-    assert rc.to_dynkin((1, 0, -1)).entries == (1, 1)
-
-
 def test_to_u_weight_canonical():
     assert rc.to_u_weight((2,)).entries == (1, -1)
 
@@ -813,12 +832,12 @@ def test_to_u_weight_divisibility_failure():
 @pytest.mark.parametrize("d,t", [(2, 3), (3, 3), (4, 2)])
 def test_dynkin_round_trip(d, t):
     for lam in rc.enumerate_lambda_set(d, t):
-        dyn = rc.to_dynkin(lam)
+        dyn = oracles.dynkin_label(lam.entries)
         assert rc.to_u_weight(dyn).entries == lam.entries
 
 
 def test_round_trip_preserves_su_irrep_for_shifted_lift():
     # lifts differing by the trace part restrict to the same SU(d) irrep
-    dyn = rc.to_dynkin((2, 0, -1, -1))
+    dyn = oracles.dynkin_label((2, 0, -1, -1))
     shifted = rc.to_u_weight(dyn, m=5)
-    assert rc.to_dynkin(shifted).entries == dyn.entries
+    assert oracles.dynkin_label(shifted.entries) == dyn
