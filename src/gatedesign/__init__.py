@@ -17,14 +17,11 @@ _MODULES = {
         "BoundUnavailableError",
         "GateSetKind",
         "Method",
-        "bernstein_bound",
         "concentration_bound_beamsplitter",
         "concentration_bound_lambda",
         "concentration_bound_t",
-        "master_bound_plain",
-        "master_bound_symmetric",
-        "master_bound_symmetric_simplified",
         "methods_for_kind",
+        "per_label_bound",
         "total_bound",
     ),
     "montecarlo": (

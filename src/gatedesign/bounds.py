@@ -5,18 +5,21 @@ Haar-random sets), their union-bound totals over the block label set, and
 the concentration-around-the-mean tail bounds. All bound values are carried
 in the log domain; reported probabilities are clipped at 1 with a flag.
 
-The totals read the cached block spectrum of Lambda~_t
-(:func:`repcore.block_spectrum`): the plain and Bernstein-symmetric totals
-are one log-sum-exp over its log(2 d_lam) array plus the method's exponent;
-the two master-symmetric totals go label by label, through
-:func:`per_label_bound`, over the spectrum's label rows. A label is its
-checked entries tuple (:func:`repcore._label_entries`) everywhere here:
-:class:`BoundQuery` reduces the one it is given, and the per-label caches
-are keyed on it. With
-x = 2 theta / S the symmetric objective is (S/2) h(x), h(x) = log B(x) -
-delta x a convex log-MGF (Tropp, arXiv:1501.01571, Sec. 3) whose minimizer
-does not depend on S: it is found once per (label, delta) by bisection on
-the sign of the analytic h' and reused by every probe of a size search.
+:func:`per_label_bound` is the one per-block entry point. The three
+methods linear in S (Bernstein-plain, Bernstein-symmetric, master-plain)
+are each one exponent, :func:`_s_linear_exponent`, added to log(2 d_lam);
+:func:`total_bound` adds it to the log(2 d_lam) array of the cached block
+spectrum (:func:`repcore.block_spectrum`) in one log-sum-exp, with no
+per-label call. The master-symmetric totals go label by label, through
+:func:`per_label_bound`, over the spectrum's label rows.
+
+A label is its checked entries tuple (:func:`repcore._label_entries`)
+everywhere here: :class:`BoundQuery` reduces the one it is given, and the
+per-label caches are keyed on it. With x = 2 theta / S the symmetric
+objective is (S/2) h(x), h(x) = log B(x) - delta x a convex log-MGF (Tropp,
+arXiv:1501.01571, Sec. 3) whose minimizer does not depend on S: it is found
+once per (label, delta) by bisection on the sign of the analytic h' and
+reused by every probe of a size search.
 """
 from __future__ import annotations
 
@@ -41,12 +44,16 @@ class BoundUnavailableError(RuntimeError):
     """The bracket in F(theta) was numerically nonpositive wherever probed."""
 
 
-def _check_query(kind, S, delta):
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+def _check_gate_count(S):
     repcore._integral(S, "the gate count S")
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
+
+
+def _check_query(kind, S, delta):
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_gate_count(S)
     if kind is GateSetKind.SYMMETRIC and S % 2:
         raise ValueError(f"symmetric sets have even cardinality, got {S}")
 
@@ -60,9 +67,10 @@ def _check_method(method, kind):
 class BoundQuery:
     """One per-block bound evaluation: set kind, size, threshold, block label.
 
-    ``lam`` may be given as a :class:`repcore.HighestWeight` or any sequence
-    of entries; it is stored as the checked entries tuple, so a bad label
-    raises ``ValueError`` here, and d = len(lam).
+    ``kind`` may be a :class:`GateSetKind` or its value. ``lam`` may be given
+    as a :class:`repcore.HighestWeight` or any sequence of entries; it is
+    stored as the checked entries tuple, so a bad label raises ``ValueError``
+    here, and d = len(lam).
     """
 
     kind: GateSetKind
@@ -71,6 +79,7 @@ class BoundQuery:
     lam: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", GateSetKind(self.kind))
         _check_query(self.kind, self.S, self.delta)
         object.__setattr__(self, "lam", repcore._label_entries(self.lam))
 
@@ -99,50 +108,21 @@ class BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# Bernstein bounds
+# the S-linear bounds: Bernstein and master-plain
 # ---------------------------------------------------------------------------
 
-def bernstein_bound(q: BoundQuery):
-    """Matrix-Bernstein tail bound for one block.
+def _s_linear_exponent(method, S, delta, fs2):
+    """The exponent a bound linear in S adds to log(2 d_lam).
 
-    Plain: 2 d_lam exp(-3 S delta^2 / (6 + 2 delta)).
-    Symmetric: 2 d_lam exp(-3 S delta^2 / (6 (1 + delta_lam(2)) + 4 delta)),
-    with delta_lam(2) the Frobenius-Schur constant of the block.
+    Bernstein-plain: -3 S delta^2 / (6 + 2 delta).
+    Bernstein-symmetric: -3 S delta^2 / (6 (1 + delta_lam(2)) + 4 delta),
+    with fs2 = delta_lam(2) one value or, elementwise, an array of them.
+    Master-plain: log of (1 - delta^2)^{-S/2} exp(-delta S arctanh delta).
     """
-    dl = repcore.weyl_dimension(q.lam)
-    if q.kind is GateSetKind.PLAIN:
-        expo = _bernstein_plain_exponent(q.S, q.delta)
-        return BoundResult(Method.BERNSTEIN_PLAIN, math.log(2 * dl) + expo)
-    if q.kind is GateSetKind.SYMMETRIC:
-        fs2 = float(repcore.fs_indicator(q.lam, 2))
-        expo = _bernstein_symmetric_exponent(q.S, q.delta, fs2)
-        return BoundResult(Method.BERNSTEIN_SYMMETRIC, math.log(2 * dl) + expo)
-    raise ValueError(f"no Bernstein bound for kind {q.kind}")
-
-
-def _bernstein_plain_exponent(S, delta):
-    return -3.0 * S * delta**2 / (6.0 + 2.0 * delta)
-
-
-def _bernstein_symmetric_exponent(S, delta, fs2):
-    """Exponent for one fs2 value or, elementwise, for an array of them."""
-    return -3.0 * S * delta**2 / (6.0 * (1.0 + fs2) + 4.0 * delta)
-
-
-# ---------------------------------------------------------------------------
-# master bound, plain sets
-# ---------------------------------------------------------------------------
-
-def master_bound_plain(q: BoundQuery):
-    """2 d_lam (1 - delta^2)^{-S/2} exp(-delta S arctanh delta)."""
-    if q.kind is not GateSetKind.PLAIN:
-        raise ValueError("master_bound_plain needs a plain gate-set")
-    dl = repcore.weyl_dimension(q.lam)
-    log_bound = math.log(2 * dl) + _log_master_plain_factor(q.S, q.delta)
-    return BoundResult(Method.MASTER_PLAIN, log_bound)
-
-
-def _log_master_plain_factor(S, delta):
+    if method is Method.BERNSTEIN_PLAIN:
+        return -3.0 * S * delta**2 / (6.0 + 2.0 * delta)
+    if method is Method.BERNSTEIN_SYMMETRIC:
+        return -3.0 * S * delta**2 / (6.0 * (1.0 + fs2) + 4.0 * delta)
     return -0.5 * S * math.log1p(-delta * delta) - delta * S * math.atanh(delta)
 
 
@@ -152,17 +132,16 @@ def _log_master_plain_factor(S, delta):
 
 @lru_cache(maxsize=None)
 def _sym_block_data(lam):
-    """(d_lam, m_lam(0)/d_lam, float gamma_lam(0..d)) of one label.
+    """(d_lam, m_lam(0)/d_lam, float gamma_lam(0..d)) of one label, with
+    m_lam(0)/d_lam read as 1 - gamma_lam(0).
 
     Cached per entries tuple, so every probe of a search and every t whose
     label set holds the label share one build. The gamma array is read-only.
     """
-    dl = repcore._weyl_dim(lam)
-    m0 = repcore.zero_weight_multiplicity(lam)
     gam = repcore.gamma_coefficients(lam)
     gvec = np.array([float(gam[k]) for k in range(len(lam) + 1)])
     gvec.flags.writeable = False
-    return dl, m0 / dl, gvec
+    return repcore._weyl_dim(lam), float(1 - gam[0]), gvec
 
 
 def _sym_exponent(x, delta, sign, m0d, gvec):
@@ -233,15 +212,13 @@ def _sym_min_exponents(lam, delta):
     return tuple(out)
 
 
-def master_bound_symmetric(q: BoundQuery):
+def _master_symmetric(q):
     """d_lam [inf_theta e^{-theta delta} F(theta) + inf e^{-theta delta} F(-theta)].
 
     The two infima are taken independently, each as (S/2) min h over the
     S-free exponent of :func:`_sym_min_exponents`, at theta* = S x* / 2; the
     result never exceeds the simplified bound.
     """
-    if q.kind is not GateSetKind.SYMMETRIC:
-        raise ValueError("master_bound_symmetric needs a symmetric gate-set")
     dl = _sym_block_data(q.lam)[0]
     (hp, xp), (hm, xm) = _sym_min_exponents(q.lam, q.delta)
     fp, fm = 0.5 * q.S * hp, 0.5 * q.S * hm
@@ -250,41 +227,34 @@ def master_bound_symmetric(q: BoundQuery):
     return BoundResult(Method.MASTER_SYMMETRIC, float(log_bound), theta_star)
 
 
-def master_bound_symmetric_simplified(q: BoundQuery):
+def _master_symmetric_simplified(q):
     """The closed form at theta0 = S delta / sqrt(1 - delta^2)."""
-    if q.kind is not GateSetKind.SYMMETRIC:
-        raise ValueError("master_bound_symmetric_simplified needs a symmetric gate-set")
     dl, m0d, gvec = _sym_block_data(q.lam)
     x0 = 2.0 * q.delta / math.sqrt(1.0 - q.delta**2)
     hp, _ = _sym_exponent(x0, q.delta, 1, m0d, gvec)
     hm, _ = _sym_exponent(x0, q.delta, -1, m0d, gvec)
     if math.isnan(hp) or math.isnan(hm):
-        raise BoundUnavailableError(
-            f"bracket nonpositive at theta0 for lam={q.lam}"
-        )
+        raise BoundUnavailableError(f"bracket nonpositive at theta0 for lam={q.lam}")
     log_bound = math.log(dl) + np.logaddexp(0.5 * q.S * hp, 0.5 * q.S * hm)
     return BoundResult(Method.MASTER_SYMMETRIC_SIMPLIFIED, float(log_bound), 0.5 * q.S * x0)
 
 
 # ---------------------------------------------------------------------------
-# union-bound totals
+# the per-block entry point and the union-bound totals
 # ---------------------------------------------------------------------------
 
-_PER_LABEL = {
-    Method.BERNSTEIN_PLAIN: bernstein_bound,
-    Method.BERNSTEIN_SYMMETRIC: bernstein_bound,
-    Method.MASTER_PLAIN: master_bound_plain,
-    Method.MASTER_SYMMETRIC: master_bound_symmetric,
-    Method.MASTER_SYMMETRIC_SIMPLIFIED: master_bound_symmetric_simplified,
-}
-
-
 def per_label_bound(q: BoundQuery, method):
-    """Dispatch one block bound by method (a :class:`Method` or its value);
-    the method must fit ``q.kind``."""
+    """One block bound by method (a :class:`Method` or its value); the
+    method must fit ``q.kind``."""
     method = Method(method)
     _check_method(method, q.kind)
-    return _PER_LABEL[method](q)
+    if method is Method.MASTER_SYMMETRIC:
+        return _master_symmetric(q)
+    if method is Method.MASTER_SYMMETRIC_SIMPLIFIED:
+        return _master_symmetric_simplified(q)
+    dl = repcore._weyl_dim(q.lam)
+    expo = _s_linear_exponent(method, q.S, q.delta, repcore._frobenius_schur(q.lam) / dl)
+    return BoundResult(method, math.log(2 * dl) + expo)
 
 
 def total_bound(d, t, kind, S, delta, method):
@@ -296,18 +266,13 @@ def total_bound(d, t, kind, S, delta, method):
     _check_method(method, kind)
     _check_query(kind, S, delta)
     spec = repcore.block_spectrum(d, t)
-    if method is Method.BERNSTEIN_PLAIN:
-        logs = spec.log2dim + _bernstein_plain_exponent(S, delta)
-    elif method is Method.MASTER_PLAIN:
-        logs = spec.log2dim + _log_master_plain_factor(S, delta)
-    elif method is Method.BERNSTEIN_SYMMETRIC:
-        logs = spec.log2dim + _bernstein_symmetric_exponent(S, delta, spec.fs2)
-    else:
-        # the master-symmetric bounds are evaluated label by label
+    if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         logs = np.array([
             per_label_bound(BoundQuery(kind=kind, S=S, delta=delta, lam=lam), method).log_bound
             for lam in spec.labels.tolist()
         ])
+    else:
+        logs = spec.log2dim + _s_linear_exponent(method, S, delta, spec.fs2)
     return BoundResult(method, float(np.logaddexp.reduce(logs)))
 
 
@@ -315,19 +280,25 @@ def total_bound(d, t, kind, S, delta, method):
 # concentration around the mean
 # ---------------------------------------------------------------------------
 
+def _check_concentration(S, alpha, t=1):
+    _check_gate_count(S)
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not t >= 1:
+        raise ValueError(f"need t >= 1, got t={t}")
+
+
 def concentration_bound_t(d, t, S, alpha):
     """P(delta(nu_S,t) >= E delta + alpha) <= exp(-d S alpha^2 / (32 t^2))."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if t < 1:
-        raise ValueError(f"need t >= 1, got t={t}")
+    _check_concentration(S, alpha, t)
+    if not d >= 2:
+        raise ValueError(f"need d >= 2, got d={d}")
     return math.exp(-d * S * alpha**2 / (32.0 * t * t))
 
 
 def concentration_bound_lambda(lam, S, alpha):
     """Per-block version: exponent -d S alpha^2 / (2 pi^2 ||lam||_1^2), d = len(lam)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_concentration(S, alpha)
     lam = repcore._label_entries(lam)
     norm1 = sum(map(abs, lam))
     if norm1 == 0:
@@ -337,6 +308,5 @@ def concentration_bound_lambda(lam, S, alpha):
 
 def concentration_bound_beamsplitter(t, S, alpha):
     """Lifted-set version; S is the SU(2) seed-set size."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_concentration(S, alpha, t)
     return math.exp(-S * alpha**2 / (16.0 * t * t))

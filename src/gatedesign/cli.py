@@ -162,7 +162,7 @@ def cmd_table(args):
     if not args.table2:
         raise ValueError("pass --table2 to emit the minimal-size table")
     try:
-        dims = tuple(int(v) for v in args.dims.split(",")) if args.dims else None
+        dims = None if args.dims is None else tuple(int(v) for v in args.dims.split(","))
     except ValueError:
         raise ValueError(f"bad --dims {args.dims!r}: use a comma list, e.g. 2,4") from None
     rows = [

@@ -43,11 +43,12 @@ residue classes mod n, shifted by r = -n Sigma(lambda)/d, so each sum runs
 over prod |class|! permutations (72 at d = 8, n = 3) in place of d!. The sums
 are not cached: gamma_lambda reads d - 2 per label, and the bounds cache it.
 
-Weights are handled in "centered" coordinates (trace part removed), so a
-U(d) label with nonzero entry sum and its SU(d) restriction share one
-engine. A candidate weight contributes only when it lies in the highest
-weight's coset of the root lattice; for zero-sum integer labels this
-reduces to entrywise integrality.
+Weights are integer U(d) weights whose entries sum to Sigma(lambda), the
+label's entry sum, so a label with nonzero entry sum and its SU(d)
+restriction share one engine: the SU(d) weight nu is the U(d) weight
+nu + Sigma(lambda)/d, of multiplicity 0 unless that is an integer vector.
+So m_lambda(0) counts (Sigma/d, ..., Sigma/d) when d divides Sigma(lambda),
+and is 0 otherwise.
 
 Note on multiplicities: the weight multiplicity m_lambda(mu) of U(d) is the
 Kostka number K_{lambda, mu} once lambda and mu are shifted by one common
@@ -144,12 +145,6 @@ class DynkinLabel:
     @property
     def d(self):
         return len(self.entries) + 1
-
-
-def _weight_entries(mu):
-    if isinstance(mu, HighestWeight):
-        return tuple(Fraction(v) for v in mu.entries)
-    return tuple(Fraction(v) for v in mu)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +329,6 @@ def block_spectrum(d, t):
 # weight multiplicities: Kostka numbers
 # ---------------------------------------------------------------------------
 
-def _centered(entries):
-    ent = [Fraction(v) for v in entries]
-    shift = Fraction(sum(ent), len(ent))
-    return tuple(v - shift for v in ent)
-
-
 def _interlacing(lam, size):
     """Partitions nu of ``size`` with lam_1 >= nu_1 >= lam_2 >= ... >= nu_{r-1} >= lam_r.
 
@@ -382,37 +371,36 @@ def _kostka(shape, content):
 
 @lru_cache(maxsize=None)
 def _mult_centered(lam_entries, mu):
-    """Multiplicity of the centered weight mu in pi_lambda.
+    """Multiplicity in pi_lambda of the integer weight mu, of entry sum Sigma(lambda).
 
     Callers pass mu sorted nonincreasing: multiplicities are Weyl-invariant,
-    so the cache is keyed on that canonical pair. Adding trace(lambda)/d -
-    lambda_d to every entry makes lambda a partition and mu an integer
-    composition of the same size when mu is in lambda's coset of the root
-    lattice; the multiplicity is then their Kostka number.
+    so the cache is keyed on that canonical pair. Subtracting lambda_d from
+    every entry of both makes lambda a partition and mu a composition of the
+    same size; the multiplicity is then their Kostka number.
     """
     low = lam_entries[-1]
-    shift = Fraction(sum(lam_entries), len(lam_entries)) - low
-    comp = [m + shift for m in mu]
-    if any(v.denominator != 1 or v < 0 for v in comp):
-        return 0  # off the coset, or an entry below lambda_d
-    return _kostka(tuple(v - low for v in lam_entries), tuple(int(v) for v in comp))
+    if mu[-1] < low:
+        return 0  # an entry below lambda_d
+    return _kostka(tuple(v - low for v in lam_entries), tuple(v - low for v in mu))
 
 
 def weight_multiplicity(lam, mu):
     """m_lambda(mu), the Kostka number of the shifted pair (lambda, sort(mu)).
 
-    Returns 0 immediately when the one-norm or entry-sum pruning rules rule
-    mu out. Runs no Weyl-group sum, so any d is allowed.
+    mu may have entries of any numeric type; it counts as the integer weight
+    it equals. Returns 0 at once when mu is not integral or the entry-sum or
+    one-norm pruning rules rule it out. Runs no Weyl-group sum, so any d is
+    allowed.
     """
     lam = _label_entries(lam)
-    ent = _weight_entries(mu)
+    ent = tuple(mu.entries if isinstance(mu, HighestWeight) else mu)
     if len(ent) != len(lam):
         raise ValueError("weight length does not match d")
-    if sum(ent) != sum(lam):
+    if any(v != int(v) for v in ent):
+        return 0  # the weights of pi_lambda are integral
+    if sum(ent) != sum(lam) or sum(map(abs, ent)) > sum(map(abs, lam)):
         return 0
-    if sum(map(abs, ent)) > sum(map(abs, lam)):
-        return 0
-    return _mult_centered(lam, tuple(sorted(_centered(ent), reverse=True)))
+    return _mult_centered(lam, tuple(sorted(map(int, ent), reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,26 +465,27 @@ def _fs_weyl_sum(ent, n):
     delta_lambda(n) at every such n, and the reference the closed forms of
     :func:`fs_indicator` are tested against.
     Not cached: :func:`gamma_coefficients` runs once per label, behind the
-    bounds' block-data cache. The identity's term is m_lambda(0). The centered
-    weight (sigma(i) - i)/n lies in the label's coset of the root lattice only
-    when every sigma(i) - i + n Sigma(lambda)/d is a multiple of n, so the
-    sum runs over the :func:`_lattice_displacements` table of
-    r = -n Sigma(lambda)/d mod n, and is 0 when n Sigma(lambda)/d is not an
-    integer. One term per displacement group: the multiplicity and the
-    one-norm budget depend on the sorted displacement alone.
+    bounds' block-data cache. The identity's term is m_lambda(0). With
+    lift = n Sigma(lambda)/d, the term of sigma counts the weight
+    (sigma(i) - i + lift)/n, so it is 0 unless every sigma(i) - i is -lift
+    mod n. The sum is 0 when lift is not an integer, and otherwise runs over
+    the :func:`_lattice_displacements` table of r = -lift mod n. One term per
+    displacement group: the multiplicity and the one-norm budget depend on
+    the sorted displacement alone.
     """
-    lift = Fraction(n * sum(ent), len(ent))
-    if lift.denominator != 1:
+    d, size = len(ent), sum(ent)
+    lift, rem = divmod(n * size, d)
+    if rem:
         return 0
-    # centered weights lie in the hull of the Weyl orbit of the centered
-    # label, so ||mu||_1 <= ||lambda_c||_1; ||lambda||_1 can be smaller when
-    # the entries do not sum to zero
-    budget = n * sum(map(abs, _centered(ent)))
+    # less its trace part, a weight is displacement/n and lies in the hull of
+    # the Weyl orbit of lambda - Sigma(lambda)/d, so ||displacement||_1 <=
+    # n ||lambda - Sigma(lambda)/d||_1; times d, both sides are integers
+    budget = n * sum(abs(d * v - size) for v in ent)
     total = 0
-    for norm, disp, count in _lattice_displacements(len(ent), n, -lift.numerator % n):
-        if norm > budget:
+    for norm, disp, count in _lattice_displacements(d, n, -lift % n):
+        if d * norm > budget:
             break  # the groups come in one-norm order
-        total += count * _mult_centered(ent, tuple(Fraction(v, n) for v in disp))
+        total += count * _mult_centered(ent, tuple((v + lift) // n for v in disp))
     return total
 
 
@@ -537,7 +526,8 @@ def zero_weight_multiplicity(lam):
     """m_lambda(0) of the SU(d) restriction (0 when the label has no
     zero-sum lift; always >= 1 on Lambda~_t)."""
     ent = _label_entries(lam)
-    return _mult_centered(ent, _centered((0,) * len(ent)))
+    level, rem = divmod(sum(ent), len(ent))
+    return 0 if rem else _mult_centered(ent, (level,) * len(ent))
 
 
 def gamma_coefficients(lam):

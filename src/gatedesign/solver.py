@@ -184,12 +184,14 @@ def table2_cells(delta=0.5, P=0.99, dims=None):
     the closed form delta_lambda(2), but waits to be pinned with it.
     """
     dims = tuple(dims) if dims is not None else tuple(TABLE2_COLUMNS)
-    for d in dims:
+    for i, d in enumerate(dims):
         if d not in TABLE2_COLUMNS:
             raise ValueError(
                 f"the table grid has no dimension {d}; "
                 f"its dimensions are {', '.join(map(str, TABLE2_COLUMNS))}"
             )
+        if d in dims[:i]:
+            raise ValueError(f"dimension {d} is repeated in {dims}")
     for d in dims:
         for t in TABLE2_COLUMNS[d]:
             for method in Method:

@@ -33,7 +33,21 @@ from types import MappingProxyType
 
 import numpy as np
 
-from gatedesign.repcore import _centered, _label_entries, _weight_entries
+from gatedesign.repcore import HighestWeight, _label_entries
+
+
+def _weight_entries(mu):
+    """The entries of a weight as exact rationals."""
+    if isinstance(mu, HighestWeight):
+        mu = mu.entries
+    return tuple(Fraction(v) for v in mu)
+
+
+def _centered(entries):
+    """The entries with the trace part removed, so that they sum to zero."""
+    ent = [Fraction(v) for v in entries]
+    shift = Fraction(sum(ent), len(ent))
+    return tuple(v - shift for v in ent)
 
 
 @lru_cache(maxsize=None)

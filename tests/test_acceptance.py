@@ -313,8 +313,8 @@ def test_criterion_9_property_suite():
     for lam, S in [((1, -1), 30), ((2, -2), 60), ((1, 0, -1), 40)]:
         q = bd.BoundQuery(kind=GateSetKind.SYMMETRIC, S=S, delta=0.5, lam=rc.HighestWeight(lam))
         inf_ok = inf_ok and (
-            bd.master_bound_symmetric(q).log_bound
-            <= bd.master_bound_symmetric_simplified(q).log_bound + 1e-9
+            bd.per_label_bound(q, Method.MASTER_SYMMETRIC).log_bound
+            <= bd.per_label_bound(q, Method.MASTER_SYMMETRIC_SIMPLIFIED).log_bound + 1e-9
         )
     # projector idempotency
     proj_ok = True

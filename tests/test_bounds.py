@@ -5,6 +5,7 @@ infima, a 50-digit mpmath evaluation of the symmetric bracket, and the
 algebraic identities between printed forms.
 """
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -48,11 +49,24 @@ def test_query_validation():
             BoundQuery(kind=GateSetKind.SYMMETRIC, S=10, delta=0.5, lam=bad)
 
 
+def test_query_takes_kind_value():
+    # the value of a kind is that kind: its checks and its methods apply
+    q = BoundQuery(kind="symmetric", S=40, delta=0.5, lam=(1, 0, -1))
+    assert q.kind is GateSetKind.SYMMETRIC
+    assert bd.per_label_bound(q, Method.MASTER_SYMMETRIC) == bd.per_label_bound(
+        q_sym((1, 0, -1), 40, 0.5), Method.MASTER_SYMMETRIC
+    )
+    with pytest.raises(ValueError, match="symmetric sets have even cardinality, got 41"):
+        BoundQuery(kind="symmetric", S=41, delta=0.5, lam=(1, 0, -1))
+    with pytest.raises(ValueError, match="'junk' is not a valid GateSetKind"):
+        BoundQuery(kind="junk", S=40, delta=0.5, lam=(1, 0, -1))
+
+
 def test_method_kind_compatibility():
     with pytest.raises(ValueError):
         bd.total_bound(2, 2, GateSetKind.PLAIN, 10, 0.5, Method.MASTER_SYMMETRIC)
     with pytest.raises(ValueError):
-        bd.master_bound_plain(q_sym((1, -1), 10, 0.5))
+        bd.per_label_bound(q_sym((1, -1), 10, 0.5), Method.MASTER_PLAIN)
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -98,7 +112,7 @@ def test_methods_for_kind():
 # ---------------------------------------------------------------------------
 
 def test_bernstein_plain_vacuous_at_small_delta():
-    res = bd.bernstein_bound(q_plain((1, -1), 10, 1e-9))
+    res = bd.per_label_bound(q_plain((1, -1), 10, 1e-9), Method.BERNSTEIN_PLAIN)
     assert res.raw == pytest.approx(2 * 3, rel=1e-6)
     assert res.clipped and res.probability == 1.0
 
@@ -106,14 +120,14 @@ def test_bernstein_plain_vacuous_at_small_delta():
 def test_bernstein_symmetric_uses_fs_constant():
     # lam=(1,-1): delta_lam(2)=1/3, denominator 6*(4/3) + 4*delta = 8 + 4*delta
     S, delta = 20, 0.5
-    res = bd.bernstein_bound(q_sym((1, -1), S, delta))
+    res = bd.per_label_bound(q_sym((1, -1), S, delta), Method.BERNSTEIN_SYMMETRIC)
     expected = math.log(6) - 3 * S * delta**2 / (8 + 4 * delta)
     assert res.log_bound == pytest.approx(expected, abs=1e-12)
 
 
 def test_bernstein_plain_formula():
     S, delta = 40, 0.3
-    res = bd.bernstein_bound(q_plain((2, 0, -1, -1), S, delta))
+    res = bd.per_label_bound(q_plain((2, 0, -1, -1), S, delta), Method.BERNSTEIN_PLAIN)
     expected = math.log(2 * 45) - 3 * S * delta**2 / (6 + 2 * delta)
     assert res.log_bound == pytest.approx(expected, abs=1e-12)
 
@@ -123,24 +137,27 @@ def test_bernstein_plain_formula():
 # ---------------------------------------------------------------------------
 
 def test_master_plain_vacuous_at_small_delta():
-    res = bd.master_bound_plain(q_plain((1, -1), 10, 1e-9))
+    res = bd.per_label_bound(q_plain((1, -1), 10, 1e-9), Method.MASTER_PLAIN)
     assert res.raw == pytest.approx(6.0, rel=1e-6)
 
 
 def test_master_plain_two_forms_agree():
     for delta in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
         for S in (1, 10, 57, 400):
-            a = bd._log_master_plain_factor(S, delta)
+            a = bd._s_linear_exponent(Method.MASTER_PLAIN, S, delta, None)
             b = -0.5 * S * solver._log_binomial_rate(delta)
             assert a == pytest.approx(b, abs=1e-12 * max(1, abs(a)))
 
 
 def test_master_plain_monotone_in_S_and_delta():
     lam = (1, -1)
-    vals_S = [bd.master_bound_plain(q_plain(lam, S, 0.5)).log_bound for S in range(10, 200, 10)]
+    vals_S = [
+        bd.per_label_bound(q_plain(lam, S, 0.5), Method.MASTER_PLAIN).log_bound
+        for S in range(10, 200, 10)
+    ]
     assert all(a > b for a, b in zip(vals_S, vals_S[1:]))
     vals_d = [
-        bd.master_bound_plain(q_plain(lam, 50, dd)).log_bound
+        bd.per_label_bound(q_plain(lam, 50, dd), Method.MASTER_PLAIN).log_bound
         for dd in np.linspace(0.05, 0.95, 19)
     ]
     assert all(a > b for a, b in zip(vals_d, vals_d[1:]))
@@ -174,13 +191,13 @@ sym_labels = st.integers(2, 4).flatmap(
 @example(lam=(1, 0, -1), S=40, delta=0.6)
 @example(lam=(1, 1, -1, -1), S=60, delta=0.5)
 def test_symmetric_infimum_below_simplified(lam, S, delta):
-    full = bd.master_bound_symmetric(q_sym(lam, S, delta))
-    simp = bd.master_bound_symmetric_simplified(q_sym(lam, S, delta))
+    full = bd.per_label_bound(q_sym(lam, S, delta), Method.MASTER_SYMMETRIC)
+    simp = bd.per_label_bound(q_sym(lam, S, delta), Method.MASTER_SYMMETRIC_SIMPLIFIED)
     assert full.log_bound <= simp.log_bound + 1e-9
 
 
 def test_symmetric_simplified_limit_at_small_delta():
-    res = bd.master_bound_symmetric_simplified(q_sym((1, -1), 20, 1e-8))
+    res = bd.per_label_bound(q_sym((1, -1), 20, 1e-8), Method.MASTER_SYMMETRIC_SIMPLIFIED)
     assert res.raw == pytest.approx(6.0, rel=1e-5)
 
 
@@ -211,7 +228,7 @@ def test_symmetric_minimizer_matches_grid_scan():
     lam = (1, -1)
     S, delta = 30, 0.5
     dl, m0d, gvec = bd._sym_block_data(lam)
-    got = bd.master_bound_symmetric(q_sym((1, -1), S, delta))
+    got = bd.per_label_bound(q_sym((1, -1), S, delta), Method.MASTER_SYMMETRIC)
     grid = float(
         math.log(dl)
         + np.logaddexp(
@@ -248,7 +265,7 @@ def test_simplified_against_mpmath_oracle():
     bp = m0d * mpmath.exp(x0) + g0 * mpmath.besseli(0, x0) + 2 * g1 * mpmath.besseli(1, x0)
     bm = m0d * mpmath.exp(-x0) + g0 * mpmath.besseli(0, x0) - 2 * g1 * mpmath.besseli(1, x0)
     oracle = dl * mpmath.exp(-theta0 * delta) * (bp ** (S / 2) + bm ** (S / 2))
-    got = bd.master_bound_symmetric_simplified(q_sym((2, -2), 100, 0.3))
+    got = bd.per_label_bound(q_sym((2, -2), 100, 0.3), Method.MASTER_SYMMETRIC_SIMPLIFIED)
     assert got.log_bound == pytest.approx(float(mpmath.log(oracle)), abs=1e-10)
 
 
@@ -292,7 +309,9 @@ def test_master_symmetric_branch_exponents_scale_as_half_S():
     # power sums then obey p3 = (3 p1 p2 - p1^3) / 2
     lam, S0, delta = (1, 0, -1), 20, 0.5
     dl = rc.weyl_dimension(rc.HighestWeight(lam))
-    res = [bd.master_bound_symmetric(q_sym(lam, k * S0, delta)) for k in (1, 2, 3)]
+    res = [
+        bd.per_label_bound(q_sym(lam, k * S0, delta), Method.MASTER_SYMMETRIC) for k in (1, 2, 3)
+    ]
     p1, p2, p3 = (math.exp(r.log_bound - math.log(dl)) for r in res)
     assert p3 == pytest.approx((3 * p1 * p2 - p1**3) / 2, rel=1e-10)
     thetas = [r.theta_star / (k * S0) for k, r in zip((1, 2, 3), res)]
@@ -319,9 +338,9 @@ def test_master_symmetric_search_reuses_exponents_across_S(monkeypatch):
 def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
     # data whose bracket B(x) = -e^{+-x} is negative at every x
     monkeypatch.setattr(bd, "_sym_block_data", lambda lam: (3, -1.0, np.zeros(3)))
-    for fn in (bd.master_bound_symmetric, bd.master_bound_symmetric_simplified):
+    for method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         with pytest.raises(bd.BoundUnavailableError):
-            fn(q_sym((1, -1), 20, 0.4321))
+            bd.per_label_bound(q_sym((1, -1), 20, 0.4321), method)
 
 
 def _delta_crossing(d, t, S, method, level):
@@ -502,3 +521,17 @@ def test_concentration_beamsplitter():
     assert val == pytest.approx(math.exp(-64 * 0.0625 / 64), rel=1e-12)
     assert bd.concentration_bound_beamsplitter(2, 64, 1e-12) == pytest.approx(1.0)
     assert bd.concentration_bound_beamsplitter(2, 128, 0.25) == pytest.approx(val**2, rel=1e-9)
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: bd.concentration_bound_beamsplitter(0, 10, 0.3), "t=0"),
+    (lambda: bd.concentration_bound_t(2, 2, -10, 0.3), "got -10"),
+    (lambda: bd.concentration_bound_t(2, 2, 10.5, 0.3), "got 10.5"),
+    (lambda: bd.concentration_bound_t(2, 2, 10, math.nan), "got nan"),
+    (lambda: bd.concentration_bound_t(0, 2, 10, 0.3), "d=0"),
+], ids=["beamsplitter-t0", "negative-S", "fractional-S", "nan-alpha", "d0"])
+def test_concentration_bounds_check_inputs(call, named):
+    # each bad input is a ValueError naming it, never a bare arithmetic
+    # error or a value above 1
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()

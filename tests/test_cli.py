@@ -207,11 +207,23 @@ def test_table_d4_matches_pinned(capsys):
 
 
 def test_table_rejects_malformed_dims(capsys):
-    code = main(["table", "--table2", "--dims", "2,,4"])
+    # an empty list is malformed too, not a request for every dimension
+    for dims in ("2,,4", ""):
+        code = main(["table", "--table2", "--dims", dims])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad --dims {dims!r}")
+
+
+def test_table_rejects_repeated_dims(capsys):
+    code = main(["table", "--table2", "--dims", "2,2"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: bad --dims '2,,4'")
+    assert "dimension 2 is repeated" in captured.err
+    with pytest.raises(ValueError, match="dimension 4 is repeated in \\(4, 2, 4\\)"):
+        next(solver.table2_cells(dims=[4, 2, 4]))
 
 
 def test_table_rejects_dimension_off_the_grid(capsys):
@@ -486,9 +498,8 @@ def test_package_runs_as_module():
 EXPORTS = {
     "bounds": (
         "BoundQuery", "BoundResult", "BoundUnavailableError", "GateSetKind", "Method",
-        "bernstein_bound", "concentration_bound_beamsplitter", "concentration_bound_lambda",
-        "concentration_bound_t", "master_bound_plain", "master_bound_symmetric",
-        "master_bound_symmetric_simplified", "methods_for_kind", "total_bound",
+        "concentration_bound_beamsplitter", "concentration_bound_lambda",
+        "concentration_bound_t", "methods_for_kind", "per_label_bound", "total_bound",
     ),
     "montecarlo": (
         "GateSetSample", "HaarProjector", "MomentOperator", "PowerIterationError",
@@ -512,7 +523,7 @@ EXPORTED = [name for names in EXPORTS.values() for name in names]
 
 
 def test_exported_names_resolve_to_their_module_attributes():
-    assert len(EXPORTED) == len(set(EXPORTED)) == 47
+    assert len(EXPORTED) == len(set(EXPORTED)) == 44
     assert sorted(gatedesign.__all__) == sorted([*EXPORTS, *EXPORTED])
     for module, names in EXPORTS.items():
         owner = importlib.import_module(f"gatedesign.{module}")

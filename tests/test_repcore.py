@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -488,6 +488,28 @@ def test_weight_multiplicity_prunes():
     assert rc.weight_multiplicity((1, 0, -1), (2, 0, -2)) == 0
 
 
+def test_weight_multiplicity_reads_weights_of_any_numeric_type():
+    # the right entry sum off the integer lattice is no weight of pi_lambda
+    for w in ((Fraction(1, 2), 0, Fraction(-1, 2)), (0.5, 0, -0.5)):
+        assert rc.weight_multiplicity((1, 0, -1), w) == 0
+    # integral entries of other types give what the equal ints give
+    lam = (2, 0, -2)
+    for mu in ((2, 0, -2), (1, 0, -1), (0, 0, 0), (-1, 2, -1)):
+        want = rc.weight_multiplicity(lam, mu)
+        assert want > 0, mu
+        for form in (lambda v: Fraction(2 * v, 2), float, np.int64):
+            assert rc.weight_multiplicity(lam, tuple(map(form, mu))) == want, (mu, form)
+    with pytest.raises(ValueError, match="weight length does not match d"):
+        rc.weight_multiplicity((1, 0, -1), (1, -1))
+
+
+def test_zero_weight_multiplicity_needs_an_integral_level():
+    # (2, 1, 0) is the adjoint of SU(3) shifted by 1: weight (1, 1, 1) twice
+    assert rc.zero_weight_multiplicity((2, 1, 0)) == 2
+    # an entry sum of 1 over d = 2 entries has no zero-weight lift
+    assert rc.zero_weight_multiplicity((1, 0)) == 0
+
+
 def test_weyl_cap_enforced():
     lam9 = (1,) + (0,) * 7 + (-1,)  # d = 9 exceeds MAX_WEYL_DIM = 8
     # a Kostka count runs no Weyl sum: the zero weight of the SU(9) adjoint
@@ -722,6 +744,10 @@ def fs_labels(draw):
     return HighestWeight(tuple(sorted(entries, reverse=True)))
 
 
+# a fixed seed, not derandomize's hash of the source, so that the draws and
+# the time do not move with edits of the body; seed 0 draws 9 labels at d = 6,
+# each of which runs the 720-permutation oracle
+@seed(0)
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(lam=fs_labels())
 def test_fs_closed_forms_match_weyl_sum_and_per_permutation_oracle(lam):
