@@ -132,33 +132,33 @@ def _s_linear_exponent(method, S, delta, fs2):
 
 @lru_cache(maxsize=None)
 def _sym_block_data(lam):
-    """(d_lam, m_lam(0)/d_lam, float gamma_lam(0..d)) of one label, with
-    m_lam(0)/d_lam read as 1 - gamma_lam(0).
+    """(d_lam, m_lam(0)/d_lam, signed) of one label, with m_lam(0)/d_lam
+    read as 1 - gamma_lam(0) and signed the read-only 2 x (d+1) array of the
+    branch weights: float gamma_lam(0..d) for +, the same with odd orders
+    negated for -.
 
     Cached per entries tuple, so every probe of a search and every t whose
-    label set holds the label share one build. The gamma array is read-only.
+    label set holds the label share one build.
     """
     gam = repcore.gamma_coefficients(lam)
-    gvec = np.array([float(gam[k]) for k in range(len(lam) + 1)])
-    gvec.flags.writeable = False
-    return repcore._weyl_dim(lam), float(1 - gam[0]), gvec
+    signed = np.array([[float(gam[k]) * sign**k for k in range(len(lam) + 1)] for sign in (1, -1)])
+    signed.flags.writeable = False
+    return repcore._weyl_dim(lam), float(1 - gam[0]), signed
 
 
-def _sym_exponent(x, delta, sign, m0d, gvec):
+def _sym_exponent(x, delta, sign, m0d, w):
     """(h(x), h'(x)) with h(x) = log B(x) - delta x at Bessel argument x > 0.
 
     B+(x) = m0d e^x + gamma_0 I_0(x) + 2 sum_{k>=1} gamma_k I_k(x) is the
     bracket of F(theta) at x = 2 theta / S (sign +1); B-(x), the bracket of
-    F(-theta) (sign -1), has m0d e^-x and (-1)^k gamma_k. The slope uses
+    F(-theta) (sign -1), has m0d e^-x and (-1)^k gamma_k: ``w`` is the row
+    of :func:`_sym_block_data`'s signed weights for ``sign``. The slope uses
     I_0' = I_1 and I_k' = (I_{k-1} + I_{k+1}) / 2, so one Bessel array up to
     order d+1 gives both. Returns NaNs when rounding makes the bracket
     nonpositive (mathematically it is positive).
     """
-    d = gvec.shape[0] - 1
+    d = w.shape[0] - 1
     ive = np.exp(log_ive_array(d + 1, x))  # e^-x I_k(x), k = 0..d+1
-    w = gvec.copy()
-    if sign < 0:
-        w[1::2] = -w[1::2]
     e = m0d if sign > 0 else m0d * math.exp(-2.0 * x)
     b = e + w[0] * ive[0] + 2.0 * (w[1:] @ ive[1:d + 1])
     db = sign * e + w[0] * ive[1] + w[1:] @ (ive[:d] + ive[2:])
@@ -184,24 +184,24 @@ def _sym_min_exponents(lam, delta):
     The value at x0 = 2 delta / sqrt(1 - delta^2), the simplified bound's
     point, caps the result.
     """
-    _, m0d, gvec = _sym_block_data(lam)
+    _, m0d, signed = _sym_block_data(lam)
     x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
     out = []
-    for sign in (1, -1):
+    for sign, w in zip((1, -1), signed):
         lo, hi = math.log(x0 * 1e-13), math.log(2.0 * THETA_MAX_FACTOR)
-        h_lo, slope = _sym_exponent(math.exp(lo), delta, sign, m0d, gvec)
+        h_lo, slope = _sym_exponent(math.exp(lo), delta, sign, m0d, w)
         if slope >= 0.0:
             out.append((0.0, 0.0))
             continue
         while hi - lo > THETA_RTOL:
             mid = 0.5 * (lo + hi)
-            h, slope = _sym_exponent(math.exp(mid), delta, sign, m0d, gvec)
+            h, slope = _sym_exponent(math.exp(mid), delta, sign, m0d, w)
             if slope < 0.0:
                 lo, h_lo = mid, h
             else:
                 hi = mid
         best = (h_lo, math.exp(lo))
-        h0, _ = _sym_exponent(x0, delta, sign, m0d, gvec)
+        h0, _ = _sym_exponent(x0, delta, sign, m0d, w)
         if math.isnan(h_lo) or h0 < h_lo:
             best = (h0, x0)
         if math.isnan(best[0]):
@@ -212,31 +212,26 @@ def _sym_min_exponents(lam, delta):
     return tuple(out)
 
 
-def _master_symmetric(q):
-    """d_lam [inf_theta e^{-theta delta} F(theta) + inf e^{-theta delta} F(-theta)].
+def _master_symmetric(q, method):
+    """d_lam [e^{-theta delta} F(theta) + e^{-theta' delta} F(-theta')].
 
-    The two infima are taken independently, each as (S/2) min h over the
-    S-free exponent of :func:`_sym_min_exponents`, at theta* = S x* / 2; the
-    result never exceeds the simplified bound.
+    Master-symmetric takes the two infima independently, each as (S/2) min h
+    over the S-free exponent of :func:`_sym_min_exponents`, at
+    theta* = S x* / 2, so it never exceeds the simplified bound, the closed
+    form at theta = theta' = theta0 = S delta / sqrt(1 - delta^2).
     """
-    dl = _sym_block_data(q.lam)[0]
-    (hp, xp), (hm, xm) = _sym_min_exponents(q.lam, q.delta)
+    dl, m0d, signed = _sym_block_data(q.lam)
+    if method is Method.MASTER_SYMMETRIC:
+        (hp, xp), (hm, xm) = _sym_min_exponents(q.lam, q.delta)
+    else:
+        xp = xm = 2.0 * q.delta / math.sqrt(1.0 - q.delta**2)
+        (hp, _), (hm, _) = (_sym_exponent(xp, q.delta, s, m0d, w) for s, w in zip((1, -1), signed))
+        if math.isnan(hp) or math.isnan(hm):
+            raise BoundUnavailableError(f"bracket nonpositive at theta0 for lam={q.lam}")
     fp, fm = 0.5 * q.S * hp, 0.5 * q.S * hm
     log_bound = math.log(dl) + np.logaddexp(fp, fm)
     theta_star = 0.5 * q.S * (xp if fp >= fm else xm)
-    return BoundResult(Method.MASTER_SYMMETRIC, float(log_bound), theta_star)
-
-
-def _master_symmetric_simplified(q):
-    """The closed form at theta0 = S delta / sqrt(1 - delta^2)."""
-    dl, m0d, gvec = _sym_block_data(q.lam)
-    x0 = 2.0 * q.delta / math.sqrt(1.0 - q.delta**2)
-    hp, _ = _sym_exponent(x0, q.delta, 1, m0d, gvec)
-    hm, _ = _sym_exponent(x0, q.delta, -1, m0d, gvec)
-    if math.isnan(hp) or math.isnan(hm):
-        raise BoundUnavailableError(f"bracket nonpositive at theta0 for lam={q.lam}")
-    log_bound = math.log(dl) + np.logaddexp(0.5 * q.S * hp, 0.5 * q.S * hm)
-    return BoundResult(Method.MASTER_SYMMETRIC_SIMPLIFIED, float(log_bound), 0.5 * q.S * x0)
+    return BoundResult(method, float(log_bound), theta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +243,8 @@ def per_label_bound(q: BoundQuery, method):
     method must fit ``q.kind``."""
     method = Method(method)
     _check_method(method, q.kind)
-    if method is Method.MASTER_SYMMETRIC:
-        return _master_symmetric(q)
-    if method is Method.MASTER_SYMMETRIC_SIMPLIFIED:
-        return _master_symmetric_simplified(q)
+    if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
+        return _master_symmetric(q, method)
     dl = repcore._weyl_dim(q.lam)
     expo = _s_linear_exponent(method, q.S, q.delta, repcore._frobenius_schur(q.lam) / dl)
     return BoundResult(method, math.log(2 * dl) + expo)

@@ -141,12 +141,15 @@ def _check_dim(d, t):
 class MomentOperator:
     """(1/S) sum_U U^{x t} (x) conj(U)^{x t}, applied by a rotating contraction.
 
-    A vector is a tensor with 2t factors of dimension d. One matrix product
-    w.reshape(d, -1).T @ m contracts the leading factor with a gate and
-    appends the result as the last factor: m = U^T for the first t factors
-    and m = conj(U)^T = U^dagger for the last t, so after 2t products the
-    factors are back in order. Each gate costs 2t products of d * d^(2t)
-    multiply-adds; the d^(2t) x d^(2t) matrix is never materialized.
+    A vector is a tensor with 2t factors of dimension d. One batched product
+    w.reshape(-1, d, d^(2t-1)).transpose(0, 2, 1) @ m contracts the leading
+    factor with every gate of the stack m and appends the result as the last
+    factor, behind a gate axis: m = U^T for the first t factors and
+    m = conj(U)^T = U^dagger for the last t, so after 2t products the
+    factors are back in order, and the sum over the gate axis, divided by
+    S, is the result. An apply costs 2t products of S * d * d^(2t)
+    multiply-adds and holds S * d^(2t) complex values at once; the
+    d^(2t) x d^(2t) matrix is never materialized.
     """
 
     def __init__(self, gates, t):
@@ -156,14 +159,11 @@ class MomentOperator:
         self.dim = _check_dim(self.d, self.t)
 
     def _apply_gates(self, v, gates):
-        d, t = self.d, self.t
-        acc = np.zeros(self.dim, dtype=complex)
-        for ut, uh in zip(gates.transpose(0, 2, 1), gates.conj().transpose(0, 2, 1)):
-            w = v
-            for m in (ut,) * t + (uh,) * t:
-                w = w.reshape(d, -1).T @ m
-            acc += w.reshape(-1)
-        return acc / len(gates)
+        d, t, S = self.d, self.t, len(gates)
+        w = v
+        for m in (gates.transpose(0, 2, 1),) * t + (gates.conj().transpose(0, 2, 1),) * t:
+            w = w.reshape(-1, d, self.dim // d).transpose(0, 2, 1) @ m
+        return w.reshape(S, -1).sum(axis=0) / S
 
     def apply(self, v):
         return self._apply_gates(v, self.gates)

@@ -387,15 +387,18 @@ def _mult_centered(lam_entries, mu):
 def weight_multiplicity(lam, mu):
     """m_lambda(mu), the Kostka number of the shifted pair (lambda, sort(mu)).
 
-    mu may have entries of any numeric type; it counts as the integer weight
-    it equals. Returns 0 at once when mu is not integral or the entry-sum or
-    one-norm pruning rules rule it out. Runs no Weyl-group sum, so any d is
-    allowed.
+    mu may have entries of any finite numeric type; it counts as the integer
+    weight it equals, and an infinite or NaN entry raises ``ValueError``.
+    Returns 0 at once when mu is not integral or the entry-sum or one-norm
+    pruning rules rule it out. Runs no Weyl-group sum, so any d is allowed.
     """
     lam = _label_entries(lam)
     ent = tuple(mu.entries if isinstance(mu, HighestWeight) else mu)
     if len(ent) != len(lam):
         raise ValueError("weight length does not match d")
+    for v in ent:
+        if v != v or abs(v) == math.inf:
+            raise ValueError(f"weight entries must be finite, got {v!r}")
     if any(v != int(v) for v in ent):
         return 0  # the weights of pi_lambda are integral
     if sum(ent) != sum(lam) or sum(map(abs, ent)) > sum(map(abs, lam)):

@@ -145,8 +145,15 @@ def test_sampling_reproducible():
 # moment operator
 # ---------------------------------------------------------------------------
 
-#: (d, t, n, kind) beyond the d=2, t<=2 plain cases: d > 2, t > 2 and a lifted set
-KRON_CASES = [(3, 2, 2, "plain"), (2, 3, 2, "plain"), (3, 2, 1, "beamsplitter")]
+#: (d, t, n, kind) beyond the d=2, t<=2 plain cases: d > 2, t > 2, lifted
+#: sets and a symmetric set; (4, 2, 4) stacks 48 gates on dimension 256
+KRON_CASES = [
+    (3, 2, 2, "plain"),
+    (2, 3, 2, "plain"),
+    (3, 2, 1, "beamsplitter"),
+    (4, 2, 4, "beamsplitter"),
+    (2, 2, 3, "symmetric"),
+]
 
 
 def test_moment_operator_matches_kron_oracle():
@@ -179,6 +186,32 @@ def test_moment_operator_norm_nonincreasing():
     for _ in range(5):
         v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         assert np.linalg.norm(op.apply(v)) <= np.linalg.norm(v) * (1 + 1e-12)
+
+
+def per_gate_apply(gates, t, v):
+    """The moment operator one gate at a time: 2t products per gate, summed in gate order."""
+    d = gates.shape[1]
+    acc = np.zeros(v.shape, dtype=complex)
+    for u in gates:
+        w = v
+        for m in (u.T,) * t + (u.conj().T,) * t:
+            w = w.reshape(d, -1).T @ m
+        acc += w.reshape(-1)
+    return acc / len(gates)
+
+
+def test_moment_operator_is_bitwise_the_per_gate_loop():
+    # the batched contraction does the same products and the same sum in
+    # the same order as a loop over gates, so it rounds the same way
+    rng = np.random.default_rng(3)
+    for d, t, n, kind in [(2, 2, 2, "plain")] + KRON_CASES:
+        s = mc.sample_gate_set(d, n, kind, seed=8)
+        op = mc.MomentOperator(s.unitaries, t)
+        v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        g = s.unitaries
+        np.testing.assert_array_equal(op.apply(v), per_gate_apply(g, t, v))
+        adj = per_gate_apply(g.conj().transpose(0, 2, 1), t, v)
+        np.testing.assert_array_equal(op.apply_adjoint(v), adj)
 
 
 def test_moment_operator_adjoint_is_adjoint():

@@ -503,6 +503,15 @@ def test_weight_multiplicity_reads_weights_of_any_numeric_type():
         rc.weight_multiplicity((1, 0, -1), (1, -1))
 
 
+def test_weight_multiplicity_names_a_non_finite_entry():
+    # an infinite or NaN entry equals no integer weight and is named in a
+    # ValueError, as labels name theirs; a finite non-integral one gives 0
+    for v in (math.inf, -math.inf, math.nan, np.float64(math.inf)):
+        with pytest.raises(ValueError, match=re.escape(f"got {v!r}")):
+            rc.weight_multiplicity((1, 0, -1), (v, 0, -v))
+    assert rc.weight_multiplicity((1, 0, -1), (0.25, 0, -0.25)) == 0
+
+
 def test_zero_weight_multiplicity_needs_an_integral_level():
     # (2, 1, 0) is the adjoint of SU(3) shifted by 1: weight (1, 1, 1) twice
     assert rc.zero_weight_multiplicity((2, 1, 0)) == 2
