@@ -38,16 +38,12 @@ _MODULES = {
     ),
     "repcore": (
         "BlockSpectrum",
-        "DynkinLabel",
         "HighestWeight",
         "block_spectrum",
-        "count_irreps_by_norm",
         "enumerate_lambda_set",
         "fs_indicator",
         "gamma_coefficients",
-        "partition_count",
         "sum_dimensions",
-        "to_u_weight",
         "weight_multiplicity",
         "weyl_dimension",
         "zero_weight_multiplicity",
@@ -61,7 +57,7 @@ _MODULES = {
         "min_size_search",
         "table2_cells",
     ),
-    "specfun": ("bessel_ratio_bounds", "log_bessel_i"),
+    "specfun": ("log_bessel_i",),
 }
 
 #: exported name -> the submodule that defines it

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kinds import GateSetKind
+from .repcore import _integral
 
 #: refuse to build tensor spaces larger than this
 DIM_CAP = 2**16
@@ -87,13 +88,16 @@ class GateSetSample:
         return self.unitaries.shape[1]
 
     def validate(self):
-        """Check unitarity (and exact inverse pairs) to Frobenius norm 1e-10."""
+        """Check unitarity (and, for a symmetric sample, an even size of
+        exact inverse pairs) to Frobenius norm 1e-10."""
         tol = 1e-10
         eye = np.eye(self.d)
         u = self.unitaries
         if np.any(np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - eye, axis=(1, 2)) > tol):
             raise ValueError("sample contains a non-unitary matrix")
         if self.kind is GateSetKind.SYMMETRIC:
+            if self.size % 2:
+                raise ValueError(f"a symmetric sample needs an even size, got {self.size}")
             n = self.size // 2
             if np.any(np.linalg.norm(u[n : 2 * n] @ u[:n] - eye, axis=(1, 2)) > tol):
                 raise ValueError("symmetric sample lacks exact inverse pairs")
@@ -130,12 +134,17 @@ def sample_gate_set(d, n, kind, seed):
 # ---------------------------------------------------------------------------
 
 def _check_dim(d, t):
+    """(t, d^(2t)) with t as an int; t must be integral and >= 1, and both
+    d^(2t) and t! within their caps."""
+    t = _integral(t, "t")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
     dim = d ** (2 * t)
     if dim > DIM_CAP:
         raise ValueError(f"d^(2t) = {dim} exceeds the cap DIM_CAP={DIM_CAP}")
     if math.factorial(t) > FACTORIAL_CAP:
         raise ValueError(f"t! = {math.factorial(t)} exceeds the cap {FACTORIAL_CAP}")
-    return dim
+    return t, dim
 
 
 class MomentOperator:
@@ -154,9 +163,11 @@ class MomentOperator:
 
     def __init__(self, gates, t):
         self.gates = np.asarray(gates)
-        self.t = int(t)
-        self.d = self.gates.shape[1]
-        self.dim = _check_dim(self.d, self.t)
+        shape = self.gates.shape
+        if len(shape) != 3 or shape[0] < 1 or shape[1] != shape[2]:
+            raise ValueError(f"gates must be an (S, d, d) stack with S >= 1, got shape {shape}")
+        self.d = shape[1]
+        self.t, self.dim = _check_dim(self.d, t)
 
     def _apply_gates(self, v, gates):
         d, t, S = self.d, self.t, len(gates)
@@ -181,9 +192,9 @@ class HaarProjector:
     """
 
     def __init__(self, d, t):
-        self.d = int(d)
-        self.t = int(t)
-        self.dim = _check_dim(d, t)
+        self.d = d = int(d)
+        t, self.dim = _check_dim(d, t)
+        self.t = t
         perms = list(itertools.permutations(range(t)))
         dt = d**t
         flat = np.arange(dt).reshape((d,) * t)
@@ -241,6 +252,7 @@ def estimate_delta(sample, t, return_info=False):
     steps do neither.
     """
     top = MomentOperator(sample.unitaries, t)
+    t = top.t
     proj = _projector(sample.d, t)
     rng = np.random.default_rng(
         np.random.SeedSequence(_flatten_seed(sample.seed) + [0x9E3779B9])
@@ -282,12 +294,11 @@ def _projector(d, t):
 
 
 def _flatten_seed(seed):
+    """The ints of an integral seed or of a nested tuple or list of them;
+    anything else raises ``ValueError`` naming the seed."""
     if isinstance(seed, (tuple, list)):
-        out = []
-        for s in seed:
-            out.extend(_flatten_seed(s))
-        return out
-    return [int(seed)]
+        return [v for s in seed for v in _flatten_seed(s)]
+    return [_integral(seed, "the sample's seed")]
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,9 @@ Hall Polynomials*, I.5-I.7; Fulton, *Young Tableaux*, 8). It is invariant
 under permuting mu and is counted by stripping horizontal strips, so no
 Kostant partition function and no alternating sum over the Weyl group is
 needed. The Kostant and Freudenthal engines are kept in the tests
-(``tests/oracles.py``) as independent oracles.
+(``tests/oracles.py``) as independent oracles, with the partition counts
+that check :func:`enumerate_lambda_set` and the SU(d) -> U(d) lift of a
+Dynkin label.
 """
 from __future__ import annotations
 
@@ -88,7 +90,7 @@ def _integral(v, what):
     raises instead of truncating."""
     try:
         i = int(v)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         i = None
     if i is None or i != v:
         raise ValueError(f"{what} must be integral, got {v!r}")
@@ -128,25 +130,6 @@ class HighestWeight:
         return sum(abs(v) for v in self.entries)
 
 
-@dataclass(frozen=True)
-class DynkinLabel:
-    """An SU(d) highest weight as d-1 nonnegative Dynkin labels."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        ent = tuple(_integral(v, "Dynkin labels") for v in self.entries)
-        object.__setattr__(self, "entries", ent)
-        if not ent:
-            raise ValueError("empty Dynkin label")
-        if any(v < 0 for v in ent):
-            raise ValueError(f"Dynkin labels must be nonnegative: {ent}")
-
-    @property
-    def d(self):
-        return len(self.entries) + 1
-
-
 # ---------------------------------------------------------------------------
 # partitions and the label set Lambda~_t
 # ---------------------------------------------------------------------------
@@ -168,50 +151,6 @@ def _partitions_exact(k, n, max_part=None):
             yield (first,) + rest
 
 
-def count_partitions_exact(k, n):
-    """p_n(k): partitions of k with exactly n parts.
-
-    Removing the first column of the diagram gives p_n(k) = p~_n(k - n).
-    """
-    if n < 0:
-        return 0
-    return count_partitions_atmost(k - n, n)
-
-
-def count_partitions_atmost(k, n):
-    """p~_n(k): partitions of k with at most n parts.
-
-    By conjugation these are the partitions of k into parts <= n, counted
-    by a coin-change table over the part sizes: O(k) memory, no recursion.
-    """
-    if k < 0:
-        return 0
-    ways = [1] + [0] * k
-    for part in range(1, min(k, n) + 1):
-        for s in range(part, k + 1):
-            ways[s] += ways[s - part]
-    return ways[k]
-
-
-def partition_count(k):
-    """p(k), the unrestricted partition number."""
-    return count_partitions_atmost(k, k)
-
-
-def count_irreps_by_norm(d, k):
-    """Number of labels in Lambda~_t with one-norm 2k.
-
-    alpha_{2k} = sum_n p_n(k) * p~_{d-n}(k); collapses to p(k)^2 once
-    d >= 2k.
-    """
-    if d < 2 or k < 1:
-        raise ValueError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
-    return sum(
-        count_partitions_exact(k, n) * count_partitions_atmost(k, d - n)
-        for n in range(1, d)
-    )
-
-
 def _label_rows(d, t):
     """Lambda~_t as plain int tuples, in :func:`enumerate_lambda_set` order.
 
@@ -221,6 +160,7 @@ def _label_rows(d, t):
     are no repeats. Rows come sorted by (one-norm, entries): the one-norm is
     2k throughout one k.
     """
+    d, t = _integral(d, "d"), _integral(t, "t")
     if d < 2 or t < 1:
         raise ValueError(f"need d >= 2 and t >= 1, got d={d}, t={t}")
     for k in range(1, t + 1):
@@ -312,8 +252,13 @@ class BlockSpectrum:
 
 @lru_cache(maxsize=None)
 def block_spectrum(d, t):
-    """The cached :class:`BlockSpectrum` of Lambda~_t on U(d)."""
+    """The cached :class:`BlockSpectrum` of Lambda~_t on U(d).
+
+    d and t are stored as ints: the cache key (2, 2.0) equals (2, 2).
+    """
     import numpy as np
+
+    d, t = _integral(d, "d"), _integral(t, "t")
 
     rows = list(_label_rows(d, t))
     dims = tuple(map(_weyl_dim, rows))
@@ -548,33 +493,3 @@ def gamma_coefficients(lam):
     for k in range(1, len(ent) + 1):
         gam[k] = gam[-k] = fs_indicator(ent, k) - m0d
     return gam
-
-
-# ---------------------------------------------------------------------------
-# SU(d) -> U(d) label lift
-# ---------------------------------------------------------------------------
-
-def to_u_weight(dynkin, m=None):
-    """U(d) lift of an SU(d) label; lowest entry m.
-
-    With ``m=None`` the canonical zero-sum lift m = -(1/d) sum_j j*dynkin_j
-    is used; when that is not an integer no zero-sum lift exists (and the
-    restriction has no zero weight), which is reported as a ValueError.
-    """
-    if not isinstance(dynkin, DynkinLabel):
-        dynkin = DynkinLabel(tuple(dynkin))
-    d = dynkin.d
-    if m is None:
-        s = sum((j + 1) * v for j, v in enumerate(dynkin.entries))
-        if s % d:
-            raise ValueError(
-                f"no zero-sum U({d}) lift exists: sum j*label_j = {s} is not "
-                f"divisible by {d}"
-            )
-        m = -(s // d)
-    suffix = 0
-    entries = [m] * d
-    for i in range(d - 2, -1, -1):
-        suffix += dynkin.entries[i]
-        entries[i] = m + suffix
-    return HighestWeight(tuple(entries))

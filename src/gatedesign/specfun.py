@@ -49,18 +49,3 @@ def log_bessel_i(n, x):
     if n < 0 or x < 0.0:
         raise ValueError(f"need n >= 0 and x >= 0, got n={n}, x={x}")
     return float(log_ive_array(n, x)[n]) + x
-
-
-def bessel_ratio_bounds(n, x):
-    """Two-sided bounds on I_n(x)/I_{n-1}(x).
-
-    x/(n - 1/2 + sqrt((n + 1/2)^2 + x^2)) < ratio
-        < x/(n - 1 + sqrt((n + 1)^2 + x^2))
-    """
-    n = int(n)
-    x = float(x)
-    if n < 1 or x <= 0.0:
-        raise ValueError(f"need n >= 1 and x > 0, got n={n}, x={x}")
-    lower = x / (n - 0.5 + math.sqrt((n + 0.5) ** 2 + x * x))
-    upper = x / (n - 1.0 + math.sqrt((n + 1.0) ** 2 + x * x))
-    return lower, upper

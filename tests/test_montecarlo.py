@@ -79,6 +79,15 @@ def test_symmetric_sample_has_exact_inverses():
     s.validate()
 
 
+def test_symmetric_sample_of_odd_size_fails_validation():
+    # three identities pass every inverse check they get, but the third has
+    # no partner
+    s = mc.GateSetSample(np.stack([np.eye(2)] * 3), GateSetKind.SYMMETRIC, seed=0)
+    with pytest.raises(ValueError, match="even size, got 3"):
+        s.validate()
+    mc.GateSetSample(np.stack([np.eye(2)] * 4), GateSetKind.SYMMETRIC, seed=0).validate()
+
+
 def test_beamsplitter_sample_count_and_unitarity():
     s = mc.sample_gate_set(4, 2, GateSetKind.BEAMSPLITTER_LIFTED, seed=3)
     assert s.size == 2 * 4 * 3
@@ -330,6 +339,46 @@ def test_delta_identity_set_is_one():
         assert mc.estimate_delta(s, t) == pytest.approx(1.0, abs=1e-7)
 
 
+def test_moment_t_must_be_integral_and_positive():
+    s = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=5)
+    for t in (0, -1):
+        with pytest.raises(ValueError, match=f"need t >= 1, got t={t}"):
+            mc.estimate_delta(s, t)
+        with pytest.raises(ValueError, match=f"got t={t}"):
+            mc.HaarProjector(2, t)
+        with pytest.raises(ValueError, match=f"got t={t}"):
+            mc.MomentOperator(s.unitaries, t)
+    for t in (1.5, "a", None):
+        with pytest.raises(ValueError, match=re.escape(f"t must be integral, got {t!r}")):
+            mc.estimate_delta(s, t)
+        with pytest.raises(ValueError, match=re.escape(f"got {t!r}")):
+            mc.HaarProjector(2, t)
+    # an integral float is that int
+    assert mc.estimate_delta(s, 2.0, return_info=True) == mc.estimate_delta(s, 2, return_info=True)
+    assert type(mc.HaarProjector(2, 2.0).t) is int
+    assert type(mc.MomentOperator(s.unitaries, 2.0).t) is int
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (0, 2, 2), (1, 2, 2, 2)])
+def test_moment_operator_rejects_a_non_stack(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        mc.MomentOperator(np.zeros(shape), 1)
+
+
+def test_estimate_delta_names_a_bad_seed():
+    s = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=5)
+    for seed in (None, "a", 1.5, (1, None), [2, ["b"]]):
+        bad = mc.GateSetSample(s.unitaries, s.kind, seed=seed)
+        with pytest.raises(ValueError, match="seed must be integral"):
+            mc.estimate_delta(bad, 1)
+    # ints, numpy ints and nested tuples or lists of them flatten as before
+    assert mc._flatten_seed((1, [np.int64(2), (3,)], 4)) == [1, 2, 3, 4]
+    assert all(type(v) is int for v in mc._flatten_seed((np.int32(7), [8])))
+    want = mc.estimate_delta(mc.GateSetSample(s.unitaries, s.kind, seed=(5, 1, 2)), 2)
+    for seed in ((5, [1, 2]), [np.int64(5), (1,), 2]):
+        assert mc.estimate_delta(mc.GateSetSample(s.unitaries, s.kind, seed=seed), 2) == want
+
+
 def test_delta_single_gate_t1_is_one():
     s = mc.sample_gate_set(2, 1, GateSetKind.PLAIN, seed=11)
     assert mc.estimate_delta(s, 1) == pytest.approx(1.0, abs=1e-7)
@@ -568,7 +617,7 @@ def test_fs_indicator_mc_small():
 
 
 def test_fs_indicator_mc_agrees_with_exact():
-    lam = rc.to_u_weight((2,))  # (1, -1)
+    lam = oracles.to_u_weight((2,))  # (1, -1)
     exact = float(rc.fs_indicator(lam, 2))
     mean, err = mc.estimate_fs_indicator_mc(2, 2, trials=20000, seed=6)
     assert abs(mean - exact) < 3 * err

@@ -139,7 +139,7 @@ def test_partitions_exact_matches_counts():
     for k in range(0, 13):
         for n in range(0, k + 2):
             parts = list(rc._partitions_exact(k, n))
-            assert len(parts) == rc.count_partitions_exact(k, n)
+            assert len(parts) == oracles.count_partitions_exact(k, n)
             assert len(set(parts)) == len(parts)
             for p in parts:
                 assert len(p) == n and sum(p) == k and min(p, default=1) >= 1
@@ -160,8 +160,8 @@ def test_highest_weight_rejects_increasing():
 
 @pytest.mark.parametrize("call,bad", [
     (lambda v: HighestWeight((v, -v)), 1.5),
-    (lambda v: rc.DynkinLabel((v,)), 1.9),
-    (lambda v: rc.to_u_weight((v,)), 2.5),
+    (lambda v: oracles.DynkinLabel((v,)), 1.9),
+    (lambda v: oracles.to_u_weight((v,)), 2.5),
     (lambda v: rc.weyl_dimension((v, 0)), 1.5),
     (lambda v: rc.fs_indicator((1, 0, -1), v), 2.7),
 ], ids=["HighestWeight", "DynkinLabel", "to_u_weight", "weyl_dimension", "fs_indicator"])
@@ -188,23 +188,23 @@ def test_label_entries_beyond_float_range_are_valid():
 # ---------------------------------------------------------------------------
 
 def test_count_irreps_d8_k2():
-    assert rc.count_irreps_by_norm(8, 2) == rc.partition_count(2) ** 2 == 4
+    assert oracles.count_irreps_by_norm(8, 2) == oracles.partition_count(2) ** 2 == 4
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_count_irreps_d2(k):
-    assert rc.count_irreps_by_norm(2, k) == 1
+    assert oracles.count_irreps_by_norm(2, k) == 1
 
 
 def test_count_irreps_matches_enumeration_slice():
     labels = rc.enumerate_lambda_set(3, 3)
     slice_len = sum(1 for l in labels if l.norm1 == 6)
-    assert rc.count_irreps_by_norm(3, 3) == slice_len
+    assert oracles.count_irreps_by_norm(3, 3) == slice_len
 
 
 @pytest.mark.parametrize("d,t", [(2, 5), (3, 4), (4, 4), (5, 3), (6, 6)])
 def test_counting_identity(d, t):
-    total = sum(rc.count_irreps_by_norm(d, k) for k in range(1, t + 1))
+    total = sum(oracles.count_irreps_by_norm(d, k) for k in range(1, t + 1))
     assert len(rc.enumerate_lambda_set(d, t)) == total
 
 
@@ -212,24 +212,24 @@ def test_counting_identity(d, t):
 @settings(derandomize=True, deadline=None, max_examples=100)
 def test_counting_identity_holds_on_the_block_spectrum(d, t):
     # |Lambda~_t| = sum_k alpha_2k, read off the spectrum's label rows
-    total = sum(rc.count_irreps_by_norm(d, k) for k in range(1, t + 1))
+    total = sum(oracles.count_irreps_by_norm(d, k) for k in range(1, t + 1))
     assert len(rc.block_spectrum(d, t).labels) == total
 
 
 def test_count_irreps_d2_large_t_matches_enumeration():
-    total = sum(rc.count_irreps_by_norm(2, k) for k in range(1, 5001))
+    total = sum(oracles.count_irreps_by_norm(2, k) for k in range(1, 5001))
     assert total == len(rc.enumerate_lambda_set(2, 5000))
 
 
 def test_partition_count_values():
-    assert rc.partition_count(100) == 190569292
-    assert rc.partition_count(1000) == 24061467864032622473692149727991
+    assert oracles.partition_count(100) == 190569292
+    assert oracles.partition_count(1000) == 24061467864032622473692149727991
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_count_collapses_to_p_squared(k):
-    assert rc.count_irreps_by_norm(2 * k, k) == rc.partition_count(k) ** 2
-    assert rc.count_irreps_by_norm(2 * k + 3, k) == rc.partition_count(k) ** 2
+    assert oracles.count_irreps_by_norm(2 * k, k) == oracles.partition_count(k) ** 2
+    assert oracles.count_irreps_by_norm(2 * k + 3, k) == oracles.partition_count(k) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +295,22 @@ def test_block_spectrum_matches_labels_and_dimensions(d, t):
     assert rc.block_spectrum(d, t) is spec
 
 
+def test_block_spectrum_takes_integral_d_and_t():
+    # the lru key (3, 2.0) equals (3, 2), so the spectrum stores ints
+    rc.block_spectrum.cache_clear()
+    spec = rc.block_spectrum(3.0, 2.0)
+    assert (type(spec.d), type(spec.t)) == (int, int)
+    assert rc.block_spectrum(3, 2) is spec
+    assert [l.entries for l in rc.enumerate_lambda_set(3.0, np.int64(2))] == [
+        tuple(row) for row in spec.labels.tolist()
+    ]
+    for call in (rc.block_spectrum, rc.enumerate_lambda_set, rc.sum_dimensions):
+        with pytest.raises(ValueError, match="t must be integral, got 2.5"):
+            call(2, 2.5)
+        with pytest.raises(ValueError, match="d must be integral, got 2.5"):
+            call(2.5, 2)
+
+
 def test_block_spectrum_fs2():
     spec = rc.block_spectrum(4, 3)
     labels = rc.enumerate_lambda_set(4, 3)
@@ -310,7 +326,7 @@ def test_block_spectrum_fs2():
 
 def test_block_spectrum_builds_no_label_objects(monkeypatch):
     built = []
-    for cls in (rc.HighestWeight, rc.DynkinLabel):
+    for cls in (rc.HighestWeight, oracles.DynkinLabel):
         real = cls.__post_init__
 
         def counting(self, real=real):
@@ -554,7 +570,7 @@ def test_fs_vanishes_at_n1():
 
 def test_fs_su2_examples():
     assert rc.fs_indicator((1, -1), 2) == Fraction(1, 3)
-    defining = rc.to_u_weight((1,), m=0)  # Dynkin label 1, lift (1, 0)
+    defining = oracles.to_u_weight((1,), m=0)  # Dynkin label 1, lift (1, 0)
     assert rc.fs_indicator(defining, 2) == Fraction(-1, 2)
     assert rc.fs_indicator(defining, 3) == 0
 
@@ -562,7 +578,7 @@ def test_fs_su2_examples():
 @pytest.mark.parametrize("label", range(1, 21))
 @pytest.mark.parametrize("n", range(-10, 11))
 def test_fs_matches_su2_closed_form(label, n):
-    lam = rc.to_u_weight((label,), m=0)
+    lam = oracles.to_u_weight((label,), m=0)
     assert rc.fs_indicator(lam, n) == lemma_lambda_closed_form(label, n)
 
 
@@ -856,23 +872,23 @@ def test_gamma_d2_values():
 # ---------------------------------------------------------------------------
 
 def test_to_u_weight_canonical():
-    assert rc.to_u_weight((2,)).entries == (1, -1)
+    assert oracles.to_u_weight((2,)).entries == (1, -1)
 
 
 def test_to_u_weight_divisibility_failure():
     with pytest.raises(ValueError):
-        rc.to_u_weight((1,))
+        oracles.to_u_weight((1,))
 
 
 @pytest.mark.parametrize("d,t", [(2, 3), (3, 3), (4, 2)])
 def test_dynkin_round_trip(d, t):
     for lam in rc.enumerate_lambda_set(d, t):
         dyn = oracles.dynkin_label(lam.entries)
-        assert rc.to_u_weight(dyn).entries == lam.entries
+        assert oracles.to_u_weight(dyn).entries == lam.entries
 
 
 def test_round_trip_preserves_su_irrep_for_shifted_lift():
     # lifts differing by the trace part restrict to the same SU(d) irrep
     dyn = oracles.dynkin_label((2, 0, -1, -1))
-    shifted = rc.to_u_weight(dyn, m=5)
+    shifted = oracles.to_u_weight(dyn, m=5)
     assert oracles.dynkin_label(shifted.entries) == dyn

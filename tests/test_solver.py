@@ -42,6 +42,13 @@ def test_search_matches_closed_form_for_master_plain(d, t):
     assert a.S_min == b.S_min
 
 
+def test_search_takes_integral_t():
+    want = solver.min_size_search(2, 2, 0.5, 0.99, Method.MASTER_PLAIN).S_min
+    assert solver.min_size_search(2, 2.0, 0.5, 0.99, "master-plain").S_min == want
+    with pytest.raises(ValueError, match="t must be integral, got 2.5"):
+        solver.min_size_search(2, 2.5, 0.5, 0.99, "master-plain")
+
+
 def test_search_bernstein_plain_d2_t2():
     res = solver.min_size_search(2, 2, 0.5, 0.99, Method.BERNSTEIN_PLAIN)
     assert res.S_min == 69
