@@ -44,16 +44,9 @@ class BoundUnavailableError(RuntimeError):
     """The bracket in F(theta) was numerically nonpositive wherever probed."""
 
 
-def _check_gate_count(S):
-    repcore._integral(S, "the gate count S")
-    if S < 1:
-        raise ValueError(f"S must be >= 1, got {S}")
-
-
 def _check_query(kind, S, delta):
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    _check_gate_count(S)
+    repcore._open_unit(delta, "delta")
+    repcore._at_least(S, "S", 1)
     if kind is GateSetKind.SYMMETRIC and S % 2:
         raise ValueError(f"symmetric sets have even cardinality, got {S}")
 
@@ -252,10 +245,7 @@ def per_label_bound(q: BoundQuery, method):
 
 def total_bound(d, t, kind, S, delta, method):
     """Union bound over all block labels of the t-th moment operator."""
-    if not isinstance(method, Method):
-        method = Method(method)
-    if not isinstance(kind, GateSetKind):
-        kind = GateSetKind(kind)
+    method, kind = Method(method), GateSetKind(kind)
     _check_method(method, kind)
     _check_query(kind, S, delta)
     spec = repcore.block_spectrum(d, t)
@@ -274,18 +264,16 @@ def total_bound(d, t, kind, S, delta, method):
 # ---------------------------------------------------------------------------
 
 def _check_concentration(S, alpha, t=1):
-    _check_gate_count(S)
+    repcore._at_least(S, "S", 1)
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    if not t >= 1:
-        raise ValueError(f"need t >= 1, got t={t}")
+    repcore._at_least(t, "t", 1)
 
 
 def concentration_bound_t(d, t, S, alpha):
     """P(delta(nu_S,t) >= E delta + alpha) <= exp(-d S alpha^2 / (32 t^2))."""
     _check_concentration(S, alpha, t)
-    if not d >= 2:
-        raise ValueError(f"need d >= 2, got d={d}")
+    repcore._at_least(d, "d", 2)
     return math.exp(-d * S * alpha**2 / (32.0 * t * t))
 
 

@@ -174,10 +174,9 @@ def cmd_table(args):
 
 
 def cmd_clifford(args):
-    from . import solver
+    from . import repcore, solver
 
-    if args.max_qubits < 1:
-        raise ValueError(f"need --max-qubits >= 1, got {args.max_qubits}")
+    repcore._at_least(args.max_qubits, "--max-qubits", 1)
     columns = ["n", "clifford_cardinality", "s_min_printed", "s_min_closed_form", "log10_ratio"]
     rows = []
     for n in range(1, args.max_qubits + 1):
@@ -201,15 +200,11 @@ def cmd_mc_verify(args):
 
     kind = GateSetKind(args.kind)
     est = montecarlo.empirical_tail(
-        args.d,
-        args.t,
-        kind,
-        args.size,
-        args.delta,
-        trials=args.trials,
-        seed=args.seed,
-        jsonl_path=args.trial_log,
+        args.d, args.t, kind, args.size, args.delta, trials=args.trials, seed=args.seed
     )
+    if args.trial_log is not None:
+        with open(args.trial_log, "w", newline="\n") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in est.records)
     row = {
         "d": args.d,
         "t": args.t,

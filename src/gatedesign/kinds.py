@@ -27,5 +27,7 @@ class Method(enum.Enum):
 
 
 def methods_for_kind(kind):
-    """Bound methods applicable to a gate-set kind (none for lifted sets)."""
+    """Bound methods applicable to a gate-set kind, given as a
+    :class:`GateSetKind` or its value (none for lifted sets)."""
+    kind = GateSetKind(kind)
     return tuple(m for m in Method if m.kind is kind)

@@ -10,7 +10,6 @@ evaluated from the trace of the sampled element.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kinds import GateSetKind
-from .repcore import _integral
+from .repcore import _at_least, _integral, _open_unit
 
 #: refuse to build tensor spaces larger than this
 DIM_CAP = 2**16
@@ -112,10 +111,8 @@ def sample_gate_set(d, n, kind, seed):
     into all d(d-1) mode pairs. Gates are Haar on U(d); the lifted seeds
     are Haar on SU(2).
     """
-    if not isinstance(kind, GateSetKind):
-        kind = GateSetKind(kind)
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 Haar draws of dimension d >= 1, got n={n}, d={d}")
+    kind = GateSetKind(kind)
+    d, n = _at_least(d, "d", 1), _at_least(n, "n", 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if kind is GateSetKind.BEAMSPLITTER_LIFTED:
         if d <= 2:
@@ -134,17 +131,15 @@ def sample_gate_set(d, n, kind, seed):
 # ---------------------------------------------------------------------------
 
 def _check_dim(d, t):
-    """(t, d^(2t)) with t as an int; t must be integral and >= 1, and both
-    d^(2t) and t! within their caps."""
-    t = _integral(t, "t")
-    if t < 1:
-        raise ValueError(f"need t >= 1, got t={t}")
+    """(d, t, d^(2t)) with d and t as ints; both must be integral and >= 1,
+    and d^(2t) and t! within their caps."""
+    d, t = _at_least(d, "d", 1), _at_least(t, "t", 1)
     dim = d ** (2 * t)
     if dim > DIM_CAP:
         raise ValueError(f"d^(2t) = {dim} exceeds the cap DIM_CAP={DIM_CAP}")
     if math.factorial(t) > FACTORIAL_CAP:
         raise ValueError(f"t! = {math.factorial(t)} exceeds the cap {FACTORIAL_CAP}")
-    return t, dim
+    return d, t, dim
 
 
 class MomentOperator:
@@ -166,8 +161,7 @@ class MomentOperator:
         shape = self.gates.shape
         if len(shape) != 3 or shape[0] < 1 or shape[1] != shape[2]:
             raise ValueError(f"gates must be an (S, d, d) stack with S >= 1, got shape {shape}")
-        self.d = shape[1]
-        self.t, self.dim = _check_dim(self.d, t)
+        self.d, self.t, self.dim = _check_dim(shape[1], t)
 
     def _apply_gates(self, v, gates):
         d, t, S = self.d, self.t, len(gates)
@@ -188,13 +182,13 @@ class HaarProjector:
 
     Gram matrix G[s,t] = d^(#cycles(s^-1 t)), the number of multi-indices
     that s^-1 t fixes, pseudo-inverted with a relative eigenvalue threshold
-    of 1e-10 to cover the rank-deficient t > d case.
+    of 1e-10 to cover the rank-deficient t > d case. d and t are stored as
+    ints; a value that is not integral raises instead of truncating.
     """
 
     def __init__(self, d, t):
-        self.d = d = int(d)
-        t, self.dim = _check_dim(d, t)
-        self.t = t
+        d, t, self.dim = _check_dim(d, t)
+        self.d, self.t = d, t
         perms = list(itertools.permutations(range(t)))
         dt = d**t
         flat = np.arange(dt).reshape((d,) * t)
@@ -309,31 +303,27 @@ def _flatten_seed(seed):
 class TailEstimate:
     fraction: float
     stderr: float
-    deltas: list = field(default_factory=list)
     records: list = field(default_factory=list)
 
+    @property
+    def deltas(self):
+        return [r["delta"] for r in self.records]
 
-def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None):
+
+def empirical_tail(d, t, kind, S, delta, trials, seed):
     """Fraction of seeded trials with delta(nu_S, t) >= delta.
 
     ``S`` is the gate-set cardinality for plain/symmetric kinds and the
     SU(2) seed count for lifted sets. Each trial draws from an independent
-    child stream of ``seed``; per-trial records (delta, Lanczos steps and
-    the residual bound on delta^2) go to ``jsonl_path`` when given. The
-    inputs are checked before the first trial runs.
+    child stream of ``seed``; its record in ``records`` holds the trial
+    index, the seed pair, delta, the Lanczos steps and the residual bound
+    on delta^2. The inputs are checked before the first trial runs.
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d={d}")
-    if t < 1:
-        raise ValueError(f"need t >= 1, got t={t}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"need 0 < delta < 1, got delta={delta}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"need seed >= 0, got {seed}")
-    if not isinstance(kind, GateSetKind):
-        kind = GateSetKind(kind)
+    d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
+    _open_unit(delta, "delta")
+    S, trials = _at_least(S, "S", 1), _at_least(trials, "trials", 1)
+    seed = _at_least(seed, "seed", 0)
+    kind = GateSetKind(kind)
     if kind is GateSetKind.SYMMETRIC:
         if S % 2:
             raise ValueError(f"symmetric sets have even cardinality, got {S}")
@@ -353,15 +343,9 @@ def empirical_tail(d, t, kind, S, delta, trials, seed, jsonl_path=None):
         }
 
     records = [run_trial(i) for i in range(trials)]
-    deltas = [r["delta"] for r in records]
-    hits = sum(1 for v in deltas if v >= delta)
-    frac = hits / trials
+    frac = sum(1 for r in records if r["delta"] >= delta) / trials
     stderr = math.sqrt(frac * (1.0 - frac) / trials)
-    if jsonl_path is not None:
-        with open(jsonl_path, "w", newline="\n") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-    return TailEstimate(fraction=frac, stderr=stderr, deltas=deltas, records=records)
+    return TailEstimate(fraction=frac, stderr=stderr, records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +360,8 @@ def estimate_fs_indicator_mc(j2, n, trials, seed):
     U_j2(cos n phi), the Chebyshev polynomial of the second kind. It is
     evaluated by U_(k+1) = 2x U_k - U_(k-1) from U_(-1) = 0, U_0 = 1.
     """
-    if trials < 2:
-        raise ValueError(f"need trials >= 2, got {trials}")
-    if j2 < 0:
-        raise ValueError(f"need j2 >= 0, got {j2}")
+    trials = _at_least(trials, "trials", 2)
+    j2, n = _at_least(j2, "j2", 0), _integral(n, "n")
     rng = np.random.default_rng(np.random.SeedSequence((seed, j2, n & 0xFFFF)))
     u = sample_haar(2, rng, trials, special=True)
     cos_phi = np.clip(np.trace(u, axis1=1, axis2=2).real / 2.0, -1.0, 1.0)

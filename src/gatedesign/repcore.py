@@ -97,6 +97,21 @@ def _integral(v, what):
     return i
 
 
+def _at_least(v, what, least):
+    """v as an int (through :func:`_integral`), which must be >= least."""
+    i = _integral(v, what)
+    if i < least:
+        raise ValueError(f"need {what} >= {least}, got {what}={i}")
+    return i
+
+
+def _open_unit(v, what):
+    """v, which must lie in the open interval (0, 1)."""
+    if not 0.0 < v < 1.0:
+        raise ValueError(f"{what} must be in (0, 1), got {v!r}")
+    return v
+
+
 def _label_entries(lam):
     """The entries of a label as a checked int tuple.
 
@@ -160,9 +175,7 @@ def _label_rows(d, t):
     are no repeats. Rows come sorted by (one-norm, entries): the one-norm is
     2k throughout one k.
     """
-    d, t = _integral(d, "d"), _integral(t, "t")
-    if d < 2 or t < 1:
-        raise ValueError(f"need d >= 2 and t >= 1, got d={d}, t={t}")
+    d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
     for k in range(1, t + 1):
         block = []
         for n in range(1, d):

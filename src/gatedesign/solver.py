@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from . import repcore
 from .kinds import GateSetKind, Method
+from .repcore import _at_least, _open_unit
 
 
 @dataclass(frozen=True)
@@ -38,20 +39,15 @@ def _log_binomial_rate(delta):
     return (1.0 + delta) * math.log1p(delta) + (1.0 - delta) * math.log1p(-delta)
 
 
-def _check_delta_p(delta, P):
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not 0.0 < P < 1.0:
-        raise ValueError(f"P must be in (0, 1), got {P}")
-
-
 def min_size_closed_form(d, t, delta, P):
     """Invert the factored plain master bound.
 
     S >= 2 (log(2 sum d_lam) - log(1 - P)) / log((1+d)^(1+d)(1-d)^(1-d)),
     with the dimension sum exact.
     """
-    _check_delta_p(delta, P)
+    d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
+    _open_unit(delta, "delta")
+    _open_unit(P, "P")
     return _closed_form_from_sum(d, t, delta, P, repcore.block_spectrum(d, t).sum_dim)
 
 
@@ -82,9 +78,10 @@ def min_size_search(d, t, delta, P, method):
     """
     from . import bounds
 
-    _check_delta_p(delta, P)
-    if not isinstance(method, Method):
-        method = Method(method)
+    d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
+    _open_unit(delta, "delta")
+    _open_unit(P, "P")
+    method = Method(method)
     step = 2 if method.kind is GateSetKind.SYMMETRIC else 1
     target = math.log1p(-P)
     seen = {}
@@ -131,8 +128,7 @@ def min_size_search(d, t, delta, P, method):
 
 def clifford_cardinality(n):
     """|C_n| = 2^(n^2 + 2n) prod_j (4^j - 1), exact."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _at_least(n, "n", 1)
     out = 1 << (n * n + 2 * n)
     for j in range(1, n + 1):
         out *= 4**j - 1
@@ -141,8 +137,7 @@ def clifford_cardinality(n):
 
 def clifford_random_set_size(n):
     """Printed-constant gate count: ceil(2*10^4 (log(2^(4n+1) - 3*2^(2n+1) + 2) + 4.61))."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _at_least(n, "n", 1)
     arg = (1 << (4 * n + 1)) - 3 * (1 << (2 * n + 1)) + 2
     return math.ceil(2e4 * (math.log(arg) + 4.61))
 
@@ -150,8 +145,7 @@ def clifford_random_set_size(n):
 def clifford_random_set_size_exact(n):
     """Same quantity from the unrounded closed form, exact dimension sum, at the
     targets the printed constants stand for: delta = 0.01 and P = 0.99."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _at_least(n, "n", 1)
     d = 2**n
     if d >= 4:
         sum_d = d**4 - 3 * d**2 + 1

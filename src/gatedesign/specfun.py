@@ -19,6 +19,8 @@ import sys
 
 import numpy as np
 
+from .repcore import _at_least
+
 _TINY = sys.float_info.min
 
 
@@ -44,8 +46,7 @@ def log_ive_array(nmax, x):
 
 def log_bessel_i(n, x):
     """log I_n(x) for integer n >= 0, x >= 0 (-inf for I_{n>=1}(0))."""
-    n = int(n)
-    x = float(x)
-    if n < 0 or x < 0.0:
-        raise ValueError(f"need n >= 0 and x >= 0, got n={n}, x={x}")
+    n, x = _at_least(n, "n", 0), float(x)
+    if not x >= 0.0:
+        raise ValueError(f"x must be nonnegative, got x={x}")
     return float(log_ive_array(n, x)[n]) + x

@@ -534,7 +534,7 @@ def test_concentration_beamsplitter():
 
 @pytest.mark.parametrize("call,named", [
     (lambda: bd.concentration_bound_beamsplitter(0, 10, 0.3), "t=0"),
-    (lambda: bd.concentration_bound_t(2, 2, -10, 0.3), "got -10"),
+    (lambda: bd.concentration_bound_t(2, 2, -10, 0.3), "need S >= 1, got S=-10"),
     (lambda: bd.concentration_bound_t(2, 2, 10.5, 0.3), "got 10.5"),
     (lambda: bd.concentration_bound_t(2, 2, 10, math.nan), "got nan"),
     (lambda: bd.concentration_bound_t(0, 2, 10, 0.3), "d=0"),

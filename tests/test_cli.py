@@ -324,7 +324,7 @@ def test_mc_verify_rejects_empty_gate_set(capsys, kind):
                  "--trials", "2"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error: ") and "n=0" in captured.err
+    assert captured.err == "error: need S >= 1, got S=0\n"
 
 
 def test_mc_verify_rejects_negative_seed(capsys):
@@ -332,7 +332,7 @@ def test_mc_verify_rejects_negative_seed(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: need seed >= 0, got -1\n"
+    assert captured.err == "error: need seed >= 0, got seed=-1\n"
 
 
 def test_mc_verify_seed_reproducible(capsys):
