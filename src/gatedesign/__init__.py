@@ -38,7 +38,6 @@ _MODULES = {
     ),
     "repcore": (
         "BlockSpectrum",
-        "HighestWeight",
         "block_spectrum",
         "enumerate_lambda_set",
         "fs_indicator",

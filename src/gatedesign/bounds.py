@@ -45,10 +45,12 @@ class BoundUnavailableError(RuntimeError):
 
 
 def _check_query(kind, S, delta):
-    repcore._open_unit(delta, "delta")
-    repcore._at_least(S, "S", 1)
+    """The checked (S, delta): S an int, delta a float in (0, 1)."""
+    delta = repcore._open_unit(delta, "delta")
+    S = repcore._at_least(S, "S", 1)
     if kind is GateSetKind.SYMMETRIC and S % 2:
         raise ValueError(f"symmetric sets have even cardinality, got {S}")
+    return S, delta
 
 
 def _check_method(method, kind):
@@ -60,10 +62,10 @@ def _check_method(method, kind):
 class BoundQuery:
     """One per-block bound evaluation: set kind, size, threshold, block label.
 
-    ``kind`` may be a :class:`GateSetKind` or its value. ``lam`` may be given
-    as a :class:`repcore.HighestWeight` or any sequence of entries; it is
-    stored as the checked entries tuple, so a bad label raises ``ValueError``
-    here, and d = len(lam).
+    ``kind`` may be a :class:`GateSetKind` or its value. ``S`` is stored as
+    an int, ``delta`` as a float and ``lam``, any sequence of entries, as the
+    checked entries tuple, so a bad argument raises ``ValueError`` here, and
+    d = len(lam).
     """
 
     kind: GateSetKind
@@ -73,7 +75,9 @@ class BoundQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GateSetKind(self.kind))
-        _check_query(self.kind, self.S, self.delta)
+        S, delta = _check_query(self.kind, self.S, self.delta)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "lam", repcore._label_entries(self.lam))
 
 
@@ -247,12 +251,12 @@ def total_bound(d, t, kind, S, delta, method):
     """Union bound over all block labels of the t-th moment operator."""
     method, kind = Method(method), GateSetKind(kind)
     _check_method(method, kind)
-    _check_query(kind, S, delta)
+    S, delta = _check_query(kind, S, delta)
     spec = repcore.block_spectrum(d, t)
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         logs = np.array([
             per_label_bound(BoundQuery(kind=kind, S=S, delta=delta, lam=lam), method).log_bound
-            for lam in spec.labels.tolist()
+            for lam in spec.labels
         ])
     else:
         logs = spec.log2dim + _s_linear_exponent(method, S, delta, spec.fs2)
@@ -265,7 +269,7 @@ def total_bound(d, t, kind, S, delta, method):
 
 def _check_concentration(S, alpha, t=1):
     repcore._at_least(S, "S", 1)
-    if not alpha > 0:
+    if not repcore._real(alpha, "alpha") > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     repcore._at_least(t, "t", 1)
 

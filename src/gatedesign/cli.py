@@ -101,8 +101,8 @@ def cmd_lambda_set(args):
     for lam in repcore.enumerate_lambda_set(args.d, args.t):
         rows.append(
             {
-                "lam": " ".join(str(v) for v in lam.entries),
-                "norm1": lam.norm1,
+                "lam": " ".join(map(str, lam)),
+                "norm1": sum(map(abs, lam)),
                 "dim": repcore.weyl_dimension(lam),
                 "m0": repcore.zero_weight_multiplicity(lam),
                 "fs2": repcore.fs_indicator(lam, 2),

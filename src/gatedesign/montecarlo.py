@@ -113,7 +113,7 @@ def sample_gate_set(d, n, kind, seed):
     """
     kind = GateSetKind(kind)
     d, n = _at_least(d, "d", 1), _at_least(n, "n", 1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(_flatten_seed(seed)))
     if kind is GateSetKind.BEAMSPLITTER_LIFTED:
         if d <= 2:
             raise ValueError(f"beamsplitter lifting needs d > 2, got d={d}")
@@ -288,11 +288,12 @@ def _projector(d, t):
 
 
 def _flatten_seed(seed):
-    """The ints of an integral seed or of a nested tuple or list of them;
-    anything else raises ``ValueError`` naming the seed."""
+    """The ints of an integral seed >= 0 or of a nested tuple or list of
+    them; anything else raises ``ValueError`` naming the seed. SeedSequence
+    draws the same stream from the flat list as from the nested seed."""
     if isinstance(seed, (tuple, list)):
         return [v for s in seed for v in _flatten_seed(s)]
-    return [_integral(seed, "the sample's seed")]
+    return [_at_least(seed, "seed", 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +363,7 @@ def estimate_fs_indicator_mc(j2, n, trials, seed):
     """
     trials = _at_least(trials, "trials", 2)
     j2, n = _at_least(j2, "j2", 0), _integral(n, "n")
+    seed = _at_least(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, j2, n & 0xFFFF)))
     u = sample_haar(2, rng, trials, special=True)
     cos_phi = np.clip(np.trace(u, axis1=1, axis2=2).real / 2.0, -1.0, 1.0)

@@ -5,21 +5,20 @@ enumeration, Weyl dimensions, weight multiplicities (Kostka numbers by
 Gelfand-Tsetlin branching), Frobenius-Schur indicators delta_lambda(n) and
 the gamma_lambda(k) coefficients entering the symmetric master bound.
 
-Labels: the public per-label functions take a :class:`HighestWeight` or
-any sequence of entries and reduce it once, by :func:`_label_entries`, to a
-checked int tuple; every private helper takes that tuple, and caches keyed
-on a label are keyed on it. :class:`HighestWeight` is the public wrapper of
-the same tuple.
+Labels: a label is a checked int tuple of d >= 2 nonincreasing entries.
+The public per-label functions take any sequence of integral entries and
+reduce it once, by :func:`_label_entries`, to that tuple; every private
+helper takes the tuple, and caches keyed on a label are keyed on it.
 
 The block spectrum (:func:`block_spectrum`) is the one intermediate the
 union bounds and the solver read: per (d, t), cached, the label set
-Lambda~_t as an int array of entry rows, with its exact dimensions, their
+Lambda~_t as a tuple of label tuples, with its exact dimensions, their
 sum, float log(2 d_lambda) and the float Frobenius-Schur constants
-delta_lambda(2). It is built from plain int tuples (:func:`_label_rows`,
-:func:`_weyl_dim`, :func:`_frobenius_schur`), the same formulas the
-per-label functions call, and builds no :class:`HighestWeight`. Its three
-arrays are the only numpy in this module, and numpy is imported where they
-are built, so the exact data loads without it.
+delta_lambda(2). It is built from the rows of :func:`_label_rows` by
+:func:`_weyl_dim` and :func:`_frobenius_schur`, the same formulas the
+per-label functions call. Its two float arrays are the only numpy in this
+module, and numpy is imported where they are built, so the exact data
+loads without it.
 
 Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
 over SU(d). Only 3 <= |n| <= d needs a signed Weyl-group sum; the other n
@@ -65,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -105,44 +105,35 @@ def _at_least(v, what, least):
     return i
 
 
+def _real(v, what):
+    """v as a float; a value that is not a real number (None, a str) raises."""
+    # int and float are tested before the ABC, whose check is ~7x slower
+    if not isinstance(v, (int, float, numbers.Real)):
+        raise ValueError(f"{what} must be a real number, got {v!r}")
+    return float(v)
+
+
 def _open_unit(v, what):
-    """v, which must lie in the open interval (0, 1)."""
-    if not 0.0 < v < 1.0:
+    """v as a float (through :func:`_real`), which must lie in (0, 1)."""
+    x = _real(v, what)
+    if not 0.0 < x < 1.0:
         raise ValueError(f"{what} must be in (0, 1), got {v!r}")
-    return v
+    return x
 
 
 def _label_entries(lam):
     """The entries of a label as a checked int tuple.
 
-    ``lam`` is a :class:`HighestWeight` or any sequence of integral values;
-    the tuple has d >= 2 nonincreasing entries. Every function below the
-    public edge takes labels in this form.
+    ``lam`` is any sequence of integral values; the tuple has d >= 2
+    nonincreasing entries. Every function below the public edge takes
+    labels in this form.
     """
-    if isinstance(lam, HighestWeight):
-        return lam.entries
     ent = tuple(_integral(v, "label entries") for v in lam)
     if len(ent) < 2:
         raise ValueError(f"a label needs d >= 2 entries, got {ent}")
     if any(a < b for a, b in zip(ent, ent[1:])):
         raise ValueError(f"label entries must be nonincreasing: {ent}")
     return ent
-
-
-@dataclass(frozen=True)
-class HighestWeight:
-    """A U(d) highest weight: ``entries`` is the checked int tuple of
-    :func:`_label_entries`, with d = len(entries)."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _label_entries(self.entries))
-
-    @property
-    def norm1(self):
-        """One-norm sum of |entries|."""
-        return sum(abs(v) for v in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +181,12 @@ def _label_rows(d, t):
 def enumerate_lambda_set(d, t):
     """All nontrivial block labels of the t-th moment operator on U(d).
 
-    Returns Lambda~_t as a list of :class:`HighestWeight`: nonincreasing
-    zero-sum integer d-tuples with positive part at most t, the zero label
-    excluded, sorted by (one-norm, entries) so emitted tables are
-    byte-stable. :func:`block_spectrum` reads the same rows as plain tuples
-    and builds no label objects; this list is for per-label callers.
+    Returns Lambda~_t as a list of label tuples: nonincreasing zero-sum
+    integer d-tuples with positive part at most t, the zero label excluded,
+    sorted by (one-norm, entries) so emitted tables are byte-stable. These
+    are the rows of :attr:`BlockSpectrum.labels`, in the same order.
     """
-    return [HighestWeight(row) for row in _label_rows(d, t)]
+    return list(_label_rows(d, t))
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +236,16 @@ def sum_dimensions(d, t):
 class BlockSpectrum:
     """The block data of Lambda~_t on U(d) that the union bounds read.
 
-    ``labels`` is the read-only int64 array of shape (n, d) whose rows are
-    the label entries in :func:`enumerate_lambda_set` order, ``dims`` the
-    exact d_lambda ints, ``sum_dim`` their exact sum, ``log2dim`` the
-    read-only float64 array of log(2 d_lambda), each taken by ``math.log``
-    of the exact integer, and ``fs2`` the read-only float64 array of
-    delta_lambda(2). No :class:`HighestWeight` is built for it.
+    ``labels`` is the tuple of label tuples in :func:`enumerate_lambda_set`
+    order, ``dims`` the exact d_lambda ints, ``sum_dim`` their exact sum,
+    ``log2dim`` the read-only float64 array of log(2 d_lambda), each taken
+    by ``math.log`` of the exact integer, and ``fs2`` the read-only float64
+    array of delta_lambda(2).
     """
 
     d: int
     t: int
-    labels: np.ndarray
+    labels: tuple
     dims: tuple
     sum_dim: int
     log2dim: np.ndarray
@@ -273,14 +262,13 @@ def block_spectrum(d, t):
 
     d, t = _integral(d, "d"), _integral(t, "t")
 
-    rows = list(_label_rows(d, t))
+    rows = tuple(_label_rows(d, t))
     dims = tuple(map(_weyl_dim, rows))
-    labels = np.array(rows, dtype=np.int64)
     log2dim = np.array([math.log(2 * dl) for dl in dims])
     fs2 = np.array([_frobenius_schur(row) / dl for row, dl in zip(rows, dims)])
-    for arr in (labels, log2dim, fs2):
+    for arr in (log2dim, fs2):
         arr.flags.writeable = False
-    return BlockSpectrum(d, t, labels, dims, sum(dims), log2dim, fs2)
+    return BlockSpectrum(d, t, rows, dims, sum(dims), log2dim, fs2)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +339,7 @@ def weight_multiplicity(lam, mu):
     pruning rules rule it out. Runs no Weyl-group sum, so any d is allowed.
     """
     lam = _label_entries(lam)
-    ent = tuple(mu.entries if isinstance(mu, HighestWeight) else mu)
+    ent = tuple(mu)
     if len(ent) != len(lam):
         raise ValueError("weight length does not match d")
     for v in ent:

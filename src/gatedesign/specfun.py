@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .repcore import _at_least
+from .repcore import _at_least, _real
 
 _TINY = sys.float_info.min
 
@@ -46,7 +46,7 @@ def log_ive_array(nmax, x):
 
 def log_bessel_i(n, x):
     """log I_n(x) for integer n >= 0, x >= 0 (-inf for I_{n>=1}(0))."""
-    n, x = _at_least(n, "n", 0), float(x)
+    n, x = _at_least(n, "n", 0), _real(x, "x")
     if not x >= 0.0:
         raise ValueError(f"x must be nonnegative, got x={x}")
     return float(log_ive_array(n, x)[n]) + x

@@ -37,13 +37,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from gatedesign.repcore import HighestWeight, _integral, _label_entries
+from gatedesign.repcore import _integral, _label_entries
 
 
 def _weight_entries(mu):
     """The entries of a weight as exact rationals."""
-    if isinstance(mu, HighestWeight):
-        mu = mu.entries
     return tuple(Fraction(v) for v in mu)
 
 
@@ -397,7 +395,7 @@ def to_u_weight(dynkin, m=None):
     for i in range(d - 2, -1, -1):
         suffix += dynkin.entries[i]
         entries[i] = m + suffix
-    return HighestWeight(tuple(entries))
+    return _label_entries(entries)
 
 
 def min_size_scaling(d, t, delta, P):

@@ -1,9 +1,10 @@
 """Argument checks at the public entries.
 
-A count (d, t, S, n, trials, seed, ...) goes through ``repcore._at_least``
-and a threshold (delta, P) through ``repcore._open_unit``, so every entry
-words a bad argument the same way: a ``ValueError`` naming it. An integral
-float such as 2.0 acts as 2, and the result holds ints.
+A count (d, t, S, n, trials, seed, ...) goes through ``repcore._at_least``,
+a threshold (delta, P) through ``repcore._open_unit`` and any other real
+argument (alpha, x) through ``repcore._real``, so every entry words a bad
+argument the same way: a ``ValueError`` naming it. An integral float such as
+2.0 acts as 2, and the result holds ints.
 """
 import re
 
@@ -39,7 +40,7 @@ COUNTS = [
     ("total_bound", "d", 2, lambda v: bd.total_bound(v, 2, "plain", 10, 0.5, "master-plain")),
     ("total_bound", "t", 1, lambda v: bd.total_bound(2, v, "plain", 10, 0.5, "master-plain")),
     ("total_bound", "S", 1, lambda v: bd.total_bound(2, 2, "plain", v, 0.5, "master-plain")),
-    ("BoundQuery", "S", 1, lambda v: bd.BoundQuery("plain", v, 0.5, (1, -1)).lam),
+    ("BoundQuery", "S", 1, lambda v: bd.BoundQuery("plain", v, 0.5, (1, -1))),
     ("concentration_bound_t", "d", 2, lambda v: bd.concentration_bound_t(v, 2, 10, 0.3)),
     ("concentration_bound_t", "t", 1, lambda v: bd.concentration_bound_t(2, v, 10, 0.3)),
     ("concentration_bound_t", "S", 1, lambda v: bd.concentration_bound_t(2, 2, v, 0.3)),
@@ -95,6 +96,54 @@ def test_threshold_argument_is_checked_once(what, call):
     for v in (0.0, 1.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match=re.escape(f"{what} must be in (0, 1), got {v!r}")):
             call(v)
+
+
+#: (case, the call with one argument set to v, a bad v, the message it must raise)
+NOT_NUMBERS = [
+    ("total_bound-delta", lambda v: bd.total_bound(2, 2, "plain", 10, v, "master-plain"),
+     None, "delta must be a real number, got None"),
+    ("concentration_bound_t-alpha", lambda v: bd.concentration_bound_t(2, 2, 10, v),
+     None, "alpha must be a real number, got None"),
+    ("min_size_search-P", lambda v: solver.min_size_search(2, 2, 0.5, v, "master-plain"),
+     None, "P must be a real number, got None"),
+    ("empirical_tail-delta", lambda v: mc.empirical_tail(2, 1, "plain", 3, v, trials=2, seed=1),
+     None, "delta must be a real number, got None"),
+    ("BoundQuery-delta", lambda v: bd.BoundQuery("plain", 10, v, (1, -1)),
+     "0.5", "delta must be a real number, got '0.5'"),
+    ("concentration_bound_beamsplitter-alpha", lambda v: bd.concentration_bound_beamsplitter(2, 10, v),
+     "a", "alpha must be a real number, got 'a'"),
+    ("log_bessel_i-x", lambda v: specfun.log_bessel_i(1, v),
+     None, "x must be a real number, got None"),
+    ("sample_gate_set-negative-seed", lambda v: mc.sample_gate_set(2, 2, "plain", v),
+     -1, "need seed >= 0, got seed=-1"),
+    ("sample_gate_set-float-seed", lambda v: mc.sample_gate_set(2, 2, "plain", v),
+     1.5, "seed must be integral, got 1.5"),
+    ("estimate_fs_indicator_mc-seed", lambda v: mc.estimate_fs_indicator_mc(2, 2, 10, v),
+     None, "seed must be integral, got None"),
+]
+
+
+@pytest.mark.parametrize("call,bad,message", [c[1:] for c in NOT_NUMBERS],
+                         ids=[c[0] for c in NOT_NUMBERS])
+def test_bad_threshold_or_seed_raises_value_error_naming_it(call, bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bad)
+
+
+def test_real_arguments_of_any_real_type_give_the_same_bits():
+    half = np.float64(0.5)
+    assert bd.total_bound(2, 2, "plain", 10, half, "master-plain") == bd.total_bound(
+        2, 2, "plain", 10, 0.5, "master-plain")
+    assert bd.concentration_bound_t(2, 2, 10, half) == bd.concentration_bound_t(2, 2, 10, 0.5)
+    assert specfun.log_bessel_i(1, half) == specfun.log_bessel_i(1, 0.5)
+    q = bd.BoundQuery("plain", 57.0, half, (1, -1))
+    assert (type(q.S), type(q.delta)) == (int, float)
+    assert q == bd.BoundQuery("plain", 57, 0.5, (1, -1))
+    # a seed reaches SeedSequence as the same ints, so the draws do not move
+    want = mc.sample_gate_set(2, 2, "plain", 7).unitaries
+    for seed in (np.int64(7), 7.0, (7,), [[7]]):
+        assert np.array_equal(mc.sample_gate_set(2, 2, "plain", seed).unitaries, want)
+    assert mc.estimate_fs_indicator_mc(2, 3, 10, np.int64(4)) == mc.estimate_fs_indicator_mc(2, 3, 10, 4)
 
 
 def test_kind_and_method_may_be_given_as_their_values():

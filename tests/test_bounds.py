@@ -22,11 +22,11 @@ mpmath.mp.dps = 50
 
 
 def q_plain(lam, S, delta):
-    return BoundQuery(kind=GateSetKind.PLAIN, S=S, delta=delta, lam=rc.HighestWeight(tuple(lam)))
+    return BoundQuery(kind=GateSetKind.PLAIN, S=S, delta=delta, lam=tuple(lam))
 
 
 def q_sym(lam, S, delta):
-    return BoundQuery(kind=GateSetKind.SYMMETRIC, S=S, delta=delta, lam=rc.HighestWeight(tuple(lam)))
+    return BoundQuery(kind=GateSetKind.SYMMETRIC, S=S, delta=delta, lam=tuple(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +34,7 @@ def q_sym(lam, S, delta):
 # ---------------------------------------------------------------------------
 
 def test_query_validation():
-    lam = rc.HighestWeight((1, -1))
+    lam = (1, -1)
     with pytest.raises(TypeError):
         BoundQuery(kind=GateSetKind.PLAIN, S=10, delta=0.5)  # no target
     with pytest.raises(TypeError):
@@ -71,16 +71,16 @@ def test_method_kind_compatibility():
 
 @pytest.mark.parametrize("method", list(Method))
 def test_per_label_bound_accepts_method_values(method):
-    q = BoundQuery(kind=method.kind, S=20, delta=0.5, lam=rc.HighestWeight((1, -1)))
+    q = BoundQuery(kind=method.kind, S=20, delta=0.5, lam=(1, -1))
     assert bd.per_label_bound(q, method.value) == bd.per_label_bound(q, method)
     assert bd.per_label_bound(q, method.value).method is method
 
 
 @pytest.mark.parametrize("method", list(Method))
 def test_per_label_bound_takes_every_label_form(method):
-    # the query stores the entries tuple, so a tuple, a list and a label
-    # object are one label to every method
-    forms = ((1, 0, -1), [1, 0, -1], rc.HighestWeight((1, 0, -1)))
+    # the query stores the entries tuple, so a tuple, a list and an int
+    # array are one label to every method
+    forms = ((1, 0, -1), [1, 0, -1], np.array([1, 0, -1]))
     queries = [BoundQuery(kind=method.kind, S=20, delta=0.5, lam=lam) for lam in forms]
     assert all(q.lam == (1, 0, -1) and type(q.lam) is tuple for q in queries)
     logs = {bd.per_label_bound(q, method).log_bound for q in queries}
@@ -90,7 +90,7 @@ def test_per_label_bound_takes_every_label_form(method):
 @pytest.mark.parametrize("kind", list(GateSetKind))
 @pytest.mark.parametrize("method", list(Method))
 def test_per_label_bound_needs_method_of_query_kind(method, kind):
-    q = BoundQuery(kind=kind, S=20, delta=0.5, lam=rc.HighestWeight((1, -1)))
+    q = BoundQuery(kind=kind, S=20, delta=0.5, lam=(1, -1))
     if method.kind is kind:
         assert bd.per_label_bound(q, method).method is method
     else:
@@ -175,7 +175,7 @@ def test_master_plain_rejects_delta_out_of_range():
 #: labels of Lambda~_t at d in {2, 3, 4}, t <= 4, as entry tuples
 sym_labels = st.integers(2, 4).flatmap(
     lambda d: st.integers(1, 4).flatmap(
-        lambda t: st.sampled_from([lam.entries for lam in rc.enumerate_lambda_set(d, t)])
+        lambda t: st.sampled_from(rc.enumerate_lambda_set(d, t))
     )
 )
 
@@ -308,7 +308,7 @@ def test_master_symmetric_branch_exponents_scale_as_half_S():
     # branch terms at S0, when the minimizer does not depend on S; the
     # power sums then obey p3 = (3 p1 p2 - p1^3) / 2
     lam, S0, delta = (1, 0, -1), 20, 0.5
-    dl = rc.weyl_dimension(rc.HighestWeight(lam))
+    dl = rc.weyl_dimension(lam)
     res = [
         bd.per_label_bound(q_sym(lam, k * S0, delta), Method.MASTER_SYMMETRIC) for k in (1, 2, 3)
     ]
@@ -444,7 +444,7 @@ def test_query_rejects_non_integral_gate_count():
         with pytest.raises(ValueError, match="S must be integral, got 57.5"):
             bd.total_bound(2, 2, kind, 57.5, 0.5, method)
     with pytest.raises(ValueError, match="57.5"):
-        BoundQuery(kind=GateSetKind.PLAIN, S=57.5, delta=0.5, lam=rc.HighestWeight((1, -1)))
+        BoundQuery(kind=GateSetKind.PLAIN, S=57.5, delta=0.5, lam=(1, -1))
     # an infinite or NaN count is named too, not an OverflowError
     for S in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"S must be integral, got {S!r}"):
@@ -515,12 +515,12 @@ def test_concentration_t_limits_and_scaling():
 
 
 def test_concentration_lambda_formula():
-    lam = rc.HighestWeight((2, 0, -2))
+    lam = (2, 0, -2)
     val = bd.concentration_bound_lambda(lam, 80, 0.4)
     assert val == pytest.approx(math.exp(-3 * 80 * 0.16 / (2 * math.pi**2 * 16)), rel=1e-12)
     assert bd.concentration_bound_lambda((2, 0, -2), 80, 1e-12) == pytest.approx(1.0)
     assert bd.concentration_bound_lambda(lam, 160, 0.4) == pytest.approx(val**2, rel=1e-9)
-    for zero in ((0, 0), rc.HighestWeight((0, 0, 0))):
+    for zero in ((0, 0), (0, 0, 0)):
         with pytest.raises(ValueError, match=r"label \(0, 0(, 0)?\) has one-norm 0"):
             bd.concentration_bound_lambda(zero, 10, 0.3)
 

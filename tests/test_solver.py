@@ -95,30 +95,23 @@ def test_search_probes_each_size_once(monkeypatch, d, t, method):
 
 def test_master_symmetric_search_builds_each_label_once(monkeypatch):
     # the label-by-label totals read the label rows of the block spectrum,
-    # built once per (d, t), not once per probe of the search, and build no
-    # label objects
-    probed, built, rows = [], [], []
-    real_total, real_init, real_rows = bd.total_bound, rc.HighestWeight.__post_init__, rc._label_rows
+    # built once per (d, t), not once per probe of the search
+    probed, rows = [], []
+    real_total, real_rows = bd.total_bound, rc._label_rows
 
     def counting_total(*args):
         probed.append(args[3])
         return real_total(*args)
-
-    def counting_init(self):
-        built.append(self.entries)
-        real_init(self)
 
     def counting_rows(d, t):
         rows.append((d, t))
         return real_rows(d, t)
 
     monkeypatch.setattr(bd, "total_bound", counting_total)
-    monkeypatch.setattr(rc.HighestWeight, "__post_init__", counting_init)
     monkeypatch.setattr(rc, "_label_rows", counting_rows)
     rc.block_spectrum.cache_clear()
     solver.min_size_search(2, 20, 0.5, 0.99, Method.MASTER_SYMMETRIC)
     assert len(probed) > 1
-    assert built == []
     assert rows == [(2, 20)]
 
 
