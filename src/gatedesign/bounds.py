@@ -15,11 +15,11 @@ per-label call. The master-symmetric totals go label by label, through
 
 A label is its checked entries tuple (:func:`repcore._label_entries`)
 everywhere here: :class:`BoundQuery` reduces the one it is given, and the
-per-label caches are keyed on it. With x = 2 theta / S the symmetric
+one per-label cache is keyed on it. With x = 2 theta / S the symmetric
 objective is (S/2) h(x), h(x) = log B(x) - delta x a convex log-MGF (Tropp,
 arXiv:1501.01571, Sec. 3) whose minimizer does not depend on S: it is found
-once per (label, delta) by bisection on the sign of the analytic h' and
-reused by every probe of a size search.
+once per (label, delta) by bisection on the sign of the analytic h', cached
+with the minimum, and reused by every probe of a size search.
 """
 from __future__ import annotations
 
@@ -127,20 +127,17 @@ def _s_linear_exponent(method, S, delta, fs2):
 # master bound, symmetric sets
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _sym_block_data(lam):
-    """(d_lam, m_lam(0)/d_lam, signed) of one label, with m_lam(0)/d_lam
-    read as 1 - gamma_lam(0) and signed the read-only 2 x (d+1) array of the
-    branch weights: float gamma_lam(0..d) for +, the same with odd orders
-    negated for -.
-
-    Cached per entries tuple, so every probe of a search and every t whose
-    label set holds the label share one build.
+    """(m_lam(0)/d_lam, signed) of one label, with m_lam(0)/d_lam read as
+    1 - gamma_lam(0) and signed the read-only 2 x (d+1) array of the branch
+    weights: float gamma_lam(0..d) for +, the same with odd orders negated
+    for -. Not cached: :func:`_sym_min_exponents` builds it once per
+    (label, delta).
     """
     gam = repcore.gamma_coefficients(lam)
     signed = np.array([[float(gam[k]) * sign**k for k in range(len(lam) + 1)] for sign in (1, -1)])
     signed.flags.writeable = False
-    return repcore._weyl_dim(lam), float(1 - gam[0]), signed
+    return float(1 - gam[0]), signed
 
 
 def _sym_exponent(x, delta, sign, m0d, w):
@@ -164,9 +161,9 @@ def _sym_exponent(x, delta, sign, m0d, w):
     return x + math.log(b) - delta * x, db / b - delta
 
 
-# bounded, unlike _sym_block_data, because delta is in the key: a search at
-# one delta needs one entry per label (5000 at d=2, t=5000), and a delta
-# sweep would otherwise grow the cache by a label set per delta
+# bounded because delta is in the key: a search at one delta needs one entry
+# per label (5000 at d=2, t=5000), and a delta sweep would otherwise grow the
+# cache by a label set per delta
 @lru_cache(maxsize=1 << 16)
 def _sym_min_exponents(lam, delta):
     """((h+*, x+*), (h-*, x-*)): the minima of h over x in (0, 2 THETA_MAX_FACTOR].
@@ -181,7 +178,7 @@ def _sym_min_exponents(lam, delta):
     The value at x0 = 2 delta / sqrt(1 - delta^2), the simplified bound's
     point, caps the result.
     """
-    _, m0d, signed = _sym_block_data(lam)
+    m0d, signed = _sym_block_data(lam)
     x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
     out = []
     for sign, w in zip((1, -1), signed):
@@ -217,16 +214,16 @@ def _master_symmetric(q, method):
     theta* = S x* / 2, so it never exceeds the simplified bound, the closed
     form at theta = theta' = theta0 = S delta / sqrt(1 - delta^2).
     """
-    dl, m0d, signed = _sym_block_data(q.lam)
     if method is Method.MASTER_SYMMETRIC:
         (hp, xp), (hm, xm) = _sym_min_exponents(q.lam, q.delta)
     else:
+        m0d, signed = _sym_block_data(q.lam)
         xp = xm = 2.0 * q.delta / math.sqrt(1.0 - q.delta**2)
         (hp, _), (hm, _) = (_sym_exponent(xp, q.delta, s, m0d, w) for s, w in zip((1, -1), signed))
         if math.isnan(hp) or math.isnan(hm):
             raise BoundUnavailableError(f"bracket nonpositive at theta0 for lam={q.lam}")
     fp, fm = 0.5 * q.S * hp, 0.5 * q.S * hm
-    log_bound = math.log(dl) + np.logaddexp(fp, fm)
+    log_bound = math.log(repcore._weyl_dim(q.lam)) + np.logaddexp(fp, fm)
     theta_star = 0.5 * q.S * (xp if fp >= fm else xm)
     return BoundResult(method, float(log_bound), theta_star)
 

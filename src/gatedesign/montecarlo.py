@@ -315,10 +315,12 @@ def empirical_tail(d, t, kind, S, delta, trials, seed):
     """Fraction of seeded trials with delta(nu_S, t) >= delta.
 
     ``S`` is the gate-set cardinality for plain/symmetric kinds and the
-    SU(2) seed count for lifted sets. Each trial draws from an independent
-    child stream of ``seed``; its record in ``records`` holds the trial
-    index, the seed pair, delta, the Lanczos steps and the residual bound
-    on delta^2. The inputs are checked before the first trial runs.
+    SU(2) seed count for lifted sets. Trial i draws exactly
+    ``sample_gate_set(d, n, kind, (seed, i))``; numpy's ``SeedSequence``
+    gives ``(s, 0)`` the stream of ``s``, so trial 0 draws the set of the
+    bare ``seed``. Its record in ``records`` holds the trial index, the seed
+    pair, delta, the Lanczos steps and the residual bound on delta^2. The
+    inputs are checked before the first trial runs.
     """
     d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
     _open_unit(delta, "delta")

@@ -10,15 +10,16 @@ The public per-label functions take any sequence of integral entries and
 reduce it once, by :func:`_label_entries`, to that tuple; every private
 helper takes the tuple, and caches keyed on a label are keyed on it.
 
-The block spectrum (:func:`block_spectrum`) is the one intermediate the
-union bounds and the solver read: per (d, t), cached, the label set
-Lambda~_t as a tuple of label tuples, with its exact dimensions, their
-sum, float log(2 d_lambda) and the float Frobenius-Schur constants
-delta_lambda(2). It is built from the rows of :func:`_label_rows` by
-:func:`_weyl_dim` and :func:`_frobenius_schur`, the same formulas the
-per-label functions call. Its two float arrays are the only numpy in this
-module, and numpy is imported where they are built, so the exact data
-loads without it.
+The block spectrum (:func:`block_spectrum`) is the one source of block
+data for the label set, the union bounds, the solver and ``lambda-set``:
+per (d, t), cached, the label set Lambda~_t as a tuple of label tuples,
+with its exact dimensions, their sum and the Frobenius-Schur indicators
+d_lambda delta_lambda(2). It is built from the rows of :func:`_label_rows`
+by :func:`_weyl_dim` and :func:`_frobenius_schur`, the same formulas the
+per-label functions call. The exact m_lambda(0) column and the float
+arrays log(2 d_lambda) and delta_lambda(2) are built on first read. Those
+two arrays are the only numpy in this module, and numpy is imported where
+they are built, so the exact columns load without it.
 
 Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
 over SU(d). Only 3 <= |n| <= d needs a signed Weyl-group sum; the other n
@@ -67,7 +68,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -183,10 +184,10 @@ def enumerate_lambda_set(d, t):
 
     Returns Lambda~_t as a list of label tuples: nonincreasing zero-sum
     integer d-tuples with positive part at most t, the zero label excluded,
-    sorted by (one-norm, entries) so emitted tables are byte-stable. These
-    are the rows of :attr:`BlockSpectrum.labels`, in the same order.
+    sorted by (one-norm, entries) so emitted tables are byte-stable: the
+    rows of :attr:`BlockSpectrum.labels`.
     """
-    return list(_label_rows(d, t))
+    return list(block_spectrum(d, t).labels)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +235,15 @@ def sum_dimensions(d, t):
 
 @dataclass(frozen=True, eq=False)
 class BlockSpectrum:
-    """The block data of Lambda~_t on U(d) that the union bounds read.
+    """The block data of Lambda~_t on U(d).
 
     ``labels`` is the tuple of label tuples in :func:`enumerate_lambda_set`
-    order, ``dims`` the exact d_lambda ints, ``sum_dim`` their exact sum,
-    ``log2dim`` the read-only float64 array of log(2 d_lambda), each taken
-    by ``math.log`` of the exact integer, and ``fs2`` the read-only float64
-    array of delta_lambda(2).
+    order, ``dims`` the exact d_lambda ints, ``sum_dim`` their exact sum and
+    ``fs`` the Frobenius-Schur indicators d_lambda delta_lambda(2) as ints.
+    The other columns are built on first read: ``m0``, the exact
+    m_lambda(0) ints, and two read-only float64 arrays, ``log2dim`` of
+    log(2 d_lambda), each taken by ``math.log`` of the exact integer, and
+    ``fs2`` of delta_lambda(2). Only the arrays load numpy.
     """
 
     d: int
@@ -248,8 +251,28 @@ class BlockSpectrum:
     labels: tuple
     dims: tuple
     sum_dim: int
-    log2dim: np.ndarray
-    fs2: np.ndarray
+    fs: tuple
+
+    @cached_property
+    def m0(self):
+        return tuple(map(_zero_weight, self.labels))
+
+    @cached_property
+    def log2dim(self) -> np.ndarray:
+        return _read_only([math.log(2 * dl) for dl in self.dims])
+
+    @cached_property
+    def fs2(self) -> np.ndarray:
+        return _read_only([fs / dl for fs, dl in zip(self.fs, self.dims)])
+
+
+def _read_only(values):
+    """values as a read-only float64 array: the one numpy import here."""
+    import numpy as np
+
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
 
 
 @lru_cache(maxsize=None)
@@ -258,17 +281,10 @@ def block_spectrum(d, t):
 
     d and t are stored as ints: the cache key (2, 2.0) equals (2, 2).
     """
-    import numpy as np
-
     d, t = _integral(d, "d"), _integral(t, "t")
-
     rows = tuple(_label_rows(d, t))
     dims = tuple(map(_weyl_dim, rows))
-    log2dim = np.array([math.log(2 * dl) for dl in dims])
-    fs2 = np.array([_frobenius_schur(row) / dl for row, dl in zip(rows, dims)])
-    for arr in (log2dim, fs2):
-        arr.flags.writeable = False
-    return BlockSpectrum(d, t, rows, dims, sum(dims), log2dim, fs2)
+    return BlockSpectrum(d, t, rows, dims, sum(dims), tuple(map(_frobenius_schur, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +483,18 @@ def fs_indicator(lam, n):
     if n == 2:
         return Fraction(_frobenius_schur(ent), dl)
     if n > len(ent):
-        return Fraction(zero_weight_multiplicity(ent), dl)
+        return Fraction(_zero_weight(ent), dl)
     return Fraction(_fs_weyl_sum(ent, n), dl)
 
 
 def zero_weight_multiplicity(lam):
     """m_lambda(0) of the SU(d) restriction (0 when the label has no
     zero-sum lift; always >= 1 on Lambda~_t)."""
-    ent = _label_entries(lam)
+    return _zero_weight(_label_entries(lam))
+
+
+def _zero_weight(ent):
+    """m_lambda(0) of the label with nonincreasing entries ``ent``."""
     level, rem = divmod(sum(ent), len(ent))
     return 0 if rem else _mult_centered(ent, (level,) * len(ent))
 
@@ -489,7 +509,7 @@ def gamma_coefficients(lam):
     only k = 3..d runs a Weyl-group sum.
     """
     ent = _label_entries(lam)
-    m0d = Fraction(zero_weight_multiplicity(ent), _weyl_dim(ent))
+    m0d = Fraction(_zero_weight(ent), _weyl_dim(ent))
     gam = {0: 1 - m0d}
     for k in range(1, len(ent) + 1):
         gam[k] = gam[-k] = fs_indicator(ent, k) - m0d

@@ -35,8 +35,9 @@ class MinSizeResult:
 
 
 def _log_binomial_rate(delta):
-    """log((1+d)^(1+d) (1-d)^(1-d)), the per-gate decay rate."""
-    return (1.0 + delta) * math.log1p(delta) + (1.0 - delta) * math.log1p(-delta)
+    """log((1+d)^(1+d) (1-d)^(1-d)), the per-gate decay rate, in the form of
+    the master-plain exponent, which does not cancel as d -> 0."""
+    return math.log1p(-delta * delta) + 2.0 * delta * math.atanh(delta)
 
 
 def min_size_closed_form(d, t, delta, P):
@@ -46,25 +47,19 @@ def min_size_closed_form(d, t, delta, P):
     with the dimension sum exact.
     """
     d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
-    _open_unit(delta, "delta")
-    _open_unit(P, "P")
+    delta, P = _open_unit(delta, "delta"), _open_unit(P, "P")
     return _closed_form_from_sum(d, t, delta, P, repcore.block_spectrum(d, t).sum_dim)
 
 
 def _closed_form_from_sum(d, t, delta, P, sum_d):
-    num = 2.0 * (math.log(2 * sum_d) - math.log1p(-P))
-    s_real = num / _log_binomial_rate(delta)
+    rate = _log_binomial_rate(delta)
+    s_real = 2.0 * (math.log(2 * sum_d) - math.log1p(-P)) / rate if rate > 0.0 else math.inf
+    if not math.isfinite(s_real):
+        raise ValueError(f"the closed-form size at delta={delta} is beyond the float range")
     s_min = math.ceil(s_real)
-    raw = math.exp(math.log(2 * sum_d) - 0.5 * s_min * _log_binomial_rate(delta))
-    return MinSizeResult(
-        S_min=s_min,
-        method=Method.MASTER_PLAIN,
-        raw_bound_at_S_min=raw,
-        d=d,
-        t=t,
-        delta=delta,
-        P=P,
-    )
+    raw = math.exp(math.log(2 * sum_d) - 0.5 * s_min * rate)
+    return MinSizeResult(S_min=s_min, method=Method.MASTER_PLAIN, raw_bound_at_S_min=raw,
+                         d=d, t=t, delta=delta, P=P)
 
 
 def min_size_search(d, t, delta, P, method):
@@ -79,8 +74,7 @@ def min_size_search(d, t, delta, P, method):
     from . import bounds
 
     d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
-    _open_unit(delta, "delta")
-    _open_unit(P, "P")
+    delta, P = _open_unit(delta, "delta"), _open_unit(P, "P")
     method = Method(method)
     step = 2 if method.kind is GateSetKind.SYMMETRIC else 1
     target = math.log1p(-P)
@@ -95,7 +89,8 @@ def min_size_search(d, t, delta, P, method):
     lo, hi = 0, max(step, (min_size_closed_form(d, t, delta, P).S_min // (2 * step)) * step)
     while not crossed(hi):
         if hi > 10**9:
-            raise RuntimeError("bound does not reach the target probability")
+            raise RuntimeError(f"bound does not reach the target probability by "
+                               f"the search cap S = 10**9 (still above it at S={hi})")
         lo, hi = hi, 2 * hi
     while hi - lo > step:
         mid = lo + ((hi - lo) // (2 * step)) * step
@@ -111,15 +106,8 @@ def min_size_search(d, t, delta, P, method):
     assert seen[hi] <= target
     if hi > step:
         assert seen[hi - step] > target
-    return MinSizeResult(
-        S_min=hi,
-        method=method,
-        raw_bound_at_S_min=math.exp(seen[hi]),
-        d=d,
-        t=t,
-        delta=delta,
-        P=P,
-    )
+    return MinSizeResult(S_min=hi, method=method, raw_bound_at_S_min=math.exp(seen[hi]),
+                         d=d, t=t, delta=delta, P=P)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +135,7 @@ def clifford_random_set_size_exact(n):
     targets the printed constants stand for: delta = 0.01 and P = 0.99."""
     n = _at_least(n, "n", 1)
     d = 2**n
-    if d >= 4:
-        sum_d = d**4 - 3 * d**2 + 1
-    else:
-        sum_d = sum(map(repcore._weyl_dim, repcore._label_rows(d, 2)))
+    sum_d = d**4 - 3 * d**2 + 1 if d >= 4 else repcore.sum_dimensions(d, 2)
     return _closed_form_from_sum(d, 2, 0.01, 0.99, sum_d).S_min
 
 

@@ -23,6 +23,10 @@ from .repcore import _at_least, _real
 
 _TINY = sys.float_info.min
 
+#: largest x :func:`log_bessel_i` takes: the recurrence runs ~9 sqrt(x) steps,
+#: 9e6 (about 1 s) here. The library calls :func:`log_ive_array` at x <= 2e4.
+MAX_BESSEL_X = 1e12
+
 
 def log_ive_array(nmax, x):
     """log(e^-x I_k(x)) for k = 0..nmax at one argument x >= 0."""
@@ -45,8 +49,10 @@ def log_ive_array(nmax, x):
 
 
 def log_bessel_i(n, x):
-    """log I_n(x) for integer n >= 0, x >= 0 (-inf for I_{n>=1}(0))."""
+    """log I_n(x) for integer n >= 0, 0 <= x <= MAX_BESSEL_X (-inf for I_{n>=1}(0))."""
     n, x = _at_least(n, "n", 0), _real(x, "x")
     if not x >= 0.0:
         raise ValueError(f"x must be nonnegative, got x={x}")
+    if x > MAX_BESSEL_X:
+        raise ValueError(f"x must be at most MAX_BESSEL_X={MAX_BESSEL_X:g}, got x={x}")
     return float(log_ive_array(n, x)[n]) + x

@@ -6,11 +6,10 @@ import pytest
 
 @pytest.fixture(scope="module", autouse=True)
 def _cold_symmetric_caches():
-    """Clear the per-label caches of the symmetric master bound after each
+    """Clear the per-label cache of the symmetric master bound after each
     module, so no later module (such as bench/test_bench.py, which counts the
     Bessel calls of a traced pass) starts warm."""
     yield
     bounds = sys.modules.get("gatedesign.bounds")
     if bounds is not None:
         bounds._sym_min_exponents.cache_clear()
-        bounds._sym_block_data.cache_clear()

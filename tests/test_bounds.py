@@ -227,7 +227,7 @@ def test_symmetric_minimizer_matches_grid_scan():
     # S=30, delta=0.5, lam=(1,-1): flat objective near the minimum
     lam = (1, -1)
     S, delta = 30, 0.5
-    dl, m0d, (gvec, _) = bd._sym_block_data(lam)
+    dl, (m0d, (gvec, _)) = rc.weyl_dimension(lam), bd._sym_block_data(lam)
     got = bd.per_label_bound(q_sym((1, -1), S, delta), Method.MASTER_SYMMETRIC)
     grid = float(
         math.log(dl)
@@ -245,7 +245,7 @@ def test_symmetric_minimizer_matches_grid_scan():
     [((1, -1), 10, 0.5), ((2, -2), 100, 0.3), ((1, 0, -1), 50, 0.45)],
 )
 def test_symmetric_branch_minima_match_grid(lam, S, delta):
-    dl, m0d, (gvec, _) = bd._sym_block_data(lam)
+    m0d, (gvec, _) = bd._sym_block_data(lam)
     for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, delta)):
         f = 0.5 * S * h
         grid = grid_branch_min(S, delta, m0d, gvec, branch)
@@ -275,7 +275,7 @@ def test_simplified_against_mpmath_oracle():
 )
 def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
     # at an interior minimum x*, (log B)'(x*) = delta, B summed in 50 digits
-    _, m0d, (gvec, _) = bd._sym_block_data(lam)
+    m0d, (gvec, _) = bd._sym_block_data(lam)
     m0d = mpmath.mpf(m0d)
     gam = [mpmath.mpf(float(g)) for g in gvec]
     for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, delta)):
@@ -294,7 +294,7 @@ def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
 def test_symmetric_slope_matches_central_difference(x):
     # small and large Bessel arguments
     for lam in [(1, -1), (2, 0, -2), (1, 1, -1, -1)]:
-        _, m0d, signed = bd._sym_block_data(lam)
+        m0d, signed = bd._sym_block_data(lam)
         for branch, w in zip((1, -1), signed):
             _, slope = bd._sym_exponent(x, 0.4, branch, m0d, w)
             eps = 1e-5 * x
@@ -337,7 +337,7 @@ def test_master_symmetric_search_reuses_exponents_across_S(monkeypatch):
 
 def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
     # data whose bracket B(x) = -e^{+-x} is negative at every x
-    monkeypatch.setattr(bd, "_sym_block_data", lambda lam: (3, -1.0, np.zeros((2, 3))))
+    monkeypatch.setattr(bd, "_sym_block_data", lambda lam: (-1.0, np.zeros((2, 3))))
     for method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         with pytest.raises(bd.BoundUnavailableError):
             bd.per_label_bound(q_sym((1, -1), 20, 0.4321), method)

@@ -1,6 +1,7 @@
 """CLI tests: golden headers, byte stability, csv/json value parity, and the
 package namespace with what each import loads."""
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -159,6 +160,16 @@ def test_min_size_symmetric_reports_pairs(capsys):
     assert row["n_pairs"] == "47"
 
 
+def test_min_size_past_the_float_range_is_a_one_line_error(capsys):
+    # the closed-form start of the search has a rate of 0 at this delta
+    code = main(["min-size", "--d", "2", "--t", "2", "--delta", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "delta=1e-300" in captured.err
+
+
 def test_table_requires_flag(capsys):
     code, _ = run_cli(capsys, "table")
     assert code == 1
@@ -265,6 +276,24 @@ def test_clifford_full_range_runs_fast(capsys):
     assert time.time() - start < 1.0
     _, rows = parse_csv(out)
     assert len(rows) == 50
+
+
+# the exact outputs: ints and rationals only, so their bytes do not depend
+# on the platform
+@pytest.mark.parametrize(
+    "argv,md5",
+    [
+        (("lambda-set", "--d", "4", "--t", "3"), "ad8dc9db6f7b955edda91b48f45edc69"),
+        (("lambda-set", "--d", "16", "--t", "3"), "4b06812bb875f9c136f1550c9433c8f5"),
+        (("lambda-set", "--d", "2", "--t", "5000"), "46dfc41581009da6740f0b8851eb00a0"),
+        (("clifford", "--max-qubits", "50"), "37b8451c342484e6c699f5720030c0de"),
+    ],
+    ids=["lambda-set-d4-t3", "lambda-set-d16-t3", "lambda-set-d2-t5000", "clifford-50"],
+)
+def test_exact_output_is_pinned(capsys, argv, md5):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 # ---------------------------------------------------------------------------
@@ -617,3 +646,24 @@ def test_exact_command_loads_no_numpy_and_matches_in_process(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert proc.stdout == out.encode()
+
+
+def test_exact_block_data_loads_no_numpy():
+    # the exact spectrum columns, the label set, the dimension sum and the
+    # closed-form sizes are integer work; only the float arrays load numpy
+    code = (
+        "import sys\n"
+        "from gatedesign import repcore, solver\n"
+        "spec = repcore.block_spectrum(64, 5)\n"
+        "spec.labels, spec.dims, spec.sum_dim, spec.fs, spec.m0\n"
+        "repcore.enumerate_lambda_set(4, 3)\n"
+        "repcore.sum_dimensions(16, 3)\n"
+        "solver.min_size_closed_form(8, 4, 0.5, 0.99)\n"
+        "solver.clifford_random_set_size_exact(1)\n"
+        "print('numpy' in sys.modules)\n"
+        "spec.log2dim\n"
+    )
+    proc, modules = loaded_after(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
+    assert "numpy" in modules

@@ -550,6 +550,21 @@ def test_tail_reproducible_and_jsonl():
     assert "delta" in e1.records[0] and "iterations" in e1.records[0]
 
 
+@pytest.mark.parametrize("kind,S", [(GateSetKind.PLAIN, 5), (GateSetKind.SYMMETRIC, 6)])
+def test_tail_trial_i_draws_the_set_of_seed_pair(kind, S):
+    # trial i is sample_gate_set(..., (seed, i)); numpy's SeedSequence gives
+    # (s, 0) the stream of s, so trial 0 draws the set of the bare seed
+    seed, n = 5, S // 2 if kind is GateSetKind.SYMMETRIC else S
+    est = mc.empirical_tail(2, 2, kind, S, 0.8, trials=4, seed=seed)
+    for i, rec in enumerate(est.records):
+        assert rec["seed"] == [seed, i]
+        assert rec["delta"] == mc.estimate_delta(mc.sample_gate_set(2, n, kind, (seed, i)), 2)
+    np.testing.assert_array_equal(mc.sample_gate_set(2, 2, "plain", 3).unitaries,
+                                  mc.sample_gate_set(2, 2, "plain", (3, 0)).unitaries)
+    np.testing.assert_array_equal(mc.sample_gate_set(2, 2, "plain", (3, 1)).unitaries,
+                                  mc.sample_gate_set(2, 2, "plain", (3, 1, 0)).unitaries)
+
+
 def test_tail_respects_symmetric_parity():
     with pytest.raises(ValueError):
         mc.empirical_tail(2, 2, GateSetKind.SYMMETRIC, 5, 0.5, trials=2, seed=1)

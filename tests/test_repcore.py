@@ -318,6 +318,22 @@ def test_block_spectrum_fs2():
     assert spec.fs2.tolist() == want
 
 
+def test_block_spectrum_columns_match_the_per_label_functions():
+    # every column of the spectrum against the public function of one label
+    for d, ts in TABLE2_COLUMNS.items():
+        for t in ts if d <= 16 else ():
+            spec = rc.block_spectrum(d, t)
+            assert list(spec.dims) == [rc.weyl_dimension(l) for l in spec.labels], (d, t)
+            assert list(spec.m0) == [rc.zero_weight_multiplicity(l) for l in spec.labels], (d, t)
+            assert [Fraction(fs, dl) for fs, dl in zip(spec.fs, spec.dims)] == [
+                rc.fs_indicator(l, 2) for l in spec.labels], (d, t)
+            assert all(type(v) is int for col in (spec.m0, spec.fs) for v in col), (d, t)
+            assert spec.log2dim.tolist() == [math.log(2 * dl) for dl in spec.dims], (d, t)
+            assert spec.fs2.tolist() == [fs / dl for fs, dl in zip(spec.fs, spec.dims)], (d, t)
+            assert not (spec.log2dim.flags.writeable or spec.fs2.flags.writeable), (d, t)
+            assert spec.m0 is spec.m0 and spec.log2dim is spec.log2dim, (d, t)
+
+
 def test_block_spectrum_labels_are_the_enumerated_tuples():
     for d, ts in TABLE2_COLUMNS.items():
         for t in ts:
@@ -781,6 +797,42 @@ def test_fs_weyl_sums_count_invariants_of_the_residue_class_subgroup():
                 pairs += 1
             assert rc._fs_weyl_sum(lam, d) == rc.zero_weight_multiplicity(lam), lam
     assert pairs == 1427
+
+
+def two_part_label(alpha, beta, d):
+    """The zero-sum label (alpha, 0, ..., 0, -reverse(beta)) of length d."""
+    return alpha + (0,) * (d - len(alpha) - len(beta)) + tuple(-v for v in reversed(beta))
+
+
+def test_fs_weyl_sums_are_stable_in_d():
+    # with d_i >= max(l(alpha), l(beta)) for every residue class i mod n,
+    # the invariants of U(d_0) x ... x U(d_{n-1}) in pi_lam no longer grow
+    # with d: the sum is one value at every d <= MAX_WEYL_DIM from n m on
+    parts = [p for k in range(1, 5) for m in range(1, k + 1) for p in rc._partitions_exact(k, m)]
+    cases = 0
+    for alpha, beta in itertools.product(parts, repeat=2):
+        m = max(len(alpha), len(beta))
+        if sum(alpha) != sum(beta):
+            continue
+        for n in range(3, rc.MAX_WEYL_DIM + 1):
+            ds = range(n * m, rc.MAX_WEYL_DIM + 1)
+            if len(ds) < 2:
+                continue
+            values = {rc._fs_weyl_sum(two_part_label(alpha, beta, d), n) for d in ds}
+            assert len(values) == 1, (alpha, beta, n, values)
+            cases += 1
+    assert cases == 34
+
+
+def test_fs_weyl_sums_of_one_row_labels_count_monomials():
+    # alpha = beta = (k): the invariants are the degree-k monomials in n
+    # block variables less those of degree k - 1
+    for k in (1, 2, 3):
+        for n in (3, 4):
+            want = math.comb(n + k - 1, k) - math.comb(n + k - 2, k - 1)
+            for d in range(n, rc.MAX_WEYL_DIM + 1):
+                got = rc._fs_weyl_sum(two_part_label((k,), (k,), d), n)
+                assert got == want, (k, n, d)
 
 
 def test_frobenius_schur_is_one_exactly_when_the_two_parts_agree():

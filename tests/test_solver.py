@@ -1,6 +1,7 @@
 """Minimal-size solver tests against published values and formula oracles."""
 import math
 
+import mpmath
 import pytest
 
 import oracles
@@ -34,6 +35,42 @@ def test_closed_form_rejects_bad_args():
 # ---------------------------------------------------------------------------
 # integer search
 # ---------------------------------------------------------------------------
+
+def mp_closed_form_size(delta, P=0.99, sum_d=8):
+    """The unrounded closed-form size at the binary delta and P, in 60
+    digits; sum_d = 8 is the dimension sum of d = 2, t = 2."""
+    with mpmath.workdps(60):
+        x, P = mpmath.mpf(delta), mpmath.mpf(P)
+        rate = (1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)
+        return 2 * (mpmath.log(2 * sum_d) - mpmath.log1p(-P)) / rate
+
+
+@pytest.mark.parametrize("delta", [1e-16, 1e-10, 1e-6, 1e-3, 0.5, 0.9])
+def test_binomial_rate_keeps_full_precision(delta):
+    # the two terms of (1+d) log1p(d) + (1-d) log1p(-d) cancel as d -> 0
+    with mpmath.workdps(60):
+        x = mpmath.mpf(delta)
+        want = (1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)
+        assert abs(solver._log_binomial_rate(delta) / want - 1) <= 3e-16
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-6])
+def test_closed_form_is_the_exact_ceiling_at_small_delta(delta):
+    want = int(mpmath.ceil(mp_closed_form_size(delta)))
+    assert solver.min_size_closed_form(2, 2, delta, 0.99).S_min == want
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-15])
+def test_closed_form_keeps_full_precision_at_tiny_delta(delta):
+    got = solver.min_size_closed_form(2, 2, delta, 0.99).S_min
+    assert abs(got / mp_closed_form_size(delta) - 1) <= 1e-15
+
+
+@pytest.mark.parametrize("delta", [1e-300, 5e-324])
+def test_closed_form_past_the_float_range_names_delta(delta):
+    with pytest.raises(ValueError, match=f"delta={delta}"):
+        solver.min_size_closed_form(2, 2, delta, 0.99)
+
 
 @pytest.mark.parametrize("d,t", [(2, 2), (2, 5), (4, 2), (4, 3), (64, 2)])
 def test_search_matches_closed_form_for_master_plain(d, t):
@@ -133,6 +170,12 @@ def test_search_rejects_bound_that_never_crosses(monkeypatch):
     monkeypatch.setattr(bd, "total_bound", _stub_bound(lambda S: -1.0 / S))
     with pytest.raises(RuntimeError, match="does not reach the target probability"):
         solver.min_size_search(2, 2, 0.5, 0.99, Method.BERNSTEIN_SYMMETRIC)
+
+
+def test_search_past_the_cap_states_the_cap():
+    # the bound crosses near S = 1.5e13, past the 10**9 cap of the gallop
+    with pytest.raises(RuntimeError, match=r"search cap S = 10\*\*9"):
+        solver.min_size_search(2, 2, 1e-6, 0.99, Method.MASTER_PLAIN)
 
 
 def test_master_at_most_bernstein_sizes():

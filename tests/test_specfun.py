@@ -1,5 +1,6 @@
 """Bessel kernel tests against extended-precision oracles."""
 import math
+import re
 
 import mpmath
 import pytest
@@ -101,6 +102,23 @@ def test_rejects_bad_arguments():
         specfun.log_bessel_i(-1, 1.0)
     with pytest.raises(ValueError):
         specfun.log_bessel_i(0, -1.0)
+
+
+def _must_not_run(*args):
+    raise AssertionError("the ratio recurrence ran")
+
+
+@pytest.mark.parametrize("x", [math.inf, 2e12, 1e300])
+def test_rejects_x_past_the_cap_before_the_recurrence(monkeypatch, x):
+    # the recurrence runs ~9 sqrt(x) steps: 9e150 at x = 1e300
+    monkeypatch.setattr(specfun, "log_ive_array", _must_not_run)
+    assert x > specfun.MAX_BESSEL_X == 1e12
+    with pytest.raises(ValueError, match=re.escape(f"got x={x}")):
+        specfun.log_bessel_i(2, x)
+
+
+def test_large_x_below_the_cap_matches_mpmath():
+    assert specfun.log_bessel_i(2, 1e10) == pytest.approx(mp_log_bessel(2, 1e10), rel=1e-15)
 
 
 def test_array_consistent_with_scalar():
