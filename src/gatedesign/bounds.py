@@ -19,18 +19,20 @@ one per-label cache is keyed on it. With x = 2 theta / S the symmetric
 objective is (S/2) h(x), h(x) = log B(x) - delta x a convex log-MGF (Tropp,
 arXiv:1501.01571, Sec. 3) whose minimizer does not depend on S: it is found
 once per (label, delta) by bisection on the sign of the analytic h', cached
-with the minimum, and reused by every probe of a size search.
+with h at the simplified bound's point, and reused by every probe of a size
+search under either symmetric master method.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import repcore
 from .kinds import GateSetKind, Method, methods_for_kind  # noqa: F401  (re-exported)
+from .solver import _log1m_sq
 from .specfun import log_ive_array
 
 #: theta search cap, as a multiple of the gate count S
@@ -120,7 +122,7 @@ def _s_linear_exponent(method, S, delta, fs2):
         return -3.0 * S * delta**2 / (6.0 + 2.0 * delta)
     if method is Method.BERNSTEIN_SYMMETRIC:
         return -3.0 * S * delta**2 / (6.0 * (1.0 + fs2) + 4.0 * delta)
-    return -0.5 * S * math.log1p(-delta * delta) - delta * S * math.atanh(delta)
+    return -0.5 * S * _log1m_sq(delta) - delta * S * math.atanh(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +133,8 @@ def _sym_block_data(lam):
     """(m_lam(0)/d_lam, signed) of one label, with m_lam(0)/d_lam read as
     1 - gamma_lam(0) and signed the read-only 2 x (d+1) array of the branch
     weights: float gamma_lam(0..d) for +, the same with odd orders negated
-    for -. Not cached: :func:`_sym_min_exponents` builds it once per
-    (label, delta).
+    for -. Not cached: its one caller, :class:`_SymExponents`, builds it
+    once per (label, delta).
     """
     gam = repcore.gamma_coefficients(lam)
     signed = np.array([[float(gam[k]) * sign**k for k in range(len(lam) + 1)] for sign in (1, -1)])
@@ -161,65 +163,82 @@ def _sym_exponent(x, delta, sign, m0d, w):
     return x + math.log(b) - delta * x, db / b - delta
 
 
+class _SymExponents:
+    """The S-free exponents of one (label, delta), cached by ``_sym_exponents``.
+
+    With x = 2 theta / S, e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)},
+    so neither exponent depends on S and one entry per (label entries
+    tuple, delta) serves every probe. ``at_x0`` is (h+(x0), h-(x0)) at
+    x0 = 2 delta / sqrt(1 - delta^2), the simplified bound's point (NaN
+    where the bracket is nonpositive there); it is built with the entry, and
+    the minima on first read, so the simplified bound never bisects.
+    """
+
+    def __init__(self, lam, delta):
+        self.lam, self.delta = lam, delta
+        self.m0d, self.signed = _sym_block_data(lam)
+        self.x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
+        self.at_x0 = tuple(
+            _sym_exponent(self.x0, delta, s, self.m0d, w)[0] for s, w in zip((1, -1), self.signed)
+        )
+
+    @cached_property
+    def minima(self):
+        """((h+*, x+*), (h-*, x-*)): the minima of h over x in (0, 2 THETA_MAX_FACTOR].
+
+        h is convex (a log-MGF) and h(0+) = 0: a slope >= 0 at the floor
+        x0 * 1e-13 gives the theta -> 0 limit (0, 0); otherwise the sign of
+        h' is bisected in log x down to width THETA_RTOL.
+        NaN slopes move the upper end, so the kept lower end is always
+        finite. The value at x0 caps the bisected minimum.
+        """
+        delta, m0d, x0 = self.delta, self.m0d, self.x0
+        out = []
+        for sign, w, h0 in zip((1, -1), self.signed, self.at_x0):
+            lo, hi = math.log(x0 * 1e-13), math.log(2.0 * THETA_MAX_FACTOR)
+            h_lo, slope = _sym_exponent(math.exp(lo), delta, sign, m0d, w)
+            if slope >= 0.0:
+                out.append((0.0, 0.0))
+                continue
+            while hi - lo > THETA_RTOL:
+                mid = 0.5 * (lo + hi)
+                h, slope = _sym_exponent(math.exp(mid), delta, sign, m0d, w)
+                if slope < 0.0:
+                    lo, h_lo = mid, h
+                else:
+                    hi = mid
+            best = (h_lo, math.exp(lo))
+            if math.isnan(h_lo) or h0 < h_lo:
+                best = (h0, x0)
+            if math.isnan(best[0]):
+                raise BoundUnavailableError(
+                    f"bracket nonpositive over the whole theta range for lam={self.lam}"
+                )
+            out.append(best)
+        return tuple(out)
+
+
 # bounded because delta is in the key: a search at one delta needs one entry
 # per label (5000 at d=2, t=5000), and a delta sweep would otherwise grow the
 # cache by a label set per delta
-@lru_cache(maxsize=1 << 16)
-def _sym_min_exponents(lam, delta):
-    """((h+*, x+*), (h-*, x-*)): the minima of h over x in (0, 2 THETA_MAX_FACTOR].
-
-    With x = 2 theta / S, e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)},
-    so the minimizer does not depend on S and one search per (label
-    entries tuple, delta) serves every probe. h is convex (a log-MGF) and
-    h(0+) = 0: a slope >= 0 at the floor x0 * 1e-13 gives the theta -> 0
-    limit (0, 0); otherwise the sign of h' is bisected in log x down to
-    width THETA_RTOL.
-    NaN slopes move the upper end, so the kept lower end is always finite.
-    The value at x0 = 2 delta / sqrt(1 - delta^2), the simplified bound's
-    point, caps the result.
-    """
-    m0d, signed = _sym_block_data(lam)
-    x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
-    out = []
-    for sign, w in zip((1, -1), signed):
-        lo, hi = math.log(x0 * 1e-13), math.log(2.0 * THETA_MAX_FACTOR)
-        h_lo, slope = _sym_exponent(math.exp(lo), delta, sign, m0d, w)
-        if slope >= 0.0:
-            out.append((0.0, 0.0))
-            continue
-        while hi - lo > THETA_RTOL:
-            mid = 0.5 * (lo + hi)
-            h, slope = _sym_exponent(math.exp(mid), delta, sign, m0d, w)
-            if slope < 0.0:
-                lo, h_lo = mid, h
-            else:
-                hi = mid
-        best = (h_lo, math.exp(lo))
-        h0, _ = _sym_exponent(x0, delta, sign, m0d, w)
-        if math.isnan(h_lo) or h0 < h_lo:
-            best = (h0, x0)
-        if math.isnan(best[0]):
-            raise BoundUnavailableError(
-                f"bracket nonpositive over the whole theta range for lam={lam}"
-            )
-        out.append(best)
-    return tuple(out)
+_sym_exponents = lru_cache(maxsize=1 << 16)(_SymExponents)
 
 
 def _master_symmetric(q, method):
     """d_lam [e^{-theta delta} F(theta) + e^{-theta' delta} F(-theta')].
 
     Master-symmetric takes the two infima independently, each as (S/2) min h
-    over the S-free exponent of :func:`_sym_min_exponents`, at
-    theta* = S x* / 2, so it never exceeds the simplified bound, the closed
-    form at theta = theta' = theta0 = S delta / sqrt(1 - delta^2).
+    over the S-free exponent of ``_sym_exponents``, at theta* = S x* / 2,
+    so it never exceeds the simplified bound, the closed form at
+    theta = theta' = theta0 = S delta / sqrt(1 - delta^2), which reads h at
+    x0 = 2 theta0 / S from the same cache entry.
     """
+    ex = _sym_exponents(q.lam, q.delta)
     if method is Method.MASTER_SYMMETRIC:
-        (hp, xp), (hm, xm) = _sym_min_exponents(q.lam, q.delta)
+        (hp, xp), (hm, xm) = ex.minima
     else:
-        m0d, signed = _sym_block_data(q.lam)
-        xp = xm = 2.0 * q.delta / math.sqrt(1.0 - q.delta**2)
-        (hp, _), (hm, _) = (_sym_exponent(xp, q.delta, s, m0d, w) for s, w in zip((1, -1), signed))
+        hp, hm = ex.at_x0
+        xp = xm = ex.x0
         if math.isnan(hp) or math.isnan(hm):
             raise BoundUnavailableError(f"bracket nonpositive at theta0 for lam={q.lam}")
     fp, fm = 0.5 * q.S * hp, 0.5 * q.S * hm

@@ -96,13 +96,20 @@ def _parse_methods(spec, kind):
 def cmd_lambda_set(args):
     from . import repcore
 
+    columns = ["lam", "norm1", "dim", "m0", "fs2"]
+    rows = []
     spec = repcore.block_spectrum(args.d, args.t)
-    rows = [
-        {"lam": " ".join(map(str, lam)), "norm1": sum(map(abs, lam)), "dim": dim, "m0": m0,
-         "fs2": Fraction(fs, dim)}
-        for lam, dim, m0, fs in zip(spec.labels, spec.dims, spec.m0, spec.fs)
-    ]
-    _emit(["lam", "norm1", "dim", "m0", "fs2"], rows, args)
+    for lam, dim, m0, fs in zip(spec.labels, spec.dims, spec.m0, spec.fs):
+        rows.append(
+            {
+                "lam": " ".join(map(str, lam)),
+                "norm1": sum(map(abs, lam)),
+                "dim": dim,
+                "m0": m0,
+                "fs2": Fraction(fs, dim),
+            }
+        )
+    _emit(columns, rows, args)
     return 0
 
 

@@ -34,10 +34,19 @@ class MinSizeResult:
         return self.S_min // 2
 
 
+def _log1m_sq(delta):
+    """log(1 - d^2): log1p(-d^2) while d^2 < 1/2, and log((1-d)(1+d)) from
+    there on, where 1 - d is exact and rounding d^2 would cost precision as
+    d -> 1."""
+    if delta * delta < 0.5:
+        return math.log1p(-delta * delta)
+    return math.log((1.0 - delta) * (1.0 + delta))
+
+
 def _log_binomial_rate(delta):
     """log((1+d)^(1+d) (1-d)^(1-d)), the per-gate decay rate, in the form of
     the master-plain exponent, which does not cancel as d -> 0."""
-    return math.log1p(-delta * delta) + 2.0 * delta * math.atanh(delta)
+    return _log1m_sq(delta) + 2.0 * delta * math.atanh(delta)
 
 
 def min_size_closed_form(d, t, delta, P):
@@ -47,7 +56,8 @@ def min_size_closed_form(d, t, delta, P):
     with the dimension sum exact.
     """
     d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
-    delta, P = _open_unit(delta, "delta"), _open_unit(P, "P")
+    _open_unit(delta, "delta")
+    _open_unit(P, "P")
     return _closed_form_from_sum(d, t, delta, P, repcore.block_spectrum(d, t).sum_dim)
 
 
@@ -58,8 +68,15 @@ def _closed_form_from_sum(d, t, delta, P, sum_d):
         raise ValueError(f"the closed-form size at delta={delta} is beyond the float range")
     s_min = math.ceil(s_real)
     raw = math.exp(math.log(2 * sum_d) - 0.5 * s_min * rate)
-    return MinSizeResult(S_min=s_min, method=Method.MASTER_PLAIN, raw_bound_at_S_min=raw,
-                         d=d, t=t, delta=delta, P=P)
+    return MinSizeResult(
+        S_min=s_min,
+        method=Method.MASTER_PLAIN,
+        raw_bound_at_S_min=raw,
+        d=d,
+        t=t,
+        delta=delta,
+        P=P,
+    )
 
 
 def min_size_search(d, t, delta, P, method):
@@ -74,7 +91,8 @@ def min_size_search(d, t, delta, P, method):
     from . import bounds
 
     d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
-    delta, P = _open_unit(delta, "delta"), _open_unit(P, "P")
+    _open_unit(delta, "delta")
+    _open_unit(P, "P")
     method = Method(method)
     step = 2 if method.kind is GateSetKind.SYMMETRIC else 1
     target = math.log1p(-P)
@@ -106,8 +124,15 @@ def min_size_search(d, t, delta, P, method):
     assert seen[hi] <= target
     if hi > step:
         assert seen[hi - step] > target
-    return MinSizeResult(S_min=hi, method=method, raw_bound_at_S_min=math.exp(seen[hi]),
-                         d=d, t=t, delta=delta, P=P)
+    return MinSizeResult(
+        S_min=hi,
+        method=method,
+        raw_bound_at_S_min=math.exp(seen[hi]),
+        d=d,
+        t=t,
+        delta=delta,
+        P=P,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +160,10 @@ def clifford_random_set_size_exact(n):
     targets the printed constants stand for: delta = 0.01 and P = 0.99."""
     n = _at_least(n, "n", 1)
     d = 2**n
-    sum_d = d**4 - 3 * d**2 + 1 if d >= 4 else repcore.sum_dimensions(d, 2)
+    if d >= 4:
+        sum_d = d**4 - 3 * d**2 + 1
+    else:
+        sum_d = repcore.sum_dimensions(d, 2)
     return _closed_form_from_sum(d, 2, 0.01, 0.99, sum_d).S_min
 
 

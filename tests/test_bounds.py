@@ -246,7 +246,7 @@ def test_symmetric_minimizer_matches_grid_scan():
 )
 def test_symmetric_branch_minima_match_grid(lam, S, delta):
     m0d, (gvec, _) = bd._sym_block_data(lam)
-    for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, delta)):
+    for branch, (h, x) in zip((1, -1), bd._sym_exponents(lam, delta).minima):
         f = 0.5 * S * h
         grid = grid_branch_min(S, delta, m0d, gvec, branch)
         assert f <= grid + 1e-9
@@ -278,7 +278,7 @@ def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
     m0d, (gvec, _) = bd._sym_block_data(lam)
     m0d = mpmath.mpf(m0d)
     gam = [mpmath.mpf(float(g)) for g in gvec]
-    for branch, (h, x) in zip((1, -1), bd._sym_min_exponents(lam, delta)):
+    for branch, (h, x) in zip((1, -1), bd._sym_exponents(lam, delta).minima):
         assert x > 0.0
 
         def log_b(y):

@@ -45,9 +45,10 @@ def mp_closed_form_size(delta, P=0.99, sum_d=8):
         return 2 * (mpmath.log(2 * sum_d) - mpmath.log1p(-P)) / rate
 
 
-@pytest.mark.parametrize("delta", [1e-16, 1e-10, 1e-6, 1e-3, 0.5, 0.9])
+@pytest.mark.parametrize("delta", [1e-16, 1e-10, 1e-6, 1e-3, 0.5, 0.9, 0.99, 0.999])
 def test_binomial_rate_keeps_full_precision(delta):
-    # the two terms of (1+d) log1p(d) + (1-d) log1p(-d) cancel as d -> 0
+    # the two terms of (1+d) log1p(d) + (1-d) log1p(-d) cancel as d -> 0,
+    # and rounding d^2 in log1p(-d^2) loses digits as d -> 1
     with mpmath.workdps(60):
         x = mpmath.mpf(delta)
         want = (1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)
@@ -150,6 +151,21 @@ def test_master_symmetric_search_builds_each_label_once(monkeypatch):
     solver.min_size_search(2, 20, 0.5, 0.99, Method.MASTER_SYMMETRIC)
     assert len(probed) > 1
     assert rows == [(2, 20)]
+
+
+def test_simplified_search_evaluates_each_label_once(monkeypatch):
+    # the simplified bound reads h at x0 from the (label, delta) entry: one
+    # gamma build and one Bessel array per sign and label, whatever the
+    # number of probes, and no bisection
+    gammas, bessels = [], []
+    real_gamma, real_ive = rc.gamma_coefficients, bd.log_ive_array
+    monkeypatch.setattr(rc, "gamma_coefficients", lambda lam: gammas.append(lam) or real_gamma(lam))
+    monkeypatch.setattr(bd, "log_ive_array", lambda n, x: bessels.append(x) or real_ive(n, x))
+    bd._sym_exponents.cache_clear()
+    solver.min_size_search(4, 5, 0.5, 0.99, Method.MASTER_SYMMETRIC_SIMPLIFIED)
+    labels = rc.block_spectrum(4, 5).labels
+    assert sorted(gammas) == sorted(labels)
+    assert len(bessels) == 2 * len(labels)
 
 
 def _stub_bound(log_bound):
