@@ -5,7 +5,7 @@ Imports are on demand (PEP 562): ``import gatedesign`` loads no submodule
 and no numpy. A name below, or a submodule such as ``gatedesign.bounds``,
 is imported on first access and then bound here, so a caller pays only for
 the modules it uses. ``from gatedesign import *`` binds every name below and
-the five modules that define them, so it loads them all.
+the six modules that define them, so it loads them all.
 """
 import importlib
 
@@ -15,15 +15,13 @@ _MODULES = {
         "BoundQuery",
         "BoundResult",
         "BoundUnavailableError",
-        "GateSetKind",
-        "Method",
         "concentration_bound_beamsplitter",
         "concentration_bound_lambda",
         "concentration_bound_t",
-        "methods_for_kind",
         "per_label_bound",
         "total_bound",
     ),
+    "kinds": ("GateSetKind", "Method", "methods_for_kind"),
     "montecarlo": (
         "GateSetSample",
         "HaarProjector",
@@ -62,7 +60,7 @@ _MODULES = {
 #: exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 
-_SUBMODULES = frozenset(("cli", "kinds", *_MODULES))
+_SUBMODULES = frozenset(("cli", *_MODULES))
 
 __all__ = [*_MODULES, *_EXPORTS]
 

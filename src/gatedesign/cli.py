@@ -36,12 +36,6 @@ def _cell(value):
     return str(value)
 
 
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(type(value))
-
-
 def _emit(columns, rows, args):
     if args.format == "csv":
         buf = io.StringIO()
@@ -51,7 +45,7 @@ def _emit(columns, rows, args):
             writer.writerow([_cell(row[c]) for c in columns])
         text = buf.getvalue()
     else:
-        text = json.dumps({"columns": columns, "rows": rows}, indent=2, default=_json_default)
+        text = json.dumps({"columns": columns, "rows": rows}, indent=2)
         text += "\n"
     if args.output:
         with open(args.output, "w", newline="") as fh:
@@ -106,7 +100,7 @@ def cmd_lambda_set(args):
                 "norm1": sum(map(abs, lam)),
                 "dim": dim,
                 "m0": m0,
-                "fs2": Fraction(fs, dim),
+                "fs2": str(Fraction(fs, dim)),
             }
         )
     _emit(columns, rows, args)

@@ -54,9 +54,10 @@ Note on multiplicities: the weight multiplicity m_lambda(mu) of U(d) is the
 Kostka number K_{lambda, mu} once lambda and mu are shifted by one common
 integer so that lambda is a partition (Macdonald, *Symmetric Functions and
 Hall Polynomials*, I.5-I.7; Fulton, *Young Tableaux*, 8). It is invariant
-under permuting mu and is counted by stripping horizontal strips, so no
-Kostant partition function and no alternating sum over the Weyl group is
-needed. The Kostant and Freudenthal engines are kept in the tests
+under permuting mu and is counted by stripping horizontal strips in one
+memoized recursion, :func:`_mult_centered`, keyed on (lambda, sorted mu),
+so no Kostant partition function and no alternating sum over the Weyl
+group is needed. The Kostant and Freudenthal engines are kept in the tests
 (``tests/oracles.py``) as independent oracles, with the partition counts
 that check :func:`enumerate_lambda_set` and the SU(d) -> U(d) lift of a
 Dynkin label.
@@ -316,34 +317,28 @@ def _interlacing(lam, size):
 
 
 @lru_cache(maxsize=None)
-def _kostka(shape, content):
-    """K_{shape, content}: semistandard tableaux of that shape and content.
-
-    shape is a partition and content a composition, both of length r.
-    Removing the entries r from such a tableau leaves one of shape nu with
-    content content_1..content_{r-1}, where shape/nu is a horizontal strip of
-    size content_r (Gelfand-Tsetlin branching), so the count recurses on
-    (nu, content prefix). One cache, shared by every weight and label, holds
-    the pairs reached.
-    """
-    if len(shape) == 1:
-        return int(shape[0] == content[0])
-    return sum(_kostka(nu, content[:-1]) for nu in _interlacing(shape, sum(shape) - content[-1]))
-
-
-@lru_cache(maxsize=None)
 def _mult_centered(lam_entries, mu):
     """Multiplicity in pi_lambda of the integer weight mu, of entry sum Sigma(lambda).
 
     Callers pass mu sorted nonincreasing: multiplicities are Weyl-invariant,
-    so the cache is keyed on that canonical pair. Subtracting lambda_d from
-    every entry of both makes lambda a partition and mu a composition of the
-    same size; the multiplicity is then their Kostka number.
+    so the one memo of weight multiplicities is keyed on that canonical
+    pair. Subtracting lambda_d from every entry of both strips a tableau's
+    full columns and makes lambda a partition and mu a composition of the
+    same size (none when mu_d < lambda_d); the multiplicity is their Kostka
+    number. Removing the entries d from such a tableau leaves one of shape
+    nu with content mu_1..mu_{d-1}, where lambda/nu is a horizontal strip of
+    size mu_d (Gelfand-Tsetlin branching), so the count recurses on
+    (nu, mu prefix), which is sorted too: every call, top-level or
+    recursive, reads and fills this memo.
     """
+    if len(lam_entries) == 1:
+        return int(lam_entries[0] == mu[0])
     low = lam_entries[-1]
     if mu[-1] < low:
         return 0  # an entry below lambda_d
-    return _kostka(tuple(v - low for v in lam_entries), tuple(v - low for v in mu))
+    shape = tuple(v - low for v in lam_entries)
+    rest = tuple(v - low for v in mu[:-1])
+    return sum(_mult_centered(nu, rest) for nu in _interlacing(shape, sum(shape) - mu[-1] + low))
 
 
 def weight_multiplicity(lam, mu):
@@ -429,8 +424,8 @@ def _fs_weyl_sum(ent, n):
     For the label with entries tuple ``ent`` and n >= 1; this is d_lambda *
     delta_lambda(n) at every such n, and the reference the closed forms of
     :func:`fs_indicator` are tested against.
-    Not cached: :func:`gamma_coefficients` runs once per label, behind the
-    bounds' block-data cache. The identity's term is m_lambda(0). With
+    Not cached: :func:`gamma_coefficients` runs once per (label, delta),
+    behind the bounds' exponent cache. The identity's term is m_lambda(0). With
     lift = n Sigma(lambda)/d, the term of sigma counts the weight
     (sigma(i) - i + lift)/n, so it is 0 unless every sigma(i) - i is -lift
     mod n. The sum is 0 when lift is not an integer, and otherwise runs over

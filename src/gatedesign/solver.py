@@ -185,10 +185,10 @@ TABLE2_COLUMNS = {
 def table2_cells(delta=0.5, P=0.99, dims=None):
     """Generate the minimal-size table: (d, t, method, MinSizeResult).
 
-    Symmetric columns stop at d = repcore.MAX_WEYL_DIM, where master-symmetric
+    The master-symmetric column stops at d = repcore.MAX_WEYL_DIM, as it
     needs the Frobenius-Schur sums at 3 <= n <= d, each over the permutations
     of S_d that keep residue classes mod n. Bernstein-symmetric reads only
-    the closed form delta_lambda(2), but waits to be pinned with it.
+    the closed form delta_lambda(2), so it runs at every d.
     """
     dims = tuple(dims) if dims is not None else tuple(TABLE2_COLUMNS)
     for i, d in enumerate(dims):
@@ -204,6 +204,6 @@ def table2_cells(delta=0.5, P=0.99, dims=None):
             for method in Method:
                 if method is Method.MASTER_SYMMETRIC_SIMPLIFIED:
                     continue  # the table's symmetric column is the full bound
-                if method.kind is GateSetKind.SYMMETRIC and d > repcore.MAX_WEYL_DIM:
+                if method is Method.MASTER_SYMMETRIC and d > repcore.MAX_WEYL_DIM:
                     continue
                 yield d, t, method, min_size_search(d, t, delta, P, method)

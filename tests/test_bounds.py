@@ -253,6 +253,18 @@ def test_symmetric_branch_minima_match_grid(lam, S, delta):
         assert f >= grid - 1e-4
 
 
+@pytest.mark.parametrize("lam", [(0, 0), (1, 1), (2, 2, 2)])
+def test_symmetric_trivial_block_takes_the_theta_to_zero_limit(lam):
+    # a block trivial on SU(d) has B+(x) = e^x, so h+ = (1 - delta) x rises
+    # from 0: the + branch is the theta -> 0 limit, and the bound is d_lam = 1
+    plus, minus = bd._sym_exponents(lam, 0.5).minima
+    assert plus == (0.0, 0.0)
+    assert minus[0] < 0.0
+    res = bd.per_label_bound(q_sym(lam, 40, 0.5), Method.MASTER_SYMMETRIC)
+    assert res.log_bound == 0.0
+    assert res.theta_star == 0.0
+
+
 def test_simplified_against_mpmath_oracle():
     # lam=(2,-2), S=100, delta=0.3: direct bracket summation in 50 digits
     S, delta = 100, mpmath.mpf("0.3")

@@ -284,11 +284,14 @@ def test_clifford_full_range_runs_fast(capsys):
     "argv,md5",
     [
         (("lambda-set", "--d", "4", "--t", "3"), "ad8dc9db6f7b955edda91b48f45edc69"),
+        (("--format", "json", "lambda-set", "--d", "4", "--t", "3"),
+         "50921956bc1eeac5072c3fbf085af800"),
         (("lambda-set", "--d", "16", "--t", "3"), "4b06812bb875f9c136f1550c9433c8f5"),
         (("lambda-set", "--d", "2", "--t", "5000"), "46dfc41581009da6740f0b8851eb00a0"),
         (("clifford", "--max-qubits", "50"), "37b8451c342484e6c699f5720030c0de"),
     ],
-    ids=["lambda-set-d4-t3", "lambda-set-d16-t3", "lambda-set-d2-t5000", "clifford-50"],
+    ids=["lambda-set-d4-t3", "lambda-set-d4-t3-json", "lambda-set-d16-t3", "lambda-set-d2-t5000",
+         "clifford-50"],
 )
 def test_exact_output_is_pinned(capsys, argv, md5):
     code, out = run_cli(capsys, *argv)
@@ -526,10 +529,11 @@ def test_package_runs_as_module():
 #: the names ``gatedesign`` exports, each from the module that defines it
 EXPORTS = {
     "bounds": (
-        "BoundQuery", "BoundResult", "BoundUnavailableError", "GateSetKind", "Method",
+        "BoundQuery", "BoundResult", "BoundUnavailableError",
         "concentration_bound_beamsplitter", "concentration_bound_lambda",
-        "concentration_bound_t", "methods_for_kind", "per_label_bound", "total_bound",
+        "concentration_bound_t", "per_label_bound", "total_bound",
     ),
+    "kinds": ("GateSetKind", "Method", "methods_for_kind"),
     "montecarlo": (
         "GateSetSample", "HaarProjector", "MomentOperator", "PowerIterationError",
         "TailEstimate", "empirical_tail", "estimate_delta", "estimate_fs_indicator_mc",
@@ -610,6 +614,14 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     assert "numpy" not in modules
     for name in ("bounds", "montecarlo", "repcore", "solver", "specfun"):
         assert f"gatedesign.{name}" not in modules, name
+
+
+def test_importing_a_kind_or_method_loads_no_numpy_and_no_bounds():
+    proc, modules = loaded_after("from gatedesign import GateSetKind, Method, methods_for_kind")
+    assert proc.returncode == 0, proc.stderr
+    assert "gatedesign.kinds" in modules
+    assert "numpy" not in modules
+    assert "gatedesign.bounds" not in modules
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Minimal-size solver tests against published values and formula oracles."""
+import csv
 import math
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -8,7 +10,10 @@ import oracles
 from gatedesign import bounds as bd
 from gatedesign import repcore as rc
 from gatedesign import solver
-from gatedesign.bounds import GateSetKind, Method
+from gatedesign.bounds import Method
+
+#: `table --table2` rows, kept as reference
+PINNED_TABLE2 = Path(__file__).resolve().parent / "table2_pinned.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +287,39 @@ def test_clifford_sum_dimension_shortcut_matches_enumeration():
 
 def test_table2_cells_filtering():
     cells = list(solver.table2_cells(dims=(16,)))
-    # symmetric columns are dropped beyond the Weyl cap
-    assert all(m.kind is GateSetKind.PLAIN for _, _, m, _ in cells)
-    assert [t for _, t, m, _ in cells if m is Method.MASTER_PLAIN] == [2, 3, 4, 5]
+    # only master-symmetric, which needs the Weyl sums, is dropped beyond the cap
+    assert Method.MASTER_SYMMETRIC not in {m for _, _, m, _ in cells}
+    for method in (Method.BERNSTEIN_PLAIN, Method.BERNSTEIN_SYMMETRIC, Method.MASTER_PLAIN):
+        assert [t for _, t, m, _ in cells if m is method] == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_bernstein_symmetric_large_d_by_plain_scan(d):
+    # the pinned bernstein-symmetric S_min beyond the Weyl cap, by an
+    # independent route: d_lam over all pairs, and d_lam delta_lam(2) = 1
+    # exactly when the positive part alpha of the label equals its negated
+    # negative part beta (4 | d, so every self-dual label is real), summed
+    # at every even S
+    with PINNED_TABLE2.open() as fh:
+        pinned = [int(r["S_min"]) for r in csv.DictReader(fh)
+                  if r["d"] == str(d) and r["method"] == "bernstein-symmetric"]
+    delta, target = 0.5, math.log1p(-0.99)
+    got = []
+    for t in (2, 3, 4, 5):
+        blocks = []
+        for lam in rc.enumerate_lambda_set(d, t):
+            alpha = [v for v in lam if v > 0]
+            beta = [-v for v in reversed(lam) if v < 0]
+            dl = oracles.weyl_dimension_all_pairs(lam)
+            assert dl.denominator == 1
+            blocks.append((math.log(2 * dl.numerator), int(alpha == beta) / dl.numerator))
+        S = 2
+        while True:
+            logs = [l2d - 3.0 * S * delta**2 / (6.0 * (1.0 + fs2) + 4.0 * delta)
+                    for l2d, fs2 in blocks]
+            top = max(logs)
+            if top + math.log(sum(math.exp(v - top) for v in logs)) <= target:
+                break
+            S += 2
+        got.append(S)
+    assert got == pinned
