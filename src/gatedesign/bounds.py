@@ -50,6 +50,7 @@ def _check_query(kind, S, delta):
     """The checked (S, delta): S an int, delta a float in (0, 1)."""
     delta = repcore._open_unit(delta, "delta")
     S = repcore._at_least(S, "S", 1)
+    repcore._real(S, "S")  # every exponent takes S as a float
     if kind is GateSetKind.SYMMETRIC and S % 2:
         raise ValueError(f"symmetric sets have even cardinality, got {S}")
     return S, delta
@@ -284,7 +285,7 @@ def total_bound(d, t, kind, S, delta, method):
 # ---------------------------------------------------------------------------
 
 def _check_concentration(S, alpha, t=1):
-    repcore._at_least(S, "S", 1)
+    repcore._real(repcore._at_least(S, "S", 1), "S")
     if not repcore._real(alpha, "alpha") > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     repcore._at_least(t, "t", 1)

@@ -5,14 +5,16 @@ corresponding module, and emits rows as CSV (default) or JSON. Floats are
 printed with 17 significant digits and LF line endings so outputs are
 byte-stable for fixed inputs.
 
-Exit codes: 0 success, 1 computation error, 2 usage error.
+Exit codes: 0 success, 1 computation error (an allocation that fails
+included), 2 usage error.
 
 Imports are on demand: this module loads only the standard library and
 :mod:`gatedesign.kinds`, and each ``cmd_*`` imports the modules it runs. So
-``--help``, a usage error and ``lambda-set`` never load numpy. The paths of
-``--output`` and ``--trial-log`` are checked before any work starts: a
-missing directory, a path that is a directory, or one the user may not write
-exits 1 at once, and any other failure to write exits 1 with one line.
+``--help``, a usage error, ``lambda-set`` and ``clifford`` never load
+numpy. The paths of ``--output`` and ``--trial-log`` are checked before any
+work starts: a missing directory, a path that is a directory, or one the
+user may not write exits 1 at once, and any other failure to write exits 1
+with one line.
 """
 from __future__ import annotations
 
@@ -315,9 +317,10 @@ def main(argv=None):
             if path is not None:
                 _check_target(flag, path)
         return args.fn(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        # BoundUnavailableError and PowerIterationError are RuntimeErrors
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # BoundUnavailableError and PowerIterationError are RuntimeErrors; a
+        # MemoryError may have no message, and then its type is the line
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -40,8 +40,10 @@ are closed forms that :func:`fs_indicator` alone decides:
 
 At 3 <= n <= d a permutation passes the lattice test only if it keeps
 residue classes mod n, shifted by r = -n Sigma(lambda)/d, so each sum runs
-over prod |class|! permutations (72 at d = 8, n = 3) in place of d!. The sums
-are not cached: gamma_lambda reads d - 2 per label, and the bounds cache it.
+over prod |class|! permutations (72 at d = 8, n = 3) in place of d!, each
+signed by the parity of its inversions. The sums are not cached:
+gamma_lambda reads d - 2 of them, and the bounds build gamma_lambda once
+per (label, delta), behind their exponent cache.
 
 Weights are integer U(d) weights whose entries sum to Sigma(lambda), the
 label's entry sum, so a label with nonzero entry sum and its SU(d)
@@ -57,16 +59,20 @@ Hall Polynomials*, I.5-I.7; Fulton, *Young Tableaux*, 8). It is invariant
 under permuting mu and is counted by stripping horizontal strips in one
 memoized recursion, :func:`_mult_centered`, keyed on (lambda, sorted mu),
 so no Kostant partition function and no alternating sum over the Weyl
-group is needed. The Kostant and Freudenthal engines are kept in the tests
-(``tests/oracles.py``) as independent oracles, with the partition counts
-that check :func:`enumerate_lambda_set` and the SU(d) -> U(d) lift of a
-Dynkin label.
+group is needed. Each strip's nu interlaces lambda: all its entries but the
+last run over a box, and the size fixes the last. The recursion is one
+level per label entry, so past the recursion limit (d near 500 from a cold
+memo) a multiplicity raises a ``ValueError`` naming d. The Kostant and
+Freudenthal engines are kept in the tests (``tests/oracles.py``) as
+independent oracles, with the partition counts that check
+:func:`enumerate_lambda_set` and the SU(d) -> U(d) lift of a Dynkin label.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -108,11 +114,15 @@ def _at_least(v, what, least):
 
 
 def _real(v, what):
-    """v as a float; a value that is not a real number (None, a str) raises."""
+    """v as a float; a value that is not a real number (None, a str) or is
+    too large for a float raises."""
     # int and float are tested before the ABC, whose check is ~7x slower
     if not isinstance(v, (int, float, numbers.Real)):
         raise ValueError(f"{what} must be a real number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def _open_unit(v, what):
@@ -292,30 +302,6 @@ def block_spectrum(d, t):
 # weight multiplicities: Kostka numbers
 # ---------------------------------------------------------------------------
 
-def _interlacing(lam, size):
-    """Partitions nu of ``size`` with lam_1 >= nu_1 >= lam_2 >= ... >= nu_{r-1} >= lam_r.
-
-    These are the nu for which lam/nu is a horizontal strip. Each nu_i is
-    drawn only where the parts after it can still reach the size, so every
-    branch yields.
-    """
-    r = len(lam)
-    # least and greatest sum of nu_i..nu_{r-2}
-    lo = list(itertools.accumulate(reversed(lam[1:])))[::-1] + [0]
-    hi = list(itertools.accumulate(reversed(lam[:-1])))[::-1] + [0]
-
-    def rec(i, rest):
-        if i == r - 1:
-            yield ()
-            return
-        for v in range(max(lam[i + 1], rest - hi[i + 1]), min(lam[i], rest - lo[i + 1]) + 1):
-            for tail in rec(i + 1, rest - v):
-                yield (v,) + tail
-
-    if lo[0] <= size <= hi[0]:
-        yield from rec(0, size)
-
-
 @lru_cache(maxsize=None)
 def _mult_centered(lam_entries, mu):
     """Multiplicity in pi_lambda of the integer weight mu, of entry sum Sigma(lambda).
@@ -329,7 +315,9 @@ def _mult_centered(lam_entries, mu):
     nu with content mu_1..mu_{d-1}, where lambda/nu is a horizontal strip of
     size mu_d (Gelfand-Tsetlin branching), so the count recurses on
     (nu, mu prefix), which is sorted too: every call, top-level or
-    recursive, reads and fills this memo.
+    recursive, reads and fills this memo. The strips are exactly the nu with
+    nu_i in [lambda_{i+1}, lambda_i]: the first d - 2 entries run over that
+    box, and the last, fixed by the size, is kept when it lies in its range.
     """
     if len(lam_entries) == 1:
         return int(lam_entries[0] == mu[0])
@@ -338,7 +326,23 @@ def _mult_centered(lam_entries, mu):
         return 0  # an entry below lambda_d
     shape = tuple(v - low for v in lam_entries)
     rest = tuple(v - low for v in mu[:-1])
-    return sum(_mult_centered(nu, rest) for nu in _interlacing(shape, sum(shape) - mu[-1] + low))
+    size = sum(shape) - mu[-1] + low
+    total = 0
+    for head in itertools.product(*(range(b, a + 1) for a, b in zip(shape, shape[1:-1]))):
+        last = size - sum(head)
+        if 0 <= last <= shape[-2]:
+            total += _mult_centered(head + (last,), rest)
+    return total
+
+
+def _multiplicity(ent, mu):
+    """:func:`_mult_centered` of (ent, mu), through the one entry to its
+    recursion: past the recursion limit it raises ``ValueError`` naming d."""
+    try:
+        return _mult_centered(ent, mu)
+    except RecursionError:
+        raise ValueError(f"weight multiplicities recurse once per label entry; d={len(ent)} "
+                         f"exceeds the recursion limit {sys.getrecursionlimit()}") from None
 
 
 def weight_multiplicity(lam, mu):
@@ -360,26 +364,12 @@ def weight_multiplicity(lam, mu):
         return 0  # the weights of pi_lambda are integral
     if sum(ent) != sum(lam) or sum(map(abs, ent)) > sum(map(abs, lam)):
         return 0
-    return _mult_centered(lam, tuple(sorted(map(int, ent), reverse=True)))
+    return _multiplicity(lam, tuple(sorted(map(int, ent), reverse=True)))
 
 
 # ---------------------------------------------------------------------------
 # Frobenius-Schur indicators and gamma coefficients
 # ---------------------------------------------------------------------------
-
-def _permutation_sign(perm):
-    """sgn(perm) = (-1)^(d - number of cycles)."""
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return -1 if (len(perm) - cycles) % 2 else 1
-
 
 @lru_cache(maxsize=None)
 def _lattice_displacements(d, n, r):
@@ -413,7 +403,8 @@ def _lattice_displacements(d, n, r):
             for i, j in zip(src, dst):
                 sigma[i] = j
         disp = tuple(sorted((sigma[i] - i for i in range(d)), reverse=True))
-        counts[disp] = counts.get(disp, 0) + _permutation_sign(sigma)
+        inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+        counts[disp] = counts.get(disp, 0) + (-1) ** inversions
     by_norm = sorted((sum(map(abs, disp)), disp, c) for disp, c in counts.items() if c)
     return tuple(by_norm)
 
@@ -445,7 +436,7 @@ def _fs_weyl_sum(ent, n):
     for norm, disp, count in _lattice_displacements(d, n, -lift % n):
         if d * norm > budget:
             break  # the groups come in one-norm order
-        total += count * _mult_centered(ent, tuple((v + lift) // n for v in disp))
+        total += count * _multiplicity(ent, tuple((v + lift) // n for v in disp))
     return total
 
 
@@ -491,7 +482,7 @@ def zero_weight_multiplicity(lam):
 def _zero_weight(ent):
     """m_lambda(0) of the label with nonincreasing entries ``ent``."""
     level, rem = divmod(sum(ent), len(ent))
-    return 0 if rem else _mult_centered(ent, (level,) * len(ent))
+    return 0 if rem else _multiplicity(ent, (level,) * len(ent))
 
 
 def gamma_coefficients(lam):

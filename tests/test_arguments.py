@@ -104,6 +104,24 @@ NOT_NUMBERS = [
      None, "delta must be a real number, got None"),
     ("concentration_bound_t-alpha", lambda v: bd.concentration_bound_t(2, 2, 10, v),
      None, "alpha must be a real number, got None"),
+    ("total_bound-huge-delta", lambda v: bd.total_bound(2, 2, "plain", 10, v, "master-plain"),
+     10**400, "delta is too large for a float"),
+    # every bound takes S into a float
+    ("total_bound-plain-huge-S", lambda v: bd.total_bound(2, 2, "plain", v, 0.5, "master-plain"),
+     10**400, "S is too large for a float"),
+    ("total_bound-symmetric-huge-S",
+     lambda v: bd.total_bound(2, 2, "symmetric", v, 0.5, "master-symmetric"),
+     10**400, "S is too large for a float"),
+    ("per_label_bound-huge-S",
+     lambda v: bd.per_label_bound(bd.BoundQuery("symmetric", v, 0.5, (1, -1)), "master-symmetric"),
+     10**400, "S is too large for a float"),
+    ("concentration_bound_t-huge-S", lambda v: bd.concentration_bound_t(2, 2, v, 0.3),
+     10**400, "S is too large for a float"),
+    ("concentration_bound_lambda-huge-S", lambda v: bd.concentration_bound_lambda((1, -1), v, 0.3),
+     10**400, "S is too large for a float"),
+    ("concentration_bound_beamsplitter-huge-S",
+     lambda v: bd.concentration_bound_beamsplitter(2, v, 0.3),
+     10**400, "S is too large for a float"),
     ("min_size_search-P", lambda v: solver.min_size_search(2, 2, 0.5, v, "master-plain"),
      None, "P must be a real number, got None"),
     ("empirical_tail-delta", lambda v: mc.empirical_tail(2, 1, "plain", 3, v, trials=2, seed=1),

@@ -137,6 +137,29 @@ def test_bounds_curve_rejects_malformed_delta_grid(capsys, grid):
     assert "start:stop:num or a comma list" in captured.err
 
 
+def test_lambda_set_past_the_recursion_limit_is_a_one_line_error(capsys):
+    # from a cleared memo: a warm one shortens the recursion
+    from gatedesign import repcore
+
+    repcore._mult_centered.cache_clear()
+    code = main(["lambda-set", "--d", "2000", "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "d=2000" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["plain", "symmetric"])
+def test_bounds_curve_past_the_float_range_is_a_one_line_error(capsys, kind):
+    code = main(["bounds-curve", "--d", "2", "--t", "2", "--size", str(10**400),
+                 "--delta-grid", "0.5", "--kind", kind])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: S is too large for a float\n"
+
+
 # ---------------------------------------------------------------------------
 # min-size / table
 # ---------------------------------------------------------------------------
@@ -288,10 +311,12 @@ def test_clifford_full_range_runs_fast(capsys):
          "50921956bc1eeac5072c3fbf085af800"),
         (("lambda-set", "--d", "16", "--t", "3"), "4b06812bb875f9c136f1550c9433c8f5"),
         (("lambda-set", "--d", "2", "--t", "5000"), "46dfc41581009da6740f0b8851eb00a0"),
+        (("lambda-set", "--d", "8", "--t", "5"), "26bc0b4c84515b4941274cf97a5106fb"),
+        (("lambda-set", "--d", "64", "--t", "5"), "bae26f1dd6f177f8fd5eb7a02a90c5a1"),
         (("clifford", "--max-qubits", "50"), "37b8451c342484e6c699f5720030c0de"),
     ],
     ids=["lambda-set-d4-t3", "lambda-set-d4-t3-json", "lambda-set-d16-t3", "lambda-set-d2-t5000",
-         "clifford-50"],
+         "lambda-set-d8-t5", "lambda-set-d64-t5", "clifford-50"],
 )
 def test_exact_output_is_pinned(capsys, argv, md5):
     code, out = run_cli(capsys, *argv)
@@ -348,6 +373,21 @@ def test_mc_verify_without_applicable_bound_is_not_a_pass(capsys):
     assert dict(zip(header, rows[0]))["dominance"] == "N/A"
     assert len(captured.err.strip().splitlines()) == 1
     assert "no tail bound applies" in captured.err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 5.82 TiB for an array", ""])
+def test_mc_verify_out_of_memory_is_a_one_line_error(capsys, monkeypatch, message):
+    # a real allocation this large may be granted by an overcommitting host
+    # and then killed, so the sampler is replaced by one that fails at once
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*([message] if message else []))
+
+    monkeypatch.setattr(montecarlo, "empirical_tail", exhausted)
+    code = main(["mc-verify", "--d", "2", "--t", "2", "--size", "100000000000", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message or 'MemoryError'}\n"
 
 
 @pytest.mark.parametrize("kind", ["plain", "symmetric", "beamsplitter"])

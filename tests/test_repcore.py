@@ -529,6 +529,47 @@ def test_zero_weight_multiplicity_needs_an_integral_level():
     assert rc.zero_weight_multiplicity((1, 0)) == 0
 
 
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_m0_column_matches_closed_forms_at_large_d(d):
+    # each label is the top irrep of X (x) Y*, X and Y among V, Sym^2 V and
+    # Lambda^2 V; the zero weights of X (x) Y* are the matched monomial pairs
+    # (d, d(d+1)/2 or d(d-1)/2 of them), less the zero weights of the other
+    # summands: the trivial block and the adjoint
+    def label(head, tail):
+        return head + (0,) * (d - len(head) - len(tail)) + tail
+
+    want = {
+        label((1,), (-1,)): d - 1,
+        label((2,), (-2,)): d * (d - 1) // 2,
+        label((1, 1), (-1, -1)): d * (d - 3) // 2,
+        label((2,), (-1, -1)): (d - 1) * (d - 2) // 2,
+    }
+    spec = rc.block_spectrum(d, 2)
+    m0 = dict(zip(spec.labels, spec.m0))
+    assert {lam: m0[lam] for lam in want} == want
+
+
+# the recursion runs one level per label entry and a warm memo ends it early,
+# so each deep case starts from a cleared memo
+def test_zero_weight_multiplicity_at_d400_from_a_cold_memo():
+    rc._mult_centered.cache_clear()
+    assert rc.zero_weight_multiplicity((1,) + (0,) * 398 + (-1,)) == 399
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: rc.weight_multiplicity(lam, (0,) * len(lam)),
+    rc.zero_weight_multiplicity,
+    lambda lam: rc.fs_indicator(lam, len(lam) + 1),
+    rc.gamma_coefficients,
+    lambda lam: rc.block_spectrum(len(lam), 1).m0,
+], ids=["weight_multiplicity", "zero_weight_multiplicity", "fs_indicator", "gamma_coefficients",
+        "BlockSpectrum.m0"])
+def test_recursion_past_the_limit_raises_value_error_naming_d(call):
+    rc._mult_centered.cache_clear()
+    with pytest.raises(ValueError, match="d=2000 exceeds the recursion limit"):
+        call((1,) + (0,) * 1998 + (-1,))
+
+
 def test_weyl_cap_enforced():
     lam9 = (1,) + (0,) * 7 + (-1,)  # d = 9 exceeds MAX_WEYL_DIM = 8
     # a Kostka count runs no Weyl sum: the zero weight of the SU(9) adjoint
