@@ -12,7 +12,6 @@ import importlib
 #: submodule -> the names this package exports from it
 _MODULES = {
     "bounds": (
-        "BoundQuery",
         "BoundResult",
         "BoundUnavailableError",
         "concentration_bound_beamsplitter",

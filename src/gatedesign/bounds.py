@@ -14,8 +14,8 @@ per-label call. The master-symmetric totals go label by label, through
 :func:`per_label_bound`, over the spectrum's label rows.
 
 A label is its checked entries tuple (:func:`repcore._label_entries`)
-everywhere here: :class:`BoundQuery` reduces the one it is given, and the
-one per-label cache is keyed on it. With x = 2 theta / S the symmetric
+everywhere here: :func:`per_label_bound` reduces the one it is given, and
+the one per-label cache is keyed on it. With x = 2 theta / S the symmetric
 objective is (S/2) h(x), h(x) = log B(x) - delta x a convex log-MGF (Tropp,
 arXiv:1501.01571, Sec. 3) whose minimizer does not depend on S: it is found
 once per (label, delta) by bisection on the sign of the analytic h', cached
@@ -47,41 +47,14 @@ class BoundUnavailableError(RuntimeError):
 
 
 def _check_query(kind, S, delta):
-    """The checked (S, delta): S an int, delta a float in (0, 1)."""
+    """The checked (S, delta): S an int, even for a symmetric kind, and
+    delta a float in (0, 1)."""
     delta = repcore._open_unit(delta, "delta")
     S = repcore._at_least(S, "S", 1)
     repcore._real(S, "S")  # every exponent takes S as a float
     if kind is GateSetKind.SYMMETRIC and S % 2:
         raise ValueError(f"symmetric sets have even cardinality, got {S}")
     return S, delta
-
-
-def _check_method(method, kind):
-    if method.kind is not kind:
-        raise ValueError(f"method {method.value} does not apply to kind {kind.value}")
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """One per-block bound evaluation: set kind, size, threshold, block label.
-
-    ``kind`` may be a :class:`GateSetKind` or its value. ``S`` is stored as
-    an int, ``delta`` as a float and ``lam``, any sequence of entries, as the
-    checked entries tuple, so a bad argument raises ``ValueError`` here, and
-    d = len(lam).
-    """
-
-    kind: GateSetKind
-    S: int
-    delta: float
-    lam: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", GateSetKind(self.kind))
-        S, delta = _check_query(self.kind, self.S, self.delta)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "lam", repcore._label_entries(self.lam))
 
 
 @dataclass(frozen=True)
@@ -169,14 +142,16 @@ class _SymExponents:
 
     With x = 2 theta / S, e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)},
     so neither exponent depends on S and one entry per (label entries
-    tuple, delta) serves every probe. ``at_x0`` is (h+(x0), h-(x0)) at
-    x0 = 2 delta / sqrt(1 - delta^2), the simplified bound's point (NaN
-    where the bracket is nonpositive there); it is built with the entry, and
-    the minima on first read, so the simplified bound never bisects.
+    tuple, delta) serves every probe, with ``log_dim`` = log d_lam.
+    ``at_x0`` is (h+(x0), h-(x0)) at x0 = 2 delta / sqrt(1 - delta^2), the
+    simplified bound's point (NaN where the bracket is nonpositive there);
+    it is built with the entry, and the minima on first read, so the
+    simplified bound never bisects.
     """
 
     def __init__(self, lam, delta):
         self.lam, self.delta = lam, delta
+        self.log_dim = math.log(repcore._weyl_dim(lam))
         self.m0d, self.signed = _sym_block_data(lam)
         self.x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
         self.at_x0 = tuple(
@@ -225,7 +200,7 @@ class _SymExponents:
 _sym_exponents = lru_cache(maxsize=1 << 16)(_SymExponents)
 
 
-def _master_symmetric(q, method):
+def _master_symmetric(lam, method, S, delta):
     """d_lam [e^{-theta delta} F(theta) + e^{-theta' delta} F(-theta')].
 
     Master-symmetric takes the two infima independently, each as (S/2) min h
@@ -234,17 +209,17 @@ def _master_symmetric(q, method):
     theta = theta' = theta0 = S delta / sqrt(1 - delta^2), which reads h at
     x0 = 2 theta0 / S from the same cache entry.
     """
-    ex = _sym_exponents(q.lam, q.delta)
+    ex = _sym_exponents(lam, delta)
     if method is Method.MASTER_SYMMETRIC:
         (hp, xp), (hm, xm) = ex.minima
     else:
         hp, hm = ex.at_x0
         xp = xm = ex.x0
         if math.isnan(hp) or math.isnan(hm):
-            raise BoundUnavailableError(f"bracket nonpositive at theta0 for lam={q.lam}")
-    fp, fm = 0.5 * q.S * hp, 0.5 * q.S * hm
-    log_bound = math.log(repcore._weyl_dim(q.lam)) + np.logaddexp(fp, fm)
-    theta_star = 0.5 * q.S * (xp if fp >= fm else xm)
+            raise BoundUnavailableError(f"bracket nonpositive at theta0 for lam={lam}")
+    fp, fm = 0.5 * S * hp, 0.5 * S * hm
+    log_bound = ex.log_dim + np.logaddexp(fp, fm)
+    theta_star = 0.5 * S * (xp if fp >= fm else xm)
     return BoundResult(method, float(log_bound), theta_star)
 
 
@@ -252,29 +227,30 @@ def _master_symmetric(q, method):
 # the per-block entry point and the union-bound totals
 # ---------------------------------------------------------------------------
 
-def per_label_bound(q: BoundQuery, method):
-    """One block bound by method (a :class:`Method` or its value); the
-    method must fit ``q.kind``."""
+def per_label_bound(lam, method, S, delta):
+    """One block bound by method (a :class:`Method` or its value) for a set
+    of the method's kind with S gates at threshold delta. ``lam`` is any
+    sequence of integral entries, d = len(lam); a bad argument raises
+    ``ValueError``."""
     method = Method(method)
-    _check_method(method, q.kind)
+    S, delta = _check_query(method.kind, S, delta)
+    lam = repcore._label_entries(lam)
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
-        return _master_symmetric(q, method)
-    dl = repcore._weyl_dim(q.lam)
-    expo = _s_linear_exponent(method, q.S, q.delta, repcore._frobenius_schur(q.lam) / dl)
+        return _master_symmetric(lam, method, S, delta)
+    dl = repcore._weyl_dim(lam)
+    expo = _s_linear_exponent(method, S, delta, repcore._frobenius_schur(lam) / dl)
     return BoundResult(method, math.log(2 * dl) + expo)
 
 
 def total_bound(d, t, kind, S, delta, method):
     """Union bound over all block labels of the t-th moment operator."""
     method, kind = Method(method), GateSetKind(kind)
-    _check_method(method, kind)
+    if method.kind is not kind:
+        raise ValueError(f"method {method.value} does not apply to kind {kind.value}")
     S, delta = _check_query(kind, S, delta)
     spec = repcore.block_spectrum(d, t)
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
-        logs = np.array([
-            per_label_bound(BoundQuery(kind=kind, S=S, delta=delta, lam=lam), method).log_bound
-            for lam in spec.labels
-        ])
+        logs = np.array([per_label_bound(lam, method, S, delta).log_bound for lam in spec.labels])
     else:
         logs = spec.log2dim + _s_linear_exponent(method, S, delta, spec.fs2)
     return BoundResult(method, float(np.logaddexp.reduce(logs)))

@@ -103,6 +103,18 @@ class GateSetSample:
         return self
 
 
+def _check_index_range(kind, d, n, what):
+    """Raise ``ValueError`` naming ``what`` when the complex array of the
+    gates that n draws of the kind make (n, 2n or n d(d-1) gates of d x d)
+    would pass numpy's index range, which numpy reports without the name."""
+    per_draw = {GateSetKind.SYMMETRIC: 2, GateSetKind.BEAMSPLITTER_LIFTED: d * (d - 1)}
+    nbytes = n * per_draw.get(kind, 1) * d * d * np.dtype(complex).itemsize
+    if nbytes > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"{what} is too large: its {kind.value} set of {d}x{d} gates passes numpy's index range"
+        )
+
+
 def sample_gate_set(d, n, kind, seed):
     """Sample a gate-set of the given kind.
 
@@ -113,6 +125,7 @@ def sample_gate_set(d, n, kind, seed):
     """
     kind = GateSetKind(kind)
     d, n = _at_least(d, "d", 1), _at_least(n, "n", 1)
+    _check_index_range(kind, d, n, "n")
     rng = np.random.default_rng(np.random.SeedSequence(_flatten_seed(seed)))
     if kind is GateSetKind.BEAMSPLITTER_LIFTED:
         if d <= 2:
@@ -322,7 +335,7 @@ def empirical_tail(d, t, kind, S, delta, trials, seed):
     pair, delta, the Lanczos steps and the residual bound on delta^2. The
     inputs are checked before the first trial runs.
     """
-    d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
+    d, t, _ = _check_dim(_at_least(d, "d", 2), t)
     _open_unit(delta, "delta")
     S, trials = _at_least(S, "S", 1), _at_least(trials, "trials", 1)
     seed = _at_least(seed, "seed", 0)
@@ -333,6 +346,7 @@ def empirical_tail(d, t, kind, S, delta, trials, seed):
         n = S // 2
     else:
         n = S
+    _check_index_range(kind, d, n, "S")
 
     def run_trial(i):
         sample = sample_gate_set(d, n, kind, seed=(seed, i))

@@ -311,10 +311,9 @@ def test_criterion_9_property_suite():
     # infimum below the theta0 plug-in
     inf_ok = True
     for lam, S in [((1, -1), 30), ((2, -2), 60), ((1, 0, -1), 40)]:
-        q = bd.BoundQuery(kind=GateSetKind.SYMMETRIC, S=S, delta=0.5, lam=lam)
         inf_ok = inf_ok and (
-            bd.per_label_bound(q, Method.MASTER_SYMMETRIC).log_bound
-            <= bd.per_label_bound(q, Method.MASTER_SYMMETRIC_SIMPLIFIED).log_bound + 1e-9
+            bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, S, 0.5).log_bound
+            <= bd.per_label_bound(lam, Method.MASTER_SYMMETRIC_SIMPLIFIED, S, 0.5).log_bound + 1e-9
         )
     # projector idempotency
     proj_ok = True

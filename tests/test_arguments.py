@@ -40,7 +40,7 @@ COUNTS = [
     ("total_bound", "d", 2, lambda v: bd.total_bound(v, 2, "plain", 10, 0.5, "master-plain")),
     ("total_bound", "t", 1, lambda v: bd.total_bound(2, v, "plain", 10, 0.5, "master-plain")),
     ("total_bound", "S", 1, lambda v: bd.total_bound(2, 2, "plain", v, 0.5, "master-plain")),
-    ("BoundQuery", "S", 1, lambda v: bd.BoundQuery("plain", v, 0.5, (1, -1))),
+    ("per_label_bound", "S", 1, lambda v: bd.per_label_bound((1, -1), "master-plain", v, 0.5)),
     ("concentration_bound_t", "d", 2, lambda v: bd.concentration_bound_t(v, 2, 10, 0.3)),
     ("concentration_bound_t", "t", 1, lambda v: bd.concentration_bound_t(2, v, 10, 0.3)),
     ("concentration_bound_t", "S", 1, lambda v: bd.concentration_bound_t(2, 2, v, 0.3)),
@@ -113,7 +113,7 @@ NOT_NUMBERS = [
      lambda v: bd.total_bound(2, 2, "symmetric", v, 0.5, "master-symmetric"),
      10**400, "S is too large for a float"),
     ("per_label_bound-huge-S",
-     lambda v: bd.per_label_bound(bd.BoundQuery("symmetric", v, 0.5, (1, -1)), "master-symmetric"),
+     lambda v: bd.per_label_bound((1, -1), "master-symmetric", v, 0.5),
      10**400, "S is too large for a float"),
     ("concentration_bound_t-huge-S", lambda v: bd.concentration_bound_t(2, 2, v, 0.3),
      10**400, "S is too large for a float"),
@@ -126,7 +126,7 @@ NOT_NUMBERS = [
      None, "P must be a real number, got None"),
     ("empirical_tail-delta", lambda v: mc.empirical_tail(2, 1, "plain", 3, v, trials=2, seed=1),
      None, "delta must be a real number, got None"),
-    ("BoundQuery-delta", lambda v: bd.BoundQuery("plain", 10, v, (1, -1)),
+    ("per_label_bound-delta", lambda v: bd.per_label_bound((1, -1), "master-plain", 10, v),
      "0.5", "delta must be a real number, got '0.5'"),
     ("concentration_bound_beamsplitter-alpha", lambda v: bd.concentration_bound_beamsplitter(2, 10, v),
      "a", "alpha must be a real number, got 'a'"),
@@ -154,9 +154,13 @@ def test_real_arguments_of_any_real_type_give_the_same_bits():
         2, 2, "plain", 10, 0.5, "master-plain")
     assert bd.concentration_bound_t(2, 2, 10, half) == bd.concentration_bound_t(2, 2, 10, 0.5)
     assert specfun.log_bessel_i(1, half) == specfun.log_bessel_i(1, 0.5)
-    q = bd.BoundQuery("plain", 57.0, half, (1, -1))
-    assert (type(q.S), type(q.delta)) == (int, float)
-    assert q == bd.BoundQuery("plain", 57, 0.5, (1, -1))
+    # S reaches the bound as an int and delta as a float
+    for method, S in (("master-plain", 57), ("master-symmetric", 58)):
+        got = bd.per_label_bound((1, -1), method, float(S), half)
+        assert got == bd.per_label_bound((1, -1), method, S, 0.5)
+        assert type(got.log_bound) is float
+    with pytest.raises(ValueError, match="symmetric sets have even cardinality, got 57$"):
+        bd.per_label_bound((1, -1), "master-symmetric", 57.0, 0.5)
     # a seed reaches SeedSequence as the same ints, so the draws do not move
     want = mc.sample_gate_set(2, 2, "plain", 7).unitaries
     for seed in (np.int64(7), 7.0, (7,), [[7]]):

@@ -16,86 +16,79 @@ from hypothesis import strategies as st
 from gatedesign import bounds as bd
 from gatedesign import repcore as rc
 from gatedesign import solver, specfun
-from gatedesign.bounds import BoundQuery, GateSetKind, Method
+from gatedesign.bounds import GateSetKind, Method
 
 mpmath.mp.dps = 50
 
 
-def q_plain(lam, S, delta):
-    return BoundQuery(kind=GateSetKind.PLAIN, S=S, delta=delta, lam=tuple(lam))
-
-
-def q_sym(lam, S, delta):
-    return BoundQuery(kind=GateSetKind.SYMMETRIC, S=S, delta=delta, lam=tuple(lam))
-
-
 # ---------------------------------------------------------------------------
-# query validation
+# argument validation
 # ---------------------------------------------------------------------------
 
 def test_query_validation():
     lam = (1, -1)
     with pytest.raises(TypeError):
-        BoundQuery(kind=GateSetKind.PLAIN, S=10, delta=0.5)  # no target
+        bd.per_label_bound(method=Method.MASTER_PLAIN, S=10, delta=0.5)  # no target
     with pytest.raises(TypeError):
-        BoundQuery(kind=GateSetKind.PLAIN, S=10, delta=0.5, lam=lam, t=2)
+        bd.per_label_bound(lam, Method.MASTER_PLAIN, 10, 0.5, t=2)
     with pytest.raises(ValueError):
-        BoundQuery(kind=GateSetKind.PLAIN, S=10, delta=1.5, lam=lam)
+        bd.per_label_bound(lam, Method.MASTER_PLAIN, 10, 1.5)
     with pytest.raises(ValueError):
-        BoundQuery(kind=GateSetKind.SYMMETRIC, S=11, delta=0.5, lam=lam)
-    # the label is checked where the query is built
+        bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, 11, 0.5)
+    # the label is checked with the other arguments
     for bad in ((1, 2), (1,), (1.5, -1.5), "junk"):
         with pytest.raises(ValueError):
-            BoundQuery(kind=GateSetKind.SYMMETRIC, S=10, delta=0.5, lam=bad)
+            bd.per_label_bound(bad, Method.MASTER_SYMMETRIC, 10, 0.5)
 
 
 def test_query_takes_kind_value():
-    # the value of a kind is that kind: its checks and its methods apply
-    q = BoundQuery(kind="symmetric", S=40, delta=0.5, lam=(1, 0, -1))
-    assert q.kind is GateSetKind.SYMMETRIC
-    assert bd.per_label_bound(q, Method.MASTER_SYMMETRIC) == bd.per_label_bound(
-        q_sym((1, 0, -1), 40, 0.5), Method.MASTER_SYMMETRIC
-    )
+    # the value of a method is that method: the checks of its kind apply
+    res = bd.per_label_bound((1, 0, -1), "master-symmetric", 40, 0.5)
+    assert res.method is Method.MASTER_SYMMETRIC and res.method.kind is GateSetKind.SYMMETRIC
+    assert res == bd.per_label_bound((1, 0, -1), Method.MASTER_SYMMETRIC, 40, 0.5)
     with pytest.raises(ValueError, match="symmetric sets have even cardinality, got 41"):
-        BoundQuery(kind="symmetric", S=41, delta=0.5, lam=(1, 0, -1))
-    with pytest.raises(ValueError, match="'junk' is not a valid GateSetKind"):
-        BoundQuery(kind="junk", S=40, delta=0.5, lam=(1, 0, -1))
+        bd.per_label_bound((1, 0, -1), "master-symmetric", 41, 0.5)
+    with pytest.raises(ValueError, match="'junk' is not a valid Method"):
+        bd.per_label_bound((1, 0, -1), "junk", 40, 0.5)
 
 
 def test_method_kind_compatibility():
     with pytest.raises(ValueError):
         bd.total_bound(2, 2, GateSetKind.PLAIN, 10, 0.5, Method.MASTER_SYMMETRIC)
-    with pytest.raises(ValueError):
-        bd.per_label_bound(q_sym((1, -1), 10, 0.5), Method.MASTER_PLAIN)
+    for method in Method:
+        for kind in GateSetKind:
+            if method.kind is kind:
+                assert bd.total_bound(2, 2, kind, 20, 0.5, method).method is method
+                continue
+            message = f"method {method.value} does not apply to kind {kind.value}"
+            with pytest.raises(ValueError, match=message):
+                bd.total_bound(2, 2, kind, 20, 0.5, method)
+    # per block the method fixes the kind: an odd S sizes a plain set only
+    assert bd.per_label_bound((1, -1), Method.MASTER_PLAIN, 11, 0.5).method is Method.MASTER_PLAIN
+    with pytest.raises(ValueError, match="symmetric sets have even cardinality, got 11"):
+        bd.per_label_bound((1, -1), Method.BERNSTEIN_SYMMETRIC, 11, 0.5)
 
 
 @pytest.mark.parametrize("method", list(Method))
 def test_per_label_bound_accepts_method_values(method):
-    q = BoundQuery(kind=method.kind, S=20, delta=0.5, lam=(1, -1))
-    assert bd.per_label_bound(q, method.value) == bd.per_label_bound(q, method)
-    assert bd.per_label_bound(q, method.value).method is method
+    want = bd.per_label_bound((1, -1), method, 20, 0.5)
+    assert bd.per_label_bound((1, -1), method.value, 20, 0.5) == want
+    assert bd.per_label_bound((1, -1), method.value, 20, 0.5).method is method
 
 
 @pytest.mark.parametrize("method", list(Method))
-def test_per_label_bound_takes_every_label_form(method):
-    # the query stores the entries tuple, so a tuple, a list and an int
-    # array are one label to every method
+def test_per_label_bound_takes_every_label_form(method, monkeypatch):
+    # the label reaches the per-block code as its entries tuple, so a tuple,
+    # a list and an int array are one label to every method
+    seen = []
+    for owner, name in ((rc, "_weyl_dim"), (bd, "_sym_exponents")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda lam, *a, real=real: seen.append(lam) or real(lam, *a))
     forms = ((1, 0, -1), [1, 0, -1], np.array([1, 0, -1]))
-    queries = [BoundQuery(kind=method.kind, S=20, delta=0.5, lam=lam) for lam in forms]
-    assert all(q.lam == (1, 0, -1) and type(q.lam) is tuple for q in queries)
-    logs = {bd.per_label_bound(q, method).log_bound for q in queries}
+    logs = {bd.per_label_bound(lam, method, 20, 0.5).log_bound for lam in forms}
+    assert len(seen) >= len(forms)
+    assert all(lam == (1, 0, -1) and type(lam) is tuple for lam in seen)
     assert len(logs) == 1 and math.isfinite(logs.pop())
-
-
-@pytest.mark.parametrize("kind", list(GateSetKind))
-@pytest.mark.parametrize("method", list(Method))
-def test_per_label_bound_needs_method_of_query_kind(method, kind):
-    q = BoundQuery(kind=kind, S=20, delta=0.5, lam=(1, -1))
-    if method.kind is kind:
-        assert bd.per_label_bound(q, method).method is method
-    else:
-        with pytest.raises(ValueError, match=f"method {method.value} does not apply to kind {kind.value}"):
-            bd.per_label_bound(q, method)
 
 
 def test_methods_for_kind():
@@ -112,7 +105,7 @@ def test_methods_for_kind():
 # ---------------------------------------------------------------------------
 
 def test_bernstein_plain_vacuous_at_small_delta():
-    res = bd.per_label_bound(q_plain((1, -1), 10, 1e-9), Method.BERNSTEIN_PLAIN)
+    res = bd.per_label_bound((1, -1), Method.BERNSTEIN_PLAIN, 10, 1e-9)
     assert res.raw == pytest.approx(2 * 3, rel=1e-6)
     assert res.clipped and res.probability == 1.0
 
@@ -120,14 +113,14 @@ def test_bernstein_plain_vacuous_at_small_delta():
 def test_bernstein_symmetric_uses_fs_constant():
     # lam=(1,-1): delta_lam(2)=1/3, denominator 6*(4/3) + 4*delta = 8 + 4*delta
     S, delta = 20, 0.5
-    res = bd.per_label_bound(q_sym((1, -1), S, delta), Method.BERNSTEIN_SYMMETRIC)
+    res = bd.per_label_bound((1, -1), Method.BERNSTEIN_SYMMETRIC, S, delta)
     expected = math.log(6) - 3 * S * delta**2 / (8 + 4 * delta)
     assert res.log_bound == pytest.approx(expected, abs=1e-12)
 
 
 def test_bernstein_plain_formula():
     S, delta = 40, 0.3
-    res = bd.per_label_bound(q_plain((2, 0, -1, -1), S, delta), Method.BERNSTEIN_PLAIN)
+    res = bd.per_label_bound((2, 0, -1, -1), Method.BERNSTEIN_PLAIN, S, delta)
     expected = math.log(2 * 45) - 3 * S * delta**2 / (6 + 2 * delta)
     assert res.log_bound == pytest.approx(expected, abs=1e-12)
 
@@ -137,7 +130,7 @@ def test_bernstein_plain_formula():
 # ---------------------------------------------------------------------------
 
 def test_master_plain_vacuous_at_small_delta():
-    res = bd.per_label_bound(q_plain((1, -1), 10, 1e-9), Method.MASTER_PLAIN)
+    res = bd.per_label_bound((1, -1), Method.MASTER_PLAIN, 10, 1e-9)
     assert res.raw == pytest.approx(6.0, rel=1e-6)
 
 
@@ -152,20 +145,20 @@ def test_master_plain_two_forms_agree():
 def test_master_plain_monotone_in_S_and_delta():
     lam = (1, -1)
     vals_S = [
-        bd.per_label_bound(q_plain(lam, S, 0.5), Method.MASTER_PLAIN).log_bound
+        bd.per_label_bound(lam, Method.MASTER_PLAIN, S, 0.5).log_bound
         for S in range(10, 200, 10)
     ]
     assert all(a > b for a, b in zip(vals_S, vals_S[1:]))
     vals_d = [
-        bd.per_label_bound(q_plain(lam, 50, dd), Method.MASTER_PLAIN).log_bound
+        bd.per_label_bound(lam, Method.MASTER_PLAIN, 50, dd).log_bound
         for dd in np.linspace(0.05, 0.95, 19)
     ]
     assert all(a > b for a, b in zip(vals_d, vals_d[1:]))
 
 
 def test_master_plain_rejects_delta_out_of_range():
-    with pytest.raises(ValueError):
-        q_plain((1, -1), 10, 1.0)
+    with pytest.raises(ValueError, match=re.escape("delta must be in (0, 1), got 1.0")):
+        bd.per_label_bound((1, -1), Method.MASTER_PLAIN, 10, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +184,13 @@ sym_labels = st.integers(2, 4).flatmap(
 @example(lam=(1, 0, -1), S=40, delta=0.6)
 @example(lam=(1, 1, -1, -1), S=60, delta=0.5)
 def test_symmetric_infimum_below_simplified(lam, S, delta):
-    full = bd.per_label_bound(q_sym(lam, S, delta), Method.MASTER_SYMMETRIC)
-    simp = bd.per_label_bound(q_sym(lam, S, delta), Method.MASTER_SYMMETRIC_SIMPLIFIED)
+    full = bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, S, delta)
+    simp = bd.per_label_bound(lam, Method.MASTER_SYMMETRIC_SIMPLIFIED, S, delta)
     assert full.log_bound <= simp.log_bound + 1e-9
 
 
 def test_symmetric_simplified_limit_at_small_delta():
-    res = bd.per_label_bound(q_sym((1, -1), 20, 1e-8), Method.MASTER_SYMMETRIC_SIMPLIFIED)
+    res = bd.per_label_bound((1, -1), Method.MASTER_SYMMETRIC_SIMPLIFIED, 20, 1e-8)
     assert res.raw == pytest.approx(6.0, rel=1e-5)
 
 
@@ -228,7 +221,7 @@ def test_symmetric_minimizer_matches_grid_scan():
     lam = (1, -1)
     S, delta = 30, 0.5
     dl, (m0d, (gvec, _)) = rc.weyl_dimension(lam), bd._sym_block_data(lam)
-    got = bd.per_label_bound(q_sym((1, -1), S, delta), Method.MASTER_SYMMETRIC)
+    got = bd.per_label_bound((1, -1), Method.MASTER_SYMMETRIC, S, delta)
     grid = float(
         math.log(dl)
         + np.logaddexp(
@@ -260,7 +253,7 @@ def test_symmetric_trivial_block_takes_the_theta_to_zero_limit(lam):
     plus, minus = bd._sym_exponents(lam, 0.5).minima
     assert plus == (0.0, 0.0)
     assert minus[0] < 0.0
-    res = bd.per_label_bound(q_sym(lam, 40, 0.5), Method.MASTER_SYMMETRIC)
+    res = bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, 40, 0.5)
     assert res.log_bound == 0.0
     assert res.theta_star == 0.0
 
@@ -277,7 +270,7 @@ def test_simplified_against_mpmath_oracle():
     bp = m0d * mpmath.exp(x0) + g0 * mpmath.besseli(0, x0) + 2 * g1 * mpmath.besseli(1, x0)
     bm = m0d * mpmath.exp(-x0) + g0 * mpmath.besseli(0, x0) - 2 * g1 * mpmath.besseli(1, x0)
     oracle = dl * mpmath.exp(-theta0 * delta) * (bp ** (S / 2) + bm ** (S / 2))
-    got = bd.per_label_bound(q_sym((2, -2), 100, 0.3), Method.MASTER_SYMMETRIC_SIMPLIFIED)
+    got = bd.per_label_bound((2, -2), Method.MASTER_SYMMETRIC_SIMPLIFIED, 100, 0.3)
     assert got.log_bound == pytest.approx(float(mpmath.log(oracle)), abs=1e-10)
 
 
@@ -322,7 +315,7 @@ def test_master_symmetric_branch_exponents_scale_as_half_S():
     lam, S0, delta = (1, 0, -1), 20, 0.5
     dl = rc.weyl_dimension(lam)
     res = [
-        bd.per_label_bound(q_sym(lam, k * S0, delta), Method.MASTER_SYMMETRIC) for k in (1, 2, 3)
+        bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, k * S0, delta) for k in (1, 2, 3)
     ]
     p1, p2, p3 = (math.exp(r.log_bound - math.log(dl)) for r in res)
     assert p3 == pytest.approx((3 * p1 * p2 - p1**3) / 2, rel=1e-10)
@@ -352,7 +345,7 @@ def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
     monkeypatch.setattr(bd, "_sym_block_data", lambda lam: (-1.0, np.zeros((2, 3))))
     for method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         with pytest.raises(bd.BoundUnavailableError):
-            bd.per_label_bound(q_sym((1, -1), 20, 0.4321), method)
+            bd.per_label_bound((1, -1), method, 20, 0.4321)
 
 
 def _delta_crossing(d, t, S, method, level):
@@ -422,9 +415,7 @@ def test_total_master_plain_matches_factored_form():
 def per_label_total(d, t, S, delta, method):
     """The union bound as a loop over labels, one per-label bound each."""
     return float(np.logaddexp.reduce([
-        bd.per_label_bound(
-            BoundQuery(kind=method.kind, S=S, delta=delta, lam=lam), method
-        ).log_bound
+        bd.per_label_bound(lam, method, S, delta).log_bound
         for lam in rc.enumerate_lambda_set(d, t)
     ]))
 
@@ -456,7 +447,7 @@ def test_query_rejects_non_integral_gate_count():
         with pytest.raises(ValueError, match="S must be integral, got 57.5"):
             bd.total_bound(2, 2, kind, 57.5, 0.5, method)
     with pytest.raises(ValueError, match="57.5"):
-        BoundQuery(kind=GateSetKind.PLAIN, S=57.5, delta=0.5, lam=(1, -1))
+        bd.per_label_bound((1, -1), Method.MASTER_PLAIN, 57.5, 0.5)
     # an infinite or NaN count is named too, not an OverflowError
     for S in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"S must be integral, got {S!r}"):

@@ -144,6 +144,21 @@ def test_sample_gate_set_rejects_empty(kind):
         mc.sample_gate_set(0, 2, kind, seed=1)
 
 
+@pytest.mark.parametrize("kind", ["plain", "symmetric", "beamsplitter"])
+@pytest.mark.parametrize("n", [2**62, 10**400], ids=["2**62", "10**400"])
+def test_sample_gate_set_names_a_count_past_numpys_index_range(monkeypatch, kind, n):
+    # numpy refuses these shapes without allocating, but with a message
+    # ("array is too big", "Maximum allowed dimension exceeded") that does
+    # not name the count; the check runs before numpy is handed the shape
+    def no_draw(*args, **kwargs):
+        raise AssertionError("numpy was handed the shape")
+
+    monkeypatch.setattr(mc, "sample_haar", no_draw)
+    message = f"n is too large: its {kind} set of 3x3 gates passes numpy's index range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mc.sample_gate_set(3, n, kind, seed=0)
+
+
 def test_sampling_reproducible():
     a = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=42)
     b = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=42)
@@ -531,6 +546,8 @@ def test_tail_edges():
     (3, 1, GateSetKind.BEAMSPLITTER_LIFTED, -1.0, "delta must be in (0, 1), got -1.0"),
     (2, 0, GateSetKind.PLAIN, 0.5, "need t >= 1, got t=0"),
     (1, 2, GateSetKind.PLAIN, 0.5, "need d >= 2, got d=1"),
+    (2, 7, GateSetKind.PLAIN, 0.5, "t! = 5040 exceeds the cap 720"),
+    (9, 5, GateSetKind.PLAIN, 0.5, "d^(2t) = 3486784401 exceeds the cap DIM_CAP=65536"),
 ])
 def test_tail_rejects_bad_inputs_before_any_trial(monkeypatch, d, t, kind, delta, message):
     def no_trial(*args, **kwargs):
@@ -539,6 +556,17 @@ def test_tail_rejects_bad_inputs_before_any_trial(monkeypatch, d, t, kind, delta
     monkeypatch.setattr(mc, "estimate_delta", no_trial)
     with pytest.raises(ValueError, match=re.escape(message)):
         mc.empirical_tail(d, t, kind, 4, delta, trials=3, seed=1)
+
+
+@pytest.mark.parametrize("kind", ["plain", "symmetric"])
+def test_tail_names_a_size_past_numpys_index_range(monkeypatch, kind):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(mc, "sample_gate_set", no_sample)
+    message = f"S is too large: its {kind} set of 2x2 gates passes numpy's index range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mc.empirical_tail(2, 1, kind, 10**400, 0.5, trials=1, seed=1)
 
 
 def test_tail_reproducible_and_jsonl():
