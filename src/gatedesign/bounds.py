@@ -10,23 +10,23 @@ methods linear in S (Bernstein-plain, Bernstein-symmetric, master-plain)
 are each one exponent, :func:`_s_linear_exponent`, added to log(2 d_lam);
 :func:`total_bound` adds it to the log(2 d_lam) array of the cached block
 spectrum (:func:`repcore.block_spectrum`) in one log-sum-exp, with no
-per-label call. The master-symmetric totals go label by label, through
-:func:`per_label_bound`, over the spectrum's label rows.
+per-label call. The master-symmetric totals fill the cache's missing labels
+in one batch, then go label by label, through :func:`per_label_bound`.
 
 A label is its checked entries tuple (:func:`repcore._label_entries`)
 everywhere here: :func:`per_label_bound` reduces the one it is given, and
 the one per-label cache is keyed on it. With x = 2 theta / S the symmetric
 objective is (S/2) h(x), h(x) = log B(x) - delta x a convex log-MGF (Tropp,
-arXiv:1501.01571, Sec. 3) whose minimizer does not depend on S: it is found
-once per (label, delta) by bisection on the sign of the analytic h', cached
-with h at the simplified bound's point, and reused by every probe of a size
-search under either symmetric master method.
+arXiv:1501.01571, Sec. 3) whose minimizer does not depend on S: one batch
+bisects on the sign of the analytic h' for all its labels in lockstep, and
+each (label, delta) entry serves every probe of a size search. A label
+missing from the cache gets a batch of its own, with the bits of its row in
+any batch.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,124 +103,100 @@ def _s_linear_exponent(method, S, delta, fs2):
 # master bound, symmetric sets
 # ---------------------------------------------------------------------------
 
-def _sym_block_data(lam):
-    """(m_lam(0)/d_lam, signed) of one label, with m_lam(0)/d_lam read as
-    1 - gamma_lam(0) and signed the read-only 2 x (d+1) array of the branch
-    weights: float gamma_lam(0..d) for +, the same with odd orders negated
-    for -. Not cached: its one caller, :class:`_SymExponents`, builds it
-    once per (label, delta).
-    """
-    gam = repcore.gamma_coefficients(lam)
-    signed = np.array([[float(gam[k]) * sign**k for k in range(len(lam) + 1)] for sign in (1, -1)])
-    signed.flags.writeable = False
-    return float(1 - gam[0]), signed
-
-
-def _sym_exponent(x, delta, sign, m0d, w):
-    """(h(x), h'(x)) with h(x) = log B(x) - delta x at Bessel argument x > 0.
+def _branch_exponents(x, delta, m0d, signed):
+    """(h(x), h'(x)) with h(x) = log B(x) - delta x on an (n, 2) array of
+    x > 0, one row per label and one column per sign, from one Bessel call.
 
     B+(x) = m0d e^x + gamma_0 I_0(x) + 2 sum_{k>=1} gamma_k I_k(x) is the
-    bracket of F(theta) at x = 2 theta / S (sign +1); B-(x), the bracket of
-    F(-theta) (sign -1), has m0d e^-x and (-1)^k gamma_k: ``w`` is the row
-    of :func:`_sym_block_data`'s signed weights for ``sign``. The slope uses
-    I_0' = I_1 and I_k' = (I_{k-1} + I_{k+1}) / 2, so one Bessel array up to
-    order d+1 gives both. Returns NaNs when rounding makes the bracket
-    nonpositive (mathematically it is positive).
+    bracket of F(theta) at x = 2 theta / S; B-(x), that of F(-theta), has
+    m0d e^-x and (-1)^k gamma_k. ``m0d`` holds the n m_lam(0)/d_lam and
+    ``signed`` the (n, 2, d+1) gamma rows; h' uses I_k' = (I_{k-1} + I_{k+1})/2.
+    All elementwise, so no row depends on another; NaN where rounding makes
+    the bracket nonpositive (mathematically it is positive).
     """
-    d = w.shape[0] - 1
-    ive = np.exp(log_ive_array(d + 1, x))  # e^-x I_k(x), k = 0..d+1
-    e = m0d if sign > 0 else m0d * math.exp(-2.0 * x)
-    b = e + w[0] * ive[0] + 2.0 * (w[1:] @ ive[1:d + 1])
-    db = sign * e + w[0] * ive[1] + w[1:] @ (ive[:d] + ive[2:])
-    if b <= 0.0:
-        return math.nan, math.nan
-    return x + math.log(b) - delta * x, db / b - delta
+    d = signed.shape[-1] - 1
+    ive = np.exp(log_ive_array(d + 1, x.ravel())).reshape(x.shape + (d + 2,))
+    e = m0d[:, None] * np.exp([0.0, -2.0] * x)
+    b = e + signed[..., 0] * ive[..., 0]
+    db = e * [1.0, -1.0] + signed[..., 0] * ive[..., 1]
+    for k in range(1, d + 1):
+        b += 2.0 * signed[..., k] * ive[..., k]
+        db += signed[..., k] * (ive[..., k - 1] + ive[..., k + 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = b > 0.0
+        return np.where(ok, x + np.log(b) - delta * x, np.nan), np.where(ok, db / b - delta, np.nan)
 
 
-class _SymExponents:
-    """The S-free exponents of one (label, delta), cached by ``_sym_exponents``.
+# (label entries tuple, delta, full) -> (log d_lam, (h+, x+), (h-, x-)), oldest
+# out first; bounded because delta is in the key: a search needs one entry per
+# label (5000 at d=2, t=5000), and a delta sweep one label set per delta
+_sym_cache = {}
 
-    With x = 2 theta / S, e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)},
-    so neither exponent depends on S and one entry per (label entries
-    tuple, delta) serves every probe, with ``log_dim`` = log d_lam.
-    ``at_x0`` is (h+(x0), h-(x0)) at x0 = 2 delta / sqrt(1 - delta^2), the
-    simplified bound's point (NaN where the bracket is nonpositive there);
-    it is built with the entry, and the minima on first read, so the
-    simplified bound never bisects.
+
+def _fill_sym_cache(labels, delta, full, signed):
+    """Cache the entries of ``labels`` at delta, with bracket weights
+    ``signed``, from one batch. With x = 2 theta / S,
+    e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)}, so an entry serves
+    every S. It holds (h, x) per sign: h at x0 = 2 delta / sqrt(1 - delta^2),
+    the simplified bound's point, or, when ``full``, the minimum over x in
+    (0, 2 THETA_MAX_FACTOR]. h is convex (a log-MGF) and h(0+) = 0: a slope
+    >= 0 at the floor x0 * 1e-13 gives the theta -> 0 limit (0, 0);
+    otherwise the sign of h' is bisected in log x, every row in lockstep from
+    one first bracket, until the row's bracket is THETA_RTOL wide. NaN slopes
+    move the upper end, so the kept lower end is finite; h(x0) caps the
+    bisected minimum.
     """
-
-    def __init__(self, lam, delta):
-        self.lam, self.delta = lam, delta
-        self.log_dim = math.log(repcore._weyl_dim(lam))
-        self.m0d, self.signed = _sym_block_data(lam)
-        self.x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
-        self.at_x0 = tuple(
-            _sym_exponent(self.x0, delta, s, self.m0d, w)[0] for s, w in zip((1, -1), self.signed)
-        )
-
-    @cached_property
-    def minima(self):
-        """((h+*, x+*), (h-*, x-*)): the minima of h over x in (0, 2 THETA_MAX_FACTOR].
-
-        h is convex (a log-MGF) and h(0+) = 0: a slope >= 0 at the floor
-        x0 * 1e-13 gives the theta -> 0 limit (0, 0); otherwise the sign of
-        h' is bisected in log x down to width THETA_RTOL.
-        NaN slopes move the upper end, so the kept lower end is always
-        finite. The value at x0 caps the bisected minimum.
-        """
-        delta, m0d, x0 = self.delta, self.m0d, self.x0
-        out = []
-        for sign, w, h0 in zip((1, -1), self.signed, self.at_x0):
-            lo, hi = math.log(x0 * 1e-13), math.log(2.0 * THETA_MAX_FACTOR)
-            h_lo, slope = _sym_exponent(math.exp(lo), delta, sign, m0d, w)
-            if slope >= 0.0:
-                out.append((0.0, 0.0))
-                continue
-            while hi - lo > THETA_RTOL:
-                mid = 0.5 * (lo + hi)
-                h, slope = _sym_exponent(math.exp(mid), delta, sign, m0d, w)
-                if slope < 0.0:
-                    lo, h_lo = mid, h
-                else:
-                    hi = mid
-            best = (h_lo, math.exp(lo))
-            if math.isnan(h_lo) or h0 < h_lo:
-                best = (h0, x0)
-            if math.isnan(best[0]):
-                raise BoundUnavailableError(
-                    f"bracket nonpositive over the whole theta range for lam={self.lam}"
-                )
-            out.append(best)
-        return tuple(out)
+    dims = list(map(repcore._weyl_dim, labels))
+    m0d = np.array([repcore._zero_weight(lam) / dl for lam, dl in zip(labels, dims)])
+    x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
+    h, _ = _branch_exponents(np.full((len(labels), 2), x0), delta, m0d, signed)
+    x = np.full(h.shape, x0)
+    if full:
+        lo = np.full(h.shape, math.log(x0 * 1e-13))
+        hi = np.full(h.shape, math.log(2.0 * THETA_MAX_FACTOR))
+        h_lo, slope = _branch_exponents(np.exp(lo), delta, m0d, signed)
+        flat = slope >= 0.0
+        run = ~flat & (hi - lo > THETA_RTOL)
+        while run.any():
+            mid = 0.5 * (lo + hi)
+            h_mid, slope = _branch_exponents(np.exp(mid), delta, m0d, signed)
+            down = run & (slope < 0.0)
+            lo, h_lo = np.where(down, mid, lo), np.where(down, h_mid, h_lo)
+            hi = np.where(run & ~down, mid, hi)
+            run &= hi - lo > THETA_RTOL
+        cap = np.isnan(h_lo) | (h < h_lo)
+        h = np.where(flat, 0.0, np.where(cap, h, h_lo))
+        x = np.where(flat, 0.0, np.where(cap, x, np.exp(lo)))
+    for lam, dl, (hp, hm), (xp, xm) in zip(labels, dims, h.tolist(), x.tolist()):
+        if len(_sym_cache) >= 1 << 16:
+            del _sym_cache[next(iter(_sym_cache))]
+        _sym_cache[lam, delta, full] = (math.log(dl), (hp, xp), (hm, xm))
 
 
-# bounded because delta is in the key: a search at one delta needs one entry
-# per label (5000 at d=2, t=5000), and a delta sweep would otherwise grow the
-# cache by a label set per delta
-_sym_exponents = lru_cache(maxsize=1 << 16)(_SymExponents)
+def _sym_entry(lam, delta, full):
+    """The cached entry of one label, filled by a one-row batch on a miss."""
+    if (lam, delta, full) not in _sym_cache:
+        signed = repcore._signed_gamma([repcore.gamma_coefficients(lam)])
+        _fill_sym_cache([lam], delta, full, signed)
+    return _sym_cache[lam, delta, full]
 
 
 def _master_symmetric(lam, method, S, delta):
     """d_lam [e^{-theta delta} F(theta) + e^{-theta' delta} F(-theta')].
 
-    Master-symmetric takes the two infima independently, each as (S/2) min h
-    over the S-free exponent of ``_sym_exponents``, at theta* = S x* / 2,
-    so it never exceeds the simplified bound, the closed form at
-    theta = theta' = theta0 = S delta / sqrt(1 - delta^2), which reads h at
-    x0 = 2 theta0 / S from the same cache entry.
+    Master-symmetric takes the two infima independently, each (S/2) min h at
+    theta* = S x* / 2 from the label's entry, so it never exceeds the
+    simplified bound, the closed form at theta = theta' = theta0 =
+    S delta / sqrt(1 - delta^2), whose entry holds h at x0 = 2 theta0 / S.
     """
-    ex = _sym_exponents(lam, delta)
-    if method is Method.MASTER_SYMMETRIC:
-        (hp, xp), (hm, xm) = ex.minima
-    else:
-        hp, hm = ex.at_x0
-        xp = xm = ex.x0
-        if math.isnan(hp) or math.isnan(hm):
-            raise BoundUnavailableError(f"bracket nonpositive at theta0 for lam={lam}")
+    full = method is Method.MASTER_SYMMETRIC
+    log_dim, (hp, xp), (hm, xm) = _sym_entry(lam, delta, full)
+    if math.isnan(hp) or math.isnan(hm):
+        where = "over the whole theta range" if full else "at theta0"
+        raise BoundUnavailableError(f"bracket nonpositive {where} for lam={lam}")
     fp, fm = 0.5 * S * hp, 0.5 * S * hm
-    log_bound = ex.log_dim + np.logaddexp(fp, fm)
     theta_star = 0.5 * S * (xp if fp >= fm else xm)
-    return BoundResult(method, float(log_bound), theta_star)
+    return BoundResult(method, float(log_dim + np.logaddexp(fp, fm)), theta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +226,10 @@ def total_bound(d, t, kind, S, delta, method):
     S, delta = _check_query(kind, S, delta)
     spec = repcore.block_spectrum(d, t)
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
+        full = method is Method.MASTER_SYMMETRIC
+        todo = [i for i, lam in enumerate(spec.labels) if (lam, delta, full) not in _sym_cache]
+        if todo:
+            _fill_sym_cache([spec.labels[i] for i in todo], delta, full, spec.signed_gamma[todo])
         logs = np.array([per_label_bound(lam, method, S, delta).log_bound for lam in spec.labels])
     else:
         logs = spec.log2dim + _s_linear_exponent(method, S, delta, spec.fs2)

@@ -252,9 +252,10 @@ class BlockSpectrum:
     order, ``dims`` the exact d_lambda ints, ``sum_dim`` their exact sum and
     ``fs`` the Frobenius-Schur indicators d_lambda delta_lambda(2) as ints.
     The other columns are built on first read: ``m0``, the exact
-    m_lambda(0) ints, and two read-only float64 arrays, ``log2dim`` of
-    log(2 d_lambda), each taken by ``math.log`` of the exact integer, and
-    ``fs2`` of delta_lambda(2). Only the arrays load numpy.
+    m_lambda(0) ints, and three read-only float64 arrays, ``log2dim`` of
+    log(2 d_lambda), each taken by ``math.log`` of the exact integer,
+    ``fs2`` of delta_lambda(2) and ``signed_gamma``, the (n, 2, d+1) rows
+    of :func:`_signed_gamma`. Only the arrays load numpy.
     """
 
     d: int
@@ -276,6 +277,10 @@ class BlockSpectrum:
     def fs2(self) -> np.ndarray:
         return _read_only([fs / dl for fs, dl in zip(self.fs, self.dims)])
 
+    @cached_property
+    def signed_gamma(self) -> np.ndarray:
+        return _signed_gamma(map(gamma_coefficients, self.labels))
+
 
 def _read_only(values):
     """values as a read-only float64 array: the one numpy import here."""
@@ -284,6 +289,14 @@ def _read_only(values):
     arr = np.array(values)
     arr.flags.writeable = False
     return arr
+
+
+def _signed_gamma(gammas):
+    """The read-only (n, 2, d+1) floats of n :func:`gamma_coefficients` dicts:
+    gamma_lambda(0..d), then with odd orders negated (the master brackets)."""
+    return _read_only(
+        [[[float(g[k]) * s**k for k in range(len(g) // 2 + 1)] for s in (1, -1)] for g in gammas]
+    )
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,9 @@ e^x = I_0 + 2 sum_{k>=1} I_k fixes I_0 through T_1 = sum_{k>=1} I_k/I_0,
 carried as T_k = rho_k (1 + T_{k+1}). Every rho lies in (0, 1), so nothing
 overflows and no rescaling is needed.
 
-These are the package's hot kernels: they run inside the theta-minimization
-of the symmetric master bound, once per bisection step.
+:func:`log_ive_array` is the package's hot kernel: it runs the recurrence
+for a whole array of arguments at once, and the symmetric master bound
+calls it once per lockstep bisection step of a batch of labels.
 """
 import math
 import sys
@@ -24,33 +25,38 @@ from .repcore import _at_least, _real
 _TINY = sys.float_info.min
 
 #: largest x :func:`log_bessel_i` takes: the recurrence runs ~9 sqrt(x) steps,
-#: 9e6 (about 1 s) here. The library calls :func:`log_ive_array` at x <= 2e4.
+#: 9e6 here, also its largest n. The library calls the kernel at x <= 2e4.
 MAX_BESSEL_X = 1e12
 
 
 def log_ive_array(nmax, x):
-    """log(e^-x I_k(x)) for k = 0..nmax at one argument x >= 0."""
-    out = np.empty(nmax + 1)
-    if x == 0.0:
-        out[0] = 0.0
-        out[1:] = -np.inf
-        return out
-    rho = 0.0
-    tail = 0.0
-    for k in range(nmax + int(9.0 * math.sqrt(x)) + 20, 0, -1):
-        denom = 2.0 * k + x * rho
-        rho = x / denom
-        tail = rho * (1.0 + tail)
-        if k <= nmax:
-            # below the normal range rho has lost digits (at x ~ 5e-324 it is 0)
-            out[k] = math.log(rho) if rho >= _TINY else math.log(x) - math.log(denom)
-    out[0] = -math.log1p(2.0 * tail)
-    return np.cumsum(out, out=out)
+    """log(e^-x I_k(x)) for k = 0..nmax at one x >= 0, or one row per entry
+    of a 1-D array x; a row holds rho = 0 above its own start, so no row
+    depends on another."""
+    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+    first = nmax + 20 + (9.0 * np.sqrt(x)).astype(int)
+    lo, hi = int(np.min(first)), int(np.max(first))
+    out = np.empty(np.shape(x) + (nmax + 1,))
+    rho = tail = 0.0 * x
+    with np.errstate(divide="ignore"):
+        for k in range(hi, 0, -1):
+            denom = 2.0 * k + x * rho
+            rho = x / denom if k <= lo else np.where(k <= first, x / denom, 0.0)
+            tail = rho * (1.0 + tail)
+            if k <= nmax:
+                # below the normal range rho has lost digits (at x ~ 5e-324 it is 0)
+                out[..., k] = np.where(rho >= _TINY, np.log(rho), np.log(x) - np.log(denom))
+    out[..., 0] = -np.log1p(2.0 * tail)
+    return np.cumsum(out, axis=-1, out=out)
 
 
 def log_bessel_i(n, x):
-    """log I_n(x) for integer n >= 0, 0 <= x <= MAX_BESSEL_X (-inf for I_{n>=1}(0))."""
+    """log I_n(x) for integer 0 <= n <= 9 sqrt(MAX_BESSEL_X), 0 <= x <= MAX_BESSEL_X
+    (-inf for I_{n>=1}(0))."""
     n, x = _at_least(n, "n", 0), _real(x, "x")
+    steps = 9 * math.sqrt(MAX_BESSEL_X)
+    if n > steps:
+        raise ValueError(f"n must be at most 9 sqrt(MAX_BESSEL_X)={steps:g}, got n={n}")
     if not x >= 0.0:
         raise ValueError(f"x must be nonnegative, got x={x}")
     if x > MAX_BESSEL_X:

@@ -12,4 +12,4 @@ def _cold_symmetric_caches():
     yield
     bounds = sys.modules.get("gatedesign.bounds")
     if bounds is not None:
-        bounds._sym_exponents.cache_clear()
+        bounds._sym_cache.clear()

@@ -27,6 +27,14 @@ counts alpha_2k of the labels of one-norm 2k, which check
 sum d_lambda <= d^(2t), which the paper's qubit formula rounds; and
 two-sided bounds on the Bessel ratio I_n/I_{n-1}, which contain the ratio
 of ``specfun.log_bessel_i`` values.
+
+Last, three finite groups built by closure modulo global phase, the unitary
+designs with a known delta for ``montecarlo.estimate_delta``: the
+single-qubit Clifford group (24 elements, a 3-design and not a 4-design),
+the icosahedral group (60, a 5-design and not a 6-design) and the qutrit
+Clifford group (216, a 2-design and not a 3-design). A group's moment
+operator is the projector onto the invariants of each block, so delta is
+exactly 0 up to the design order and exactly 1 past it.
 """
 import itertools
 import math
@@ -418,3 +426,51 @@ def bessel_ratio_bounds(n, x):
     lower = x / (n - 0.5 + math.sqrt((n + 0.5) ** 2 + x * x))
     upper = x / (n - 1.0 + math.sqrt((n + 1.0) ** 2 + x * x))
     return lower, upper
+
+
+def group_closure(generators):
+    """The finite group that the unitaries generate, one matrix per class
+    modulo global phase: closure under left multiplication by the generators."""
+    d = len(generators[0])
+
+    def key(u):
+        first = u.flat[np.flatnonzero(np.abs(u) > 1e-6)[0]]
+        return tuple(np.round(u.ravel() * (abs(first) / first), 8))
+
+    group = {key(np.eye(d)): np.eye(d, dtype=complex)}
+    frontier = list(group.values())
+    while frontier:
+        grown = []
+        for g in frontier:
+            for gen in generators:
+                u = gen @ g
+                if key(u) not in group:
+                    group[key(u)] = u
+                    grown.append(u)
+        frontier = grown
+    return np.array(list(group.values()))
+
+
+def single_qubit_clifford_group():
+    """The closure of {H, S}: 24 elements."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    return group_closure([h, np.diag([1, 1j])])
+
+
+def _quaternion(a, b, c, d):
+    """The SU(2) matrix of the unit quaternion a + b i + c j + d k."""
+    return np.array([[a + b * 1j, c + d * 1j], [-c + d * 1j, a - b * 1j]])
+
+
+def icosahedral_group():
+    """The closure of the quaternions (1+i+j+k)/2 and (phi + i/phi + j)/2,
+    the binary icosahedral group modulo -1: 60 elements."""
+    phi = (1 + math.sqrt(5)) / 2
+    return group_closure([_quaternion(0.5, 0.5, 0.5, 0.5), _quaternion(phi / 2, 0.5 / phi, 0.5, 0)])
+
+
+def qutrit_clifford_group():
+    """The closure of the Fourier matrix and diag(1, 1, omega): 216 elements."""
+    omega = np.exp(2j * math.pi / 3)
+    fourier = omega ** np.outer(range(3), range(3)) / math.sqrt(3)
+    return group_closure([fourier, np.diag([1, 1, omega])])

@@ -81,7 +81,7 @@ def test_per_label_bound_takes_every_label_form(method, monkeypatch):
     # the label reaches the per-block code as its entries tuple, so a tuple,
     # a list and an int array are one label to every method
     seen = []
-    for owner, name in ((rc, "_weyl_dim"), (bd, "_sym_exponents")):
+    for owner, name in ((rc, "_weyl_dim"), (bd, "_sym_entry")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda lam, *a, real=real: seen.append(lam) or real(lam, *a))
     forms = ((1, 0, -1), [1, 0, -1], np.array([1, 0, -1]))
@@ -194,6 +194,19 @@ def test_symmetric_simplified_limit_at_small_delta():
     assert res.raw == pytest.approx(6.0, rel=1e-5)
 
 
+def block_data(lam):
+    """(m_lam(0)/d_lam, signed): the bracket data of one label as the symmetric
+    master bound reads it, with signed the 2 x (d+1) branch weights."""
+    signed = rc._signed_gamma([rc.gamma_coefficients(lam)])[0]
+    return rc.zero_weight_multiplicity(lam) / rc.weyl_dimension(lam), signed
+
+
+def branch_exponents(x, delta, m0d, signed, branch):
+    """(h(x), h'(x)) of one branch (0 for +, 1 for -) from a one-row batch."""
+    h, slope = bd._branch_exponents(np.full((1, 2), x), delta, np.array([m0d]), signed[None])
+    return h[0, branch], slope[0, branch]
+
+
 def local_h(x, delta, m0d, gvec, branch):
     """log B(x) - delta x, the bracket summed term by term (NaN if it is <= 0).
 
@@ -220,7 +233,7 @@ def test_symmetric_minimizer_matches_grid_scan():
     # S=30, delta=0.5, lam=(1,-1): flat objective near the minimum
     lam = (1, -1)
     S, delta = 30, 0.5
-    dl, (m0d, (gvec, _)) = rc.weyl_dimension(lam), bd._sym_block_data(lam)
+    dl, (m0d, (gvec, _)) = rc.weyl_dimension(lam), block_data(lam)
     got = bd.per_label_bound((1, -1), Method.MASTER_SYMMETRIC, S, delta)
     grid = float(
         math.log(dl)
@@ -238,8 +251,8 @@ def test_symmetric_minimizer_matches_grid_scan():
     [((1, -1), 10, 0.5), ((2, -2), 100, 0.3), ((1, 0, -1), 50, 0.45)],
 )
 def test_symmetric_branch_minima_match_grid(lam, S, delta):
-    m0d, (gvec, _) = bd._sym_block_data(lam)
-    for branch, (h, x) in zip((1, -1), bd._sym_exponents(lam, delta).minima):
+    m0d, (gvec, _) = block_data(lam)
+    for branch, (h, x) in zip((1, -1), bd._sym_entry(lam, delta, True)[1:]):
         f = 0.5 * S * h
         grid = grid_branch_min(S, delta, m0d, gvec, branch)
         assert f <= grid + 1e-9
@@ -250,7 +263,7 @@ def test_symmetric_branch_minima_match_grid(lam, S, delta):
 def test_symmetric_trivial_block_takes_the_theta_to_zero_limit(lam):
     # a block trivial on SU(d) has B+(x) = e^x, so h+ = (1 - delta) x rises
     # from 0: the + branch is the theta -> 0 limit, and the bound is d_lam = 1
-    plus, minus = bd._sym_exponents(lam, 0.5).minima
+    plus, minus = bd._sym_entry(lam, 0.5, True)[1:]
     assert plus == (0.0, 0.0)
     assert minus[0] < 0.0
     res = bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, 40, 0.5)
@@ -280,10 +293,10 @@ def test_simplified_against_mpmath_oracle():
 )
 def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
     # at an interior minimum x*, (log B)'(x*) = delta, B summed in 50 digits
-    m0d, (gvec, _) = bd._sym_block_data(lam)
+    m0d, (gvec, _) = block_data(lam)
     m0d = mpmath.mpf(m0d)
     gam = [mpmath.mpf(float(g)) for g in gvec]
-    for branch, (h, x) in zip((1, -1), bd._sym_exponents(lam, delta).minima):
+    for branch, (h, x) in zip((1, -1), bd._sym_entry(lam, delta, True)[1:]):
         assert x > 0.0
 
         def log_b(y):
@@ -299,12 +312,12 @@ def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
 def test_symmetric_slope_matches_central_difference(x):
     # small and large Bessel arguments
     for lam in [(1, -1), (2, 0, -2), (1, 1, -1, -1)]:
-        m0d, signed = bd._sym_block_data(lam)
-        for branch, w in zip((1, -1), signed):
-            _, slope = bd._sym_exponent(x, 0.4, branch, m0d, w)
+        m0d, signed = block_data(lam)
+        for branch in range(2):
+            _, slope = branch_exponents(x, 0.4, m0d, signed, branch)
             eps = 1e-5 * x
-            up, _ = bd._sym_exponent(x + eps, 0.4, branch, m0d, w)
-            down, _ = bd._sym_exponent(x - eps, 0.4, branch, m0d, w)
+            up, _ = branch_exponents(x + eps, 0.4, m0d, signed, branch)
+            down, _ = branch_exponents(x - eps, 0.4, m0d, signed, branch)
             assert slope == pytest.approx((up - down) / (2 * eps), abs=1e-7), (lam, branch)
 
 
@@ -342,10 +355,38 @@ def test_master_symmetric_search_reuses_exponents_across_S(monkeypatch):
 
 def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
     # data whose bracket B(x) = -e^{+-x} is negative at every x
-    monkeypatch.setattr(bd, "_sym_block_data", lambda lam: (-1.0, np.zeros((2, 3))))
+    monkeypatch.setattr(rc, "_zero_weight", lambda lam: -3)
+    monkeypatch.setattr(rc, "gamma_coefficients", lambda lam: dict.fromkeys(range(-2, 3), 0))
     for method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         with pytest.raises(bd.BoundUnavailableError):
             bd.per_label_bound((1, -1), method, 20, 0.4321)
+
+
+def test_delta_sweep_builds_the_gamma_rows_once(monkeypatch):
+    # the bracket weights are a column of the block spectrum, built once per
+    # (d, t) and read at every delta
+    calls = []
+    real = rc.gamma_coefficients
+    monkeypatch.setattr(rc, "gamma_coefficients", lambda lam: calls.append(lam) or real(lam))
+    rc.block_spectrum.cache_clear()
+    bd._sym_cache.clear()
+    for delta in (0.3, 0.5, 0.7):
+        bd.total_bound(4, 3, GateSetKind.SYMMETRIC, 100, delta, Method.MASTER_SYMMETRIC)
+    assert sorted(calls) == sorted(rc.block_spectrum(4, 3).labels)
+
+
+@pytest.mark.parametrize("method", [Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED])
+@pytest.mark.parametrize("d,t,step", [(4, 4, 1), (8, 3, 1), (2, 500, 20)])
+def test_one_row_batch_equals_its_row_of_the_full_batch(d, t, step, method):
+    # a label's entry does not depend on the labels batched with it: a
+    # per-label miss gives the bits of the total's lockstep batch
+    labels, full = rc.block_spectrum(d, t).labels[::step], method is Method.MASTER_SYMMETRIC
+    bd._sym_cache.clear()
+    bd.total_bound(d, t, GateSetKind.SYMMETRIC, 100, 0.5, method)
+    batch = [bd._sym_cache[lam, 0.5, full] for lam in labels]
+    bd._sym_cache.clear()
+    for lam, entry in zip(labels, batch):
+        assert bd._sym_entry(lam, 0.5, full) == entry, lam
 
 
 def _delta_crossing(d, t, S, method, level):

@@ -457,35 +457,39 @@ def test_reported_residual_covers_rounding(d, t, n, kind):
         assert abs(delta**2 - oracle**2) <= info["residual"], seed
 
 
-def single_qubit_clifford_group():
-    """Closure of {H, S} under multiplication, modulo global phase."""
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    s = np.diag([1, 1j])
-
-    def key(u):
-        first = u.flat[np.flatnonzero(np.abs(u) > 1e-6)[0]]
-        return tuple(np.round(u.ravel() * (abs(first) / first), 8))
-
-    group = {key(np.eye(2)): np.eye(2, dtype=complex)}
-    frontier = list(group.values())
-    while frontier:
-        grown = []
-        for g in frontier:
-            for gen in (h, s):
-                u = gen @ g
-                if key(u) not in group:
-                    group[key(u)] = u
-                    grown.append(u)
-        frontier = grown
-    return np.array(list(group.values()))
-
-
 def test_delta_clifford_group_is_a_2_design():
     # delta is exactly 0; the iteration must stop instead of raising
-    gates = single_qubit_clifford_group()
+    gates = oracles.single_qubit_clifford_group()
     assert len(gates) == 24
     sample = mc.GateSetSample(gates, GateSetKind.PLAIN, seed=0)
     assert mc.estimate_delta(sample, 2) < 1e-6
+
+
+#: (builder, order, design order) of the finite-group oracles
+_GROUPS = {
+    "clifford": (oracles.single_qubit_clifford_group, 24, 3),
+    "icosahedral": (oracles.icosahedral_group, 60, 5),
+    "qutrit-clifford": (oracles.qutrit_clifford_group, 216, 2),
+}
+
+
+# Clifford at t = 2 is test_delta_clifford_group_is_a_2_design
+@pytest.mark.parametrize("name,t", [
+    ("clifford", 1), ("clifford", 3), ("clifford", 4),
+    *(("icosahedral", t) for t in range(1, 7)),
+    ("qutrit-clifford", 2), ("qutrit-clifford", 3),
+])
+def test_finite_group_delta_is_zero_then_one(name, t):
+    # a group's moment operator projects each block onto its invariants, so
+    # delta is exactly 0 while the group is a t-design and exactly 1 past it
+    build, order, strength = _GROUPS[name]
+    gates = build()
+    assert len(gates) == order
+    delta = mc.estimate_delta(mc.GateSetSample(gates, GateSetKind.PLAIN, seed=0), t)
+    if t <= strength:
+        assert delta < 1e-6
+    else:
+        assert abs(delta - 1.0) < 1e-8
 
 
 def test_power_iteration_error_reports_last_change(monkeypatch):

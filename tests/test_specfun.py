@@ -3,6 +3,7 @@ import math
 import re
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,32 @@ def test_rejects_x_past_the_cap_before_the_recurrence(monkeypatch, x):
     assert x > specfun.MAX_BESSEL_X == 1e12
     with pytest.raises(ValueError, match=re.escape(f"got x={x}")):
         specfun.log_bessel_i(2, x)
+
+
+@pytest.mark.parametrize("n", [10**12, 10**30])
+def test_rejects_n_past_the_recurrence_length_before_allocating(monkeypatch, n):
+    # an array of n + 1 orders: 7.28 TiB at n = 10**12, past numpy's index
+    # range at 10**30
+    monkeypatch.setattr(specfun, "log_ive_array", _must_not_run)
+    with pytest.raises(ValueError, match=re.escape(f"got n={n}")):
+        specfun.log_bessel_i(n, 1.0)
+
+
+def test_takes_n_up_to_the_recurrence_length(monkeypatch):
+    # 9 sqrt(MAX_BESSEL_X) = 9e6 orders is the longest recurrence the x cap allows
+    monkeypatch.setattr(specfun, "log_ive_array", lambda n, x: {n: 0.0})
+    assert specfun.log_bessel_i(9 * 10**6, 1.0) == 1.0
+    with pytest.raises(ValueError, match="got n=9000001"):
+        specfun.log_bessel_i(9 * 10**6 + 1, 1.0)
+
+
+def test_array_rows_equal_one_argument_calls():
+    # every row runs its own recurrence from its own start
+    xs = np.concatenate([[0.0, 5e-324, 1e-310], np.geomspace(1e-14, 2e4, 60)])
+    arr = specfun.log_ive_array(9, xs)
+    assert arr.shape == (len(xs), 10)
+    for row, x in zip(arr, xs):
+        assert np.array_equal(row, specfun.log_ive_array(9, x)), x
 
 
 def test_large_x_below_the_cap_matches_mpmath():
