@@ -135,7 +135,7 @@ _sym_cache = {}
 
 def _fill_sym_cache(labels, delta, full, signed):
     """Cache the entries of ``labels`` at delta, with bracket weights
-    ``signed``, from one batch. With x = 2 theta / S,
+    ``signed``, from one batch, and return them. With x = 2 theta / S,
     e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)}, so an entry serves
     every S. It holds (h, x) per sign: h at x0 = 2 delta / sqrt(1 - delta^2),
     the simplified bound's point, or, when ``full``, the minimum over x in
@@ -167,10 +167,13 @@ def _fill_sym_cache(labels, delta, full, signed):
         cap = np.isnan(h_lo) | (h < h_lo)
         h = np.where(flat, 0.0, np.where(cap, h, h_lo))
         x = np.where(flat, 0.0, np.where(cap, x, np.exp(lo)))
-    for lam, dl, (hp, hm), (xp, xm) in zip(labels, dims, h.tolist(), x.tolist()):
+    entries = [(math.log(dl), (hp, xp), (hm, xm))
+               for dl, (hp, hm), (xp, xm) in zip(dims, h.tolist(), x.tolist())]
+    for lam, entry in zip(labels, entries):
         if len(_sym_cache) >= 1 << 16:
             del _sym_cache[next(iter(_sym_cache))]
-        _sym_cache[lam, delta, full] = (math.log(dl), (hp, xp), (hm, xm))
+        _sym_cache[lam, delta, full] = entry
+    return entries
 
 
 def _sym_entry(lam, delta, full):
@@ -179,6 +182,18 @@ def _sym_entry(lam, delta, full):
         signed = repcore._signed_gamma([repcore.gamma_coefficients(lam)])
         _fill_sym_cache([lam], delta, full, signed)
     return _sym_cache[lam, delta, full]
+
+
+def _sym_entries(spec, delta, full):
+    """Every label's entry: the cached ones read before one batch fills the
+    missing ones, as a fill may evict them."""
+    entries = [_sym_cache.get((lam, delta, full)) for lam in spec.labels]
+    todo = [i for i, entry in enumerate(entries) if entry is None]
+    if todo:
+        filled = iter(_fill_sym_cache([spec.labels[i] for i in todo], delta, full,
+                                      spec.signed_gamma[todo]))
+        entries = [entry or next(filled) for entry in entries]
+    return entries
 
 
 def _master_symmetric(lam, method, S, delta):
@@ -226,14 +241,23 @@ def total_bound(d, t, kind, S, delta, method):
     S, delta = _check_query(kind, S, delta)
     spec = repcore.block_spectrum(d, t)
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
-        full = method is Method.MASTER_SYMMETRIC
-        todo = [i for i, lam in enumerate(spec.labels) if (lam, delta, full) not in _sym_cache]
-        if todo:
-            _fill_sym_cache([spec.labels[i] for i in todo], delta, full, spec.signed_gamma[todo])
+        _sym_entries(spec, delta, method is Method.MASTER_SYMMETRIC)
         logs = np.array([per_label_bound(lam, method, S, delta).log_bound for lam in spec.labels])
     else:
         logs = spec.log2dim + _s_linear_exponent(method, S, delta, spec.fs2)
     return BoundResult(method, float(np.logaddexp.reduce(logs)))
+
+
+def _rate_range(spec, delta, method):
+    """The steepest and the flattest rate b of the terms a + S b of a total
+    over ``spec``: the S-linear exponent at S = 1, or h+-/2 per label and
+    sign; NaN rows are left to the total, which raises for them."""
+    if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
+        entries = _sym_entries(spec, delta, method is Method.MASTER_SYMMETRIC)
+        b = 0.5 * np.array([(hp, hm) for _, (hp, _), (hm, _) in entries])
+    else:
+        b = _s_linear_exponent(method, 1.0, delta, spec.fs2)
+    return float(np.fmin.reduce(b, axis=None)), float(np.fmax.reduce(b, axis=None))
 
 
 # ---------------------------------------------------------------------------

@@ -68,25 +68,21 @@ def _closed_form_from_sum(d, t, delta, P, sum_d):
         raise ValueError(f"the closed-form size at delta={delta} is beyond the float range")
     s_min = math.ceil(s_real)
     raw = math.exp(math.log(2 * sum_d) - 0.5 * s_min * rate)
-    return MinSizeResult(
-        S_min=s_min,
-        method=Method.MASTER_PLAIN,
-        raw_bound_at_S_min=raw,
-        d=d,
-        t=t,
-        delta=delta,
-        P=P,
-    )
+    return MinSizeResult(S_min=s_min, method=Method.MASTER_PLAIN, raw_bound_at_S_min=raw,
+                         d=d, t=t, delta=delta, P=P)
 
 
 def min_size_search(d, t, delta, P, method):
     """Smallest S (even, for symmetric methods) with total bound <= 1 - P.
 
-    Each probed S costs one total bound, kept in a memo. The search gallops
-    up from the plain closed form (lo = 0, hi doubling) until the bound
-    crosses, then bisects on the step lattice. The memo is then checked:
-    the bound decreases across every probed S, and the result is a genuine
-    crossing.
+    A total is the log-sum-exp of terms a + S b whose e^a sum to 2 sum d_lam,
+    so it lies between L + S b_min and L + S b_max, L = log(2 sum d_lam),
+    with b_min and b_max the steepest and the flattest rate
+    (:func:`bounds._rate_range`; a rate that rounds to 0 raises). S_min is
+    thus between R / -b_min and R / -b_max, R = L - log(1 - P). The search
+    bisects inside that bracket on the step lattice, one step wider each side
+    for rounding; each probed S costs one memoized total bound. The result is
+    checked to be a crossing: at most the target there, above it one step below.
     """
     from . import bounds
 
@@ -103,36 +99,26 @@ def min_size_search(d, t, delta, P, method):
             seen[S] = bounds.total_bound(d, t, method.kind, S, delta, method).log_bound
         return seen[S] <= target
 
-    # gallop up from near the plain closed form, which saves probes
-    lo, hi = 0, max(step, (min_size_closed_form(d, t, delta, P).S_min // (2 * step)) * step)
-    while not crossed(hi):
-        if hi > 10**9:
-            raise RuntimeError(f"bound does not reach the target probability by "
-                               f"the search cap S = 10**9 (still above it at S={hi})")
-        lo, hi = hi, 2 * hi
+    spec = repcore.block_spectrum(d, t)
+    b_min, b_max = bounds._rate_range(spec, delta, method)
+    R = math.log(2 * spec.sum_dim) - target
+    if not (b_max < 0.0 and math.isfinite(R / b_max)):
+        raise ValueError(f"no size bracket at delta={delta}: the flattest per-gate rate is {b_max}")
+    lo = max(0, step * (math.floor(R / -b_min / step) - 1))
+    hi = step * (math.ceil(R / -b_max / step) + 1)
     while hi - lo > step:
         mid = lo + ((hi - lo) // (2 * step)) * step
         if crossed(mid):
             hi = mid
         else:
             lo = mid
-    probes = sorted(seen.items())
-    for (s1, v1), (s2, v2) in zip(probes, probes[1:]):
-        if not v2 < v1 + 1e-12:
-            raise RuntimeError(f"bound not decreasing in S: b({s1})={v1}, b({s2})={v2}")
-    # crossing property
-    assert seen[hi] <= target
-    if hi > step:
-        assert seen[hi - step] > target
-    return MinSizeResult(
-        S_min=hi,
-        method=method,
-        raw_bound_at_S_min=math.exp(seen[hi]),
-        d=d,
-        t=t,
-        delta=delta,
-        P=P,
-    )
+    if not crossed(hi):
+        raise RuntimeError(f"bound does not reach the target probability by S={hi}")
+    if hi > step and crossed(hi - step):
+        raise RuntimeError(f"bound not decreasing in S: b({hi - step})={seen[hi - step]} "
+                           f"already meets the target at the bracket's lower end")
+    return MinSizeResult(S_min=hi, method=method, raw_bound_at_S_min=math.exp(seen[hi]),
+                         d=d, t=t, delta=delta, P=P)
 
 
 # ---------------------------------------------------------------------------

@@ -32,21 +32,26 @@ MAX_BESSEL_X = 1e12
 def log_ive_array(nmax, x):
     """log(e^-x I_k(x)) for k = 0..nmax at one x >= 0, or one row per entry
     of a 1-D array x; a row holds rho = 0 above its own start, so no row
-    depends on another."""
+    depends on another. The loop keeps rho and its denominator per order,
+    and the logs are taken once after it."""
     x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     first = nmax + 20 + (9.0 * np.sqrt(x)).astype(int)
     lo, hi = int(np.min(first)), int(np.max(first))
-    out = np.empty(np.shape(x) + (nmax + 1,))
+    rhos, dens = np.ones((2, nmax + 1) + np.shape(x))
     rho = tail = 0.0 * x
+    for k in range(hi, 0, -1):
+        denom = 2.0 * k + x * rho
+        rho = x / denom if k <= lo else np.where(k <= first, x / denom, 0.0)
+        tail = rho * (1.0 + tail)
+        if k <= nmax:
+            rhos[k], dens[k] = rho, denom
     with np.errstate(divide="ignore"):
-        for k in range(hi, 0, -1):
-            denom = 2.0 * k + x * rho
-            rho = x / denom if k <= lo else np.where(k <= first, x / denom, 0.0)
-            tail = rho * (1.0 + tail)
-            if k <= nmax:
-                # below the normal range rho has lost digits (at x ~ 5e-324 it is 0)
-                out[..., k] = np.where(rho >= _TINY, np.log(rho), np.log(x) - np.log(denom))
-    out[..., 0] = -np.log1p(2.0 * tail)
+        # below the normal range rho has lost digits (at x ~ 5e-324 it is 0)
+        lost = rhos < _TINY
+        out = np.log(rhos, out=rhos)
+        np.copyto(out, np.log(x) - np.log(dens, out=dens), where=lost)
+    out[0] = -np.log1p(2.0 * tail)
+    out = np.moveaxis(out, 0, -1)
     return np.cumsum(out, axis=-1, out=out)
 
 

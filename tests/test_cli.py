@@ -184,7 +184,7 @@ def test_min_size_symmetric_reports_pairs(capsys):
 
 
 def test_min_size_past_the_float_range_is_a_one_line_error(capsys):
-    # the closed-form start of the search has a rate of 0 at this delta
+    # the master-plain rate that brackets the search rounds to 0 at this delta
     code = main(["min-size", "--d", "2", "--t", "2", "--delta", "1e-300"])
     captured = capsys.readouterr()
     assert code == 1

@@ -116,6 +116,15 @@ def test_crossing_property():
         assert at <= 0.01 < below
 
 
+def rate_bracket(d, t, method, delta=0.5, P=0.99):
+    """(R / -b_min, R / -b_max), R = log(2 sum d_lam) - log(1 - P), from the
+    steepest and the flattest rate of the (d, t, delta, method) total."""
+    spec = rc.block_spectrum(d, t)
+    b_min, b_max = bd._rate_range(spec, delta, method)
+    R = math.log(2 * spec.sum_dim) - math.log1p(-P)
+    return R / -b_min, R / -b_max
+
+
 @pytest.mark.parametrize(
     "d,t,method",
     [(2, 2, Method.MASTER_PLAIN), (2, 3, Method.BERNSTEIN_PLAIN),
@@ -134,6 +143,31 @@ def test_search_probes_each_size_once(monkeypatch, d, t, method):
     res = solver.min_size_search(d, t, 0.5, 0.99, method)
     assert res.S_min in probed
     assert len(probed) == len(set(probed)), sorted(probed)
+    # every rate of the plain methods is one number, so the bracket is the
+    # closed form and only the crossing pair is probed; otherwise the
+    # bisection plus that pair
+    if method in (Method.BERNSTEIN_PLAIN, Method.MASTER_PLAIN):
+        assert sorted(probed) == [res.S_min - 1, res.S_min]
+    else:
+        low, high = rate_bracket(d, t, method)
+        step = 2 if method.kind is bd.GateSetKind.SYMMETRIC else 1
+        lo = max(0, step * (math.floor(low / step) - 1))
+        hi = step * (math.ceil(high / step) + 1)
+        assert len(probed) <= math.ceil(math.log2((hi - lo) / step)) + 2
+
+
+def test_rate_bracket_contains_pinned_sizes():
+    # the total is above the target below R / -b_min and at most the target
+    # from R / -b_max on, so S_min is the first lattice point past the
+    # crossing in between
+    with PINNED_TABLE2.open() as fh:
+        cells = [(int(r["d"]), int(r["t"]), Method(r["method"]), int(r["S_min"]))
+                 for r in csv.DictReader(fh) if int(r["d"]) >= 4]
+    assert len(cells) == 72
+    for d, t, method, pinned in cells:
+        step = 2 if method.kind is bd.GateSetKind.SYMMETRIC else 1
+        low, high = rate_bracket(d, t, method)
+        assert low <= pinned < high + step, (d, t, method, low, pinned, high)
 
 
 def test_master_symmetric_search_builds_each_label_once(monkeypatch):
@@ -194,10 +228,29 @@ def test_search_rejects_bound_that_never_crosses(monkeypatch):
         solver.min_size_search(2, 2, 0.5, 0.99, Method.BERNSTEIN_SYMMETRIC)
 
 
-def test_search_past_the_cap_states_the_cap():
-    # the bound crosses near S = 1.5e13, past the 10**9 cap of the gallop
-    with pytest.raises(RuntimeError, match=r"search cap S = 10\*\*9"):
-        solver.min_size_search(2, 2, 1e-6, 0.99, Method.MASTER_PLAIN)
+def test_search_far_past_1e9_matches_closed_form():
+    # the bound crosses near S = 1.5e13; the search and the closed form may
+    # round the last step apart by one, and then both must be crossings
+    want = solver.min_size_closed_form(2, 2, 1e-6, 0.99).S_min
+    got = solver.min_size_search(2, 2, 1e-6, 0.99, Method.MASTER_PLAIN).S_min
+    assert abs(got - want) <= 1
+    for S in {got, want}:
+        at, below = (bd.total_bound(2, 2, "plain", s, 1e-6, Method.MASTER_PLAIN).log_bound
+                     for s in (S, S - 1))
+        assert at <= math.log1p(-0.99) < below
+
+
+def test_search_crosses_near_1e19_at_tiny_delta():
+    # the crossing lies near S = 1.86e19, where a step of 2 moves the exact
+    # total by about 1e-18, far below its rounding (float(S) itself steps by
+    # 2048 there): the test asks for a crossing of the computed total, not
+    # for a pinned size
+    method = Method.BERNSTEIN_SYMMETRIC
+    res = solver.min_size_search(2, 2, 1e-9, 0.99, method)
+    assert res.S_min % 2 == 0 and res.S_min > 10**19
+    at, below = (bd.total_bound(2, 2, "symmetric", s, 1e-9, method).log_bound
+                 for s in (res.S_min, res.S_min - 2))
+    assert at <= math.log1p(-0.99) < below
 
 
 def test_master_at_most_bernstein_sizes():
