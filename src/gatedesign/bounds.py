@@ -19,9 +19,13 @@ the one per-label cache is keyed on it. With x = 2 theta / S the symmetric
 objective is (S/2) h(x), h(x) = log B(x) - delta x a convex log-MGF (Tropp,
 arXiv:1501.01571, Sec. 3) whose minimizer does not depend on S: one batch
 bisects on the sign of the analytic h' for all its labels in lockstep, and
-each (label, delta) entry serves every probe of a size search. A label
-missing from the cache gets a batch of its own, with the bits of its row in
-any batch.
+each (label, delta) entry serves every probe of a size search. Every read
+goes through :func:`_sym_entries`, which fills a request's missing labels in
+one batch; a row has the same bits in any batch, so a label read alone gets
+the entry a total would give it. The cache is capped at _SYM_CACHE_CAP
+entries: a batch that would pass the cap empties it and refills every label
+of its request, so the per-label reads of a total always hit, however many
+labels its spectrum has.
 """
 from __future__ import annotations
 
@@ -127,15 +131,20 @@ def _branch_exponents(x, delta, m0d, signed):
         return np.where(ok, x + np.log(b) - delta * x, np.nan), np.where(ok, db / b - delta, np.nan)
 
 
-# (label entries tuple, delta, full) -> (log d_lam, (h+, x+), (h-, x-)), oldest
-# out first; bounded because delta is in the key: a search needs one entry per
-# label (5000 at d=2, t=5000), and a delta sweep one label set per delta
+#: the size :data:`_sym_cache` may grow to by adding a batch; a batch that
+#: would pass it empties the cache first
+_SYM_CACHE_CAP = 1 << 16
+
+# (label entries tuple, delta, full) -> (log d_lam, (h+, x+), (h-, x-)).
+# Capped because delta is in the key: a search needs one entry per label
+# (5000 at d=2, t=5000), and a delta sweep one label set per delta. A request
+# with more labels than the cap is held whole until the next batch empties it
 _sym_cache = {}
 
 
-def _fill_sym_cache(labels, delta, full, signed):
-    """Cache the entries of ``labels`` at delta, with bracket weights
-    ``signed``, from one batch, and return them. With x = 2 theta / S,
+def _fill_sym_cache(labels, delta, full):
+    """Cache the entries of ``labels`` at delta from one batch, with the
+    bracket weights of :func:`repcore._signed_gamma_row`. With x = 2 theta / S,
     e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)}, so an entry serves
     every S. It holds (h, x) per sign: h at x0 = 2 delta / sqrt(1 - delta^2),
     the simplified bound's point, or, when ``full``, the minimum over x in
@@ -144,8 +153,9 @@ def _fill_sym_cache(labels, delta, full, signed):
     otherwise the sign of h' is bisected in log x, every row in lockstep from
     one first bracket, until the row's bracket is THETA_RTOL wide. NaN slopes
     move the upper end, so the kept lower end is finite; h(x0) caps the
-    bisected minimum.
+    bisected minimum. It evicts nothing: :func:`_sym_entries` keeps the cap.
     """
+    signed = np.array([repcore._signed_gamma_row(lam) for lam in labels])
     dims = list(map(repcore._weyl_dim, labels))
     m0d = np.array([repcore._zero_weight(lam) / dl for lam, dl in zip(labels, dims)])
     x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
@@ -167,33 +177,22 @@ def _fill_sym_cache(labels, delta, full, signed):
         cap = np.isnan(h_lo) | (h < h_lo)
         h = np.where(flat, 0.0, np.where(cap, h, h_lo))
         x = np.where(flat, 0.0, np.where(cap, x, np.exp(lo)))
-    entries = [(math.log(dl), (hp, xp), (hm, xm))
-               for dl, (hp, hm), (xp, xm) in zip(dims, h.tolist(), x.tolist())]
-    for lam, entry in zip(labels, entries):
-        if len(_sym_cache) >= 1 << 16:
-            del _sym_cache[next(iter(_sym_cache))]
-        _sym_cache[lam, delta, full] = entry
-    return entries
+    for lam, dl, (hp, hm), (xp, xm) in zip(labels, dims, h.tolist(), x.tolist()):
+        _sym_cache[lam, delta, full] = (math.log(dl), (hp, xp), (hm, xm))
 
 
-def _sym_entry(lam, delta, full):
-    """The cached entry of one label, filled by a one-row batch on a miss."""
-    if (lam, delta, full) not in _sym_cache:
-        signed = repcore._signed_gamma([repcore.gamma_coefficients(lam)])
-        _fill_sym_cache([lam], delta, full, signed)
-    return _sym_cache[lam, delta, full]
-
-
-def _sym_entries(spec, delta, full):
-    """Every label's entry: the cached ones read before one batch fills the
-    missing ones, as a fill may evict them."""
-    entries = [_sym_cache.get((lam, delta, full)) for lam in spec.labels]
-    todo = [i for i, entry in enumerate(entries) if entry is None]
+def _sym_entries(labels, delta, full):
+    """The entries of ``labels`` at delta, the missing ones filled in one
+    batch. A batch that would take the cache past _SYM_CACHE_CAP empties it
+    and fills every label of ``labels``, so each of them then hits."""
+    keys = [(lam, delta, full) for lam in labels]
+    todo = [key[0] for key in keys if key not in _sym_cache]
     if todo:
-        filled = iter(_fill_sym_cache([spec.labels[i] for i in todo], delta, full,
-                                      spec.signed_gamma[todo]))
-        entries = [entry or next(filled) for entry in entries]
-    return entries
+        if len(_sym_cache) + len(todo) > _SYM_CACHE_CAP:
+            _sym_cache.clear()
+            todo = labels
+        _fill_sym_cache(todo, delta, full)
+    return [_sym_cache[key] for key in keys]
 
 
 def _master_symmetric(lam, method, S, delta):
@@ -205,7 +204,7 @@ def _master_symmetric(lam, method, S, delta):
     S delta / sqrt(1 - delta^2), whose entry holds h at x0 = 2 theta0 / S.
     """
     full = method is Method.MASTER_SYMMETRIC
-    log_dim, (hp, xp), (hm, xm) = _sym_entry(lam, delta, full)
+    log_dim, (hp, xp), (hm, xm) = _sym_entries((lam,), delta, full)[0]
     if math.isnan(hp) or math.isnan(hm):
         where = "over the whole theta range" if full else "at theta0"
         raise BoundUnavailableError(f"bracket nonpositive {where} for lam={lam}")
@@ -241,7 +240,7 @@ def total_bound(d, t, kind, S, delta, method):
     S, delta = _check_query(kind, S, delta)
     spec = repcore.block_spectrum(d, t)
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
-        _sym_entries(spec, delta, method is Method.MASTER_SYMMETRIC)
+        _sym_entries(spec.labels, delta, method is Method.MASTER_SYMMETRIC)
         logs = np.array([per_label_bound(lam, method, S, delta).log_bound for lam in spec.labels])
     else:
         logs = spec.log2dim + _s_linear_exponent(method, S, delta, spec.fs2)
@@ -253,7 +252,7 @@ def _rate_range(spec, delta, method):
     over ``spec``: the S-linear exponent at S = 1, or h+-/2 per label and
     sign; NaN rows are left to the total, which raises for them."""
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
-        entries = _sym_entries(spec, delta, method is Method.MASTER_SYMMETRIC)
+        entries = _sym_entries(spec.labels, delta, method is Method.MASTER_SYMMETRIC)
         b = 0.5 * np.array([(hp, hm) for _, (hp, _), (hm, _) in entries])
     else:
         b = _s_linear_exponent(method, 1.0, delta, spec.fs2)

@@ -18,8 +18,9 @@ d_lambda delta_lambda(2). It is built from the rows of :func:`_label_rows`
 by :func:`_weyl_dim` and :func:`_frobenius_schur`, the same formulas the
 per-label functions call. The exact m_lambda(0) column and the float
 arrays log(2 d_lambda) and delta_lambda(2) are built on first read. Those
-two arrays are the only numpy in this module, and numpy is imported where
-they are built, so the exact columns load without it.
+two arrays and the gamma rows of :func:`_signed_gamma_row` are the only
+numpy in this module, and numpy is imported where they are built, so the
+exact columns load without it.
 
 Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
 over SU(d). Only 3 <= |n| <= d needs a signed Weyl-group sum; the other n
@@ -43,7 +44,7 @@ residue classes mod n, shifted by r = -n Sigma(lambda)/d, so each sum runs
 over prod |class|! permutations (72 at d = 8, n = 3) in place of d!, each
 signed by the parity of its inversions. The sums are not cached:
 gamma_lambda reads d - 2 of them, and the bounds build gamma_lambda once
-per (label, delta), behind their exponent cache.
+per label, behind the memo of :func:`_signed_gamma_row`.
 
 Weights are integer U(d) weights whose entries sum to Sigma(lambda), the
 label's entry sum, so a label with nonzero entry sum and its SU(d)
@@ -252,10 +253,9 @@ class BlockSpectrum:
     order, ``dims`` the exact d_lambda ints, ``sum_dim`` their exact sum and
     ``fs`` the Frobenius-Schur indicators d_lambda delta_lambda(2) as ints.
     The other columns are built on first read: ``m0``, the exact
-    m_lambda(0) ints, and three read-only float64 arrays, ``log2dim`` of
-    log(2 d_lambda), each taken by ``math.log`` of the exact integer,
-    ``fs2`` of delta_lambda(2) and ``signed_gamma``, the (n, 2, d+1) rows
-    of :func:`_signed_gamma`. Only the arrays load numpy.
+    m_lambda(0) ints, and two read-only float64 arrays, ``log2dim`` of
+    log(2 d_lambda), each taken by ``math.log`` of the exact integer, and
+    ``fs2`` of delta_lambda(2). Only the arrays load numpy.
     """
 
     d: int
@@ -277,10 +277,6 @@ class BlockSpectrum:
     def fs2(self) -> np.ndarray:
         return _read_only([fs / dl for fs, dl in zip(self.fs, self.dims)])
 
-    @cached_property
-    def signed_gamma(self) -> np.ndarray:
-        return _signed_gamma(map(gamma_coefficients, self.labels))
-
 
 def _read_only(values):
     """values as a read-only float64 array: the one numpy import here."""
@@ -289,14 +285,6 @@ def _read_only(values):
     arr = np.array(values)
     arr.flags.writeable = False
     return arr
-
-
-def _signed_gamma(gammas):
-    """The read-only (n, 2, d+1) floats of n :func:`gamma_coefficients` dicts:
-    gamma_lambda(0..d), then with odd orders negated (the master brackets)."""
-    return _read_only(
-        [[[float(g[k]) * s**k for k in range(len(g) // 2 + 1)] for s in (1, -1)] for g in gammas]
-    )
 
 
 @lru_cache(maxsize=None)
@@ -428,8 +416,8 @@ def _fs_weyl_sum(ent, n):
     For the label with entries tuple ``ent`` and n >= 1; this is d_lambda *
     delta_lambda(n) at every such n, and the reference the closed forms of
     :func:`fs_indicator` are tested against.
-    Not cached: :func:`gamma_coefficients` runs once per (label, delta),
-    behind the bounds' exponent cache. The identity's term is m_lambda(0). With
+    Not cached: :func:`gamma_coefficients` runs once per label, behind
+    :func:`_signed_gamma_row`. The identity's term is m_lambda(0). With
     lift = n Sigma(lambda)/d, the term of sigma counts the weight
     (sigma(i) - i + lift)/n, so it is 0 unless every sigma(i) - i is -lift
     mod n. The sum is 0 when lift is not an integer, and otherwise runs over
@@ -513,3 +501,13 @@ def gamma_coefficients(lam):
     for k in range(1, len(ent) + 1):
         gam[k] = gam[-k] = fs_indicator(ent, k) - m0d
     return gam
+
+
+@lru_cache(maxsize=None)
+def _signed_gamma_row(ent):
+    """The bracket weights of the symmetric master bound for the label with
+    entries tuple ``ent``, a read-only (2, d+1) float array: gamma_lambda(0..d)
+    of :func:`gamma_coefficients`, then with odd orders negated. Keyed on the
+    label alone, so each row is built once, whatever its t or delta."""
+    g = gamma_coefficients(ent)
+    return _read_only([[float(g[k]) * s**k for k in range(len(ent) + 1)] for s in (1, -1)])

@@ -4,6 +4,7 @@ Derived values come from in-file oracles: dense theta-grid scans for the
 infima, a 50-digit mpmath evaluation of the symmetric bracket, and the
 algebraic identities between printed forms.
 """
+import functools
 import math
 import re
 
@@ -81,9 +82,10 @@ def test_per_label_bound_takes_every_label_form(method, monkeypatch):
     # the label reaches the per-block code as its entries tuple, so a tuple,
     # a list and an int array are one label to every method
     seen = []
-    for owner, name in ((rc, "_weyl_dim"), (bd, "_sym_entry")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda lam, *a, real=real: seen.append(lam) or real(lam, *a))
+    real_dim, real_entries = rc._weyl_dim, bd._sym_entries
+    monkeypatch.setattr(rc, "_weyl_dim", lambda lam: seen.append(lam) or real_dim(lam))
+    monkeypatch.setattr(bd, "_sym_entries",
+                        lambda labels, *a: seen.extend(labels) or real_entries(labels, *a))
     forms = ((1, 0, -1), [1, 0, -1], np.array([1, 0, -1]))
     logs = {bd.per_label_bound(lam, method, 20, 0.5).log_bound for lam in forms}
     assert len(seen) >= len(forms)
@@ -197,7 +199,7 @@ def test_symmetric_simplified_limit_at_small_delta():
 def block_data(lam):
     """(m_lam(0)/d_lam, signed): the bracket data of one label as the symmetric
     master bound reads it, with signed the 2 x (d+1) branch weights."""
-    signed = rc._signed_gamma([rc.gamma_coefficients(lam)])[0]
+    signed = rc._signed_gamma_row(lam)
     return rc.zero_weight_multiplicity(lam) / rc.weyl_dimension(lam), signed
 
 
@@ -252,7 +254,7 @@ def test_symmetric_minimizer_matches_grid_scan():
 )
 def test_symmetric_branch_minima_match_grid(lam, S, delta):
     m0d, (gvec, _) = block_data(lam)
-    for branch, (h, x) in zip((1, -1), bd._sym_entry(lam, delta, True)[1:]):
+    for branch, (h, x) in zip((1, -1), bd._sym_entries((lam,), delta, True)[0][1:]):
         f = 0.5 * S * h
         grid = grid_branch_min(S, delta, m0d, gvec, branch)
         assert f <= grid + 1e-9
@@ -263,7 +265,7 @@ def test_symmetric_branch_minima_match_grid(lam, S, delta):
 def test_symmetric_trivial_block_takes_the_theta_to_zero_limit(lam):
     # a block trivial on SU(d) has B+(x) = e^x, so h+ = (1 - delta) x rises
     # from 0: the + branch is the theta -> 0 limit, and the bound is d_lam = 1
-    plus, minus = bd._sym_entry(lam, 0.5, True)[1:]
+    plus, minus = bd._sym_entries((lam,), 0.5, True)[0][1:]
     assert plus == (0.0, 0.0)
     assert minus[0] < 0.0
     res = bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, 40, 0.5)
@@ -296,7 +298,7 @@ def test_symmetric_minimizer_is_stationary_mpmath(lam, delta):
     m0d, (gvec, _) = block_data(lam)
     m0d = mpmath.mpf(m0d)
     gam = [mpmath.mpf(float(g)) for g in gvec]
-    for branch, (h, x) in zip((1, -1), bd._sym_entry(lam, delta, True)[1:]):
+    for branch, (h, x) in zip((1, -1), bd._sym_entries((lam,), delta, True)[0][1:]):
         assert x > 0.0
 
         def log_b(y):
@@ -354,25 +356,47 @@ def test_master_symmetric_search_reuses_exponents_across_S(monkeypatch):
 
 
 def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
-    # data whose bracket B(x) = -e^{+-x} is negative at every x
+    # data whose bracket B(x) = -e^{+-x} is negative at every x; a fresh
+    # gamma-row memo reads the patched coefficients and is dropped afterwards
     monkeypatch.setattr(rc, "_zero_weight", lambda lam: -3)
     monkeypatch.setattr(rc, "gamma_coefficients", lambda lam: dict.fromkeys(range(-2, 3), 0))
+    fresh = functools.lru_cache(rc._signed_gamma_row.__wrapped__)
+    monkeypatch.setattr(rc, "_signed_gamma_row", fresh)
     for method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         with pytest.raises(bd.BoundUnavailableError):
             bd.per_label_bound((1, -1), method, 20, 0.4321)
 
 
 def test_delta_sweep_builds_the_gamma_rows_once(monkeypatch):
-    # the bracket weights are a column of the block spectrum, built once per
-    # (d, t) and read at every delta
+    # the bracket weights are memoized per label, built once and read at
+    # every delta and by every spectrum holding the label: Lambda~_3 lies in
+    # Lambda~_4
     calls = []
     real = rc.gamma_coefficients
     monkeypatch.setattr(rc, "gamma_coefficients", lambda lam: calls.append(lam) or real(lam))
-    rc.block_spectrum.cache_clear()
+    rc._signed_gamma_row.cache_clear()
     bd._sym_cache.clear()
-    for delta in (0.3, 0.5, 0.7):
-        bd.total_bound(4, 3, GateSetKind.SYMMETRIC, 100, delta, Method.MASTER_SYMMETRIC)
-    assert sorted(calls) == sorted(rc.block_spectrum(4, 3).labels)
+    for t in (3, 4):
+        for delta in (0.3, 0.5, 0.7):
+            bd.total_bound(4, t, GateSetKind.SYMMETRIC, 100, delta, Method.MASTER_SYMMETRIC)
+    assert sorted(calls) == sorted(rc.block_spectrum(4, 4).labels)
+
+
+@pytest.mark.parametrize("method", [Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED])
+def test_spectrum_past_the_cache_cap_is_filled_once(method, monkeypatch):
+    # a spectrum with more labels than the cache holds is filled whole in
+    # one batch, so the total's per-label reads and the next probe all hit
+    fills = []
+    real = bd._fill_sym_cache
+    monkeypatch.setattr(bd, "_SYM_CACHE_CAP", 64)
+    monkeypatch.setattr(bd, "_fill_sym_cache",
+                        lambda labels, *a: fills.append(len(labels)) or real(labels, *a))
+    bd._sym_cache.clear()
+    for S in (100, 200):
+        bd.total_bound(2, 200, GateSetKind.SYMMETRIC, S, 0.41, method)
+    assert fills == [200]
+    bd.per_label_bound((7, -7), method, 100, 0.41)
+    assert fills == [200]
 
 
 @pytest.mark.parametrize("method", [Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED])
@@ -386,7 +410,7 @@ def test_one_row_batch_equals_its_row_of_the_full_batch(d, t, step, method):
     batch = [bd._sym_cache[lam, 0.5, full] for lam in labels]
     bd._sym_cache.clear()
     for lam, entry in zip(labels, batch):
-        assert bd._sym_entry(lam, 0.5, full) == entry, lam
+        assert bd._sym_entries((lam,), 0.5, full) == [entry], lam
 
 
 def _delta_crossing(d, t, S, method, level):

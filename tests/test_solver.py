@@ -201,7 +201,7 @@ def test_simplified_search_evaluates_each_label_once(monkeypatch):
     monkeypatch.setattr(rc, "gamma_coefficients", lambda lam: gammas.append(lam) or real_gamma(lam))
     monkeypatch.setattr(bd, "log_ive_array", lambda n, x: bessels.extend(x) or real_ive(n, x))
     bd._sym_cache.clear()
-    rc.block_spectrum.cache_clear()
+    rc._signed_gamma_row.cache_clear()
     solver.min_size_search(4, 5, 0.5, 0.99, Method.MASTER_SYMMETRIC_SIMPLIFIED)
     labels = rc.block_spectrum(4, 5).labels
     assert sorted(gammas) == sorted(labels)
