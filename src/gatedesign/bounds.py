@@ -144,7 +144,9 @@ _sym_cache = {}
 
 def _fill_sym_cache(labels, delta, full):
     """Cache the entries of ``labels`` at delta from one batch, with the
-    bracket weights of :func:`repcore._signed_gamma_row`. With x = 2 theta / S,
+    bracket weights of :func:`repcore._gamma_row`, exact ints divided by
+    d_lam in int true division, which rounds correctly: each weight has the
+    bits of float(Fraction). With x = 2 theta / S,
     e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)}, so an entry serves
     every S. It holds (h, x) per sign: h at x0 = 2 delta / sqrt(1 - delta^2),
     the simplified bound's point, or, when ``full``, the minimum over x in
@@ -155,9 +157,10 @@ def _fill_sym_cache(labels, delta, full):
     move the upper end, so the kept lower end is finite; h(x0) caps the
     bisected minimum. It evicts nothing: :func:`_sym_entries` keeps the cap.
     """
-    signed = np.array([repcore._signed_gamma_row(lam) for lam in labels])
-    dims = list(map(repcore._weyl_dim, labels))
-    m0d = np.array([repcore._zero_weight(lam) / dl for lam, dl in zip(labels, dims)])
+    rows = list(map(repcore._gamma_row, labels))
+    gam = np.array([[g / dl for g in row] for dl, _, row in rows])
+    signed = gam[:, None, :] * np.array([[1.0], [-1.0]]) ** np.arange(gam.shape[1])
+    m0d = np.array([m0 / dl for dl, m0, _ in rows])
     x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
     h, _ = _branch_exponents(np.full((len(labels), 2), x0), delta, m0d, signed)
     x = np.full(h.shape, x0)
@@ -177,7 +180,7 @@ def _fill_sym_cache(labels, delta, full):
         cap = np.isnan(h_lo) | (h < h_lo)
         h = np.where(flat, 0.0, np.where(cap, h, h_lo))
         x = np.where(flat, 0.0, np.where(cap, x, np.exp(lo)))
-    for lam, dl, (hp, hm), (xp, xm) in zip(labels, dims, h.tolist(), x.tolist()):
+    for lam, (dl, _, _), (hp, hm), (xp, xm) in zip(labels, rows, h.tolist(), x.tolist()):
         _sym_cache[lam, delta, full] = (math.log(dl), (hp, xp), (hm, xm))
 
 

@@ -18,13 +18,14 @@ d_lambda delta_lambda(2). It is built from the rows of :func:`_label_rows`
 by :func:`_weyl_dim` and :func:`_frobenius_schur`, the same formulas the
 per-label functions call. The exact m_lambda(0) column and the float
 arrays log(2 d_lambda) and delta_lambda(2) are built on first read. Those
-two arrays and the gamma rows of :func:`_signed_gamma_row` are the only
-numpy in this module, and numpy is imported where they are built, so the
-exact columns load without it.
+two arrays are the only numpy in this module, and numpy is imported where
+they are built (:func:`_read_only`), so the exact columns load without it.
 
 Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
-over SU(d). Only 3 <= |n| <= d needs a signed Weyl-group sum; the other n
-are closed forms that :func:`fs_indicator` alone decides:
+over SU(d). Only 3 <= |n| < d, and |n| = d when d does not divide
+Sigma(lambda), need a signed Weyl-group sum; the other n are closed forms
+that :func:`_fs_numerator`, the one source of d_lambda delta_lambda(n),
+alone decides:
 
 - Reality: Haar measure is invariant under U -> U^-1, so
   delta_lambda(-n) = delta_lambda(n).
@@ -36,15 +37,16 @@ are closed forms that :func:`fs_indicator` alone decides:
   Dynkin label a reads the same reversed (self-dual), and otherwise the
   sign (-1)^(sum_j j (d - j) a_j) by which the central element
   exp(2 pi i rho^vee) acts (Bourbaki, *Lie Groups*, Ch. VIII, 7.5).
-- For |n| >= d+1 only the identity passes the lattice test, so
-  delta_lambda(n) = m_lambda(0)/d_lambda.
+- delta_lambda(n) = m_lambda(0)/d_lambda for |n| >= d+1, where only the
+  identity passes the lattice test, and for |n| = d when d divides
+  Sigma(lambda): U^d has iid uniform eigenvalues (Rains, PTRF 107, 1997).
 
 At 3 <= n <= d a permutation passes the lattice test only if it keeps
 residue classes mod n, shifted by r = -n Sigma(lambda)/d, so each sum runs
 over prod |class|! permutations (72 at d = 8, n = 3) in place of d!, each
-signed by the parity of its inversions. The sums are not cached:
-gamma_lambda reads d - 2 of them, and the bounds build gamma_lambda once
-per label, behind the memo of :func:`_signed_gamma_row`.
+signed by the parity of its inversions. The sums are not cached: a gamma
+row reads at most d - 2 of them, and the bounds build each label's row
+once, behind the memo of :func:`_gamma_row`.
 
 Weights are integer U(d) weights whose entries sum to Sigma(lambda), the
 label's entry sum, so a label with nonzero entry sum and its SU(d)
@@ -415,9 +417,9 @@ def _fs_weyl_sum(ent, n):
 
     For the label with entries tuple ``ent`` and n >= 1; this is d_lambda *
     delta_lambda(n) at every such n, and the reference the closed forms of
-    :func:`fs_indicator` are tested against.
-    Not cached: :func:`gamma_coefficients` runs once per label, behind
-    :func:`_signed_gamma_row`. The identity's term is m_lambda(0). With
+    :func:`_fs_numerator` are tested against.
+    Not cached: the bounds read it once per label and n, behind the memo of
+    :func:`_gamma_row`. The identity's term is m_lambda(0). With
     lift = n Sigma(lambda)/d, the term of sigma counts the weight
     (sigma(i) - i + lift)/n, so it is 0 unless every sigma(i) - i is -lift
     mod n. The sum is 0 when lift is not an integer, and otherwise runs over
@@ -449,29 +451,31 @@ def _frobenius_schur(ent):
     return (-1) ** sum(j * (d - j) * v for j, v in enumerate(a, 1)) if a == a[::-1] else 0
 
 
+def _fs_numerator(ent, n):
+    """d_lambda delta_lambda(n), an exact int, of the label with entries
+    tuple ``ent`` at n >= 0: a closed form of the module docstring, or else
+    :func:`_fs_weyl_sum`, which needs d <= MAX_WEYL_DIM."""
+    if n == 0:
+        return _weyl_dim(ent)
+    if n == 1:
+        return int(len(set(ent)) == 1)
+    if n == 2:
+        return _frobenius_schur(ent)
+    if n > len(ent) or n == len(ent) and sum(ent) % n == 0:
+        return _zero_weight(ent)
+    return _fs_weyl_sum(ent, n)
+
+
 def fs_indicator(lam, n):
     """delta_lambda(n): the Haar average of chi_lambda(U^n)/d_lambda on SU(d).
 
-    Exact rational, even in n (reality: U -> U^-1 preserves Haar measure).
-    |n| = 0 gives 1; |n| = 1 gives 1 for a label with all entries equal and
-    0 otherwise (Schur orthogonality); |n| = 2 gives the Frobenius-Schur
-    indicator over d_lambda; |n| >= d+1 gives m_lambda(0)/d_lambda (only the
-    identity passes the lattice test). Only 3 <= |n| <= d runs the signed
-    Weyl-group sum, over the permutations that keep residue classes mod n,
-    which needs d <= MAX_WEYL_DIM.
+    Exact rational, even in n (reality: U -> U^-1 preserves Haar measure):
+    :func:`_fs_numerator` at |n| over d_lambda, so |n| = 0 gives 1. The
+    closed forms cover |n| <= 2, |n| > d and, when d divides Sigma(lambda),
+    |n| = d; only the other 3 <= |n| <= d need d <= MAX_WEYL_DIM.
     """
     ent = _label_entries(lam)
-    n = abs(_integral(n, "n"))
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(int(len(set(ent)) == 1))
-    dl = _weyl_dim(ent)
-    if n == 2:
-        return Fraction(_frobenius_schur(ent), dl)
-    if n > len(ent):
-        return Fraction(_zero_weight(ent), dl)
-    return Fraction(_fs_weyl_sum(ent, n), dl)
+    return Fraction(_fs_numerator(ent, abs(_integral(n, "n"))), _weyl_dim(ent))
 
 
 def zero_weight_multiplicity(lam):
@@ -487,27 +491,19 @@ def _zero_weight(ent):
 
 
 def gamma_coefficients(lam):
-    """gamma_lambda(k) for k in [-d, d].
-
-    gamma(0) = 1 - m_lambda(0)/d_lambda and gamma(+-k) = delta_lambda(k) -
-    m_lambda(0)/d_lambda for k = 1..d, read from :func:`fs_indicator`. By
-    reality gamma is even in k, and delta_lambda(1) (Schur orthogonality)
-    and delta_lambda(2) (the Frobenius-Schur indicator) are closed forms, so
-    only k = 3..d runs a Weyl-group sum.
-    """
-    ent = _label_entries(lam)
-    m0d = Fraction(_zero_weight(ent), _weyl_dim(ent))
-    gam = {0: 1 - m0d}
-    for k in range(1, len(ent) + 1):
-        gam[k] = gam[-k] = fs_indicator(ent, k) - m0d
-    return gam
+    """gamma_lambda(k) = delta_lambda(k) - m_lambda(0)/d_lambda for k in
+    [-d, d], exact, so gamma(0) = 1 - m_lambda(0)/d_lambda: the
+    :func:`_gamma_row` of the label over d_lambda, even in k by reality."""
+    dl, _, row = _gamma_row(_label_entries(lam))
+    return {s * k: Fraction(g, dl) for k, g in enumerate(row) for s in (1, -1)}
 
 
 @lru_cache(maxsize=None)
-def _signed_gamma_row(ent):
-    """The bracket weights of the symmetric master bound for the label with
-    entries tuple ``ent``, a read-only (2, d+1) float array: gamma_lambda(0..d)
-    of :func:`gamma_coefficients`, then with odd orders negated. Keyed on the
-    label alone, so each row is built once, whatever its t or delta."""
-    g = gamma_coefficients(ent)
-    return _read_only([[float(g[k]) * s**k for k in range(len(ent) + 1)] for s in (1, -1)])
+def _gamma_row(ent):
+    """(d_lambda, m_lambda(0), row) for the label with entries tuple ``ent``,
+    row the ints d_lambda gamma_lambda(k) = :func:`_fs_numerator` at k less
+    m_lambda(0), k = 0..d: the exact bracket weights of the symmetric master
+    bound. Keyed on the label alone, so each row is built once, whatever its
+    t or delta."""
+    m0 = _zero_weight(ent)
+    return _weyl_dim(ent), m0, tuple(_fs_numerator(ent, k) - m0 for k in range(len(ent) + 1))

@@ -1,4 +1,5 @@
 """Shared fixtures of the test suite."""
+import functools
 import sys
 
 import pytest
@@ -14,4 +15,17 @@ def _cold_symmetric_caches():
     bounds = sys.modules.get("gatedesign.bounds")
     if bounds is not None:
         bounds._sym_cache.clear()
-        bounds.repcore._signed_gamma_row.cache_clear()
+        bounds.repcore._gamma_row.cache_clear()
+
+
+@pytest.fixture
+def gamma_row_builds(monkeypatch):
+    """The labels whose gamma rows get built, in build order: a cold copy of
+    the memo repcore._gamma_row stands in for it and records each miss."""
+    from gatedesign import repcore
+
+    built = []
+    build = repcore._gamma_row.__wrapped__
+    memo = functools.lru_cache(maxsize=None)(lambda ent: built.append(ent) or build(ent))
+    monkeypatch.setattr(repcore, "_gamma_row", memo)
+    return built

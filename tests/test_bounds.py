@@ -4,9 +4,9 @@ Derived values come from in-file oracles: dense theta-grid scans for the
 infima, a 50-digit mpmath evaluation of the symmetric bracket, and the
 algebraic identities between printed forms.
 """
-import functools
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -198,9 +198,35 @@ def test_symmetric_simplified_limit_at_small_delta():
 
 def block_data(lam):
     """(m_lam(0)/d_lam, signed): the bracket data of one label as the symmetric
-    master bound reads it, with signed the 2 x (d+1) branch weights."""
-    signed = rc._signed_gamma_row(lam)
-    return rc.zero_weight_multiplicity(lam) / rc.weyl_dimension(lam), signed
+    master bound reads it, with signed the 2 x (d+1) branch weights, each
+    divided from the exact ints of the gamma-row memo as the batch does."""
+    dl, m0, row = rc._gamma_row(lam)
+    return m0 / dl, np.array([[g / dl * s**k for k, g in enumerate(row)] for s in (1, -1)])
+
+
+def test_batch_bracket_weights_are_the_exact_gammas_rounded(monkeypatch):
+    # the batch divides the exact ints of the gamma-row memo by int true
+    # division, which rounds correctly: the bits of float(Fraction) of
+    # gamma_coefficients, on every label of the master-symmetric Table-2
+    # spectra (the spectra of one d are nested, so the largest t is read; at
+    # d = 2 every label of t = 500 and every 50th of t = 5000)
+    seen = []
+    real = bd._branch_exponents
+    monkeypatch.setattr(bd, "_branch_exponents", lambda x, delta, m0d, signed:
+                        seen.append((m0d, signed)) or real(x, delta, m0d, signed))
+    monkeypatch.setattr(bd, "_sym_cache", {})
+    groups = [rc.block_spectrum(d, t).labels for d, t in ((2, 500), (4, 20), (8, 5))]
+    for labels in groups + [rc.block_spectrum(2, 5000).labels[::50]]:
+        seen.clear()
+        bd._fill_sym_cache(labels, 0.5, False)
+        m0d, signed = seen[0]
+        want_m0d, want_signed = [], []
+        for lam in labels:
+            gam = rc.gamma_coefficients(lam)
+            want_m0d.append(float(Fraction(rc.zero_weight_multiplicity(lam), rc.weyl_dimension(lam))))
+            want_signed.append([[float(gam[k]) * s**k for k in range(len(lam) + 1)] for s in (1, -1)])
+        assert m0d.tobytes() == np.array(want_m0d).tobytes()
+        assert signed.tobytes() == np.array(want_signed).tobytes()
 
 
 def branch_exponents(x, delta, m0d, signed, branch):
@@ -356,30 +382,23 @@ def test_master_symmetric_search_reuses_exponents_across_S(monkeypatch):
 
 
 def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
-    # data whose bracket B(x) = -e^{+-x} is negative at every x; a fresh
-    # gamma-row memo reads the patched coefficients and is dropped afterwards
-    monkeypatch.setattr(rc, "_zero_weight", lambda lam: -3)
-    monkeypatch.setattr(rc, "gamma_coefficients", lambda lam: dict.fromkeys(range(-2, 3), 0))
-    fresh = functools.lru_cache(rc._signed_gamma_row.__wrapped__)
-    monkeypatch.setattr(rc, "_signed_gamma_row", fresh)
+    # data whose bracket B(x) = -e^{+-x} is negative at every x: the gamma
+    # row of (1, -1) with d_lam = 3, m_lam(0) = -3 and every gamma zero
+    monkeypatch.setattr(rc, "_gamma_row", lambda lam: (3, -3, (0, 0, 0)))
     for method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         with pytest.raises(bd.BoundUnavailableError):
             bd.per_label_bound((1, -1), method, 20, 0.4321)
 
 
-def test_delta_sweep_builds_the_gamma_rows_once(monkeypatch):
+def test_delta_sweep_builds_the_gamma_rows_once(gamma_row_builds):
     # the bracket weights are memoized per label, built once and read at
     # every delta and by every spectrum holding the label: Lambda~_3 lies in
     # Lambda~_4
-    calls = []
-    real = rc.gamma_coefficients
-    monkeypatch.setattr(rc, "gamma_coefficients", lambda lam: calls.append(lam) or real(lam))
-    rc._signed_gamma_row.cache_clear()
     bd._sym_cache.clear()
     for t in (3, 4):
         for delta in (0.3, 0.5, 0.7):
             bd.total_bound(4, t, GateSetKind.SYMMETRIC, 100, delta, Method.MASTER_SYMMETRIC)
-    assert sorted(calls) == sorted(rc.block_spectrum(4, 4).labels)
+    assert sorted(gamma_row_builds) == sorted(rc.block_spectrum(4, 4).labels)
 
 
 @pytest.mark.parametrize("method", [Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED])

@@ -589,8 +589,10 @@ def test_weyl_cap_enforced():
     assert rc.fs_indicator(lam9, 2) == Fraction(1, rc.weyl_dimension(lam9))
     total = bd.total_bound(9, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
     assert math.isfinite(total.log_bound)
-    # shortcut path does not need the Weyl sum, so large |n| still works
+    # shortcut path does not need the Weyl sum, so large |n| still works,
+    # and so does n = d on a zero-sum label (Rains: m_lam(0)/d_lam)
     assert rc.fs_indicator(lam9, 10) == Fraction(8, rc.weyl_dimension(lam9))
+    assert rc.fs_indicator(lam9, 9) == Fraction(8, rc.weyl_dimension(lam9))
 
 
 # ---------------------------------------------------------------------------
@@ -890,8 +892,10 @@ def test_frobenius_schur_is_one_exactly_when_the_two_parts_agree():
     assert checked == 6713
 
 
-def test_weyl_sums_run_only_at_3_to_d(monkeypatch):
-    # gamma of one label runs the sum once at each n = 3..d
+def test_weyl_sums_run_only_at_3_to_d(monkeypatch, gamma_row_builds):
+    # gamma of one label, built from a cold memo, runs the sum once at each
+    # n = 3..d-1, and at n = d only when d does not divide the entry sum:
+    # otherwise U^d has iid uniform eigenvalues (Rains) and m_lam(0) is exact
     fresh = (21, 0, -10, -11)
     calls = []
     real = rc._fs_weyl_sum
@@ -902,7 +906,8 @@ def test_weyl_sums_run_only_at_3_to_d(monkeypatch):
 
     monkeypatch.setattr(rc, "_fs_weyl_sum", recording)
     rc.gamma_coefficients(fresh)
-    assert calls == [(fresh, n) for n in range(3, len(fresh) + 1)]
+    assert calls == [(fresh, n) for n in range(3, len(fresh))]
+    # (2, 1, 0, 0), of entry sum 3, still runs the sum at n = 4
     labels = rc.enumerate_lambda_set(4, 2) + [fresh, (1, 1, 1, 1), (2, 1, 0, 0)]
     for lam in labels:
         rc.gamma_coefficients(lam)

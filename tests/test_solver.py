@@ -192,19 +192,17 @@ def test_master_symmetric_search_builds_each_label_once(monkeypatch):
     assert rows == [(2, 20)]
 
 
-def test_simplified_search_evaluates_each_label_once(monkeypatch):
+def test_simplified_search_evaluates_each_label_once(monkeypatch, gamma_row_builds):
     # the simplified bound reads h at x0 from the (label, delta) entry: one
     # gamma build and one Bessel row per sign and label, whatever the
     # number of probes, and no bisection
-    gammas, bessels = [], []
-    real_gamma, real_ive = rc.gamma_coefficients, bd.log_ive_array
-    monkeypatch.setattr(rc, "gamma_coefficients", lambda lam: gammas.append(lam) or real_gamma(lam))
+    bessels = []
+    real_ive = bd.log_ive_array
     monkeypatch.setattr(bd, "log_ive_array", lambda n, x: bessels.extend(x) or real_ive(n, x))
     bd._sym_cache.clear()
-    rc._signed_gamma_row.cache_clear()
     solver.min_size_search(4, 5, 0.5, 0.99, Method.MASTER_SYMMETRIC_SIMPLIFIED)
     labels = rc.block_spectrum(4, 5).labels
-    assert sorted(gammas) == sorted(labels)
+    assert sorted(gamma_row_builds) == sorted(labels)
     assert len(bessels) == 2 * len(labels)
 
 
