@@ -41,12 +41,12 @@ alone decides:
   identity passes the lattice test, and for |n| = d when d divides
   Sigma(lambda): U^d has iid uniform eigenvalues (Rains, PTRF 107, 1997).
 
-At 3 <= n <= d a permutation passes the lattice test only if it keeps
-residue classes mod n, shifted by r = -n Sigma(lambda)/d, so each sum runs
-over prod |class|! permutations (72 at d = 8, n = 3) in place of d!, each
-signed by the parity of its inversions. The sums are not cached: a gamma
-row reads at most d - 2 of them, and the bounds build each label's row
-once, behind the memo of :func:`_gamma_row`.
+At 3 <= n <= d a permutation passes the lattice test only if it maps each
+residue class c mod n onto c + r, r = -n Sigma(lambda)/d mod n: it is one
+permutation per orbit of c -> c + r, as U^n has the eigenvalues of a Haar
+draw from prod_c U(|class c|) (Rains). :func:`_orbit_walk` walks each orbit
+within the one-norm a weight of pi_lambda allows, recursing once per place,
+so past the recursion limit it raises a ``ValueError`` naming d.
 
 Weights are integer U(d) weights whose entries sum to Sigma(lambda), the
 label's entry sum, so a label with nonzero entry sum and its SU(d)
@@ -83,13 +83,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: The Frobenius-Schur sums at 3 <= n <= d run over the prod |class|!
-#: permutations that keep residue classes mod n, most at n = 3, where the
-#: product grows like ((d/3)!)^3 (10 368 000 at d = 16); beyond this d they
-#: raise instead of silently approximating. So the cap binds only
-#: gamma_lambda(k), k >= 3: the master-symmetric bounds.
-MAX_WEYL_DIM = 8
 
 
 # ---------------------------------------------------------------------------
@@ -375,41 +368,53 @@ def weight_multiplicity(lam, mu):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _lattice_displacements(d, n, r):
-    """(one-norm, displacement, net sign) of the permutations sigma of S_d
-    whose displacements sigma(i) - i are all r mod n, in one-norm order.
-
-    Such a sigma maps each residue class mod n of {0, ..., d-1} onto the
-    class r steps further on (the runners of the n-abacus in Littlewood's
-    rule for s_lambda o p_n), so it is one bijection per class: prod |class|!
-    permutations, and none when the sizes of a class and its image differ.
-    They are grouped by displacement sorted nonincreasing, each group summing
-    sgn(sigma); groups whose signs cancel are dropped. The identity is the
-    only permutation with displacement zero. Cached per (d, n, r); refuses
-    d > MAX_WEYL_DIM.
-    """
-    if d > MAX_WEYL_DIM:
-        classes3 = math.prod(math.factorial(len(range(c, d, 3))) for c in range(3))
-        raise ValueError(
-            f"the Frobenius-Schur sum at n = 3 runs over the prod |class|! = "
-            f"{classes3} permutations of S_{d} that keep residue classes mod 3; "
-            f"d={d} exceeds the cap MAX_WEYL_DIM={MAX_WEYL_DIM}"
-        )
-    classes = [range(c, d, n) for c in range(n)]
-    images = [classes[(c + r) % n] for c in range(n)]
-    if any(len(a) != len(b) for a, b in zip(classes, images)):
+def _orbit_walk(left, holes, spare, n, r):
+    """(one-norm, nonzero displacements ascending, net sign) of the ways to
+    finish a permutation with steps all r mod n within one-norm ``spare``, in
+    one-norm order, from a state seen from its next place, every value taken
+    less that place: ``left`` places to fill and the ``holes``, the unplaced
+    values below the largest placed, ascending; an orbit of length L is the
+    state (L, (), budget, n, r). The holes, matched in order to the places 0,
+    1, ..., bound the one-norm of any finish from below. Placing the value
+    (step) b adds i - b inversions, i the unplaced values below b."""
+    if sum(abs(h - p) for p, h in enumerate(holes)) > spare:
         return ()
-    counts = {}
-    sigma = [0] * d
-    for choice in itertools.product(*(itertools.permutations(b) for b in images)):
-        for src, dst in zip(classes, choice):
-            for i, j in zip(src, dst):
-                sigma[i] = j
-        disp = tuple(sorted((sigma[i] - i for i in range(d)), reverse=True))
-        inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
-        counts[disp] = counts.get(disp, 0) + (-1) ** inversions
-    by_norm = sorted((sum(map(abs, disp)), disp, c) for disp, c in counts.items() if c)
-    return tuple(by_norm)
+    table = {} if left else {(): 1}
+    free = holes + tuple(range(len(holes), min(left, spare + 1)))
+    for i, b in enumerate(free):
+        if (b - r) % n:
+            continue
+        rest = free[:i] + free[i + 1:max(len(holes), b + 1)]
+        for _, key, sign in _orbit_walk(left - 1, tuple(h - 1 for h in rest), spare - abs(b), n, r):
+            key = tuple(sorted(key + (b,))) if b else key
+            table[key] = table.get(key, 0) + (-sign if (i - b) % 2 else sign)
+    return tuple(sorted((sum(map(abs, key)), key, c) for key, c in table.items() if c))
+
+
+@lru_cache(maxsize=None)
+def _lattice_displacements(d, n, r, budget):
+    """(displacement sorted nonincreasing, net sign) of the sigma in S_d with
+    steps sigma(i) - i all r mod n and one-norm <= budget, cancelled signs
+    dropped. Such a sigma maps each residue class c mod n onto c + r (the
+    n-abacus of Littlewood's rule for s_lambda o p_n); on the places j, j+g,
+    ... of an orbit of c -> c + r, g = gcd(n, r), its steps are g times r/g
+    mod n/g: an :func:`_orbit_walk` table scaled by g, merged in turn."""
+    g = math.gcd(n, r)
+    try:
+        orbits = [_orbit_walk(len(range(j, d, g)), (), budget // g, n // g, r // g) for j in range(g)]
+    except RecursionError:
+        raise ValueError(f"the Frobenius-Schur walk recurses once per place of an orbit; d={d} "
+                         f"exceeds the recursion limit {sys.getrecursionlimit()}") from None
+    merged = {(): 1}
+    for orbit in orbits:
+        joined = {}
+        for key, sign in merged.items():
+            spare = budget - sum(map(abs, key))
+            for _, part, part_sign in itertools.takewhile(lambda entry: g * entry[0] <= spare, orbit):
+                both = tuple(sorted(key + tuple(g * v for v in part)))
+                joined[both] = joined.get(both, 0) + sign * part_sign
+        merged = {key: c for key, c in joined.items() if c}
+    return tuple((tuple(sorted(key + (0,) * (d - len(key)), reverse=True)), c) for key, c in merged.items())
 
 
 def _fs_weyl_sum(ent, n):
@@ -417,15 +422,15 @@ def _fs_weyl_sum(ent, n):
 
     For the label with entries tuple ``ent`` and n >= 1; this is d_lambda *
     delta_lambda(n) at every such n, and the reference the closed forms of
-    :func:`_fs_numerator` are tested against.
-    Not cached: the bounds read it once per label and n, behind the memo of
-    :func:`_gamma_row`. The identity's term is m_lambda(0). With
-    lift = n Sigma(lambda)/d, the term of sigma counts the weight
-    (sigma(i) - i + lift)/n, so it is 0 unless every sigma(i) - i is -lift
-    mod n. The sum is 0 when lift is not an integer, and otherwise runs over
-    the :func:`_lattice_displacements` table of r = -lift mod n. One term per
-    displacement group: the multiplicity and the one-norm budget depend on
-    the sorted displacement alone.
+    :func:`_fs_numerator` are tested against. Not cached: a gamma row reads
+    it at most d - 2 times, and the bounds build each label's row once,
+    behind the memo of :func:`_gamma_row`. The identity's term is
+    m_lambda(0). With lift = n Sigma(lambda)/d, the term of sigma counts the
+    weight (sigma(i) - i + lift)/n, so it is 0 unless every sigma(i) - i is
+    -lift mod n. The sum is 0 when lift is not an integer, and otherwise runs
+    over the :func:`_lattice_displacements` table of r = -lift mod n. One
+    term per displacement group: the multiplicity depends on the sorted
+    displacement alone.
     """
     d, size = len(ent), sum(ent)
     lift, rem = divmod(n * size, d)
@@ -433,14 +438,10 @@ def _fs_weyl_sum(ent, n):
         return 0
     # less its trace part, a weight is displacement/n and lies in the hull of
     # the Weyl orbit of lambda - Sigma(lambda)/d, so ||displacement||_1 <=
-    # n ||lambda - Sigma(lambda)/d||_1; times d, both sides are integers
-    budget = n * sum(abs(d * v - size) for v in ent)
-    total = 0
-    for norm, disp, count in _lattice_displacements(d, n, -lift % n):
-        if d * norm > budget:
-            break  # the groups come in one-norm order
-        total += count * _multiplicity(ent, tuple((v + lift) // n for v in disp))
-    return total
+    # n ||lambda - Sigma(lambda)/d||_1, whose floor is the budget below
+    budget = n * sum(abs(d * v - size) for v in ent) // d
+    return sum(sign * _multiplicity(ent, tuple((v + lift) // n for v in disp))
+               for disp, sign in _lattice_displacements(d, n, -lift % n, budget))
 
 
 def _frobenius_schur(ent):
@@ -454,7 +455,7 @@ def _frobenius_schur(ent):
 def _fs_numerator(ent, n):
     """d_lambda delta_lambda(n), an exact int, of the label with entries
     tuple ``ent`` at n >= 0: a closed form of the module docstring, or else
-    :func:`_fs_weyl_sum`, which needs d <= MAX_WEYL_DIM."""
+    :func:`_fs_weyl_sum`, exact at every d."""
     if n == 0:
         return _weyl_dim(ent)
     if n == 1:
@@ -472,7 +473,7 @@ def fs_indicator(lam, n):
     Exact rational, even in n (reality: U -> U^-1 preserves Haar measure):
     :func:`_fs_numerator` at |n| over d_lambda, so |n| = 0 gives 1. The
     closed forms cover |n| <= 2, |n| > d and, when d divides Sigma(lambda),
-    |n| = d; only the other 3 <= |n| <= d need d <= MAX_WEYL_DIM.
+    |n| = d; the others run the orbit walk of :func:`_fs_weyl_sum`.
     """
     ent = _label_entries(lam)
     return Fraction(_fs_numerator(ent, abs(_integral(n, "n"))), _weyl_dim(ent))

@@ -171,10 +171,9 @@ TABLE2_COLUMNS = {
 def table2_cells(delta=0.5, P=0.99, dims=None):
     """Generate the minimal-size table: (d, t, method, MinSizeResult).
 
-    The master-symmetric column stops at d = repcore.MAX_WEYL_DIM, as it
-    needs the Frobenius-Schur sums at 3 <= n <= d, each over the permutations
-    of S_d that keep residue classes mod n. Bernstein-symmetric reads only
-    the closed form delta_lambda(2), so it runs at every d.
+    The master-symmetric column stops at d = 8: a fact of the grid, whose
+    100 cells are pinned, not of the library, whose :func:`min_size_search`
+    runs that method at every d.
     """
     dims = tuple(dims) if dims is not None else tuple(TABLE2_COLUMNS)
     for i, d in enumerate(dims):
@@ -190,6 +189,6 @@ def table2_cells(delta=0.5, P=0.99, dims=None):
             for method in Method:
                 if method is Method.MASTER_SYMMETRIC_SIMPLIFIED:
                     continue  # the table's symmetric column is the full bound
-                if method is Method.MASTER_SYMMETRIC and d > repcore.MAX_WEYL_DIM:
+                if method is Method.MASTER_SYMMETRIC and d > 8:
                     continue
                 yield d, t, method, min_size_search(d, t, delta, P, method)

@@ -300,8 +300,8 @@ def signed_displacements(d):
     sum of sgn(sigma) over the permutations that share it; orbits whose
     signs cancel are dropped, in order of one-norm. One walk over the d!
     permutations, sign by inversion count: the oracle for the library's
-    residue-class tables, which enumerate only the permutations that keep
-    residue classes mod n.
+    residue-class tables, which walk only the permutations that move each
+    residue class mod n onto another, within a one-norm budget.
     """
     counts = {}
     for perm in itertools.permutations(range(d)):

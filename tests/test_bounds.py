@@ -507,10 +507,6 @@ def per_label_total(d, t, S, delta, method):
 @pytest.mark.parametrize("d,t", [(2, 5), (2, 500), (4, 3), (8, 2), (64, 5)])
 def test_total_bound_equals_per_label_loop(d, t):
     for method in Method:
-        # the master-symmetric gamma needs the Weyl sums; Bernstein runs at any d
-        master_sym = method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED)
-        if master_sym and d > rc.MAX_WEYL_DIM:
-            continue
         for S, delta in [(10, 0.3), (58, 0.5), (400, 0.9)]:
             got = bd.total_bound(d, t, method.kind, S, delta, method).log_bound
             assert got == per_label_total(d, t, S, delta, method), (method, S, delta)

@@ -701,7 +701,7 @@ def test_lambda_set_loads_no_numpy_and_matches_in_process(capsys):
     ids=["lambda-set-d16", "clifford"],
 )
 def test_exact_command_loads_no_numpy_and_matches_in_process(capsys, argv):
-    # lambda-set past the Weyl cap: delta_lambda(2) is a closed form
+    # lambda-set at d = 16: delta_lambda(2) is a closed form
     proc, modules = loaded_after(RUN_CLI, *argv)
     assert proc.returncode == 0, proc.stderr
     assert "numpy" not in modules

@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import re
-import types
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -310,8 +309,8 @@ def test_block_spectrum_fs2():
     labels = rc.enumerate_lambda_set(4, 3)
     assert spec.fs2.tolist() == [float(rc.fs_indicator(l, 2)) for l in labels]
     assert not spec.fs2.flags.writeable
-    # beyond the Weyl cap: a zero-sum label is trivial on the centre, so it
-    # is real exactly when it is self-dual, lam = -reverse(lam)
+    # at d = 9: a zero-sum label is trivial on the centre, so it is real
+    # exactly when it is self-dual, lam = -reverse(lam)
     spec = rc.block_spectrum(9, 2)
     want = [(row == tuple(-v for v in reversed(row))) / dl
             for row, dl in zip(spec.labels, spec.dims)]
@@ -556,35 +555,32 @@ def test_zero_weight_multiplicity_at_d400_from_a_cold_memo():
     assert rc.zero_weight_multiplicity((1,) + (0,) * 398 + (-1,)) == 399
 
 
-@pytest.mark.parametrize("call", [
-    lambda lam: rc.weight_multiplicity(lam, (0,) * len(lam)),
-    rc.zero_weight_multiplicity,
-    lambda lam: rc.fs_indicator(lam, len(lam) + 1),
-    rc.gamma_coefficients,
-    lambda lam: rc.block_spectrum(len(lam), 1).m0,
+@pytest.mark.parametrize("call,d", [
+    (lambda lam: rc.weight_multiplicity(lam, (0,) * len(lam)), 2000),
+    (rc.zero_weight_multiplicity, 2000),
+    (lambda lam: rc.fs_indicator(lam, len(lam) + 1), 2000),
+    (rc.gamma_coefficients, 2000),
+    (lambda lam: rc.block_spectrum(len(lam), 1).m0, 2000),
+    # the orbit walk recurses once per place: 1000 places of each class mod 3
+    (lambda lam: rc.fs_indicator(lam, 3), 3000),
 ], ids=["weight_multiplicity", "zero_weight_multiplicity", "fs_indicator", "gamma_coefficients",
-        "BlockSpectrum.m0"])
-def test_recursion_past_the_limit_raises_value_error_naming_d(call):
+        "BlockSpectrum.m0", "fs_indicator-orbit-walk"])
+def test_recursion_past_the_limit_raises_value_error_naming_d(call, d):
     rc._mult_centered.cache_clear()
-    with pytest.raises(ValueError, match="d=2000 exceeds the recursion limit"):
-        call((1,) + (0,) * 1998 + (-1,))
+    rc._orbit_walk.cache_clear()
+    with pytest.raises(ValueError, match=f"d={d} exceeds the recursion limit"):
+        call((1,) + (0,) * (d - 2) + (-1,))
 
 
-def test_weyl_cap_enforced():
-    lam9 = (1,) + (0,) * 7 + (-1,)  # d = 9 exceeds MAX_WEYL_DIM = 8
+def test_fs_gamma_and_master_symmetric_total_at_d9():
+    lam9 = (1,) + (0,) * 7 + (-1,)  # the adjoint of SU(9), d_lam = 80
     # a Kostka count runs no Weyl sum: the zero weight of the SU(9) adjoint
     assert rc.weight_multiplicity(lam9, (0,) * 9) == 8
-    capped = (
-        r"the Frobenius-Schur sum at n = 3 runs over the prod \|class\|! = 216 "
-        r"permutations of S_9 that keep residue classes mod 3; "
-        r"d=9 exceeds the cap MAX_WEYL_DIM=8"
-    )
-    with pytest.raises(ValueError, match=capped):
-        rc.fs_indicator(lam9, 3)
-    with pytest.raises(ValueError, match=capped):
-        rc.gamma_coefficients(lam9)
-    with pytest.raises(ValueError, match=capped):
-        bd.total_bound(9, 2, "symmetric", 20, 0.5, "master-symmetric")
+    # n = 3 runs the orbit walk: the classes mod 3 have 3 places each
+    assert rc.fs_indicator(lam9, 3) == Fraction(1, 40)
+    assert rc.gamma_coefficients(lam9)[3] == Fraction(-3, 40)
+    total = bd.total_bound(9, 2, "symmetric", 20, 0.5, "master-symmetric")
+    assert math.isfinite(total.log_bound)
     # n = 2 is a closed form, so the Bernstein-symmetric total needs no sum
     assert rc.fs_indicator(lam9, 2) == Fraction(1, rc.weyl_dimension(lam9))
     total = bd.total_bound(9, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
@@ -671,40 +667,38 @@ def test_signed_displacements_table(d):
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_lattice_tables_match_walk_oracle(d):
+    # every budget cut, from the identity alone to one past the largest
+    # one-norm on the lattice, is the oracle's groups within that budget
     walk = oracles.signed_displacements(d)
     for n in range(1, d + 3):
         for r in range(n):
-            table = rc._lattice_displacements(d, n, r)
-            got = {disp: (norm, sign) for norm, disp, sign in table}
-            want = {
-                disp: (sum(map(abs, disp)), sign)
-                for disp, sign in walk.items()
-                if all((v - r) % n == 0 for v in disp)
-            }
-            assert len(got) == len(table) and got == want, (n, r)
-            norms = [norm for norm, _, _ in table]
-            assert norms == sorted(norms), (n, r)
+            lattice = {disp: sign for disp, sign in walk.items() if all((v - r) % n == 0 for v in disp)}
+            top = max((sum(map(abs, disp)) for disp in lattice), default=0)
+            for budget in range(top + 2):
+                table = rc._lattice_displacements(d, n, r, budget)
+                want = {disp: sign for disp, sign in lattice.items() if sum(map(abs, disp)) <= budget}
+                assert len(dict(table)) == len(table) and dict(table) == want, (n, r, budget)
 
 
-def test_gamma_d8_permutes_one_residue_class_at_a_time(monkeypatch):
-    # every sum at 3 <= n <= 8 permutes within classes mod n of at most
-    # ceil(8/3) elements; fresh caches make each table be built here
+def test_gamma_d8_permutes_one_residue_class_at_a_time(monkeypatch, gamma_row_builds):
+    # a zero-sum label has r = 0, so every sum at 3 <= n <= 8 walks the
+    # residue classes mod n one at a time, none of more than ceil(8/3)
+    # places; cold caches make each row, table and walk state be built here
     d = 8
-    sizes = []
+    lengths = []
+    walk = rc._orbit_walk.__wrapped__
 
-    def recording(pool, *args):
-        pool = tuple(pool)
-        sizes.append(len(pool))
-        return itertools.permutations(pool, *args)
+    def recording(left, *state):
+        lengths.append(left)
+        return walk(left, *state)
 
-    patched = types.SimpleNamespace(**{**vars(itertools), "permutations": recording})
-    monkeypatch.setattr(rc, "itertools", patched)
+    monkeypatch.setattr(rc, "_orbit_walk", lru_cache(recording))
     monkeypatch.setattr(rc, "_lattice_displacements", lru_cache(rc._lattice_displacements.__wrapped__))
     pinned = json.loads((Path(__file__).parent / "gamma_d8.json").read_text())
     for lam in rc.enumerate_lambda_set(d, 2):
         gam = rc.gamma_coefficients(lam)
         assert {str(k): str(v) for k, v in gam.items()} == pinned[" ".join(map(str, lam))]
-    assert sizes and max(sizes) == -(-d // 3)
+    assert gamma_row_builds and max(lengths, default=0) == -(-d // 3)
 
 
 def walk_fs_sum(lam, n):
@@ -729,14 +723,16 @@ def test_fs_weyl_sum_on_shifted_residue_classes(entries, shifts):
     d = len(entries)
     for n, r in shifts.items():
         assert Fraction(-n * sum(entries), d) % n == r
-        assert rc._lattice_displacements(d, n, r), (n, r)
+        budget = n * sum(abs(d * v - sum(entries)) for v in entries) // d
+        assert rc._lattice_displacements(d, n, r, budget), (n, r)
     for n in range(3, d + 1):
         want = per_permutation_fs_sum(entries, n) if d <= 7 else walk_fs_sum(entries, n)
         assert rc._fs_weyl_sum(entries, n) == want, n
         assert want or n not in shifts, n
 
 
-@pytest.mark.parametrize("d,t", [(3, 3), (4, 3), (5, 3), (6, 3), (7, 2), (8, 2)])
+@pytest.mark.parametrize("d,t", [(3, 3), (4, 3), (5, 3), (6, 3), (7, 2), (8, 2), (16, 3), (32, 2),
+                                 (64, 2)])
 def test_fs_weyl_sum_matches_transposition_closed_form(d, t):
     # at n >= d/2 each residue class mod n has at most two elements, so the
     # permutations that pass the lattice test of a zero-sum label are the
@@ -831,15 +827,16 @@ def test_fs_weyl_sums_count_invariants_of_the_residue_class_subgroup():
     # U(d_{n-1}), d_i the size of residue class i mod n, so on a zero-sum
     # label d_lam delta_lam(n) counts that subgroup's invariants in pi_lam
     # and is >= 0; at n = d every d_i is 1, the subgroup is the torus and
-    # the count is m_lam(0)
+    # the count is m_lam(0). At d = 16 no per-permutation oracle reaches,
+    # so these facts are the check
     pairs = 0
-    for d in range(3, 9):
+    for d in (*range(3, 9), 16):
         for lam in rc.enumerate_lambda_set(d, 5):
             for n in range(3, d + 1):
                 assert rc._fs_weyl_sum(lam, n) >= 0, (lam, n)
                 pairs += 1
             assert rc._fs_weyl_sum(lam, d) == rc.zero_weight_multiplicity(lam), lam
-    assert pairs == 1427
+    assert pairs == 2659
 
 
 def two_part_label(alpha, beta, d):
@@ -850,21 +847,22 @@ def two_part_label(alpha, beta, d):
 def test_fs_weyl_sums_are_stable_in_d():
     # with d_i >= max(l(alpha), l(beta)) for every residue class i mod n,
     # the invariants of U(d_0) x ... x U(d_{n-1}) in pi_lam no longer grow
-    # with d: the sum is one value at every d <= MAX_WEYL_DIM from n m on
+    # with d: the sum is one value at every d <= D from n m on
+    D = 16
     parts = [p for k in range(1, 5) for m in range(1, k + 1) for p in rc._partitions_exact(k, m)]
     cases = 0
     for alpha, beta in itertools.product(parts, repeat=2):
         m = max(len(alpha), len(beta))
         if sum(alpha) != sum(beta):
             continue
-        for n in range(3, rc.MAX_WEYL_DIM + 1):
-            ds = range(n * m, rc.MAX_WEYL_DIM + 1)
+        for n in range(3, D + 1):
+            ds = range(n * m, D + 1)
             if len(ds) < 2:
                 continue
             values = {rc._fs_weyl_sum(two_part_label(alpha, beta, d), n) for d in ds}
             assert len(values) == 1, (alpha, beta, n, values)
             cases += 1
-    assert cases == 34
+    assert cases == 167
 
 
 def test_fs_weyl_sums_of_one_row_labels_count_monomials():
@@ -873,7 +871,7 @@ def test_fs_weyl_sums_of_one_row_labels_count_monomials():
     for k in (1, 2, 3):
         for n in (3, 4):
             want = math.comb(n + k - 1, k) - math.comb(n + k - 2, k - 1)
-            for d in range(n, rc.MAX_WEYL_DIM + 1):
+            for d in (*range(n, 17), 32, 64):
                 got = rc._fs_weyl_sum(two_part_label((k,), (k,), d), n)
                 assert got == want, (k, n, d)
 
@@ -914,7 +912,7 @@ def test_weyl_sums_run_only_at_3_to_d(monkeypatch, gamma_row_builds):
         for n in range(-6, 7):
             rc.fs_indicator(lam, n)
     # a fresh build of each Table-2 spectrum and the Bernstein-symmetric
-    # totals past the Weyl cap run no sum either
+    # totals at d = 9, 16 and 64 run no sum either
     for d, ts in TABLE2_COLUMNS.items():
         for t in ts:
             rc.block_spectrum.__wrapped__(d, t)

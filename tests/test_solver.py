@@ -108,6 +108,15 @@ def test_search_master_symmetric_d2_t2():
     assert res.n_pairs == 36
 
 
+@pytest.mark.parametrize("d,want", [(16, 124), (32, 144), (64, 164)])
+def test_search_master_symmetric_past_the_grid(d, want):
+    # the grid's master-symmetric column stops at d = 8, the library does
+    # not; each size is below master-plain's in the same cell
+    res = solver.min_size_search(d, 2, 0.5, 0.99, Method.MASTER_SYMMETRIC)
+    assert res.S_min == want
+    assert want < solver.min_size_search(d, 2, 0.5, 0.99, Method.MASTER_PLAIN).S_min
+
+
 def test_crossing_property():
     for method, step in [(Method.MASTER_PLAIN, 1), (Method.BERNSTEIN_SYMMETRIC, 2)]:
         res = solver.min_size_search(2, 3, 0.5, 0.99, method)
@@ -339,7 +348,7 @@ def test_clifford_sum_dimension_shortcut_matches_enumeration():
 
 def test_table2_cells_filtering():
     cells = list(solver.table2_cells(dims=(16,)))
-    # only master-symmetric, which needs the Weyl sums, is dropped beyond the cap
+    # only master-symmetric is dropped: the grid's column stops at d = 8
     assert Method.MASTER_SYMMETRIC not in {m for _, _, m, _ in cells}
     for method in (Method.BERNSTEIN_PLAIN, Method.BERNSTEIN_SYMMETRIC, Method.MASTER_PLAIN):
         assert [t for _, t, m, _ in cells if m is method] == [2, 3, 4, 5]
@@ -347,7 +356,7 @@ def test_table2_cells_filtering():
 
 @pytest.mark.parametrize("d", [16, 32, 64])
 def test_bernstein_symmetric_large_d_by_plain_scan(d):
-    # the pinned bernstein-symmetric S_min beyond the Weyl cap, by an
+    # the pinned bernstein-symmetric S_min at d >= 16, by an
     # independent route: d_lam over all pairs, and d_lam delta_lam(2) = 1
     # exactly when the positive part alpha of the label equals its negated
     # negative part beta (4 | d, so every self-dual label is real), summed
