@@ -10,22 +10,19 @@ methods linear in S (Bernstein-plain, Bernstein-symmetric, master-plain)
 are each one exponent, :func:`_s_linear_exponent`, added to log(2 d_lam);
 :func:`total_bound` adds it to the log(2 d_lam) array of the cached block
 spectrum (:func:`repcore.block_spectrum`) in one log-sum-exp, with no
-per-label call. The master-symmetric totals fill the cache's missing labels
+per-label call. The master-symmetric totals fill the table's missing labels
 in one batch, then go label by label, through :func:`per_label_bound`.
 
 A label is its checked entries tuple (:func:`repcore._label_entries`)
 everywhere here: :func:`per_label_bound` reduces the one it is given, and
-the one per-label cache is keyed on it. With x = 2 theta / S the symmetric
+the one per-label table is keyed on it. With x = 2 theta / S the symmetric
 objective is (S/2) h(x), h(x) = log B(x) - delta x a convex log-MGF (Tropp,
 arXiv:1501.01571, Sec. 3) whose minimizer does not depend on S: one batch
 bisects on the sign of the analytic h' for all its labels in lockstep, and
-each (label, delta) entry serves every probe of a size search. Every read
-goes through :func:`_sym_entries`, which fills a request's missing labels in
-one batch; a row has the same bits in any batch, so a label read alone gets
-the entry a total would give it. The cache is capped at _SYM_CACHE_CAP
-entries: a batch that would pass the cap empties it and refills every label
-of its request, so the per-label reads of a total always hit, however many
-labels its spectrum has.
+each label's entry serves every probe of a size search at its delta. Every
+read goes through :func:`_sym_entries`, which holds the entries of one delta
+and fills a request's missing labels in one batch; a row has the same bits
+in any batch, so a label read alone gets the entry a total would give it.
 """
 from __future__ import annotations
 
@@ -131,22 +128,17 @@ def _branch_exponents(x, delta, m0d, signed):
         return np.where(ok, x + np.log(b) - delta * x, np.nan), np.where(ok, db / b - delta, np.nan)
 
 
-#: the size :data:`_sym_cache` may grow to by adding a batch; a batch that
-#: would pass it empties the cache first
-_SYM_CACHE_CAP = 1 << 16
-
-# (label entries tuple, delta, full) -> (log d_lam, (h+, x+), (h-, x-)).
-# Capped because delta is in the key: a search needs one entry per label
-# (5000 at d=2, t=5000), and a delta sweep one label set per delta. A request
-# with more labels than the cap is held whole until the next batch empties it
+# (label entries tuple, full) -> (log d_lam, (h+, x+), (h-, x-)): the entries
+# of the one delta held under the key "delta". A request at another delta
+# empties it, so a delta sweep holds one label set at a time
 _sym_cache = {}
 
 
 def _fill_sym_cache(labels, delta, full):
-    """Cache the entries of ``labels`` at delta from one batch, with the
-    bracket weights of :func:`repcore._gamma_row`, exact ints divided by
-    d_lam in int true division, which rounds correctly: each weight has the
-    bits of float(Fraction). With x = 2 theta / S,
+    """The entries of ``labels`` at delta from one batch, with the bracket
+    weights of :func:`repcore._gamma_row`, exact ints divided by d_lam in int
+    true division, which rounds correctly: each weight has the bits of
+    float(Fraction). With x = 2 theta / S,
     e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)}, so an entry serves
     every S. It holds (h, x) per sign: h at x0 = 2 delta / sqrt(1 - delta^2),
     the simplified bound's point, or, when ``full``, the minimum over x in
@@ -155,7 +147,7 @@ def _fill_sym_cache(labels, delta, full):
     otherwise the sign of h' is bisected in log x, every row in lockstep from
     one first bracket, until the row's bracket is THETA_RTOL wide. NaN slopes
     move the upper end, so the kept lower end is finite; h(x0) caps the
-    bisected minimum. It evicts nothing: :func:`_sym_entries` keeps the cap.
+    bisected minimum.
     """
     rows = list(map(repcore._gamma_row, labels))
     gam = np.array([[g / dl for g in row] for dl, _, row in rows])
@@ -180,22 +172,20 @@ def _fill_sym_cache(labels, delta, full):
         cap = np.isnan(h_lo) | (h < h_lo)
         h = np.where(flat, 0.0, np.where(cap, h, h_lo))
         x = np.where(flat, 0.0, np.where(cap, x, np.exp(lo)))
-    for lam, (dl, _, _), (hp, hm), (xp, xm) in zip(labels, rows, h.tolist(), x.tolist()):
-        _sym_cache[lam, delta, full] = (math.log(dl), (hp, xp), (hm, xm))
+    return [(math.log(dl), (hp, xp), (hm, xm))
+            for (dl, _, _), (hp, hm), (xp, xm) in zip(rows, h.tolist(), x.tolist())]
 
 
 def _sym_entries(labels, delta, full):
     """The entries of ``labels`` at delta, the missing ones filled in one
-    batch. A batch that would take the cache past _SYM_CACHE_CAP empties it
-    and fills every label of ``labels``, so each of them then hits."""
-    keys = [(lam, delta, full) for lam in labels]
-    todo = [key[0] for key in keys if key not in _sym_cache]
+    batch; a delta other than the table's empties it first."""
+    if _sym_cache.get("delta") != delta:
+        _sym_cache.clear()
+        _sym_cache["delta"] = delta
+    todo = [lam for lam in labels if (lam, full) not in _sym_cache]
     if todo:
-        if len(_sym_cache) + len(todo) > _SYM_CACHE_CAP:
-            _sym_cache.clear()
-            todo = labels
-        _fill_sym_cache(todo, delta, full)
-    return [_sym_cache[key] for key in keys]
+        _sym_cache.update(zip([(lam, full) for lam in todo], _fill_sym_cache(todo, delta, full)))
+    return [_sym_cache[lam, full] for lam in labels]
 
 
 def _master_symmetric(lam, method, S, delta):

@@ -188,7 +188,17 @@ def cmd_clifford(args):
                 "log10_ratio": math.log10(card) - math.log10(s_printed),
             }
         )
-    _emit(columns, rows, args)
+    # from n = 84, |C_n| has more digits than Python converts to a string by
+    # default (4300): lift that limit for the write and put it back, as main
+    # may run in a longer-lived process (Python < 3.10.7 has no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(columns, rows, args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -319,10 +319,6 @@ class TailEstimate:
     stderr: float
     records: list = field(default_factory=list)
 
-    @property
-    def deltas(self):
-        return [r["delta"] for r in self.records]
-
 
 def empirical_tail(d, t, kind, S, delta, trials, seed):
     """Fraction of seeded trials with delta(nu_S, t) >= delta.

@@ -175,7 +175,11 @@ def table2_cells(delta=0.5, P=0.99, dims=None):
     100 cells are pinned, not of the library, whose :func:`min_size_search`
     runs that method at every d.
     """
-    dims = tuple(dims) if dims is not None else tuple(TABLE2_COLUMNS)
+    try:
+        dims = tuple(TABLE2_COLUMNS if dims is None else dims)
+    except TypeError:
+        raise ValueError(f"dims must be an iterable of dimensions, got {dims!r}") from None
+    dims = tuple(repcore._integral(d, "an entry of dims") for d in dims)
     for i, d in enumerate(dims):
         if d not in TABLE2_COLUMNS:
             raise ValueError(

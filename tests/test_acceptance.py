@@ -250,10 +250,11 @@ def test_criterion_7_mc_dominance():
     ok = True
     for i, (d, t, S, kind) in enumerate(configs):
         est = mc.empirical_tail(d, t, kind, S, 0.7, trials=200, seed=1000 + i)
+        deltas = [r["delta"] for r in est.records]
         for delta in (0.7, 0.9):
-            hits = sum(1 for v in est.deltas if v >= delta)
-            frac = hits / len(est.deltas)
-            stderr = math.sqrt(frac * (1 - frac) / len(est.deltas))
+            hits = sum(1 for v in deltas if v >= delta)
+            frac = hits / len(deltas)
+            stderr = math.sqrt(frac * (1 - frac) / len(deltas))
             for method in bd.methods_for_kind(kind):
                 prob = bd.total_bound(d, t, kind, S, delta, method).probability
                 good = frac <= prob + 3.0 * stderr

@@ -214,7 +214,6 @@ def test_batch_bracket_weights_are_the_exact_gammas_rounded(monkeypatch):
     real = bd._branch_exponents
     monkeypatch.setattr(bd, "_branch_exponents", lambda x, delta, m0d, signed:
                         seen.append((m0d, signed)) or real(x, delta, m0d, signed))
-    monkeypatch.setattr(bd, "_sym_cache", {})
     groups = [rc.block_spectrum(d, t).labels for d, t in ((2, 500), (4, 20), (8, 5))]
     for labels in groups + [rc.block_spectrum(2, 5000).labels[::50]]:
         seen.clear()
@@ -402,34 +401,41 @@ def test_delta_sweep_builds_the_gamma_rows_once(gamma_row_builds):
 
 
 @pytest.mark.parametrize("method", [Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED])
-def test_spectrum_past_the_cache_cap_is_filled_once(method, monkeypatch):
-    # a spectrum with more labels than the cache holds is filled whole in
-    # one batch, so the total's per-label reads and the next probe all hit
+def test_spectrum_is_filled_once_per_delta(method, monkeypatch):
+    # a spectrum of any size is filled whole in one batch, so the total's
+    # per-label reads, the next probe and a later per-label read all hit,
+    # and the other master-symmetric method adds its entries beside them.
+    # The table holds one delta: a new one empties it
     fills = []
     real = bd._fill_sym_cache
-    monkeypatch.setattr(bd, "_SYM_CACHE_CAP", 64)
     monkeypatch.setattr(bd, "_fill_sym_cache",
                         lambda labels, *a: fills.append(len(labels)) or real(labels, *a))
+    other, = {Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED} - {method}
     bd._sym_cache.clear()
     for S in (100, 200):
-        bd.total_bound(2, 200, GateSetKind.SYMMETRIC, S, 0.41, method)
-    assert fills == [200]
+        bd.total_bound(2, 5000, GateSetKind.SYMMETRIC, S, 0.41, method)
+    bd.total_bound(2, 20, GateSetKind.SYMMETRIC, 100, 0.41, other)
     bd.per_label_bound((7, -7), method, 100, 0.41)
-    assert fills == [200]
+    assert fills == [5000, 20]
+    bd.total_bound(2, 20, GateSetKind.SYMMETRIC, 100, 0.42, method)
+    bd.per_label_bound((7, -7), method, 100, 0.42)
+    assert fills == [5000, 20, 20]
+    bd.per_label_bound((7, -7), method, 100, 0.41)
+    assert fills == [5000, 20, 20, 1]
 
 
 @pytest.mark.parametrize("method", [Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED])
 @pytest.mark.parametrize("d,t,step", [(4, 4, 1), (8, 3, 1), (2, 500, 20)])
 def test_one_row_batch_equals_its_row_of_the_full_batch(d, t, step, method):
     # a label's entry does not depend on the labels batched with it: a
-    # per-label miss gives the bits of the total's lockstep batch
-    labels, full = rc.block_spectrum(d, t).labels[::step], method is Method.MASTER_SYMMETRIC
+    # per-label miss gives the bits of the total's lockstep batch, and
+    # neither batch writes the table
+    labels, full = rc.block_spectrum(d, t).labels, method is Method.MASTER_SYMMETRIC
     bd._sym_cache.clear()
-    bd.total_bound(d, t, GateSetKind.SYMMETRIC, 100, 0.5, method)
-    batch = [bd._sym_cache[lam, 0.5, full] for lam in labels]
-    bd._sym_cache.clear()
-    for lam, entry in zip(labels, batch):
-        assert bd._sym_entries((lam,), 0.5, full) == [entry], lam
+    batch = bd._fill_sym_cache(labels, 0.5, full)
+    for lam, entry in list(zip(labels, batch))[::step]:
+        assert bd._fill_sym_cache((lam,), 0.5, full) == [entry], lam
+    assert bd._sym_cache == {}
 
 
 def _delta_crossing(d, t, S, method, level):

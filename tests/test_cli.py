@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -288,6 +289,22 @@ def test_clifford_rejects_nonpositive_qubit_count(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "--max-qubits" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_clifford_prints_exact_cardinality_past_the_digit_limit(capsys, fmt):
+    # |C_90| has 4 958 digits, past Python's default int-to-string limit of
+    # 4300; the row holds all of them, and the limit is the same afterwards
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run_cli(capsys, "--format", fmt, "clifford", "--max-qubits", "90")
+    assert code == 0
+    if fmt == "csv":
+        card = parse_csv(out)[1][-1][1]
+    else:
+        card = json.loads(out, parse_int=str)["rows"][-1]["clifford_cardinality"]
+    assert card.isdigit() and len(card) > 4300
+    assert len(card) == math.floor(math.log10(solver.clifford_cardinality(90))) + 1
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_clifford_full_range_runs_fast(capsys):

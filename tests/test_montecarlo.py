@@ -576,7 +576,6 @@ def test_tail_names_a_size_past_numpys_index_range(monkeypatch, kind):
 def test_tail_reproducible_and_jsonl():
     e1 = mc.empirical_tail(2, 2, GateSetKind.PLAIN, 5, 0.8, trials=8, seed=5)
     e2 = mc.empirical_tail(2, 2, GateSetKind.PLAIN, 5, 0.8, trials=8, seed=5)
-    assert e1.deltas == e2.deltas
     assert e1.records == e2.records
     assert len(e1.records) == 8
     assert "delta" in e1.records[0] and "iterations" in e1.records[0]

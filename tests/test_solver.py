@@ -354,6 +354,16 @@ def test_table2_cells_filtering():
         assert [t for _, t, m, _ in cells if m is method] == [2, 3, 4, 5]
 
 
+def test_table2_cells_rejects_malformed_dims():
+    # each entry must be integral, so a string's characters are not
+    # dimensions; a non-iterable is named, not a bare TypeError
+    with pytest.raises(ValueError, match="an entry of dims must be integral, got '2'"):
+        next(solver.table2_cells(dims="24"))
+    with pytest.raises(ValueError, match="dims must be an iterable of dimensions, got 2"):
+        next(solver.table2_cells(dims=2))
+    assert next(solver.table2_cells(dims=[2.0]))[:3] == (2, 2, Method.BERNSTEIN_PLAIN)
+
+
 @pytest.mark.parametrize("d", [16, 32, 64])
 def test_bernstein_symmetric_large_d_by_plain_scan(d):
     # the pinned bernstein-symmetric S_min at d >= 16, by an
