@@ -147,7 +147,9 @@ def _fill_sym_cache(labels, delta, full):
     otherwise the sign of h' is bisected in log x, every row in lockstep from
     one first bracket, until the row's bracket is THETA_RTOL wide. NaN slopes
     move the upper end, so the kept lower end is finite; h(x0) caps the
-    bisected minimum.
+    bisected minimum, and a minimum that rounds above the theta -> 0 limit
+    is that limit, (0, 0). The simplified entry stays h(x0), the point that
+    bound is defined at.
     """
     rows = list(map(repcore._gamma_row, labels))
     gam = np.array([[g / dl for g in row] for dl, _, row in rows])
@@ -170,8 +172,9 @@ def _fill_sym_cache(labels, delta, full):
             hi = np.where(run & ~down, mid, hi)
             run &= hi - lo > THETA_RTOL
         cap = np.isnan(h_lo) | (h < h_lo)
-        h = np.where(flat, 0.0, np.where(cap, h, h_lo))
-        x = np.where(flat, 0.0, np.where(cap, x, np.exp(lo)))
+        h, x = np.where(cap, h, h_lo), np.where(cap, x, np.exp(lo))
+        flat |= h > 0.0
+        h, x = np.where(flat, 0.0, h), np.where(flat, 0.0, x)
     return [(math.log(dl), (hp, xp), (hm, xm))
             for (dl, _, _), (hp, hm), (xp, xm) in zip(rows, h.tolist(), x.tolist())]
 

@@ -1,7 +1,7 @@
 """Exact representation theory of U(d)/SU(d) irrep blocks.
 
 Everything here is exact integer/rational arithmetic: irrep label
-enumeration, Weyl dimensions, weight multiplicities (Kostka numbers by
+enumeration, Weyl dimensions, weight multiplicities (pattern counts by
 Gelfand-Tsetlin branching), Frobenius-Schur indicators delta_lambda(n) and
 the gamma_lambda(k) coefficients entering the symmetric master bound.
 
@@ -46,7 +46,8 @@ residue class c mod n onto c + r, r = -n Sigma(lambda)/d mod n: it is one
 permutation per orbit of c -> c + r, as U^n has the eigenvalues of a Haar
 draw from prod_c U(|class c|) (Rains). :func:`_orbit_walk` walks each orbit
 within the one-norm a weight of pi_lambda allows, recursing once per place,
-so past the recursion limit it raises a ``ValueError`` naming d.
+so past the recursion limit it raises a ``ValueError`` naming d. The merged
+table holds weights, and the label is shifted once to meet them.
 
 Weights are integer U(d) weights whose entries sum to Sigma(lambda), the
 label's entry sum, so a label with nonzero entry sum and its SU(d)
@@ -55,20 +56,19 @@ nu + Sigma(lambda)/d, of multiplicity 0 unless that is an integer vector.
 So m_lambda(0) counts (Sigma/d, ..., Sigma/d) when d divides Sigma(lambda),
 and is 0 otherwise.
 
-Note on multiplicities: the weight multiplicity m_lambda(mu) of U(d) is the
-Kostka number K_{lambda, mu} once lambda and mu are shifted by one common
-integer so that lambda is a partition (Macdonald, *Symmetric Functions and
-Hall Polynomials*, I.5-I.7; Fulton, *Young Tableaux*, 8). It is invariant
-under permuting mu and is counted by stripping horizontal strips in one
-memoized recursion, :func:`_mult_centered`, keyed on (lambda, sorted mu),
-so no Kostant partition function and no alternating sum over the Weyl
-group is needed. Each strip's nu interlaces lambda: all its entries but the
-last run over a box, and the size fixes the last. The recursion is one
-level per label entry, so past the recursion limit (d near 500 from a cold
-memo) a multiplicity raises a ``ValueError`` naming d. The Kostant and
-Freudenthal engines are kept in the tests (``tests/oracles.py``) as
-independent oracles, with the partition counts that check
-:func:`enumerate_lambda_set` and the SU(d) -> U(d) lift of a Dynkin label.
+Note on multiplicities: the weight multiplicity m_lambda(mu) of U(d) counts
+the Gelfand-Tsetlin patterns with top row lambda whose row sums step down
+by the entries of mu (Fulton, *Young Tableaux*, 8; Macdonald, *Symmetric
+Functions and Hall Polynomials*, I.5-I.7: the Kostka number when lambda is
+a partition). It is invariant under permuting mu and is counted one row at
+a time in one memoized recursion, :func:`_mult_centered`, keyed on
+(lambda, sorted mu), so no Kostant partition function and no alternating
+sum over the Weyl group is needed. The recursion is one level per label
+entry, so past the recursion limit (d near 500 from a cold memo) a
+multiplicity raises a ``ValueError`` naming d. The Kostant and Freudenthal
+engines are kept in the tests (``tests/oracles.py``) as independent
+oracles, with the partition counts that check :func:`enumerate_lambda_set`
+and the SU(d) -> U(d) lift of a Dynkin label.
 """
 from __future__ import annotations
 
@@ -295,7 +295,7 @@ def block_spectrum(d, t):
 
 
 # ---------------------------------------------------------------------------
-# weight multiplicities: Kostka numbers
+# weight multiplicities: Gelfand-Tsetlin pattern counts
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -304,29 +304,23 @@ def _mult_centered(lam_entries, mu):
 
     Callers pass mu sorted nonincreasing: multiplicities are Weyl-invariant,
     so the one memo of weight multiplicities is keyed on that canonical
-    pair. Subtracting lambda_d from every entry of both strips a tableau's
-    full columns and makes lambda a partition and mu a composition of the
-    same size (none when mu_d < lambda_d); the multiplicity is their Kostka
-    number. Removing the entries d from such a tableau leaves one of shape
-    nu with content mu_1..mu_{d-1}, where lambda/nu is a horizontal strip of
-    size mu_d (Gelfand-Tsetlin branching), so the count recurses on
-    (nu, mu prefix), which is sorted too: every call, top-level or
-    recursive, reads and fills this memo. The strips are exactly the nu with
-    nu_i in [lambda_{i+1}, lambda_i]: the first d - 2 entries run over that
-    box, and the last, fixed by the size, is kept when it lies in its range.
+    pair. Restricted to U(d-1) x U(1), pi_lambda is the sum, each once, of
+    pi_nu times z^(Sigma(lambda) - Sigma(nu)) over the nu with nu_i in
+    [lambda_{i+1}, lambda_i] (Gelfand-Tsetlin branching), so the count
+    recurses on (nu, mu prefix) for the nu of entry sum Sigma(lambda) - mu_d,
+    a sorted pair too, so every call reads and fills this memo. The first
+    d - 2 entries of nu run over their box; the last, fixed by the size, is
+    kept in its range. No weight has an entry below lambda_d.
     """
     if len(lam_entries) == 1:
         return int(lam_entries[0] == mu[0])
-    low = lam_entries[-1]
-    if mu[-1] < low:
-        return 0  # an entry below lambda_d
-    shape = tuple(v - low for v in lam_entries)
-    rest = tuple(v - low for v in mu[:-1])
-    size = sum(shape) - mu[-1] + low
+    if mu[-1] < lam_entries[-1]:
+        return 0
+    size, rest = sum(lam_entries) - mu[-1], mu[:-1]
     total = 0
-    for head in itertools.product(*(range(b, a + 1) for a, b in zip(shape, shape[1:-1]))):
+    for head in itertools.product(*(range(b, a + 1) for a, b in zip(lam_entries, lam_entries[1:-1]))):
         last = size - sum(head)
-        if 0 <= last <= shape[-2]:
+        if lam_entries[-1] <= last <= lam_entries[-2]:
             total += _mult_centered(head + (last,), rest)
     return total
 
@@ -342,7 +336,7 @@ def _multiplicity(ent, mu):
 
 
 def weight_multiplicity(lam, mu):
-    """m_lambda(mu), the Kostka number of the shifted pair (lambda, sort(mu)).
+    """m_lambda(mu), the Gelfand-Tsetlin pattern count of (lambda, sort(mu)).
 
     mu may have entries of any finite numeric type; it counts as the integer
     weight it equals, and an infinite or NaN entry raises ``ValueError``.
@@ -393,15 +387,17 @@ def _orbit_walk(left, holes, spare, n, r):
 
 @lru_cache(maxsize=None)
 def _lattice_displacements(d, n, r, budget):
-    """(displacement sorted nonincreasing, net sign) of the sigma in S_d with
-    steps sigma(i) - i all r mod n and one-norm <= budget, cancelled signs
-    dropped. Such a sigma maps each residue class c mod n onto c + r (the
-    n-abacus of Littlewood's rule for s_lambda o p_n); on the places j, j+g,
-    ... of an orbit of c -> c + r, g = gcd(n, r), its steps are g times r/g
-    mod n/g: an :func:`_orbit_walk` table scaled by g, merged in turn."""
+    """(weight q sorted nonincreasing, net sign) of the sigma in S_d with
+    steps sigma(i) - i all r mod n and one-norm <= budget, q_i =
+    (sigma(i) - i - r)/n, cancelled signs dropped. Such a sigma maps each
+    residue class c mod n onto c + r (the n-abacus of Littlewood's rule for
+    s_lambda o p_n); on the places j, j+g, ... of an orbit of c -> c + r,
+    g = gcd(n, r), its steps u are g times r/g mod n/g: the orbits'
+    :func:`_orbit_walk` tables merge in units of g, and q = (u - r/g)/(n/g)."""
     g = math.gcd(n, r)
+    n, r, budget = n // g, r // g, budget // g
     try:
-        orbits = [_orbit_walk(len(range(j, d, g)), (), budget // g, n // g, r // g) for j in range(g)]
+        orbits = [_orbit_walk(len(range(j, d, g)), (), budget, n, r) for j in range(g)]
     except RecursionError:
         raise ValueError(f"the Frobenius-Schur walk recurses once per place of an orbit; d={d} "
                          f"exceeds the recursion limit {sys.getrecursionlimit()}") from None
@@ -410,11 +406,12 @@ def _lattice_displacements(d, n, r, budget):
         joined = {}
         for key, sign in merged.items():
             spare = budget - sum(map(abs, key))
-            for _, part, part_sign in itertools.takewhile(lambda entry: g * entry[0] <= spare, orbit):
-                both = tuple(sorted(key + tuple(g * v for v in part)))
+            for _, part, part_sign in itertools.takewhile(lambda entry: entry[0] <= spare, orbit):
+                both = tuple(sorted(key + part))
                 joined[both] = joined.get(both, 0) + sign * part_sign
         merged = {key: c for key, c in joined.items() if c}
-    return tuple((tuple(sorted(key + (0,) * (d - len(key)), reverse=True)), c) for key, c in merged.items())
+    return tuple((tuple((u - r) // n for u in sorted(key + (0,) * (d - len(key)), reverse=True)), c)
+                 for key, c in merged.items())
 
 
 def _fs_weyl_sum(ent, n):
@@ -427,10 +424,10 @@ def _fs_weyl_sum(ent, n):
     behind the memo of :func:`_gamma_row`. The identity's term is
     m_lambda(0). With lift = n Sigma(lambda)/d, the term of sigma counts the
     weight (sigma(i) - i + lift)/n, so it is 0 unless every sigma(i) - i is
-    -lift mod n. The sum is 0 when lift is not an integer, and otherwise runs
-    over the :func:`_lattice_displacements` table of r = -lift mod n. One
-    term per displacement group: the multiplicity depends on the sorted
-    displacement alone.
+    -lift mod n; the sum is 0 when lift is not an integer. With c =
+    ceil(lift/n), that weight is q + c, q in the :func:`_lattice_displacements`
+    table of r = n c - lift, and m_lambda(q + c) = m_(lambda - c)(q): the
+    label is shifted once, with one term per weight group.
     """
     d, size = len(ent), sum(ent)
     lift, rem = divmod(n * size, d)
@@ -440,8 +437,10 @@ def _fs_weyl_sum(ent, n):
     # the Weyl orbit of lambda - Sigma(lambda)/d, so ||displacement||_1 <=
     # n ||lambda - Sigma(lambda)/d||_1, whose floor is the budget below
     budget = n * sum(abs(d * v - size) for v in ent) // d
-    return sum(sign * _multiplicity(ent, tuple((v + lift) // n for v in disp))
-               for disp, sign in _lattice_displacements(d, n, -lift % n, budget))
+    c = -(-lift // n)
+    shifted = tuple(v - c for v in ent)
+    table = _lattice_displacements(d, n, n * c - lift, budget)
+    return sum(sign * _multiplicity(shifted, q) for q, sign in table)
 
 
 def _frobenius_schur(ent):
@@ -505,6 +504,7 @@ def _gamma_row(ent):
     row the ints d_lambda gamma_lambda(k) = :func:`_fs_numerator` at k less
     m_lambda(0), k = 0..d: the exact bracket weights of the symmetric master
     bound. Keyed on the label alone, so each row is built once, whatever its
-    t or delta."""
+    t or delta; its k = 0 term is d_lambda less m_lambda(0)."""
     m0 = _zero_weight(ent)
-    return _weyl_dim(ent), m0, tuple(_fs_numerator(ent, k) - m0 for k in range(len(ent) + 1))
+    row = tuple(_fs_numerator(ent, k) - m0 for k in range(len(ent) + 1))
+    return row[0] + m0, m0, row

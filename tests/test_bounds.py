@@ -298,6 +298,20 @@ def test_symmetric_trivial_block_takes_the_theta_to_zero_limit(lam):
     assert res.theta_star == 0.0
 
 
+def test_full_entries_never_exceed_the_theta_to_zero_limit():
+    # h is convex with h(0+) = 0, so its infimum is at most 0; at delta =
+    # 1e-12 the bisected minima of (4, 2) round up to 5e-17 above it and
+    # are that limit, (0, 0). No block bound then exceeds log(2 d_lam), and
+    # the size search names the flat rate 0.0
+    entries = bd._sym_entries(rc.block_spectrum(4, 2).labels, 1e-12, True)
+    assert all(h < 0.0 or (h, x) == (0.0, 0.0) for entry in entries for h, x in entry[1:])
+    lam = (1, 0, 0, -1)
+    res = bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, 10**12, 1e-12)
+    assert res.log_bound <= math.log(2 * rc.weyl_dimension(lam))
+    with pytest.raises(ValueError, match="the flattest per-gate rate is 0.0$"):
+        solver.min_size_search(4, 2, 1e-12, 0.99, Method.MASTER_SYMMETRIC)
+
+
 def test_simplified_against_mpmath_oracle():
     # lam=(2,-2), S=100, delta=0.3: direct bracket summation in 50 digits
     S, delta = 100, mpmath.mpf("0.3")
@@ -382,11 +396,15 @@ def test_master_symmetric_search_reuses_exponents_across_S(monkeypatch):
 
 def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
     # data whose bracket B(x) = -e^{+-x} is negative at every x: the gamma
-    # row of (1, -1) with d_lam = 3, m_lam(0) = -3 and every gamma zero
+    # row of (1, -1) with d_lam = 3, m_lam(0) = -3 and every gamma zero. The
+    # size search, with no finite rate to bracket it, raises the total's error
     monkeypatch.setattr(rc, "_gamma_row", lambda lam: (3, -3, (0, 0, 0)))
+    monkeypatch.setattr(bd, "_sym_cache", {})
     for method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         with pytest.raises(bd.BoundUnavailableError):
             bd.per_label_bound((1, -1), method, 20, 0.4321)
+        with pytest.raises(bd.BoundUnavailableError, match=r"lam=\(1, -1\)"):
+            solver.min_size_search(2, 2, 0.4321, 0.99, method)
 
 
 def test_delta_sweep_builds_the_gamma_rows_once(gamma_row_builds):

@@ -668,16 +668,18 @@ def test_signed_displacements_table(d):
 @pytest.mark.parametrize("d", range(2, 9))
 def test_lattice_tables_match_walk_oracle(d):
     # every budget cut, from the identity alone to one past the largest
-    # one-norm on the lattice, is the oracle's groups within that budget
+    # one-norm on the lattice, is the oracle's groups within that budget; a
+    # row holds the weight q of the displacement v = n q + r
     walk = oracles.signed_displacements(d)
     for n in range(1, d + 3):
         for r in range(n):
             lattice = {disp: sign for disp, sign in walk.items() if all((v - r) % n == 0 for v in disp)}
             top = max((sum(map(abs, disp)) for disp in lattice), default=0)
             for budget in range(top + 2):
-                table = rc._lattice_displacements(d, n, r, budget)
+                rows = rc._lattice_displacements(d, n, r, budget)
+                table = {tuple(n * v + r for v in q): sign for q, sign in rows}
                 want = {disp: sign for disp, sign in lattice.items() if sum(map(abs, disp)) <= budget}
-                assert len(dict(table)) == len(table) and dict(table) == want, (n, r, budget)
+                assert len(table) == len(rows) and table == want, (n, r, budget)
 
 
 def test_gamma_d8_permutes_one_residue_class_at_a_time(monkeypatch, gamma_row_builds):

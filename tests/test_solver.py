@@ -108,13 +108,16 @@ def test_search_master_symmetric_d2_t2():
     assert res.n_pairs == 36
 
 
-@pytest.mark.parametrize("d,want", [(16, 124), (32, 144), (64, 164)])
+# the sizes at t = 2..5; each case is named by d and its t = 2 size
+@pytest.mark.parametrize("d,want", [(16, (124, 158, 192, 224)), (32, (144, 190, 234, 276)),
+                                    (64, (164, 220, 276, 328))], ids=["16-124", "32-144", "64-164"])
 def test_search_master_symmetric_past_the_grid(d, want):
     # the grid's master-symmetric column stops at d = 8, the library does
     # not; each size is below master-plain's in the same cell
-    res = solver.min_size_search(d, 2, 0.5, 0.99, Method.MASTER_SYMMETRIC)
-    assert res.S_min == want
-    assert want < solver.min_size_search(d, 2, 0.5, 0.99, Method.MASTER_PLAIN).S_min
+    for t, S_min in zip(range(2, 6), want):
+        res = solver.min_size_search(d, t, 0.5, 0.99, Method.MASTER_SYMMETRIC)
+        assert res.S_min == S_min, t
+        assert S_min < solver.min_size_search(d, t, 0.5, 0.99, Method.MASTER_PLAIN).S_min, t
 
 
 def test_crossing_property():
