@@ -172,12 +172,9 @@ TABLE2_COLUMNS = {
 
 
 def table2_cells(delta=0.5, P=0.99, dims=None):
-    """Generate the minimal-size table: (d, t, method, MinSizeResult).
-
-    The master-symmetric column stops at d = 8: a fact of the grid, whose
-    100 cells are pinned, not of the library, whose :func:`min_size_search`
-    runs that method at every d.
-    """
+    """Generate the minimal-size table: (d, t, method, MinSizeResult) for
+    every method but the simplified master-symmetric one at every (d, t) of
+    :data:`TABLE2_COLUMNS`, ordered by d, then t, then method."""
     try:
         dims = tuple(TABLE2_COLUMNS if dims is None else dims)
     except TypeError:
@@ -196,6 +193,4 @@ def table2_cells(delta=0.5, P=0.99, dims=None):
             for method in Method:
                 if method is Method.MASTER_SYMMETRIC_SIMPLIFIED:
                     continue  # the table's symmetric column is the full bound
-                if method is Method.MASTER_SYMMETRIC and d > 8:
-                    continue
                 yield d, t, method, min_size_search(d, t, delta, P, method)

@@ -233,6 +233,15 @@ def test_table_large_dimensions_match_pinned(capsys):
     code, out = run_cli(capsys, "table", "--table2", "--dims", "8,16,32,64")
     assert code == 0
     assert_matches_pinned(out, {8, 16, 32, 64})
+    # the full symmetric bound needs fewer gates than the plain one in
+    # every cell from d = 8 on
+    header, rows = parse_csv(out)
+    method, size = header.index("method"), header.index("S_min")
+    sizes = {(r[0], r[1], r[method]): int(r[size]) for r in rows}
+    pairs = [(sizes[(d, t, "master-symmetric")], sizes[(d, t, "master-plain")])
+             for d, t, m in sizes if m == "master-plain"]
+    assert len(pairs) == 16
+    assert all(sym < plain for sym, plain in pairs), pairs
 
 
 def test_table_d4_matches_pinned(capsys):

@@ -867,6 +867,26 @@ def test_fs_weyl_sums_are_stable_in_d():
     assert cases == 167
 
 
+def test_fs_numerators_are_stable_past_the_weyl_sum_oracles():
+    # d_lam delta_lam(n) of lam = [alpha, beta], |alpha| = |beta| = k, does
+    # not depend on d once d >= max(n k, l(alpha) + l(beta)) (Koike's
+    # universal characters, Adv. Math. 74, 1989; Diaconis-Shahshahani,
+    # J. Appl. Probab. 31A, 1994): d = 16, 32 and 64, past every
+    # per-permutation oracle, agree with each d <= 8 in that range, and at
+    # n = d = 16 the closed form of U^d meets the orbit walk at d = 32, 64
+    cases = 0
+    for k in range(1, 6):
+        parts = [p for m in range(1, k + 1) for p in rc._partitions_exact(k, m)]
+        for alpha, beta in itertools.product(parts, repeat=2):
+            for n in range(3, 16 // k + 1):
+                least = max(n * k, len(alpha) + len(beta))
+                values = {rc._fs_numerator(two_part_label(alpha, beta, d), n)
+                          for d in (*range(least, 9), 16, 32, 64)}
+                assert len(values) == 1, (alpha, beta, n, values)
+                cases += 1
+    assert cases == 164
+
+
 def test_fs_weyl_sums_of_one_row_labels_count_monomials():
     # alpha = beta = (k): the invariants are the degree-k monomials in n
     # block variables less those of degree k - 1

@@ -108,18 +108,6 @@ def test_search_master_symmetric_d2_t2():
     assert res.n_pairs == 36
 
 
-# the sizes at t = 2..5; each case is named by d and its t = 2 size
-@pytest.mark.parametrize("d,want", [(16, (124, 158, 192, 224)), (32, (144, 190, 234, 276)),
-                                    (64, (164, 220, 276, 328))], ids=["16-124", "32-144", "64-164"])
-def test_search_master_symmetric_past_the_grid(d, want):
-    # the grid's master-symmetric column stops at d = 8, the library does
-    # not; each size is below master-plain's in the same cell
-    for t, S_min in zip(range(2, 6), want):
-        res = solver.min_size_search(d, t, 0.5, 0.99, Method.MASTER_SYMMETRIC)
-        assert res.S_min == S_min, t
-        assert S_min < solver.min_size_search(d, t, 0.5, 0.99, Method.MASTER_PLAIN).S_min, t
-
-
 def test_crossing_property():
     for method, step in [(Method.MASTER_PLAIN, 1), (Method.BERNSTEIN_SYMMETRIC, 2)]:
         res = solver.min_size_search(2, 3, 0.5, 0.99, method)
@@ -175,7 +163,7 @@ def test_rate_bracket_contains_pinned_sizes():
     with PINNED_TABLE2.open() as fh:
         cells = [(int(r["d"]), int(r["t"]), Method(r["method"]), int(r["S_min"]))
                  for r in csv.DictReader(fh) if int(r["d"]) >= 4]
-    assert len(cells) == 72
+    assert len(cells) == 84
     for d, t, method, pinned in cells:
         step = 2 if method.kind is bd.GateSetKind.SYMMETRIC else 1
         low, high = rate_bracket(d, t, method)
@@ -351,9 +339,10 @@ def test_clifford_sum_dimension_shortcut_matches_enumeration():
 
 def test_table2_cells_filtering():
     cells = list(solver.table2_cells(dims=(16,)))
-    # only master-symmetric is dropped: the grid's column stops at d = 8
-    assert Method.MASTER_SYMMETRIC not in {m for _, _, m, _ in cells}
-    for method in (Method.BERNSTEIN_PLAIN, Method.BERNSTEIN_SYMMETRIC, Method.MASTER_PLAIN):
+    # only the simplified master-symmetric bound is dropped, at every d
+    assert Method.MASTER_SYMMETRIC_SIMPLIFIED not in {m for _, _, m, _ in cells}
+    for method in (Method.BERNSTEIN_PLAIN, Method.BERNSTEIN_SYMMETRIC, Method.MASTER_PLAIN,
+                   Method.MASTER_SYMMETRIC):
         assert [t for _, t, m, _ in cells if m is method] == [2, 3, 4, 5]
 
 
