@@ -22,10 +22,10 @@ two arrays are the only numpy in this module, and numpy is imported where
 they are built (:func:`_read_only`), so the exact columns load without it.
 
 Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
-over SU(d). Only 3 <= |n| < d, and |n| = d when d does not divide
-Sigma(lambda), need a signed Weyl-group sum; the other n are closed forms
-that :func:`_fs_numerator`, the one source of d_lambda delta_lambda(n),
-alone decides:
+over SU(d). :func:`_fs_numerator`, the one source of d_lambda
+delta_lambda(n), holds one rule: |n| <= 2 and |n| > d are closed forms,
+and every 3 <= |n| <= d is a signed Weyl-group sum, :func:`_fs_weyl_sum`.
+The closed forms:
 
 - Reality: Haar measure is invariant under U -> U^-1, so
   delta_lambda(-n) = delta_lambda(n).
@@ -38,13 +38,15 @@ alone decides:
   sign (-1)^(sum_j j (d - j) a_j) by which the central element
   exp(2 pi i rho^vee) acts (Bourbaki, *Lie Groups*, Ch. VIII, 7.5).
 - delta_lambda(n) = m_lambda(0)/d_lambda for |n| >= d+1, where only the
-  identity passes the lattice test, and for |n| = d when d divides
-  Sigma(lambda): U^d has iid uniform eigenvalues (Rains, PTRF 107, 1997).
+  identity passes the lattice test.
 
 At 3 <= n <= d a permutation passes the lattice test only if it maps each
 residue class c mod n onto c + r, r = -n Sigma(lambda)/d mod n: it is one
 permutation per orbit of c -> c + r, as U^n has the eigenvalues of a Haar
-draw from prod_c U(|class c|) (Rains). :func:`_orbit_walk` walks each orbit
+draw from prod_c U(|class c|) (Rains, PTRF 107, 1997). At n = d the
+classes are single places, so when d divides Sigma(lambda) the sum is the
+identity's term m_lambda(0) alone: U^d has iid uniform eigenvalues, and the
+tests check the walk against that value. :func:`_orbit_walk` walks each orbit
 within the one-norm a weight of pi_lambda allows, recursing once per place,
 so past the recursion limit it raises a ``ValueError`` naming d. The merged
 table holds weights, and the label is shifted once to meet them.
@@ -298,6 +300,12 @@ def block_spectrum(d, t):
 # weight multiplicities: Gelfand-Tsetlin pattern counts
 # ---------------------------------------------------------------------------
 
+#: the first-seen copy of each row and weight prefix the recursion of
+#: :func:`_mult_centered` passes on, so equal tuples in its memo keys are one
+#: object; ``cache_clear`` of the memo leaves it, so clear both to free them
+_shared_tuples = {}
+
+
 @lru_cache(maxsize=None)
 def _mult_centered(lam_entries, mu):
     """Multiplicity in pi_lambda of the integer weight mu, of entry sum Sigma(lambda).
@@ -310,18 +318,22 @@ def _mult_centered(lam_entries, mu):
     recurses on (nu, mu prefix) for the nu of entry sum Sigma(lambda) - mu_d,
     a sorted pair too, so every call reads and fills this memo. The first
     d - 2 entries of nu run over their box; the last, fixed by the size, is
-    kept in its range. No weight has an entry below lambda_d.
+    kept in its range. No weight has an entry below lambda_d. Each nu and
+    prefix passes through ``_shared_tuples``, so the memo stores one copy
+    of each.
     """
     if len(lam_entries) == 1:
         return int(lam_entries[0] == mu[0])
     if mu[-1] < lam_entries[-1]:
         return 0
     size, rest = sum(lam_entries) - mu[-1], mu[:-1]
+    rest = _shared_tuples.setdefault(rest, rest)
     total = 0
     for head in itertools.product(*(range(b, a + 1) for a, b in zip(lam_entries, lam_entries[1:-1]))):
         last = size - sum(head)
         if lam_entries[-1] <= last <= lam_entries[-2]:
-            total += _mult_centered(head + (last,), rest)
+            nu = head + (last,)
+            total += _mult_centered(_shared_tuples.setdefault(nu, nu), rest)
     return total
 
 
@@ -418,16 +430,17 @@ def _fs_weyl_sum(ent, n):
     """sum over sigma in S_d of sgn(sigma) * m_lambda((rho - sigma.rho)/n), exact.
 
     For the label with entries tuple ``ent`` and n >= 1; this is d_lambda *
-    delta_lambda(n) at every such n, and the reference the closed forms of
-    :func:`_fs_numerator` are tested against. Not cached: a gamma row reads
-    it at most d - 2 times, and the bounds build each label's row once,
-    behind the memo of :func:`_gamma_row`. The identity's term is
-    m_lambda(0). With lift = n Sigma(lambda)/d, the term of sigma counts the
-    weight (sigma(i) - i + lift)/n, so it is 0 unless every sigma(i) - i is
-    -lift mod n; the sum is 0 when lift is not an integer. With c =
-    ceil(lift/n), that weight is q + c, q in the :func:`_lattice_displacements`
-    table of r = n c - lift, and m_lambda(q + c) = m_(lambda - c)(q): the
-    label is shifted once, with one term per weight group.
+    delta_lambda(n) at every such n. :func:`_fs_numerator` runs it at every
+    3 <= n <= d, and the tests check its closed forms against it. Not
+    cached: a gamma row reads it d - 2 times, and the bounds build each
+    label's row once, behind the memo of :func:`_gamma_row`. The identity's
+    term is m_lambda(0). With lift = n Sigma(lambda)/d, the term of sigma
+    counts the weight (sigma(i) - i + lift)/n, so it is 0 unless every
+    sigma(i) - i is -lift mod n; the sum is 0 when lift is not an integer.
+    With c = ceil(lift/n), that weight is q + c, q in the
+    :func:`_lattice_displacements` table of r = n c - lift, and
+    m_lambda(q + c) = m_(lambda - c)(q): the label is shifted once, with one
+    term per weight group.
     """
     d, size = len(ent), sum(ent)
     lift, rem = divmod(n * size, d)
@@ -453,15 +466,15 @@ def _frobenius_schur(ent):
 
 def _fs_numerator(ent, n):
     """d_lambda delta_lambda(n), an exact int, of the label with entries
-    tuple ``ent`` at n >= 0: a closed form of the module docstring, or else
-    :func:`_fs_weyl_sum`, exact at every d."""
+    tuple ``ent`` at n >= 0: a closed form of the module docstring at n <= 2
+    and n > d, and :func:`_fs_weyl_sum`, exact at every d, at 3 <= n <= d."""
     if n == 0:
         return _weyl_dim(ent)
     if n == 1:
         return int(len(set(ent)) == 1)
     if n == 2:
         return _frobenius_schur(ent)
-    if n > len(ent) or n == len(ent) and sum(ent) % n == 0:
+    if n > len(ent):
         return _zero_weight(ent)
     return _fs_weyl_sum(ent, n)
 
@@ -471,8 +484,8 @@ def fs_indicator(lam, n):
 
     Exact rational, even in n (reality: U -> U^-1 preserves Haar measure):
     :func:`_fs_numerator` at |n| over d_lambda, so |n| = 0 gives 1. The
-    closed forms cover |n| <= 2, |n| > d and, when d divides Sigma(lambda),
-    |n| = d; the others run the orbit walk of :func:`_fs_weyl_sum`.
+    closed forms cover |n| <= 2 and |n| > d; every 3 <= |n| <= d runs the
+    orbit walk of :func:`_fs_weyl_sum`.
     """
     ent = _label_entries(lam)
     return Fraction(_fs_numerator(ent, abs(_integral(n, "n"))), _weyl_dim(ent))

@@ -106,7 +106,9 @@ def min_size_search(d, t, delta, P, method):
         crossed(step)  # every rate is NaN: the total raises BoundUnavailableError
     R = math.log(2 * spec.sum_dim) - target
     if not (b_max < 0.0 and math.isfinite(R / b_max)):
-        raise ValueError(f"no size bracket at delta={delta}: the flattest per-gate rate is {b_max}")
+        # + 0.0 turns an underflowed -0.0 into 0.0: one message for every method
+        raise ValueError(f"no size bracket at delta={delta}: "
+                         f"the flattest per-gate rate is {b_max + 0.0}")
     lo = max(0, step * (math.floor(R / -b_min / step) - 1))
     hi = step * (math.ceil(R / -b_max / step) + 1)
     while hi - lo > step:

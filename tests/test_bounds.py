@@ -312,6 +312,15 @@ def test_full_entries_never_exceed_the_theta_to_zero_limit():
         solver.min_size_search(4, 2, 1e-12, 0.99, Method.MASTER_SYMMETRIC)
 
 
+@pytest.mark.parametrize("method", [Method.MASTER_PLAIN, Method.MASTER_SYMMETRIC,
+                                    Method.BERNSTEIN_PLAIN, Method.BERNSTEIN_SYMMETRIC])
+def test_flat_rate_message_has_no_signed_zero(method):
+    # at delta = 1e-300 the Bernstein rates underflow to -0.0 and the master
+    # rates round to 0.0: the size search names both 0.0
+    with pytest.raises(ValueError, match="the flattest per-gate rate is 0.0$"):
+        solver.min_size_search(2, 2, 1e-300, 0.99, method)
+
+
 def test_simplified_against_mpmath_oracle():
     # lam=(2,-2), S=100, delta=0.3: direct bracket summation in 50 digits
     S, delta = 100, mpmath.mpf("0.3")

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 import oracles
 from gatedesign import bounds as bd
 from gatedesign import repcore as rc
+from gatedesign import solver
 from gatedesign.solver import TABLE2_COLUMNS
 
 
@@ -555,6 +557,25 @@ def test_zero_weight_multiplicity_at_d400_from_a_cold_memo():
     assert rc.zero_weight_multiplicity((1,) + (0,) * 398 + (-1,)) == 399
 
 
+def test_cold_d64_t5_search_keeps_one_copy_of_each_memo_tuple(monkeypatch, gamma_row_builds):
+    # the costliest master-symmetric Table-2 cell from cold copies of every
+    # cache it fills: the multiplicity memo keys share one copy of each equal
+    # row and weight prefix, so the search holds about 13 MiB where a copy per
+    # key held 26 MiB
+    for name in ("block_spectrum", "_mult_centered", "_orbit_walk", "_lattice_displacements"):
+        monkeypatch.setattr(rc, name, lru_cache(maxsize=None)(getattr(rc, name).__wrapped__))
+    monkeypatch.setattr(rc, "_shared_tuples", {})
+    monkeypatch.setattr(bd, "_sym_cache", {})
+    tracemalloc.start()
+    try:
+        res = solver.min_size_search(64, 5, 0.5, 0.99, "master-symmetric")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert res.S_min == 328 and len(gamma_row_builds) == 88
+    assert held < 20 * 2**20
+
+
 @pytest.mark.parametrize("call,d", [
     (lambda lam: rc.weight_multiplicity(lam, (0,) * len(lam)), 2000),
     (rc.zero_weight_multiplicity, 2000),
@@ -585,8 +606,8 @@ def test_fs_gamma_and_master_symmetric_total_at_d9():
     assert rc.fs_indicator(lam9, 2) == Fraction(1, rc.weyl_dimension(lam9))
     total = bd.total_bound(9, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
     assert math.isfinite(total.log_bound)
-    # shortcut path does not need the Weyl sum, so large |n| still works,
-    # and so does n = d on a zero-sum label (Rains: m_lam(0)/d_lam)
+    # past d only the identity's term is left, and at n = d the walk's
+    # one-place orbits leave it alone on a zero-sum label (Rains: m_lam(0)/d_lam)
     assert rc.fs_indicator(lam9, 10) == Fraction(8, rc.weyl_dimension(lam9))
     assert rc.fs_indicator(lam9, 9) == Fraction(8, rc.weyl_dimension(lam9))
 
@@ -873,7 +894,7 @@ def test_fs_numerators_are_stable_past_the_weyl_sum_oracles():
     # universal characters, Adv. Math. 74, 1989; Diaconis-Shahshahani,
     # J. Appl. Probab. 31A, 1994): d = 16, 32 and 64, past every
     # per-permutation oracle, agree with each d <= 8 in that range, and at
-    # n = d = 16 the closed form of U^d meets the orbit walk at d = 32, 64
+    # n = d = 16 the walk of one-place orbits meets the walk at d = 32, 64
     cases = 0
     for k in range(1, 6):
         parts = [p for m in range(1, k + 1) for p in rc._partitions_exact(k, m)]
@@ -912,10 +933,9 @@ def test_frobenius_schur_is_one_exactly_when_the_two_parts_agree():
     assert checked == 6713
 
 
-def test_weyl_sums_run_only_at_3_to_d(monkeypatch, gamma_row_builds):
+def test_weyl_sums_run_at_every_n_from_3_to_d(monkeypatch, gamma_row_builds):
     # gamma of one label, built from a cold memo, runs the sum once at each
-    # n = 3..d-1, and at n = d only when d does not divide the entry sum:
-    # otherwise U^d has iid uniform eigenvalues (Rains) and m_lam(0) is exact
+    # n = 3..d: closed forms cover only n <= 2 and n > d
     fresh = (21, 0, -10, -11)
     calls = []
     real = rc._fs_weyl_sum
@@ -926,21 +946,48 @@ def test_weyl_sums_run_only_at_3_to_d(monkeypatch, gamma_row_builds):
 
     monkeypatch.setattr(rc, "_fs_weyl_sum", recording)
     rc.gamma_coefficients(fresh)
-    assert calls == [(fresh, n) for n in range(3, len(fresh))]
-    # (2, 1, 0, 0), of entry sum 3, still runs the sum at n = 4
+    assert calls == [(fresh, n) for n in range(3, len(fresh) + 1)]
+    # a zero-sum label and (2, 1, 0, 0), of entry sum 3, run it at n = 4 too
     labels = rc.enumerate_lambda_set(4, 2) + [fresh, (1, 1, 1, 1), (2, 1, 0, 0)]
     for lam in labels:
         rc.gamma_coefficients(lam)
         for n in range(-6, 7):
             rc.fs_indicator(lam, n)
     # a fresh build of each Table-2 spectrum and the Bernstein-symmetric
-    # totals at d = 9, 16 and 64 run no sum either
+    # totals at d = 9, 16 and 64 run no sum
     for d, ts in TABLE2_COLUMNS.items():
         for t in ts:
             rc.block_spectrum.__wrapped__(d, t)
     for d in (9, 16, 64):
         bd.total_bound(d, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
     assert {n for _, n in calls} == {3, 4}
+
+
+def rains_oracle_labels():
+    """The labels of the n = d oracle, d each label's length: Lambda~_t at
+    t <= 5 and d <= 8, Lambda~_2 at d = 16, 32 and 64, and the labels with
+    entries in [-3, 3], a nonzero entry sum and d | Sigma at d <= 6."""
+    for d in range(2, 9):
+        yield from rc.enumerate_lambda_set(d, 5)
+    for d in (16, 32, 64):
+        yield from rc.enumerate_lambda_set(d, 2)
+    for d in range(2, 7):
+        for lam in itertools.combinations_with_replacement(range(3, -4, -1), d):
+            if sum(lam) and sum(lam) % d == 0:
+                yield lam
+
+
+def test_fs_numerator_at_n_equals_d_is_rains_zero_weight_count():
+    # U^d has iid uniform eigenvalues when d | Sigma(lam) (Rains, PTRF 107,
+    # 1997), so d_lam delta_lam(d) is m_lam(Sigma/d, ..., Sigma/d): at d >= 3
+    # the walk of d one-place orbits, not a closed form, meets that value
+    checked = 0
+    for lam in rains_oracle_labels():
+        assert rc._fs_numerator(lam, len(lam)) == rc._zero_weight(lam), lam
+        checked += 1
+    assert checked == 594
+    # Sym^3 of C^3 holds (1, 1, 1) once
+    assert rc.fs_indicator((3, 0, 0), 3) == Fraction(1, 10)
 
 
 # ---------------------------------------------------------------------------
