@@ -29,7 +29,6 @@ _MODULES = {
         "TailEstimate",
         "empirical_tail",
         "estimate_delta",
-        "estimate_fs_indicator_mc",
         "sample_gate_set",
         "sample_haar",
     ),

@@ -146,10 +146,11 @@ def _fill_sym_cache(labels, delta, full):
     >= 0 at the floor x0 * 1e-13 gives the theta -> 0 limit (0, 0);
     otherwise the sign of h' is bisected in log x, every row in lockstep from
     one first bracket, until the row's bracket is THETA_RTOL wide. NaN slopes
-    move the upper end, so the kept lower end is finite; h(x0) caps the
-    bisected minimum, and a minimum that rounds above the theta -> 0 limit
-    is that limit, (0, 0). The simplified entry stays h(x0), the point that
-    bound is defined at.
+    move the upper end, so the kept lower end is finite, and h(x0) caps the
+    bisected minimum. One rule then serves both kinds of entry: an h that
+    rounds above the theta -> 0 limit is that limit, (0, 0), since theta -> 0
+    bounds the block by 2 d_lam for any S. So a simplified entry is h(x0)
+    unless that lies above 0.
     """
     rows = list(map(repcore._gamma_row, labels))
     gam = np.array([[g / dl for g in row] for dl, _, row in rows])
@@ -157,7 +158,7 @@ def _fill_sym_cache(labels, delta, full):
     m0d = np.array([m0 / dl for dl, m0, _ in rows])
     x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
     h, _ = _branch_exponents(np.full((len(labels), 2), x0), delta, m0d, signed)
-    x = np.full(h.shape, x0)
+    x, flat = np.full(h.shape, x0), np.zeros(h.shape, dtype=bool)
     if full:
         lo = np.full(h.shape, math.log(x0 * 1e-13))
         hi = np.full(h.shape, math.log(2.0 * THETA_MAX_FACTOR))
@@ -173,8 +174,8 @@ def _fill_sym_cache(labels, delta, full):
             run &= hi - lo > THETA_RTOL
         cap = np.isnan(h_lo) | (h < h_lo)
         h, x = np.where(cap, h, h_lo), np.where(cap, x, np.exp(lo))
-        flat |= h > 0.0
-        h, x = np.where(flat, 0.0, h), np.where(flat, 0.0, x)
+    flat |= h > 0.0
+    h, x = np.where(flat, 0.0, h), np.where(flat, 0.0, x)
     return [(math.log(dl), (hp, xp), (hm, xm))
             for (dl, _, _), (hp, hm), (xp, xm) in zip(rows, h.tolist(), x.tolist())]
 

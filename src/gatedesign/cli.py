@@ -82,7 +82,11 @@ def _parse_methods(spec, kind):
         if not methods:
             raise ValueError(f"no bound methods apply to kind {kind.value}")
         return methods
-    return tuple(Method(name) for name in spec.split(","))
+    methods = tuple(Method(name) for name in spec.split(","))
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise ValueError(f"method {method.value} is repeated in --methods {spec!r}")
+    return methods
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@
 Samples random gate-sets, applies the t-th moment operator matrix-free on
 the d^(2t)-dimensional tensor space, projects onto the Haar (commutant)
 block, and estimates delta(nu_S, t) = ||T_{nu_S,t} - T_{mu,t}|| by Lanczos
-with residual stop, each estimate with its residual bound. Also checks the
-Frobenius-Schur indicators by a Monte Carlo over SU(2) characters, each
-evaluated from the trace of the sampled element.
+with residual stop, each estimate with its residual bound.
 """
 from __future__ import annotations
 
@@ -17,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kinds import GateSetKind
-from .repcore import _at_least, _integral, _open_unit
+from .repcore import _at_least, _open_unit
 
 #: refuse to build tensor spaces larger than this
 DIM_CAP = 2**16
@@ -256,8 +254,11 @@ def estimate_delta(sample, t, return_info=False):
 
     ``return_info`` adds {"iterations": k, "residual": that bound on
     |delta^2 - ||A|| |}. Raises PowerIterationError when MAX_LANCZOS_STEPS
-    steps do neither.
+    steps do neither, and ``ValueError`` first for a sample that fails
+    :meth:`GateSetSample.validate`: A = (T - Pi)^dagger (T - Pi) needs
+    unitary gates, and a symmetric kind its exact inverse pairs.
     """
+    sample.validate()
     top = MomentOperator(sample.unitaries, t)
     t = top.t
     proj = _projector(sample.d, t)
@@ -359,31 +360,3 @@ def empirical_tail(d, t, kind, S, delta, trials, seed):
     frac = sum(1 for r in records if r["delta"] >= delta) / trials
     stderr = math.sqrt(frac * (1.0 - frac) / trials)
     return TailEstimate(fraction=frac, stderr=stderr, records=records)
-
-
-# ---------------------------------------------------------------------------
-# the SU(2) character Monte Carlo
-# ---------------------------------------------------------------------------
-
-def estimate_fs_indicator_mc(j2, n, trials, seed):
-    """Haar average of chi_j2(U^n) / (j2+1) over SU(2), with its stderr.
-
-    U in SU(2) has eigenvalues e^(+-i phi) with cos phi = Re tr U / 2, so U^n
-    has e^(+-i n phi) and the spin-j2/2 character is chi_j2(U^n) =
-    U_j2(cos n phi), the Chebyshev polynomial of the second kind. It is
-    evaluated by U_(k+1) = 2x U_k - U_(k-1) from U_(-1) = 0, U_0 = 1.
-    """
-    trials = _at_least(trials, "trials", 2)
-    j2, n = _at_least(j2, "j2", 0), _integral(n, "n")
-    seed = _at_least(seed, "seed", 0)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, j2, n & 0xFFFF)))
-    u = sample_haar(2, rng, trials, special=True)
-    cos_phi = np.clip(np.trace(u, axis1=1, axis2=2).real / 2.0, -1.0, 1.0)
-    x = np.cos(n * np.arccos(cos_phi))
-    prev, chi = np.zeros(trials), np.ones(trials)
-    for _ in range(j2):
-        prev, chi = chi, 2.0 * x * chi - prev
-    vals = chi / (j2 + 1)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials))
-    return mean, stderr

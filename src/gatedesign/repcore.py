@@ -23,9 +23,8 @@ they are built (:func:`_read_only`), so the exact columns load without it.
 
 Frobenius-Schur data: delta_lambda(n) = int chi_lambda(U^n) dU / d_lambda
 over SU(d). :func:`_fs_numerator`, the one source of d_lambda
-delta_lambda(n), holds one rule: |n| <= 2 and |n| > d are closed forms,
-and every 3 <= |n| <= d is a signed Weyl-group sum, :func:`_fs_weyl_sum`.
-The closed forms:
+delta_lambda(n), holds one rule: each |n| <= 2 is a closed form, and every
+|n| >= 3 a signed Weyl-group sum, :func:`_fs_weyl_sum`. The closed forms:
 
 - Reality: Haar measure is invariant under U -> U^-1, so
   delta_lambda(-n) = delta_lambda(n).
@@ -37,19 +36,20 @@ The closed forms:
   Dynkin label a reads the same reversed (self-dual), and otherwise the
   sign (-1)^(sum_j j (d - j) a_j) by which the central element
   exp(2 pi i rho^vee) acts (Bourbaki, *Lie Groups*, Ch. VIII, 7.5).
-- delta_lambda(n) = m_lambda(0)/d_lambda for |n| >= d+1, where only the
-  identity passes the lattice test.
 
-At 3 <= n <= d a permutation passes the lattice test only if it maps each
+At n >= 3 a permutation passes the lattice test only if it maps each
 residue class c mod n onto c + r, r = -n Sigma(lambda)/d mod n: it is one
 permutation per orbit of c -> c + r, as U^n has the eigenvalues of a Haar
-draw from prod_c U(|class c|) (Rains, PTRF 107, 1997). At n = d the
-classes are single places, so when d divides Sigma(lambda) the sum is the
-identity's term m_lambda(0) alone: U^d has iid uniform eigenvalues, and the
-tests check the walk against that value. :func:`_orbit_walk` walks each orbit
-within the one-norm a weight of pi_lambda allows, recursing once per place,
-so past the recursion limit it raises a ``ValueError`` naming d. The merged
-table holds weights, and the label is shifted once to meet them.
+draw from prod_c U(|class c|) (Rains, PTRF 107, 1997). At n >= d the
+classes hold one place at most, so when d divides Sigma(lambda) (r = 0)
+the sum is the identity's term m_lambda(0) alone: U^n has iid uniform
+eigenvalues. Past n = d no other permutation maps places to places, so
+the sum is m_lambda(0) at every n > d, and the tests check the walk against
+that value. Only the orbits that hold a place are walked, at most d of
+them, so a large n costs what n = d does. :func:`_orbit_walk` walks each
+orbit within the one-norm a weight of pi_lambda allows, recursing once per
+place, so past the recursion limit it raises a ``ValueError`` naming d. The
+merged table holds weights, and the label is shifted once to meet them.
 
 Weights are integer U(d) weights whose entries sum to Sigma(lambda), the
 label's entry sum, so a label with nonzero entry sum and its SU(d)
@@ -405,11 +405,13 @@ def _lattice_displacements(d, n, r, budget):
     residue class c mod n onto c + r (the n-abacus of Littlewood's rule for
     s_lambda o p_n); on the places j, j+g, ... of an orbit of c -> c + r,
     g = gcd(n, r), its steps u are g times r/g mod n/g: the orbits'
-    :func:`_orbit_walk` tables merge in units of g, and q = (u - r/g)/(n/g)."""
+    :func:`_orbit_walk` tables merge in units of g, and q = (u - r/g)/(n/g).
+    Only the min(g, d) orbits that hold a place are walked, so a large n
+    costs no more than n = d."""
     g = math.gcd(n, r)
     n, r, budget = n // g, r // g, budget // g
     try:
-        orbits = [_orbit_walk(len(range(j, d, g)), (), budget, n, r) for j in range(g)]
+        orbits = [_orbit_walk(len(range(j, d, g)), (), budget, n, r) for j in range(min(g, d))]
     except RecursionError:
         raise ValueError(f"the Frobenius-Schur walk recurses once per place of an orbit; d={d} "
                          f"exceeds the recursion limit {sys.getrecursionlimit()}") from None
@@ -431,7 +433,7 @@ def _fs_weyl_sum(ent, n):
 
     For the label with entries tuple ``ent`` and n >= 1; this is d_lambda *
     delta_lambda(n) at every such n. :func:`_fs_numerator` runs it at every
-    3 <= n <= d, and the tests check its closed forms against it. Not
+    n >= 3, and the tests check its closed forms against it. Not
     cached: a gamma row reads it d - 2 times, and the bounds build each
     label's row once, behind the memo of :func:`_gamma_row`. The identity's
     term is m_lambda(0). With lift = n Sigma(lambda)/d, the term of sigma
@@ -466,16 +468,14 @@ def _frobenius_schur(ent):
 
 def _fs_numerator(ent, n):
     """d_lambda delta_lambda(n), an exact int, of the label with entries
-    tuple ``ent`` at n >= 0: a closed form of the module docstring at n <= 2
-    and n > d, and :func:`_fs_weyl_sum`, exact at every d, at 3 <= n <= d."""
+    tuple ``ent`` at n >= 0: a closed form of the module docstring at n <= 2,
+    and :func:`_fs_weyl_sum`, exact at every d and n, at n >= 3."""
     if n == 0:
         return _weyl_dim(ent)
     if n == 1:
         return int(len(set(ent)) == 1)
     if n == 2:
         return _frobenius_schur(ent)
-    if n > len(ent):
-        return _zero_weight(ent)
     return _fs_weyl_sum(ent, n)
 
 
@@ -484,8 +484,9 @@ def fs_indicator(lam, n):
 
     Exact rational, even in n (reality: U -> U^-1 preserves Haar measure):
     :func:`_fs_numerator` at |n| over d_lambda, so |n| = 0 gives 1. The
-    closed forms cover |n| <= 2 and |n| > d; every 3 <= |n| <= d runs the
-    orbit walk of :func:`_fs_weyl_sum`.
+    closed forms cover |n| <= 2; every |n| >= 3 runs the orbit walk of
+    :func:`_fs_weyl_sum`, which walks at most d orbits, so a large |n| is
+    as quick as |n| = d.
     """
     ent = _label_entries(lam)
     return Fraction(_fs_numerator(ent, abs(_integral(n, "n"))), _weyl_dim(ent))

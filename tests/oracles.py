@@ -13,12 +13,13 @@ standard Kostant partition function runs over all positive roots, and only
 the standard convention reproduces the Freudenthal recursion and the SU(2)
 closed forms, so that is what is implemented.
 
-Also the SU(2) irreps as explicit matrices, the oracle for the characters
-that the Frobenius-Schur Monte Carlo evaluates from traces, the walk over
-the d! permutations of S_d grouped by displacement, the oracle for the
-library's residue-class tables of the Frobenius-Schur sums, and the Weyl
-dimension formula over all pairs, the oracle for the library's product over
-the pairs of distinct entries.
+Also the SU(2) character Monte Carlo, a sampled check of the library's
+exact Frobenius-Schur indicators; the SU(2) irreps as explicit matrices,
+the oracle for the characters that Monte Carlo evaluates from traces; the
+walk over the d! permutations of S_d grouped by displacement, the oracle
+for the library's residue-class tables of the Frobenius-Schur sums; and the
+Weyl dimension formula over all pairs, the oracle for the library's product
+over the pairs of distinct entries.
 
 Then the closed forms the tests compare the library with: the partition
 counts alpha_2k of the labels of one-norm 2k, which check
@@ -45,7 +46,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from gatedesign.repcore import _integral, _label_entries
+from gatedesign.montecarlo import sample_haar
+from gatedesign.repcore import _at_least, _integral, _label_entries
 
 
 def _weight_entries(mu):
@@ -290,6 +292,31 @@ def su2_irrep_matrix(j2, u):
                 )
             out[r, s] = acc * math.sqrt(math.comb(n, r) / math.comb(n, s))
     return out
+
+
+def estimate_fs_indicator_mc(j2, n, trials, seed):
+    """Haar average of chi_j2(U^n) / (j2+1) over SU(2), with its stderr: a
+    sampled check of ``repcore.fs_indicator`` on the labels (j2, 0), d = 2.
+
+    U in SU(2) has eigenvalues e^(+-i phi) with cos phi = Re tr U / 2, so U^n
+    has e^(+-i n phi) and the spin-j2/2 character is chi_j2(U^n) =
+    U_j2(cos n phi), the Chebyshev polynomial of the second kind. It is
+    evaluated by U_(k+1) = 2x U_k - U_(k-1) from U_(-1) = 0, U_0 = 1.
+    """
+    trials = _at_least(trials, "trials", 2)
+    j2, n = _at_least(j2, "j2", 0), _integral(n, "n")
+    seed = _at_least(seed, "seed", 0)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, j2, n & 0xFFFF)))
+    u = sample_haar(2, rng, trials, special=True)
+    cos_phi = np.clip(np.trace(u, axis1=1, axis2=2).real / 2.0, -1.0, 1.0)
+    x = np.cos(n * np.arccos(cos_phi))
+    prev, chi = np.zeros(trials), np.ones(trials)
+    for _ in range(j2):
+        prev, chi = chi, 2.0 * x * chi - prev
+    vals = chi / (j2 + 1)
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / math.sqrt(trials))
+    return mean, stderr
 
 
 @lru_cache(maxsize=None)

@@ -279,7 +279,7 @@ def test_criterion_8_su2_character_mc():
     details = []
     ok = True
     for j2, n, expect in cases:
-        mean, err = mc.estimate_fs_indicator_mc(j2, n, trials=100000, seed=77)
+        mean, err = oracles.estimate_fs_indicator_mc(j2, n, trials=100000, seed=77)
         good = abs(mean - expect) < 3.0 * err
         ok = ok and good
         details.append(f"label {j2}, n={n}: {mean:.5f} vs {expect:.5f} (3s={3 * err:.5f})")

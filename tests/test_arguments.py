@@ -66,8 +66,6 @@ COUNTS = [
     ("empirical_tail", "S", 1, lambda v: _tail(S=v)),
     ("empirical_tail", "trials", 1, lambda v: _tail(trials=v)),
     ("empirical_tail", "seed", 0, lambda v: _tail(seed=v)),
-    ("estimate_fs_indicator_mc", "j2", 0, lambda v: mc.estimate_fs_indicator_mc(v, 2, 10, 1)),
-    ("estimate_fs_indicator_mc", "trials", 2, lambda v: mc.estimate_fs_indicator_mc(2, 2, v, 1)),
     ("log_bessel_i", "n", 0, lambda v: specfun.log_bessel_i(v, 1.0)),
 ]
 
@@ -136,8 +134,6 @@ NOT_NUMBERS = [
      -1, "need seed >= 0, got seed=-1"),
     ("sample_gate_set-float-seed", lambda v: mc.sample_gate_set(2, 2, "plain", v),
      1.5, "seed must be integral, got 1.5"),
-    ("estimate_fs_indicator_mc-seed", lambda v: mc.estimate_fs_indicator_mc(2, 2, 10, v),
-     None, "seed must be integral, got None"),
 ]
 
 
@@ -165,7 +161,6 @@ def test_real_arguments_of_any_real_type_give_the_same_bits():
     want = mc.sample_gate_set(2, 2, "plain", 7).unitaries
     for seed in (np.int64(7), 7.0, (7,), [[7]]):
         assert np.array_equal(mc.sample_gate_set(2, 2, "plain", seed).unitaries, want)
-    assert mc.estimate_fs_indicator_mc(2, 3, 10, np.int64(4)) == mc.estimate_fs_indicator_mc(2, 3, 10, 4)
 
 
 def test_kind_and_method_may_be_given_as_their_values():

@@ -299,20 +299,25 @@ def test_symmetric_trivial_block_takes_the_theta_to_zero_limit(lam):
 
 
 def test_full_entries_never_exceed_the_theta_to_zero_limit():
-    # h is convex with h(0+) = 0, so its infimum is at most 0; at delta =
-    # 1e-12 the bisected minima of (4, 2) round up to 5e-17 above it and
-    # are that limit, (0, 0). No block bound then exceeds log(2 d_lam), and
-    # the size search names the flat rate 0.0
-    entries = bd._sym_entries(rc.block_spectrum(4, 2).labels, 1e-12, True)
-    assert all(h < 0.0 or (h, x) == (0.0, 0.0) for entry in entries for h, x in entry[1:])
+    # h is convex with h(0+) = 0, so its infimum is at most 0, and theta -> 0
+    # bounds a block by 2 d_lam at any S; at delta = 1e-12 the bisected
+    # minima of (4, 2) round up to 5e-17 above 0, and h(x0) of the
+    # simplified entries to 7.8e-17: each is that limit, (0, 0). No block
+    # bound then exceeds log(2 d_lam), and the size search names the flat
+    # rate 0.0
     lam = (1, 0, 0, -1)
-    res = bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, 10**12, 1e-12)
-    assert res.log_bound <= math.log(2 * rc.weyl_dimension(lam))
-    with pytest.raises(ValueError, match="the flattest per-gate rate is 0.0$"):
-        solver.min_size_search(4, 2, 1e-12, 0.99, Method.MASTER_SYMMETRIC)
+    for method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
+        full = method is Method.MASTER_SYMMETRIC
+        entries = bd._sym_entries(rc.block_spectrum(4, 2).labels, 1e-12, full)
+        assert all(h < 0.0 or (h, x) == (0.0, 0.0) for entry in entries for h, x in entry[1:])
+        res = bd.per_label_bound(lam, method, 10**12, 1e-12)
+        assert res.log_bound <= math.log(2 * rc.weyl_dimension(lam))
+        with pytest.raises(ValueError, match="the flattest per-gate rate is 0.0$"):
+            solver.min_size_search(4, 2, 1e-12, 0.99, method)
 
 
 @pytest.mark.parametrize("method", [Method.MASTER_PLAIN, Method.MASTER_SYMMETRIC,
+                                    Method.MASTER_SYMMETRIC_SIMPLIFIED,
                                     Method.BERNSTEIN_PLAIN, Method.BERNSTEIN_SYMMETRIC])
 def test_flat_rate_message_has_no_signed_zero(method):
     # at delta = 1e-300 the Bernstein rates underflow to -0.0 and the master

@@ -354,6 +354,21 @@ def test_delta_identity_set_is_one():
         assert mc.estimate_delta(s, t) == pytest.approx(1.0, abs=1e-7)
 
 
+def test_estimate_delta_rejects_a_sample_that_fails_validation():
+    # unchecked, four copies of 2 I gave delta = 16 at t = 2, the shear pair
+    # 2.15 at t = 1, and the symmetric sample without inverse pairs 0.36
+    plain = mc.sample_gate_set(2, 4, GateSetKind.PLAIN, seed=5).unitaries
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    cases = [
+        (np.stack([2.0 * np.eye(2, dtype=complex)] * 4), GateSetKind.PLAIN, 2, "non-unitary"),
+        (np.stack([shear, shear.T]), GateSetKind.PLAIN, 1, "non-unitary"),
+        (plain, GateSetKind.SYMMETRIC, 1, "lacks exact inverse pairs"),
+    ]
+    for gates, kind, t, message in cases:
+        with pytest.raises(ValueError, match=message):
+            mc.estimate_delta(mc.GateSetSample(gates, kind, seed=0), t)
+
+
 def test_moment_t_must_be_integral_and_positive():
     s = mc.sample_gate_set(2, 3, GateSetKind.PLAIN, seed=5)
     for t in (0, -1):
@@ -651,18 +666,18 @@ def test_su2_character_matches_weyl_formula(j2):
 
 
 def test_fs_indicator_mc_small():
-    mean, err = mc.estimate_fs_indicator_mc(2, 2, trials=20000, seed=3)
+    mean, err = oracles.estimate_fs_indicator_mc(2, 2, trials=20000, seed=3)
     assert abs(mean - 1.0 / 3.0) < 3 * err
-    mean, err = mc.estimate_fs_indicator_mc(1, 2, trials=20000, seed=4)
+    mean, err = oracles.estimate_fs_indicator_mc(1, 2, trials=20000, seed=4)
     assert abs(mean - (-0.5)) < 3 * err
-    mean, err = mc.estimate_fs_indicator_mc(1, 3, trials=20000, seed=5)
+    mean, err = oracles.estimate_fs_indicator_mc(1, 3, trials=20000, seed=5)
     assert abs(mean) < 3 * err
 
 
 def test_fs_indicator_mc_agrees_with_exact():
     lam = oracles.to_u_weight((2,))  # (1, -1)
     exact = float(rc.fs_indicator(lam, 2))
-    mean, err = mc.estimate_fs_indicator_mc(2, 2, trials=20000, seed=6)
+    mean, err = oracles.estimate_fs_indicator_mc(2, 2, trials=20000, seed=6)
     assert abs(mean - exact) < 3 * err
 
 
@@ -678,11 +693,11 @@ def test_fs_indicator_mc_characters_match_irrep_traces():
                 np.trace(oracles.su2_irrep_matrix(j2, np.linalg.matrix_power(u, n))).real
                 for u in us
             ]) / (j2 + 1)
-            mean, err = mc.estimate_fs_indicator_mc(j2, n, trials=trials, seed=5)
+            mean, err = oracles.estimate_fs_indicator_mc(j2, n, trials=trials, seed=5)
             assert abs(mean - vals.mean()) < 1e-12, (j2, n)
             assert abs(err - vals.std(ddof=1) / math.sqrt(trials)) < 1e-12, (j2, n)
 
 
 def test_fs_indicator_mc_rejects_negative_label():
     with pytest.raises(ValueError, match="j2 >= 0"):
-        mc.estimate_fs_indicator_mc(-1, 2, trials=10, seed=1)
+        oracles.estimate_fs_indicator_mc(-1, 2, trials=10, seed=1)

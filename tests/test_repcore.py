@@ -933,9 +933,9 @@ def test_frobenius_schur_is_one_exactly_when_the_two_parts_agree():
     assert checked == 6713
 
 
-def test_weyl_sums_run_at_every_n_from_3_to_d(monkeypatch, gamma_row_builds):
+def test_weyl_sums_run_at_every_n_from_3(monkeypatch, gamma_row_builds):
     # gamma of one label, built from a cold memo, runs the sum once at each
-    # n = 3..d: closed forms cover only n <= 2 and n > d
+    # n = 3..d: closed forms cover only n <= 2
     fresh = (21, 0, -10, -11)
     calls = []
     real = rc._fs_weyl_sum
@@ -947,7 +947,8 @@ def test_weyl_sums_run_at_every_n_from_3_to_d(monkeypatch, gamma_row_builds):
     monkeypatch.setattr(rc, "_fs_weyl_sum", recording)
     rc.gamma_coefficients(fresh)
     assert calls == [(fresh, n) for n in range(3, len(fresh) + 1)]
-    # a zero-sum label and (2, 1, 0, 0), of entry sum 3, run it at n = 4 too
+    # a zero-sum label and (2, 1, 0, 0), of entry sum 3, run it at n = 4 too,
+    # and every label runs it past n = d, at n = 5 and 6
     labels = rc.enumerate_lambda_set(4, 2) + [fresh, (1, 1, 1, 1), (2, 1, 0, 0)]
     for lam in labels:
         rc.gamma_coefficients(lam)
@@ -960,7 +961,7 @@ def test_weyl_sums_run_at_every_n_from_3_to_d(monkeypatch, gamma_row_builds):
             rc.block_spectrum.__wrapped__(d, t)
     for d in (9, 16, 64):
         bd.total_bound(d, 2, "symmetric", 20, 0.5, "bernstein-symmetric")
-    assert {n for _, n in calls} == {3, 4}
+    assert {n for _, n in calls} == {3, 4, 5, 6}
 
 
 def rains_oracle_labels():
@@ -978,12 +979,17 @@ def rains_oracle_labels():
 
 
 def test_fs_numerator_at_n_equals_d_is_rains_zero_weight_count():
-    # U^d has iid uniform eigenvalues when d | Sigma(lam) (Rains, PTRF 107,
-    # 1997), so d_lam delta_lam(d) is m_lam(Sigma/d, ..., Sigma/d): at d >= 3
-    # the walk of d one-place orbits, not a closed form, meets that value
+    # U^n, n >= d, has iid uniform eigenvalues when d | Sigma(lam) (Rains,
+    # PTRF 107, 1997), so d_lam delta_lam(n) is m_lam(Sigma/d, ..., Sigma/d):
+    # at d >= 3 the walk of d one-place orbits, not a closed form, meets that
+    # value at n = d, and so does every n past d, where the walk is the one
+    # rule too and visits only the d orbits that hold a place
     checked = 0
     for lam in rains_oracle_labels():
-        assert rc._fs_numerator(lam, len(lam)) == rc._zero_weight(lam), lam
+        d, m0 = len(lam), rc._zero_weight(lam)
+        assert rc._fs_numerator(lam, d) == m0, lam
+        for n in (*range(d + 1, 2 * d + 2), 10**9):
+            assert rc._fs_numerator(lam, n) == m0, (lam, n)
         checked += 1
     assert checked == 594
     # Sym^3 of C^3 holds (1, 1, 1) once
