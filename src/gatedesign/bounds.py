@@ -7,7 +7,8 @@ in the log domain; reported probabilities are clipped at 1 with a flag.
 
 :func:`per_label_bound` is the one per-block entry point. The three
 methods linear in S (Bernstein-plain, Bernstein-symmetric, master-plain)
-are each one exponent, :func:`_s_linear_exponent`, added to log(2 d_lam);
+are each one exponent, :func:`kinds._s_linear_exponent` (shared with the
+closed-form size of :mod:`solver`), added to log(2 d_lam);
 :func:`total_bound` adds it to the log(2 d_lam) array of the cached block
 spectrum (:func:`repcore.block_spectrum`) in one log-sum-exp, with no
 per-label call. The master-symmetric totals fill the table's missing labels
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import repcore
 from .kinds import GateSetKind, Method, methods_for_kind  # noqa: F401  (re-exported)
-from .solver import _log1m_sq
+from .kinds import _s_linear_exponent
 from .specfun import log_ive_array
 
 #: theta search cap, as a multiple of the gate count S
@@ -82,25 +83,6 @@ class BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# the S-linear bounds: Bernstein and master-plain
-# ---------------------------------------------------------------------------
-
-def _s_linear_exponent(method, S, delta, fs2):
-    """The exponent a bound linear in S adds to log(2 d_lam).
-
-    Bernstein-plain: -3 S delta^2 / (6 + 2 delta).
-    Bernstein-symmetric: -3 S delta^2 / (6 (1 + delta_lam(2)) + 4 delta),
-    with fs2 = delta_lam(2) one value or, elementwise, an array of them.
-    Master-plain: log of (1 - delta^2)^{-S/2} exp(-delta S arctanh delta).
-    """
-    if method is Method.BERNSTEIN_PLAIN:
-        return -3.0 * S * delta**2 / (6.0 + 2.0 * delta)
-    if method is Method.BERNSTEIN_SYMMETRIC:
-        return -3.0 * S * delta**2 / (6.0 * (1.0 + fs2) + 4.0 * delta)
-    return -0.5 * S * _log1m_sq(delta) - delta * S * math.atanh(delta)
-
-
-# ---------------------------------------------------------------------------
 # master bound, symmetric sets
 # ---------------------------------------------------------------------------
 
@@ -143,7 +125,8 @@ def _fill_sym_cache(labels, delta, full):
     every S. It holds (h, x) per sign: h at x0 = 2 delta / sqrt(1 - delta^2),
     the simplified bound's point, or, when ``full``, the minimum over x in
     (0, 2 THETA_MAX_FACTOR]. h is convex (a log-MGF) and h(0+) = 0: a slope
-    >= 0 at the floor x0 * 1e-13 gives the theta -> 0 limit (0, 0);
+    >= 0 at the floor x0 * 1e-13 (never below the least subnormal, whose log
+    is finite) gives the theta -> 0 limit (0, 0);
     otherwise the sign of h' is bisected in log x, every row in lockstep from
     one first bracket, until the row's bracket is THETA_RTOL wide. NaN slopes
     move the upper end, so the kept lower end is finite, and h(x0) caps the
@@ -160,7 +143,7 @@ def _fill_sym_cache(labels, delta, full):
     h, _ = _branch_exponents(np.full((len(labels), 2), x0), delta, m0d, signed)
     x, flat = np.full(h.shape, x0), np.zeros(h.shape, dtype=bool)
     if full:
-        lo = np.full(h.shape, math.log(x0 * 1e-13))
+        lo = np.full(h.shape, math.log(max(x0 * 1e-13, math.ulp(0.0))))
         hi = np.full(h.shape, math.log(2.0 * THETA_MAX_FACTOR))
         h_lo, slope = _branch_exponents(np.exp(lo), delta, m0d, signed)
         flat = slope >= 0.0

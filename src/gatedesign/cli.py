@@ -12,9 +12,9 @@ Imports are on demand: this module loads only the standard library and
 :mod:`gatedesign.kinds`, and each ``cmd_*`` imports the modules it runs. So
 ``--help``, a usage error, ``lambda-set`` and ``clifford`` never load
 numpy. The paths of ``--output`` and ``--trial-log`` are checked before any
-work starts: a missing directory, a path that is a directory, or one the
-user may not write exits 1 at once, and any other failure to write exits 1
-with one line.
+work starts: a missing directory, a path that is a directory, one the
+user may not write, or one regular file named by both exits 1 at once, and
+any other failure to write exits 1 with one line.
 """
 from __future__ import annotations
 
@@ -326,10 +326,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, path in (("--output", args.output),
-                           ("--trial-log", getattr(args, "trial_log", None))):
+        log = getattr(args, "trial_log", None)
+        for flag, path in (("--output", args.output), ("--trial-log", log)):
             if path is not None:
                 _check_target(flag, path)
+        # the table written last would replace the trial log; a device such
+        # as /dev/null may take both
+        if (args.output is not None and log is not None
+                and os.path.realpath(args.output) == os.path.realpath(log)
+                and (os.path.isfile(log) or not os.path.exists(log))):
+            raise ValueError(f"--output and --trial-log name one file, {log}: "
+                             f"the table would overwrite the trial log")
         return args.fn(args)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         # BoundUnavailableError and PowerIterationError are RuntimeErrors; a

@@ -353,7 +353,9 @@ def weight_multiplicity(lam, mu):
     mu may have entries of any finite numeric type; it counts as the integer
     weight it equals, and an infinite or NaN entry raises ``ValueError``.
     Returns 0 at once when mu is not integral or the entry-sum or one-norm
-    pruning rules rule it out. Runs no Weyl-group sum, so any d is allowed.
+    pruning rules rule it out. Runs no Weyl-group sum, but recurses once per
+    label entry, so past the recursion limit (d near 500 from a cold memo) it
+    raises ``ValueError`` naming d.
     """
     lam = _label_entries(lam)
     ent = tuple(mu)
@@ -398,20 +400,20 @@ def _orbit_walk(left, holes, spare, n, r):
 
 
 @lru_cache(maxsize=None)
-def _lattice_displacements(d, n, r, budget):
+def _lattice_displacements(d, g, n, r, budget):
     """(weight q sorted nonincreasing, net sign) of the sigma in S_d with
-    steps sigma(i) - i all r mod n and one-norm <= budget, q_i =
-    (sigma(i) - i - r)/n, cancelled signs dropped. Such a sigma maps each
-    residue class c mod n onto c + r (the n-abacus of Littlewood's rule for
-    s_lambda o p_n); on the places j, j+g, ... of an orbit of c -> c + r,
-    g = gcd(n, r), its steps u are g times r/g mod n/g: the orbits'
-    :func:`_orbit_walk` tables merge in units of g, and q = (u - r/g)/(n/g).
-    Only the min(g, d) orbits that hold a place are walked, so a large n
-    costs no more than n = d."""
-    g = math.gcd(n, r)
-    n, r, budget = n // g, r // g, budget // g
+    steps sigma(i) - i all R mod N and one-norm <= B, q_i =
+    (sigma(i) - i - R)/N, cancelled signs dropped, given in units of
+    G = gcd(N, R): g = min(G, d), n = N/G, r = R/G and budget = B // G. Such
+    a sigma maps each residue class c mod N onto c + R (the N-abacus of
+    Littlewood's rule for s_lambda o p_N); on the places j, j+G, ... of an
+    orbit of c -> c + R, its steps are G times u, u = r mod n: the orbits'
+    :func:`_orbit_walk` tables merge in units of G, and q = (u - r)/n. Only
+    the g orbits that hold a place are walked, the places j, j+g, ... below
+    d whether g is G or d, so every N past d with one (n, r) shares one
+    entry and costs no more than N = d."""
     try:
-        orbits = [_orbit_walk(len(range(j, d, g)), (), budget, n, r) for j in range(min(g, d))]
+        orbits = [_orbit_walk(len(range(j, d, g)), (), budget, n, r) for j in range(g)]
     except RecursionError:
         raise ValueError(f"the Frobenius-Schur walk recurses once per place of an orbit; d={d} "
                          f"exceeds the recursion limit {sys.getrecursionlimit()}") from None
@@ -440,7 +442,7 @@ def _fs_weyl_sum(ent, n):
     counts the weight (sigma(i) - i + lift)/n, so it is 0 unless every
     sigma(i) - i is -lift mod n; the sum is 0 when lift is not an integer.
     With c = ceil(lift/n), that weight is q + c, q in the
-    :func:`_lattice_displacements` table of r = n c - lift, and
+    :func:`_lattice_displacements` table of N = n and R = n c - lift, and
     m_lambda(q + c) = m_(lambda - c)(q): the label is shifted once, with one
     term per weight group.
     """
@@ -454,7 +456,9 @@ def _fs_weyl_sum(ent, n):
     budget = n * sum(abs(d * v - size) for v in ent) // d
     c = -(-lift // n)
     shifted = tuple(v - c for v in ent)
-    table = _lattice_displacements(d, n, n * c - lift, budget)
+    r = n * c - lift
+    g = math.gcd(n, r)
+    table = _lattice_displacements(d, min(g, d), n // g, r // g, budget // g)
     return sum(sign * _multiplicity(shifted, q) for q, sign in table)
 
 

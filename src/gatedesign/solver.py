@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from . import repcore
-from .kinds import GateSetKind, Method
+from .kinds import GateSetKind, Method, _s_linear_exponent
 from .repcore import _at_least, _open_unit
 
 
@@ -34,26 +34,12 @@ class MinSizeResult:
         return self.S_min // 2
 
 
-def _log1m_sq(delta):
-    """log(1 - d^2): log1p(-d^2) while d^2 < 1/2, and log((1-d)(1+d)) from
-    there on, where 1 - d is exact and rounding d^2 would cost precision as
-    d -> 1."""
-    if delta * delta < 0.5:
-        return math.log1p(-delta * delta)
-    return math.log((1.0 - delta) * (1.0 + delta))
-
-
-def _log_binomial_rate(delta):
-    """log((1+d)^(1+d) (1-d)^(1-d)), the per-gate decay rate, in the form of
-    the master-plain exponent, which does not cancel as d -> 0."""
-    return _log1m_sq(delta) + 2.0 * delta * math.atanh(delta)
-
-
 def min_size_closed_form(d, t, delta, P):
     """Invert the factored plain master bound.
 
     S >= 2 (log(2 sum d_lam) - log(1 - P)) / log((1+d)^(1+d)(1-d)^(1-d)),
-    with the dimension sum exact.
+    with the dimension sum exact; the rate is -2 b, b the master-plain
+    exponent at S = 1 (:func:`kinds._s_linear_exponent`).
     """
     d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
     _open_unit(delta, "delta")
@@ -62,12 +48,12 @@ def min_size_closed_form(d, t, delta, P):
 
 
 def _closed_form_from_sum(d, t, delta, P, sum_d):
-    rate = _log_binomial_rate(delta)
-    s_real = 2.0 * (math.log(2 * sum_d) - math.log1p(-P)) / rate if rate > 0.0 else math.inf
+    b = _s_linear_exponent(Method.MASTER_PLAIN, 1.0, delta, None)
+    s_real = (math.log(2 * sum_d) - math.log1p(-P)) / -b if b < 0.0 else math.inf
     if not math.isfinite(s_real):
         raise ValueError(f"the closed-form size at delta={delta} is beyond the float range")
     s_min = math.ceil(s_real)
-    raw = math.exp(math.log(2 * sum_d) - 0.5 * s_min * rate)
+    raw = math.exp(math.log(2 * sum_d) + s_min * b)
     return MinSizeResult(S_min=s_min, method=Method.MASTER_PLAIN, raw_bound_at_S_min=raw,
                          d=d, t=t, delta=delta, P=P)
 
@@ -84,6 +70,9 @@ def min_size_search(d, t, delta, P, method):
     bisects inside that bracket on the step lattice, one step wider each side
     for rounding; each probed S costs one memoized total bound. The result is
     checked to be a crossing: at most the target there, above it one step below.
+    Past S near 2^52 a step can move the total by less than its rounding; a
+    failed check there raises ``ValueError``, as S_min is then past the float
+    resolution of the bound.
     """
     from . import bounds
 
@@ -117,6 +106,12 @@ def min_size_search(d, t, delta, P, method):
             hi = mid
         else:
             lo = mid
+    # the total sums terms near R, so it is rounded by a few units in the last
+    # place of R: a smaller step leaves the bracket's one-step margin unsound
+    if (not crossed(hi) or hi > step and crossed(hi - step)) and step * -b_min <= 4.0 * math.ulp(R):
+        raise ValueError(f"S_min at delta={delta} lies past the float resolution of the bound: "
+                         f"a step of S near S={hi} moves the total by at most {step * -b_min:.3g}, "
+                         f"below its rounding")
     if not crossed(hi):
         raise RuntimeError(f"bound does not reach the target probability by S={hi}")
     if hi > step and crossed(hi - step):

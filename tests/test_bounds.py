@@ -137,10 +137,11 @@ def test_master_plain_vacuous_at_small_delta():
 
 
 def test_master_plain_two_forms_agree():
+    # the closed-form size reads the exponent at S = 1; the totals at S
     for delta in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
         for S in (1, 10, 57, 400):
             a = bd._s_linear_exponent(Method.MASTER_PLAIN, S, delta, None)
-            b = -0.5 * S * solver._log_binomial_rate(delta)
+            b = S * bd._s_linear_exponent(Method.MASTER_PLAIN, 1.0, delta, None)
             assert a == pytest.approx(b, abs=1e-12 * max(1, abs(a)))
 
 
@@ -321,9 +322,12 @@ def test_full_entries_never_exceed_the_theta_to_zero_limit():
                                     Method.BERNSTEIN_PLAIN, Method.BERNSTEIN_SYMMETRIC])
 def test_flat_rate_message_has_no_signed_zero(method):
     # at delta = 1e-300 the Bernstein rates underflow to -0.0 and the master
-    # rates round to 0.0: the size search names both 0.0
-    with pytest.raises(ValueError, match="the flattest per-gate rate is 0.0$"):
-        solver.min_size_search(2, 2, 1e-300, 0.99, method)
+    # rates round to 0.0: the size search names both 0.0. At the subnormal
+    # 1e-320 the symmetric master bracket floor x0 * 1e-13 underflows to 0
+    symmetric_master = method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED)
+    for delta in (1e-300, 1e-320) if symmetric_master else (1e-300,):
+        with pytest.raises(ValueError, match="the flattest per-gate rate is 0.0$"):
+            solver.min_size_search(2, 2, delta, 0.99, method)
 
 
 def test_simplified_against_mpmath_oracle():

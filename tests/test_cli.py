@@ -523,6 +523,32 @@ def test_trial_log_into_missing_directory_fails_before_any_trial(capsys, tmp_pat
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("exists", [False, True], ids=["new-file", "existing-file"])
+def test_output_and_trial_log_on_one_file_fail_before_any_trial(capsys, tmp_path, monkeypatch,
+                                                                exists):
+    # the log names the file through a symlink; the table would overwrite it
+    monkeypatch.setattr(montecarlo, "estimate_delta", _must_not_run)
+    target, alias = tmp_path / "out.txt", tmp_path / "alias.txt"
+    if exists:
+        target.write_text("kept\n")
+    alias.symlink_to(target)
+    code = main(["--output", str(target), "mc-verify", "--trials", "2", "--trial-log", str(alias)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: --output and --trial-log name one file, {alias}: "
+                            f"the table would overwrite the trial log\n")
+    assert target.read_text() == "kept\n" if exists else not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs the /dev/null device")
+def test_output_and_trial_log_may_both_be_dev_null(capsys):
+    code = main(["--output", "/dev/null", "mc-verify", "--trials", "1", "--trial-log", "/dev/null"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == captured.err == ""
+
+
 #: a command per write flag; its work function is monkeypatched to fail if called
 WRITE_TARGETS = [
     ("--output", ["clifford", "--max-qubits", "2"], (solver, "clifford_cardinality")),
@@ -710,6 +736,14 @@ def test_importing_a_kind_or_method_loads_no_numpy_and_no_bounds():
     assert "gatedesign.kinds" in modules
     assert "numpy" not in modules
     assert "gatedesign.bounds" not in modules
+
+
+def test_importing_bounds_loads_no_solver():
+    # the exponent both read lives in kinds, so the two modules form no cycle
+    proc, modules = loaded_after("import gatedesign.bounds")
+    assert proc.returncode == 0, proc.stderr
+    assert "gatedesign.bounds" in modules and "gatedesign.kinds" in modules
+    assert "gatedesign.solver" not in modules
 
 
 @pytest.mark.parametrize(

@@ -686,6 +686,13 @@ def test_signed_displacements_table(d):
         assert sum(disp) == 0 and list(disp) == sorted(disp, reverse=True)
 
 
+def lattice_table(d, n, r, budget):
+    """The :func:`repcore._lattice_displacements` table of steps r mod n and
+    one-norm <= budget, called in units of g = gcd(n, r) as the Weyl sum calls it."""
+    g = math.gcd(n, r)
+    return rc._lattice_displacements(d, min(g, d), n // g, r // g, budget // g)
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 def test_lattice_tables_match_walk_oracle(d):
     # every budget cut, from the identity alone to one past the largest
@@ -697,7 +704,7 @@ def test_lattice_tables_match_walk_oracle(d):
             lattice = {disp: sign for disp, sign in walk.items() if all((v - r) % n == 0 for v in disp)}
             top = max((sum(map(abs, disp)) for disp in lattice), default=0)
             for budget in range(top + 2):
-                rows = rc._lattice_displacements(d, n, r, budget)
+                rows = lattice_table(d, n, r, budget)
                 table = {tuple(n * v + r for v in q): sign for q, sign in rows}
                 want = {disp: sign for disp, sign in lattice.items() if sum(map(abs, disp)) <= budget}
                 assert len(table) == len(rows) and table == want, (n, r, budget)
@@ -747,7 +754,7 @@ def test_fs_weyl_sum_on_shifted_residue_classes(entries, shifts):
     for n, r in shifts.items():
         assert Fraction(-n * sum(entries), d) % n == r
         budget = n * sum(abs(d * v - sum(entries)) for v in entries) // d
-        assert rc._lattice_displacements(d, n, r, budget), (n, r)
+        assert lattice_table(d, n, r, budget), (n, r)
     for n in range(3, d + 1):
         want = per_permutation_fs_sum(entries, n) if d <= 7 else walk_fs_sum(entries, n)
         assert rc._fs_weyl_sum(entries, n) == want, n
@@ -994,6 +1001,16 @@ def test_fs_numerator_at_n_equals_d_is_rains_zero_weight_count():
     assert checked == 594
     # Sym^3 of C^3 holds (1, 1, 1) once
     assert rc.fs_indicator((3, 0, 0), 3) == Fraction(1, 10)
+
+
+def test_every_n_past_d_shares_one_lattice_table(monkeypatch):
+    # a zero-sum label has r = 0 at every n, so g = n and each n past d is
+    # the table of (d, d, 1, 0, budget / n): one entry, not one per raw n
+    cold = lru_cache(rc._lattice_displacements.__wrapped__)
+    monkeypatch.setattr(rc, "_lattice_displacements", cold)
+    for n in range(5, 3005):
+        assert rc.fs_indicator((1, 0, 0, -1), n) == Fraction(1, 5), n
+    assert cold.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

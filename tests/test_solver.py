@@ -11,6 +11,7 @@ from gatedesign import bounds as bd
 from gatedesign import repcore as rc
 from gatedesign import solver
 from gatedesign.bounds import Method
+from gatedesign.kinds import _s_linear_exponent
 
 #: `table --table2` rows, kept as reference
 PINNED_TABLE2 = Path(__file__).resolve().parent / "table2_pinned.csv"
@@ -50,6 +51,12 @@ def mp_closed_form_size(delta, P=0.99, sum_d=8):
         return 2 * (mpmath.log(2 * sum_d) - mpmath.log1p(-P)) / rate
 
 
+def binomial_rate(delta):
+    """log((1+d)^(1+d) (1-d)^(1-d)), the per-gate rate the closed form divides
+    by: -2 times the master-plain exponent at S = 1."""
+    return -2.0 * _s_linear_exponent(Method.MASTER_PLAIN, 1.0, delta, None)
+
+
 @pytest.mark.parametrize("delta", [1e-16, 1e-10, 1e-6, 1e-3, 0.5, 0.9, 0.99, 0.999])
 def test_binomial_rate_keeps_full_precision(delta):
     # the two terms of (1+d) log1p(d) + (1-d) log1p(-d) cancel as d -> 0,
@@ -57,7 +64,7 @@ def test_binomial_rate_keeps_full_precision(delta):
     with mpmath.workdps(60):
         x = mpmath.mpf(delta)
         want = (1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)
-        assert abs(solver._log_binomial_rate(delta) / want - 1) <= 3e-16
+        assert abs(binomial_rate(delta) / want - 1) <= 3e-16
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-6])
@@ -226,6 +233,17 @@ def test_search_rejects_bound_that_never_crosses(monkeypatch):
         solver.min_size_search(2, 2, 0.5, 0.99, Method.BERNSTEIN_SYMMETRIC)
 
 
+@pytest.mark.parametrize("method", [Method.MASTER_PLAIN, Method.BERNSTEIN_PLAIN])
+def test_search_past_the_float_resolution_says_so(method):
+    # at delta = 3e-8 a step of S moves the exact total by about 4.5e-16,
+    # below the rounding of a total of terms near R = 7.4, so the computed
+    # totals cannot place the crossing; the closed form still answers
+    with pytest.raises(ValueError, match=r"^S_min at delta=3e-08 lies past the float resolution "
+                                         r"of the bound: a step of S near S=\d+ "):
+        solver.min_size_search(2, 2, 3e-8, 0.99, method)
+    assert solver.min_size_closed_form(2, 2, 3e-8, 0.99).S_min == 16395019796061932
+
+
 def test_search_far_past_1e9_matches_closed_form():
     # the bound crosses near S = 1.5e13; the search and the closed form may
     # round the last step apart by one, and then both must be crossings
@@ -274,7 +292,7 @@ def test_pair_count_requires_symmetric_method():
 def test_scaling_dominates_closed_form():
     # underlying dominance: sum of d_lam <= d^(2t), so the pre-ceiling reals
     # are ordered, hence so are the ceilings
-    rate = solver._log_binomial_rate(0.5)
+    rate = binomial_rate(0.5)
     for d in (2, 4, 8, 16, 32, 64):
         for t in solver.TABLE2_COLUMNS[d]:
             sum_d = rc.sum_dimensions(d, t)
@@ -287,7 +305,7 @@ def test_scaling_dominates_closed_form():
 
 def test_binomial_rate_small_delta_limit():
     delta = 1e-3
-    assert abs(solver._log_binomial_rate(delta) / delta**2 - 1.0) < 1e-5
+    assert abs(binomial_rate(delta) / delta**2 - 1.0) < 1e-5
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
