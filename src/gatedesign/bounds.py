@@ -34,7 +34,7 @@ import numpy as np
 
 from . import repcore
 from .kinds import GateSetKind, Method, methods_for_kind  # noqa: F401  (re-exported)
-from .kinds import _s_linear_exponent
+from .kinds import _draws, _s_linear_exponent
 from .specfun import log_ive_array
 
 #: theta search cap, as a multiple of the gate count S
@@ -54,8 +54,7 @@ def _check_query(kind, S, delta):
     delta = repcore._open_unit(delta, "delta")
     S = repcore._at_least(S, "S", 1)
     repcore._real(S, "S")  # every exponent takes S as a float
-    if kind is GateSetKind.SYMMETRIC and S % 2:
-        raise ValueError(f"symmetric sets have even cardinality, got {S}")
+    _draws(kind, S)
     return S, delta
 
 
@@ -124,7 +123,9 @@ def _fill_sym_cache(labels, delta, full):
     e^{-theta delta} F(+-theta)^{S/2} = e^{(S/2) h(x)}, so an entry serves
     every S. It holds (h, x) per sign: h at x0 = 2 delta / sqrt(1 - delta^2),
     the simplified bound's point, or, when ``full``, the minimum over x in
-    (0, 2 THETA_MAX_FACTOR]. h is convex (a log-MGF) and h(0+) = 0: a slope
+    (0, 2 THETA_MAX_FACTOR]. Both read the Bessel kernel at x0, up to 1.34e8
+    at delta = 1 - 2^-53, the largest delta below 1, where its recurrence
+    runs ~1e5 steps. h is convex (a log-MGF) and h(0+) = 0: a slope
     >= 0 at the floor x0 * 1e-13 (never below the least subnormal, whose log
     is finite) gives the theta -> 0 limit (0, 0);
     otherwise the sign of h' is bisected in log x, every row in lockstep from

@@ -157,7 +157,7 @@ def cmd_min_size(args):
     return 0
 
 
-def cmd_table(args):
+def cmdtable(args):
     from . import solver
 
     if not args.table2:
@@ -261,24 +261,22 @@ def build_parser():
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    dt = argparse.ArgumentParser(add_help=False)
+    dt.add_argument("--d", type=int, required=True)
+    dt.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("lambda-set", help="irrep block labels with dimensions and FS data")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = sub.add_parser("lambda-set", parents=[dt],
+                       help="irrep block labels with dimensions and FS data")
     p.set_defaults(fn=cmd_lambda_set)
 
-    p = sub.add_parser("bounds-curve", help="bound values on a delta grid")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = sub.add_parser("bounds-curve", help="bound values on a delta grid", parents=[dt])
     p.add_argument("--size", type=int, required=True, help="gate-set cardinality |S|")
     p.add_argument("--kind", choices=[k.value for k in GateSetKind], default="plain")
     p.add_argument("--methods", default="all", help="comma list of methods, or 'all'")
     p.add_argument("--delta-grid", default="0.05:0.95:19", help="start:stop:num or comma list")
     p.set_defaults(fn=cmd_bounds_curve)
 
-    p = sub.add_parser("min-size", help="minimal gate count for a (delta, t, P) target")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = sub.add_parser("min-size", help="minimal gate count for a (delta, t, P) target", parents=[dt])
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--prob", type=float, default=0.99)
     p.add_argument("--method", choices=[m.value for m in Method], default="master-plain")
@@ -289,7 +287,7 @@ def build_parser():
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--prob", type=float, default=0.99)
     p.add_argument("--dims", default=None, help="comma subset of dimensions, e.g. 2,4")
-    p.set_defaults(fn=cmd_table)
+    p.set_defaults(fn=cmdtable)
 
     p = sub.add_parser("clifford", help="Clifford group size vs random-set size data")
     p.add_argument("--max-qubits", type=int, default=50)

@@ -1,9 +1,7 @@
-"""Gate-set kinds, bound methods and the per-gate exponent of the bounds
-linear in S, which :mod:`bounds` and the closed form of :mod:`solver` share.
-
-Kept apart from :mod:`bounds` so that the sampler, the command line and the
-closed form can use them without loading the bound machinery and numpy.
-"""
+"""Gate-set kinds, bound methods, the Haar draws behind a set's size and the
+per-gate exponent of the bounds linear in S, kept apart from :mod:`bounds` so
+the sampler, the command line and the closed form of :mod:`solver` read them
+without loading the bound machinery and numpy."""
 import enum
 import math
 
@@ -33,6 +31,14 @@ def methods_for_kind(kind):
     :class:`GateSetKind` or its value (none for lifted sets)."""
     kind = GateSetKind(kind)
     return tuple(m for m in Method if m.kind is kind)
+
+
+def _draws(kind, S):
+    """The Haar draws behind S gates of a kind: S/2 for a symmetric set, whose
+    S must be even, and S otherwise (a lifted set's S counts its draws)."""
+    if kind is GateSetKind.SYMMETRIC and S % 2:
+        raise ValueError(f"symmetric sets have even cardinality, got {S}")
+    return S // 2 if kind is GateSetKind.SYMMETRIC else S
 
 
 def _log1m_sq(delta):

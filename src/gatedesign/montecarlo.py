@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kinds import GateSetKind
+from .kinds import GateSetKind, _draws
 from .repcore import _at_least, _open_unit
 
 #: refuse to build tensor spaces larger than this
@@ -93,9 +93,7 @@ class GateSetSample:
         if np.any(np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - eye, axis=(1, 2)) > tol):
             raise ValueError("sample contains a non-unitary matrix")
         if self.kind is GateSetKind.SYMMETRIC:
-            if self.size % 2:
-                raise ValueError(f"a symmetric sample needs an even size, got {self.size}")
-            n = self.size // 2
+            n = _draws(self.kind, self.size)
             if np.any(np.linalg.norm(u[n : 2 * n] @ u[:n] - eye, axis=(1, 2)) > tol):
                 raise ValueError("symmetric sample lacks exact inverse pairs")
         return self
@@ -337,12 +335,7 @@ def empirical_tail(d, t, kind, S, delta, trials, seed):
     S, trials = _at_least(S, "S", 1), _at_least(trials, "trials", 1)
     seed = _at_least(seed, "seed", 0)
     kind = GateSetKind(kind)
-    if kind is GateSetKind.SYMMETRIC:
-        if S % 2:
-            raise ValueError(f"symmetric sets have even cardinality, got {S}")
-        n = S // 2
-    else:
-        n = S
+    n = _draws(kind, S)
     _check_index_range(kind, d, n, "S")
 
     def run_trial(i):

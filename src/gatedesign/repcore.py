@@ -28,6 +28,10 @@ delta_lambda(n), holds one rule: each |n| <= 2 is a closed form, and every
 
 - Reality: Haar measure is invariant under U -> U^-1, so
   delta_lambda(-n) = delta_lambda(n).
+- Duality: the dual label lambda* = (-lambda_d, ..., -lambda_1) has
+  chi_lambda* = conj chi_lambda, so the same d_lambda and m_lambda(0) and,
+  as delta_lambda(n) is real, the same delta_lambda(n): :func:`_gamma_row`
+  builds one row per dual pair.
 - Schur orthogonality: int chi_lambda dU is the multiplicity of the trivial
   representation, so delta_lambda(1) is 1 for a label whose entries are all
   equal (trivial on SU(d)) and 0 otherwise (Bump, *Lie Groups*, Ch. 2).
@@ -343,8 +347,8 @@ def _multiplicity(ent, mu):
     try:
         return _mult_centered(ent, mu)
     except RecursionError:
-        raise ValueError(f"weight multiplicities recurse once per label entry; d={len(ent)} "
-                         f"exceeds the recursion limit {sys.getrecursionlimit()}") from None
+        raise ValueError(f"weight multiplicities recurse once per label entry, and at d={len(ent)} "
+                         f"they passed the recursion limit {sys.getrecursionlimit()}") from None
 
 
 def weight_multiplicity(lam, mu):
@@ -415,8 +419,9 @@ def _lattice_displacements(d, g, n, r, budget):
     try:
         orbits = [_orbit_walk(len(range(j, d, g)), (), budget, n, r) for j in range(g)]
     except RecursionError:
-        raise ValueError(f"the Frobenius-Schur walk recurses once per place of an orbit; d={d} "
-                         f"exceeds the recursion limit {sys.getrecursionlimit()}") from None
+        raise ValueError(f"the Frobenius-Schur walk recurses once per place of an orbit, and at "
+                         f"d={d}, with orbits of up to {len(range(0, d, g))} places, it passed "
+                         f"the recursion limit {sys.getrecursionlimit()}") from None
     merged = {(): 1}
     for orbit in orbits:
         joined = {}
@@ -522,7 +527,12 @@ def _gamma_row(ent):
     row the ints d_lambda gamma_lambda(k) = :func:`_fs_numerator` at k less
     m_lambda(0), k = 0..d: the exact bracket weights of the symmetric master
     bound. Keyed on the label alone, so each row is built once, whatever its
-    t or delta; its k = 0 term is d_lambda less m_lambda(0)."""
+    t or delta; its k = 0 term is d_lambda less m_lambda(0). A label and its
+    dual share one row (Duality, in the module docstring): the larger one's
+    is built."""
+    dual = tuple(-v for v in reversed(ent))
+    if dual > ent:
+        return _gamma_row(dual)
     m0 = _zero_weight(ent)
     row = tuple(_fs_numerator(ent, k) - m0 for k in range(len(ent) + 1))
     return row[0] + m0, m0, row

@@ -34,6 +34,14 @@ class MinSizeResult:
         return self.S_min // 2
 
 
+def _check_args(d, t, delta, P):
+    """The checked (d, t), ints >= 2 and >= 1, then delta and P checked in (0, 1)."""
+    d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
+    _open_unit(delta, "delta")
+    _open_unit(P, "P")
+    return d, t
+
+
 def min_size_closed_form(d, t, delta, P):
     """Invert the factored plain master bound.
 
@@ -41,9 +49,7 @@ def min_size_closed_form(d, t, delta, P):
     with the dimension sum exact; the rate is -2 b, b the master-plain
     exponent at S = 1 (:func:`kinds._s_linear_exponent`).
     """
-    d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
-    _open_unit(delta, "delta")
-    _open_unit(P, "P")
+    d, t = _check_args(d, t, delta, P)
     return _closed_form_from_sum(d, t, delta, P, repcore.block_spectrum(d, t).sum_dim)
 
 
@@ -76,9 +82,7 @@ def min_size_search(d, t, delta, P, method):
     """
     from . import bounds
 
-    d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
-    _open_unit(delta, "delta")
-    _open_unit(P, "P")
+    d, t = _check_args(d, t, delta, P)
     method = Method(method)
     step = 2 if method.kind is GateSetKind.SYMMETRIC else 1
     target = math.log1p(-P)

@@ -1,7 +1,7 @@
 """Log-domain modified Bessel functions of the first kind.
 
 The symmetric master bound of a U(d) block needs log I_k(x) for the orders
-k = 0..d+1 and x up to ~1e6 without overflow. Every x > 0 takes one path:
+k = 0..d+1 and x up to ~1.34e8 without overflow. Every x > 0 takes one path:
 Miller's algorithm in continued-fraction form (W. Gautschi, SIAM Rev. 9
 (1967) 24-82). The ratios rho_k = I_k/I_{k-1} obey
 rho_k = x / (2k + x rho_{k+1}); the recurrence starts from rho = 0 at
@@ -25,7 +25,9 @@ from .repcore import _at_least, _real
 _TINY = sys.float_info.min
 
 #: largest x :func:`log_bessel_i` takes: the recurrence runs ~9 sqrt(x) steps,
-#: 9e6 here, also its largest n. The library calls the kernel at x <= 2e4.
+#: 9e6 here, also its largest n. The library calls the kernel at x <= 2e4 in
+#: the theta bisection and at x0 = 2 delta / sqrt(1 - delta^2), which reaches
+#: 1.34e8, ~1e5 steps, at the largest delta below 1, 1 - 2^-53.
 MAX_BESSEL_X = 1e12
 
 

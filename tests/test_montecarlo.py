@@ -83,7 +83,7 @@ def test_symmetric_sample_of_odd_size_fails_validation():
     # three identities pass every inverse check they get, but the third has
     # no partner
     s = mc.GateSetSample(np.stack([np.eye(2)] * 3), GateSetKind.SYMMETRIC, seed=0)
-    with pytest.raises(ValueError, match="even size, got 3"):
+    with pytest.raises(ValueError, match="symmetric sets have even cardinality, got 3$"):
         s.validate()
     mc.GateSetSample(np.stack([np.eye(2)] * 4), GateSetKind.SYMMETRIC, seed=0).validate()
 

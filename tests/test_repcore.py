@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -589,8 +590,28 @@ def test_cold_d64_t5_search_keeps_one_copy_of_each_memo_tuple(monkeypatch, gamma
 def test_recursion_past_the_limit_raises_value_error_naming_d(call, d):
     rc._mult_centered.cache_clear()
     rc._orbit_walk.cache_clear()
-    with pytest.raises(ValueError, match=f"d={d} exceeds the recursion limit"):
+    with pytest.raises(ValueError, match=f"at d={d}\\b.* passed the recursion limit "
+                                         f"{sys.getrecursionlimit()}$"):
         call((1,) + (0,) * (d - 2) + (-1,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: rc.weight_multiplicity(lam, (0,) * len(lam)),
+    rc.zero_weight_multiplicity,
+    lambda lam: rc.block_spectrum.__wrapped__(len(lam), 1).m0[0],
+], ids=["weight_multiplicity", "zero_weight_multiplicity", "BlockSpectrum.m0"])
+def test_multiplicity_at_d500_is_d_less_one_or_a_true_recursion_message(call):
+    # d = 500 is below the default limit of 1000, but each level of the
+    # recursion may take more than one unit of it (two on Python 3.11, where
+    # the memo's C wrapper counts), on top of the caller's frames: whether it
+    # fits depends on the version, so either the value or a message that
+    # claims no more than that the recursion passed the limit at d = 500
+    rc._mult_centered.cache_clear()
+    try:
+        assert call((1,) + (0,) * 498 + (-1,)) == 499
+    except ValueError as exc:
+        assert str(exc) == ("weight multiplicities recurse once per label entry, and at d=500 "
+                            f"they passed the recursion limit {sys.getrecursionlimit()}")
 
 
 def test_fs_gamma_and_master_symmetric_total_at_d9():
@@ -1058,6 +1079,40 @@ def test_gamma_d2_values():
     assert gam[0] == Fraction(4, 5)
     assert gam[1] == Fraction(-1, 5)
     assert gam[2] == 0
+
+
+def dual(lam):
+    """The dual label (-lam_d, ..., -lam_1), whose character is conj chi_lam."""
+    return tuple(-v for v in reversed(lam))
+
+
+#: Lambda~_4 at d <= 8 and labels of nonzero entry sum
+DUAL_CASES = ([lam for d in range(2, 9) for lam in rc.enumerate_lambda_set(d, 4)]
+              + [(2, 1, 0), (1, 0, 0), (3, 0, 0), (3, 1, -1), (2, 1, 1, 0), (5, 3, 0, -2)])
+
+
+@pytest.mark.parametrize("lam", DUAL_CASES, ids=str)
+def test_dual_label_has_the_same_gamma_row_data(lam):
+    # the data of _gamma_row, which builds one row per dual pair: d_lam,
+    # delta_lam(k) times it (real, so equal for conj chi) and m_lam(0)
+    assert rc._zero_weight(lam) == rc._zero_weight(dual(lam))
+    for k in range(len(lam) + 1):
+        assert rc._fs_numerator(lam, k) == rc._fs_numerator(dual(lam), k), k
+
+
+def test_cold_gamma_rows_run_one_weyl_sum_row_per_dual_pair(monkeypatch, gamma_row_builds):
+    runs = []
+    weyl_sum = rc._fs_weyl_sum
+    monkeypatch.setattr(rc, "_fs_weyl_sum",
+                        lambda ent, n: runs.append((ent, n)) or weyl_sum(ent, n))
+    labels = rc.block_spectrum(8, 4).labels
+    rows = {lam: rc._gamma_row(lam) for lam in labels}
+    built = {max(lam, dual(lam)) for lam in labels}
+    # 14 dual pairs and 11 self-dual labels among the 39
+    assert (len(labels), len(built)) == (39, 25)
+    assert sorted(runs) == sorted((lam, n) for lam in built for n in range(3, 9))
+    assert sorted(gamma_row_builds) == sorted(labels)
+    assert all(rows[lam] == rows[dual(lam)] for lam in labels)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,17 @@ def test_search_master_symmetric_d2_t2():
     assert res.n_pairs == 36
 
 
+@pytest.mark.parametrize("method", [Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED])
+def test_master_symmetric_search_at_the_largest_delta_below_one(method):
+    # both methods read the Bessel kernel at x0 = 2 delta / sqrt(1 - delta^2),
+    # 1.34e8 here, where its recurrence runs ~1e5 steps
+    delta = 1 - 2**-53
+    res = solver.min_size_search(2, 2, delta, 0.99, method)
+    assert res.S_min == 12 and 0.0 < res.raw_bound_at_S_min <= 0.01
+    below = bd.total_bound(2, 2, "symmetric", 10, delta, method)
+    assert math.isfinite(below.log_bound) and below.raw > 0.01
+
+
 def test_crossing_property():
     for method, step in [(Method.MASTER_PLAIN, 1), (Method.BERNSTEIN_SYMMETRIC, 2)]:
         res = solver.min_size_search(2, 3, 0.5, 0.99, method)
