@@ -21,12 +21,13 @@ objective is (S/2) h(x), h(x) = log B(x) - delta x a convex log-MGF (Tropp,
 arXiv:1501.01571, Sec. 3) whose minimizer does not depend on S: one batch
 bisects on the sign of the analytic h' for all its labels in lockstep, and
 each label's entry serves every probe of a size search at its delta. Every
-read goes through :func:`_sym_entries`, which holds the entries of one delta
-and fills a request's missing labels in one batch; a row has the same bits
-in any batch, so a label read alone gets the entry a total would give it.
+read goes through :func:`_sym_entries`, which fills a request's missing labels
+in one batch into the memo of its delta (:func:`_sym_table`) and raises for a
+nonpositive bracket; a row has the same bits in any batch, alone or in a total.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,13 +110,14 @@ def _branch_exponents(x, delta, m0d, signed):
         return np.where(ok, x + np.log(b) - delta * x, np.nan), np.where(ok, db / b - delta, np.nan)
 
 
-# (label entries tuple, full) -> (log d_lam, (h+, x+), (h-, x-)): the entries
-# of the one delta held under the key "delta". A request at another delta
-# empties it, so a delta sweep holds one label set at a time
-_sym_cache = {}
+@functools.lru_cache(maxsize=1)
+def _sym_table(delta):
+    """The entries of one delta, (label entries tuple, full) -> (log d_lam, (h+, x+),
+    (h-, x-)); another delta drops them, so a delta sweep holds one label set."""
+    return {}
 
 
-def _fill_sym_cache(labels, delta, full):
+def _sym_batch(labels, delta, full):
     """The entries of ``labels`` at delta from one batch, with the bracket
     weights of :func:`repcore._gamma_row`, exact ints divided by d_lam in int
     true division, which rounds correctly: each weight has the bits of
@@ -128,13 +130,13 @@ def _fill_sym_cache(labels, delta, full):
     runs ~1e5 steps. h is convex (a log-MGF) and h(0+) = 0: a slope
     >= 0 at the floor x0 * 1e-13 (never below the least subnormal, whose log
     is finite) gives the theta -> 0 limit (0, 0);
-    otherwise the sign of h' is bisected in log x, every row in lockstep from
-    one first bracket, until the row's bracket is THETA_RTOL wide. NaN slopes
-    move the upper end, so the kept lower end is finite, and h(x0) caps the
-    bisected minimum. One rule then serves both kinds of entry: an h that
-    rounds above the theta -> 0 limit is that limit, (0, 0), since theta -> 0
-    bounds the block by 2 d_lam for any S. So a simplified entry is h(x0)
-    unless that lies above 0.
+    otherwise the sign of h' is bisected in log x, every row from one first
+    bracket and halved with the others, until the brackets are THETA_RTOL
+    wide. NaN slopes move the upper end, so the kept lower end is finite,
+    and h(x0) caps the bisected minimum. One rule then serves both kinds of
+    entry: an h that rounds above the theta -> 0 limit is that limit, (0, 0),
+    since theta -> 0 bounds the block by 2 d_lam for any S. So a simplified
+    entry is h(x0) unless that lies above 0.
     """
     rows = list(map(repcore._gamma_row, labels))
     gam = np.array([[g / dl for g in row] for dl, _, row in rows])
@@ -148,14 +150,12 @@ def _fill_sym_cache(labels, delta, full):
         hi = np.full(h.shape, math.log(2.0 * THETA_MAX_FACTOR))
         h_lo, slope = _branch_exponents(np.exp(lo), delta, m0d, signed)
         flat = slope >= 0.0
-        run = ~flat & (hi - lo > THETA_RTOL)
-        while run.any():
+        while not flat.all() and (hi - lo > THETA_RTOL).any():
             mid = 0.5 * (lo + hi)
             h_mid, slope = _branch_exponents(np.exp(mid), delta, m0d, signed)
-            down = run & (slope < 0.0)
+            down = slope < 0.0
             lo, h_lo = np.where(down, mid, lo), np.where(down, h_mid, h_lo)
-            hi = np.where(run & ~down, mid, hi)
-            run &= hi - lo > THETA_RTOL
+            hi = np.where(down, hi, mid)
         cap = np.isnan(h_lo) | (h < h_lo)
         h, x = np.where(cap, h, h_lo), np.where(cap, x, np.exp(lo))
     flat |= h > 0.0
@@ -166,14 +166,18 @@ def _fill_sym_cache(labels, delta, full):
 
 def _sym_entries(labels, delta, full):
     """The entries of ``labels`` at delta, the missing ones filled in one
-    batch; a delta other than the table's empties it first."""
-    if _sym_cache.get("delta") != delta:
-        _sym_cache.clear()
-        _sym_cache["delta"] = delta
-    todo = [lam for lam in labels if (lam, full) not in _sym_cache]
+    batch into the table of that delta; the first label whose entry is NaN,
+    its bracket nonpositive, raises :class:`BoundUnavailableError`."""
+    table = _sym_table(delta)
+    todo = [lam for lam in labels if (lam, full) not in table]
     if todo:
-        _sym_cache.update(zip([(lam, full) for lam in todo], _fill_sym_cache(todo, delta, full)))
-    return [_sym_cache[lam, full] for lam in labels]
+        table.update(zip([(lam, full) for lam in todo], _sym_batch(todo, delta, full)))
+    entries = [table[lam, full] for lam in labels]
+    for lam, (_, (hp, _), (hm, _)) in zip(labels, entries):
+        if math.isnan(hp) or math.isnan(hm):
+            where = "over the whole theta range" if full else "at theta0"
+            raise BoundUnavailableError(f"bracket nonpositive {where} for lam={lam}")
+    return entries
 
 
 def _master_symmetric(lam, method, S, delta):
@@ -186,9 +190,6 @@ def _master_symmetric(lam, method, S, delta):
     """
     full = method is Method.MASTER_SYMMETRIC
     log_dim, (hp, xp), (hm, xm) = _sym_entries((lam,), delta, full)[0]
-    if math.isnan(hp) or math.isnan(hm):
-        where = "over the whole theta range" if full else "at theta0"
-        raise BoundUnavailableError(f"bracket nonpositive {where} for lam={lam}")
     fp, fm = 0.5 * S * hp, 0.5 * S * hm
     theta_star = 0.5 * S * (xp if fp >= fm else xm)
     return BoundResult(method, float(log_dim + np.logaddexp(fp, fm)), theta_star)
@@ -230,14 +231,13 @@ def total_bound(d, t, kind, S, delta, method):
 
 def _rate_range(spec, delta, method):
     """The steepest and the flattest rate b of the terms a + S b of a total
-    over ``spec``: the S-linear exponent at S = 1, or h+-/2 per label and
-    sign; NaN rows are left to the total, which raises for them."""
+    over ``spec``: the S-linear exponent at S = 1, or h+-/2 per label and sign."""
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         entries = _sym_entries(spec.labels, delta, method is Method.MASTER_SYMMETRIC)
         b = 0.5 * np.array([(hp, hm) for _, (hp, _), (hm, _) in entries])
     else:
         b = _s_linear_exponent(method, 1.0, delta, spec.fs2)
-    return float(np.fmin.reduce(b, axis=None)), float(np.fmax.reduce(b, axis=None))
+    return float(np.min(b)), float(np.max(b))
 
 
 # ---------------------------------------------------------------------------

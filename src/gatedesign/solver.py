@@ -70,8 +70,8 @@ def min_size_search(d, t, delta, P, method):
     A total is the log-sum-exp of terms a + S b whose e^a sum to 2 sum d_lam,
     so it lies between L + S b_min and L + S b_max, L = log(2 sum d_lam),
     with b_min and b_max the steepest and the flattest rate
-    (:func:`bounds._rate_range`; a rate that rounds to 0 raises, and so do
-    NaN rates alone, with the total's error). S_min is thus between
+    (:func:`bounds._rate_range`; a rate that rounds to 0 raises, and so does
+    a nonpositive bracket, with :class:`bounds.BoundUnavailableError`). S_min is thus between
     R / -b_min and R / -b_max, R = L - log(1 - P). The search
     bisects inside that bracket on the step lattice, one step wider each side
     for rounding; each probed S costs one memoized total bound. The result is
@@ -95,8 +95,6 @@ def min_size_search(d, t, delta, P, method):
 
     spec = repcore.block_spectrum(d, t)
     b_min, b_max = bounds._rate_range(spec, delta, method)
-    if math.isnan(b_max):
-        crossed(step)  # every rate is NaN: the total raises BoundUnavailableError
     R = math.log(2 * spec.sum_dim) - target
     if not (b_max < 0.0 and math.isfinite(R / b_max)):
         # + 0.0 turns an underflowed -0.0 into 0.0: one message for every method

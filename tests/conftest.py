@@ -7,14 +7,15 @@ import pytest
 
 @pytest.fixture(scope="module", autouse=True)
 def _cold_symmetric_caches():
-    """Clear the two caches of the symmetric master bound after each module,
-    the per-label entries of the last delta and the per-label gamma rows, so
-    no later module (such as bench/test_bench.py, which counts the Bessel
-    calls of a traced pass) starts warm."""
+    """Clear the two memos of the symmetric master bound after each module,
+    the per-label entries of the last delta (bounds._sym_table) and the
+    per-label gamma rows (repcore._gamma_row), so no later module (such as
+    bench/test_bench.py, which counts the Bessel calls of a traced pass)
+    starts warm."""
     yield
     bounds = sys.modules.get("gatedesign.bounds")
     if bounds is not None:
-        bounds._sym_cache.clear()
+        bounds._sym_table.cache_clear()
         bounds.repcore._gamma_row.cache_clear()
 
 

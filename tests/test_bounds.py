@@ -7,6 +7,7 @@ algebraic identities between printed forms.
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -218,7 +219,7 @@ def test_batch_bracket_weights_are_the_exact_gammas_rounded(monkeypatch):
     groups = [rc.block_spectrum(d, t).labels for d, t in ((2, 500), (4, 20), (8, 5))]
     for labels in groups + [rc.block_spectrum(2, 5000).labels[::50]]:
         seen.clear()
-        bd._fill_sym_cache(labels, 0.5, False)
+        bd._sym_batch(labels, 0.5, False)
         m0d, signed = seen[0]
         want_m0d, want_signed = [], []
         for lam in labels:
@@ -417,7 +418,7 @@ def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
     # row of (1, -1) with d_lam = 3, m_lam(0) = -3 and every gamma zero. The
     # size search, with no finite rate to bracket it, raises the total's error
     monkeypatch.setattr(rc, "_gamma_row", lambda lam: (3, -3, (0, 0, 0)))
-    monkeypatch.setattr(bd, "_sym_cache", {})
+    monkeypatch.setattr(bd, "_sym_table", lru_cache(maxsize=1)(bd._sym_table.__wrapped__))
     for method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         with pytest.raises(bd.BoundUnavailableError):
             bd.per_label_bound((1, -1), method, 20, 0.4321)
@@ -429,7 +430,7 @@ def test_delta_sweep_builds_the_gamma_rows_once(gamma_row_builds):
     # the bracket weights are memoized per label, built once and read at
     # every delta and by every spectrum holding the label: Lambda~_3 lies in
     # Lambda~_4
-    bd._sym_cache.clear()
+    bd._sym_table.cache_clear()
     for t in (3, 4):
         for delta in (0.3, 0.5, 0.7):
             bd.total_bound(4, t, GateSetKind.SYMMETRIC, 100, delta, Method.MASTER_SYMMETRIC)
@@ -443,11 +444,11 @@ def test_spectrum_is_filled_once_per_delta(method, monkeypatch):
     # and the other master-symmetric method adds its entries beside them.
     # The table holds one delta: a new one empties it
     fills = []
-    real = bd._fill_sym_cache
-    monkeypatch.setattr(bd, "_fill_sym_cache",
+    real = bd._sym_batch
+    monkeypatch.setattr(bd, "_sym_batch",
                         lambda labels, *a: fills.append(len(labels)) or real(labels, *a))
     other, = {Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED} - {method}
-    bd._sym_cache.clear()
+    bd._sym_table.cache_clear()
     for S in (100, 200):
         bd.total_bound(2, 5000, GateSetKind.SYMMETRIC, S, 0.41, method)
     bd.total_bound(2, 20, GateSetKind.SYMMETRIC, 100, 0.41, other)
@@ -467,11 +468,11 @@ def test_one_row_batch_equals_its_row_of_the_full_batch(d, t, step, method):
     # per-label miss gives the bits of the total's lockstep batch, and
     # neither batch writes the table
     labels, full = rc.block_spectrum(d, t).labels, method is Method.MASTER_SYMMETRIC
-    bd._sym_cache.clear()
-    batch = bd._fill_sym_cache(labels, 0.5, full)
+    bd._sym_table.cache_clear()
+    batch = bd._sym_batch(labels, 0.5, full)
     for lam, entry in list(zip(labels, batch))[::step]:
-        assert bd._fill_sym_cache((lam,), 0.5, full) == [entry], lam
-    assert bd._sym_cache == {}
+        assert bd._sym_batch((lam,), 0.5, full) == [entry], lam
+    assert bd._sym_table.cache_info().currsize == 0
 
 
 def _delta_crossing(d, t, S, method, level):

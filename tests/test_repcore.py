@@ -566,7 +566,7 @@ def test_cold_d64_t5_search_keeps_one_copy_of_each_memo_tuple(monkeypatch, gamma
     for name in ("block_spectrum", "_mult_centered", "_orbit_walk", "_lattice_displacements"):
         monkeypatch.setattr(rc, name, lru_cache(maxsize=None)(getattr(rc, name).__wrapped__))
     monkeypatch.setattr(rc, "_shared_tuples", {})
-    monkeypatch.setattr(bd, "_sym_cache", {})
+    monkeypatch.setattr(bd, "_sym_table", lru_cache(maxsize=1)(bd._sym_table.__wrapped__))
     tracemalloc.start()
     try:
         res = solver.min_size_search(64, 5, 0.5, 0.99, "master-symmetric")

@@ -217,7 +217,7 @@ def test_simplified_search_evaluates_each_label_once(monkeypatch, gamma_row_buil
     bessels = []
     real_ive = bd.log_ive_array
     monkeypatch.setattr(bd, "log_ive_array", lambda n, x: bessels.extend(x) or real_ive(n, x))
-    bd._sym_cache.clear()
+    bd._sym_table.cache_clear()
     solver.min_size_search(4, 5, 0.5, 0.99, Method.MASTER_SYMMETRIC_SIMPLIFIED)
     labels = rc.block_spectrum(4, 5).labels
     assert sorted(gamma_row_builds) == sorted(labels)
