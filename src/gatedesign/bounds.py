@@ -49,6 +49,15 @@ class BoundUnavailableError(RuntimeError):
     """The bracket in F(theta) was numerically nonpositive wherever probed."""
 
 
+def _nonzero_label(lam):
+    """The checked entries of a nonzero label: the zero label's block, the
+    trivial one, has norm 1 for every set, so no per-block bound holds for it."""
+    lam = repcore._label_entries(lam)
+    if not any(lam):
+        raise ValueError(f"label {lam} has one-norm 0; the per-block bound needs a nonzero label")
+    return lam
+
+
 def _check_query(kind, S, delta):
     """The checked (S, delta): S an int, even for a symmetric kind, and
     delta a float in (0, 1)."""
@@ -96,6 +105,13 @@ def _branch_exponents(x, delta, m0d, signed):
     ``signed`` the (n, 2, d+1) gamma rows; h' uses I_k' = (I_{k-1} + I_{k+1})/2.
     All elementwise, so no row depends on another; NaN where rounding makes
     the bracket nonpositive (mathematically it is positive).
+
+    Rounding: b = e^-x B(x) sums d + 2 terms, each a weight of size at most 1
+    times a scaled kernel e^-x I_k(x) <= 1, and each takes 4 roundings (the
+    weight's, the exp of the kernel's log, a product and a sum); the log and
+    the two sums of h take 3 more. Where b is near 1, as it is at the
+    minimizer for a small delta, h thus carries up to 4 (d + 2) + 3 <
+    4 (d + 3) units of 2^-52 of absolute error: the rounding floor of h.
     """
     d = signed.shape[-1] - 1
     ive = np.exp(log_ive_array(d + 1, x.ravel())).reshape(x.shape + (d + 2,))
@@ -203,10 +219,14 @@ def per_label_bound(lam, method, S, delta):
     """One block bound by method (a :class:`Method` or its value) for a set
     of the method's kind with S gates at threshold delta. ``lam`` is any
     sequence of integral entries, d = len(lam); a bad argument raises
-    ``ValueError``."""
+    ``ValueError``, and so does a label that is no block: the zero label or
+    one whose entries do not sum to 0."""
     method = Method(method)
     S, delta = _check_query(method.kind, S, delta)
-    lam = repcore._label_entries(lam)
+    lam = _nonzero_label(lam)
+    if sum(lam):
+        raise ValueError(f"label {lam} has entry sum {sum(lam)}; a block of the moment "
+                         f"operator has entry sum 0")
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED):
         return _master_symmetric(lam, method, S, delta)
     dl = repcore._weyl_dim(lam)
@@ -261,10 +281,8 @@ def concentration_bound_t(d, t, S, alpha):
 def concentration_bound_lambda(lam, S, alpha):
     """Per-block version: exponent -d S alpha^2 / (2 pi^2 ||lam||_1^2), d = len(lam)."""
     _check_concentration(S, alpha)
-    lam = repcore._label_entries(lam)
+    lam = _nonzero_label(lam)
     norm1 = sum(map(abs, lam))
-    if norm1 == 0:
-        raise ValueError(f"label {lam} has one-norm 0; the per-block bound needs a nonzero label")
     return math.exp(-len(lam) * S * alpha**2 / (2.0 * math.pi**2 * norm1**2))
 
 

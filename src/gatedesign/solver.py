@@ -71,14 +71,16 @@ def min_size_search(d, t, delta, P, method):
     so it lies between L + S b_min and L + S b_max, L = log(2 sum d_lam),
     with b_min and b_max the steepest and the flattest rate
     (:func:`bounds._rate_range`; a rate that rounds to 0 raises, and so does
-    a nonpositive bracket, with :class:`bounds.BoundUnavailableError`). S_min is thus between
-    R / -b_min and R / -b_max, R = L - log(1 - P). The search
+    a nonpositive bracket, with :class:`bounds.BoundUnavailableError`). S_min
+    is thus between R / -b_min and R / -b_max, R = L - log(1 - P). The search
     bisects inside that bracket on the step lattice, one step wider each side
     for rounding; each probed S costs one memoized total bound. The result is
     checked to be a crossing: at most the target there, above it one step below.
     Past S near 2^52 a step can move the total by less than its rounding; a
     failed check there raises ``ValueError``, as S_min is then past the float
-    resolution of the bound.
+    resolution of the bound. So does a master-symmetric rate h/2 no steeper
+    than the rounding floor of h (:func:`bounds._branch_exponents`), which
+    then sets S_min by rounding alone.
     """
     from . import bounds
 
@@ -100,6 +102,11 @@ def min_size_search(d, t, delta, P, method):
         # + 0.0 turns an underflowed -0.0 into 0.0: one message for every method
         raise ValueError(f"no size bracket at delta={delta}: "
                          f"the flattest per-gate rate is {b_max + 0.0}")
+    floor = 2 * (d + 3) * 2.0**-52  # half the rounding floor of h
+    if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED) and -b_max <= floor:
+        raise ValueError(f"S_min at delta={delta} lies past the float resolution of the bound: "
+                         f"the flattest per-gate rate {b_max:.3g} is within the rounding floor "
+                         f"{floor:.3g} of its exponent")
     lo = max(0, step * (math.floor(R / -b_min / step) - 1))
     hi = step * (math.ceil(R / -b_max / step) + 1)
     while hi - lo > step:

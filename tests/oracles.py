@@ -29,6 +29,10 @@ sum d_lambda <= d^(2t), which the paper's qubit formula rounds; and
 two-sided bounds on the Bessel ratio I_n/I_{n-1}, which contain the ratio
 of ``specfun.log_bessel_i`` values.
 
+The symmetric master entries by a theta bisection that stops each label's
+row on its own, the reference for ``bounds._sym_batch``, which halves every
+row with the others and stops them together.
+
 Last, three finite groups built by closure modulo global phase, the unitary
 designs with a known delta for ``montecarlo.estimate_delta``: the
 single-qubit Clifford group (24 elements, a 3-design and not a 4-design),
@@ -46,8 +50,9 @@ from types import MappingProxyType
 
 import numpy as np
 
+from gatedesign import bounds
 from gatedesign.montecarlo import sample_haar
-from gatedesign.repcore import _at_least, _integral, _label_entries
+from gatedesign.repcore import _at_least, _gamma_row, _integral, _label_entries
 
 
 def _weight_entries(mu):
@@ -476,6 +481,37 @@ def group_closure(generators):
                     grown.append(u)
         frontier = grown
     return np.array(list(group.values()))
+
+
+def masked_sym_batch(labels, delta, full):
+    """The entries ``bounds._sym_batch`` gives, by a bisection whose per-row
+    mask stops each row once its own bracket is THETA_RTOL wide."""
+    rows = list(map(_gamma_row, labels))
+    gam = np.array([[g / dl for g in row] for dl, _, row in rows])
+    signed = gam[:, None, :] * np.array([[1.0], [-1.0]]) ** np.arange(gam.shape[1])
+    m0d = np.array([m0 / dl for dl, m0, _ in rows])
+    x0 = 2.0 * delta / math.sqrt(1.0 - delta * delta)
+    h, _ = bounds._branch_exponents(np.full((len(labels), 2), x0), delta, m0d, signed)
+    x, flat = np.full(h.shape, x0), np.zeros(h.shape, dtype=bool)
+    if full:
+        lo = np.full(h.shape, math.log(max(x0 * 1e-13, math.ulp(0.0))))
+        hi = np.full(h.shape, math.log(2.0 * bounds.THETA_MAX_FACTOR))
+        h_lo, slope = bounds._branch_exponents(np.exp(lo), delta, m0d, signed)
+        flat = slope >= 0.0
+        run = ~flat & (hi - lo > bounds.THETA_RTOL)
+        while run.any():
+            mid = 0.5 * (lo + hi)
+            h_mid, slope = bounds._branch_exponents(np.exp(mid), delta, m0d, signed)
+            down = run & (slope < 0.0)
+            lo, h_lo = np.where(down, mid, lo), np.where(down, h_mid, h_lo)
+            hi = np.where(run & ~down, mid, hi)
+            run &= hi - lo > bounds.THETA_RTOL
+        cap = np.isnan(h_lo) | (h < h_lo)
+        h, x = np.where(cap, h, h_lo), np.where(cap, x, np.exp(lo))
+    flat |= h > 0.0
+    h, x = np.where(flat, 0.0, h), np.where(flat, 0.0, x)
+    return [(math.log(dl), (hp, xp), (hm, xm))
+            for (dl, _, _), (hp, hm), (xp, xm) in zip(rows, h.tolist(), x.tolist())]
 
 
 def single_qubit_clifford_group():

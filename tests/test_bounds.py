@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gatedesign import bounds as bd
 from gatedesign import repcore as rc
 from gatedesign import solver, specfun
@@ -291,13 +292,30 @@ def test_symmetric_branch_minima_match_grid(lam, S, delta):
 @pytest.mark.parametrize("lam", [(0, 0), (1, 1), (2, 2, 2)])
 def test_symmetric_trivial_block_takes_the_theta_to_zero_limit(lam):
     # a block trivial on SU(d) has B+(x) = e^x, so h+ = (1 - delta) x rises
-    # from 0: the + branch is the theta -> 0 limit, and the bound is d_lam = 1
+    # from 0: the + branch is the theta -> 0 limit. None of these labels is a
+    # block of the moment operator, whose labels are nonzero with entry sum
+    # 0 (the zero label's block has norm 1 for every set), so every method's
+    # per-block bound rejects them
     plus, minus = bd._sym_entries((lam,), 0.5, True)[0][1:]
     assert plus == (0.0, 0.0)
     assert minus[0] < 0.0
-    res = bd.per_label_bound(lam, Method.MASTER_SYMMETRIC, 40, 0.5)
-    assert res.log_bound == 0.0
-    assert res.theta_star == 0.0
+    why = "one-norm 0; the per-block bound needs a nonzero label" if not any(lam) else \
+        rf"entry sum {sum(lam)}; a block of the moment operator has entry sum 0"
+    for method in Method:
+        with pytest.raises(ValueError, match=rf"^label {re.escape(str(lam))} has {why}$"):
+            bd.per_label_bound(lam, method, 40, 0.5)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 0.01, 0.3, 0.5, 0.9, 0.99, 1 - 2**-53])
+@pytest.mark.parametrize("d,t", [(2, 20), (4, 5), (8, 4), (16, 3)])
+def test_lockstep_bisection_has_the_bits_of_per_row_stops(d, t, delta):
+    # every row starts from one bracket and is halved with the others, so
+    # stopping them together gives the entries of a per-row stop, bit for bit
+    labels = rc.block_spectrum(d, t).labels
+    got, want = (np.array([(e[0], *e[1], *e[2]) for e in batch]).tobytes()
+                 for batch in (bd._sym_batch(labels, delta, True),
+                               oracles.masked_sym_batch(labels, delta, True)))
+    assert got == want
 
 
 def test_full_entries_never_exceed_the_theta_to_zero_limit():
@@ -424,6 +442,25 @@ def test_symmetric_bracket_nonpositive_everywhere_is_unavailable(monkeypatch):
             bd.per_label_bound((1, -1), method, 20, 0.4321)
         with pytest.raises(bd.BoundUnavailableError, match=r"lam=\(1, -1\)"):
             solver.min_size_search(2, 2, 0.4321, 0.99, method)
+
+
+@pytest.mark.parametrize("method", [Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED])
+def test_one_nonpositive_bracket_fails_the_reads_of_its_label(method, monkeypatch):
+    # (2, -2) alone gets the bracket -e^{+-x}, d_lam = 5 and m_lam(0) = -5
+    # with every gamma zero: each read of its entry raises naming it, and the
+    # other label of the spectrum still has its bound
+    real, bad = rc._gamma_row, (2, -2)
+    monkeypatch.setattr(rc, "_gamma_row", lambda lam: (5, -5, (0, 0, 0)) if lam == bad else real(lam))
+    monkeypatch.setattr(bd, "_sym_table", lru_cache(maxsize=1)(bd._sym_table.__wrapped__))
+    unavailable = pytest.raises(bd.BoundUnavailableError, match=r"lam=\(2, -2\)$")
+    with unavailable:
+        bd.total_bound(2, 2, GateSetKind.SYMMETRIC, 20, 0.4321, method)
+    with unavailable:
+        bd.per_label_bound((2, -2), method, 20, 0.4321)
+    with unavailable:
+        solver.min_size_search(2, 2, 0.4321, 0.99, method)
+    assert rc.block_spectrum(2, 2).labels == ((1, -1), (2, -2))
+    assert math.isfinite(bd.per_label_bound((1, -1), method, 20, 0.4321).log_bound)
 
 
 def test_delta_sweep_builds_the_gamma_rows_once(gamma_row_builds):

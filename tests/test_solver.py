@@ -255,6 +255,36 @@ def test_search_past_the_float_resolution_says_so(method):
     assert solver.min_size_closed_form(2, 2, 3e-8, 0.99).S_min == 16395019796061932
 
 
+@pytest.mark.parametrize("method", [Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED])
+def test_master_symmetric_search_below_the_rounding_floor_says_so(method):
+    # at (2, 2) the flattest h is about -0.79 delta^2 near its minimizer,
+    # -7.9e-17 at delta = 1e-8: inside the 4 (d + 3) 2^-52 = 4.4e-15 that
+    # rounding leaves in h, whose value there set S_min 220532645199676690
+    # (S delta^2 = 22.05, not 18.58). At 1e-6 the rates lie far outside it
+    floor = r"2\.22e-15 of its exponent$"
+    with pytest.raises(ValueError, match=r"^S_min at delta=1e-08 lies past the float resolution "
+                                         r"of the bound: the flattest per-gate rate -\S+ is "
+                                         r"within the rounding floor " + floor):
+        solver.min_size_search(2, 2, 1e-8, 0.99, method)
+    if method is Method.MASTER_SYMMETRIC:
+        # there S_min was 749464036800030400, 2500 times below the true size
+        with pytest.raises(ValueError, match=r"^S_min at delta=1e-10 .* floor " + floor):
+            solver.min_size_search(2, 2, 1e-10, 0.99, method)
+    pinned = {Method.MASTER_SYMMETRIC: 18578075947530,
+              Method.MASTER_SYMMETRIC_SIMPLIFIED: 20266535040848}[method]
+    assert solver.min_size_search(2, 2, 1e-6, 0.99, method).S_min == pinned
+
+
+def test_search_over_more_than_2_to_63_lattice_points():
+    # the bracket of this search holds more lattice points than len() of a
+    # range counts (2^63 - 1), so bisect over a range of them would raise
+    # OverflowError; the bisection loop, written out, does not
+    low, high = rate_bracket(2, 2, Method.BERNSTEIN_SYMMETRIC, delta=1e-10)
+    assert (high - low) / 2 > 2**63
+    res = solver.min_size_search(2, 2, 1e-10, 0.99, "bernstein-symmetric")
+    assert res.S_min == 1857885513126825295874
+
+
 def test_search_far_past_1e9_matches_closed_form():
     # the bound crosses near S = 1.5e13; the search and the closed form may
     # round the last step apart by one, and then both must be crossings
