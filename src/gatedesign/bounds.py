@@ -166,7 +166,7 @@ def _sym_batch(labels, delta, full):
         hi = np.full(h.shape, math.log(2.0 * THETA_MAX_FACTOR))
         h_lo, slope = _branch_exponents(np.exp(lo), delta, m0d, signed)
         flat = slope >= 0.0
-        while not flat.all() and (hi - lo > THETA_RTOL).any():
+        while (hi - lo > THETA_RTOL).any():
             mid = 0.5 * (lo + hi)
             h_mid, slope = _branch_exponents(np.exp(mid), delta, m0d, signed)
             down = slope < 0.0

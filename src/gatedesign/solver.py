@@ -102,7 +102,7 @@ def min_size_search(d, t, delta, P, method):
         # + 0.0 turns an underflowed -0.0 into 0.0: one message for every method
         raise ValueError(f"no size bracket at delta={delta}: "
                          f"the flattest per-gate rate is {b_max + 0.0}")
-    floor = 2 * (d + 3) * 2.0**-52  # half the rounding floor of h
+    floor = 2 * (d + 3) * 2.0**-52  # a rate is h/2; h rounds by 4 (d + 3) 2^-52
     if method in (Method.MASTER_SYMMETRIC, Method.MASTER_SYMMETRIC_SIMPLIFIED) and -b_max <= floor:
         raise ValueError(f"S_min at delta={delta} lies past the float resolution of the bound: "
                          f"the flattest per-gate rate {b_max:.3g} is within the rounding floor "
