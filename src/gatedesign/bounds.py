@@ -265,22 +265,23 @@ def _rate_range(spec, delta, method):
 # ---------------------------------------------------------------------------
 
 def _check_concentration(S, alpha, t=1):
-    repcore._real(repcore._at_least(S, "S", 1), "S")
-    if not repcore._real(alpha, "alpha") > 0:
+    S = repcore._real(repcore._at_least(S, "S", 1), "S")
+    x = repcore._real(alpha, "alpha")
+    if not x > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    repcore._at_least(t, "t", 1)
+    return S, x, repcore._at_least(t, "t", 1)
 
 
 def concentration_bound_t(d, t, S, alpha):
     """P(delta(nu_S,t) >= E delta + alpha) <= exp(-d S alpha^2 / (32 t^2))."""
-    _check_concentration(S, alpha, t)
-    repcore._at_least(d, "d", 2)
+    S, alpha, t = _check_concentration(S, alpha, t)
+    d = repcore._at_least(d, "d", 2)
     return math.exp(-d * S * alpha**2 / (32.0 * t * t))
 
 
 def concentration_bound_lambda(lam, S, alpha):
     """Per-block version: exponent -d S alpha^2 / (2 pi^2 ||lam||_1^2), d = len(lam)."""
-    _check_concentration(S, alpha)
+    S, alpha, _ = _check_concentration(S, alpha)
     lam = _nonzero_label(lam)
     norm1 = sum(map(abs, lam))
     return math.exp(-len(lam) * S * alpha**2 / (2.0 * math.pi**2 * norm1**2))
@@ -288,5 +289,5 @@ def concentration_bound_lambda(lam, S, alpha):
 
 def concentration_bound_beamsplitter(t, S, alpha):
     """Lifted-set version; S is the SU(2) seed-set size."""
-    _check_concentration(S, alpha, t)
+    S, alpha, t = _check_concentration(S, alpha, t)
     return math.exp(-S * alpha**2 / (16.0 * t * t))

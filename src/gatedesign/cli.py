@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Thin shells over the library: every subcommand validates flags, calls the
-corresponding module, and emits rows as CSV (default) or JSON. Floats are
-printed with 17 significant digits and LF line endings so outputs are
-byte-stable for fixed inputs.
+corresponding module, and emits at least one row as CSV (default) or JSON.
+A row is a dict whose keys, in order, are the columns: the CSV header and
+the JSON ``"columns"``. Floats are printed with 17 significant digits and LF
+line endings so outputs are byte-stable for fixed inputs.
 
 Exit codes: 0 success, 1 computation error (an allocation that fails
 included), 2 usage error.
@@ -38,7 +39,10 @@ def _cell(value):
     return str(value)
 
 
-def _emit(columns, rows, args):
+def _emit(rows, args):
+    """Write rows as CSV or JSON. The first row's keys, in order, are the
+    columns; every row has them, and each command passes at least one row."""
+    columns = list(rows[0])
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -96,20 +100,13 @@ def _parse_methods(spec, kind):
 def cmd_lambda_set(args):
     from . import repcore
 
-    columns = ["lam", "norm1", "dim", "m0", "fs2"]
-    rows = []
     spec = repcore.block_spectrum(args.d, args.t)
-    for lam, dim, m0, fs in zip(spec.labels, spec.dims, spec.m0, spec.fs):
-        rows.append(
-            {
-                "lam": " ".join(map(str, lam)),
-                "norm1": sum(map(abs, lam)),
-                "dim": dim,
-                "m0": m0,
-                "fs2": str(Fraction(fs, dim)),
-            }
-        )
-    _emit(columns, rows, args)
+    rows = [
+        {"lam": " ".join(map(str, lam)), "norm1": sum(map(abs, lam)), "dim": dim, "m0": m0,
+         "fs2": str(Fraction(fs, dim))}
+        for lam, dim, m0, fs in zip(spec.labels, spec.dims, spec.m0, spec.fs)
+    ]
+    _emit(rows, args)
     return 0
 
 
@@ -119,18 +116,14 @@ def cmd_bounds_curve(args):
     kind = GateSetKind(args.kind)
     methods = _parse_methods(args.methods, kind)
     deltas = _parse_delta_grid(args.delta_grid)
-    columns = ["delta"] + [m.value for m in methods]
     rows = []
     for delta in deltas:
         row = {"delta": delta}
         for m in methods:
             row[m.value] = bounds.total_bound(args.d, args.t, kind, args.size, delta, m).raw
         rows.append(row)
-    _emit(columns, rows, args)
+    _emit(rows, args)
     return 0
-
-
-_MINSIZE_COLUMNS = ["d", "t", "method", "kind", "delta", "prob", "S_min", "n_pairs", "bound_at_S_min"]
 
 
 def _minsize_row(res):
@@ -153,11 +146,11 @@ def cmd_min_size(args):
 
     method = Method(args.method)
     res = solver.min_size_search(args.d, args.t, args.delta, args.prob, method)
-    _emit(_MINSIZE_COLUMNS, [_minsize_row(res)], args)
+    _emit([_minsize_row(res)], args)
     return 0
 
 
-def cmdtable(args):
+def cmd_table(args):
     from . import solver
 
     if not args.table2:
@@ -166,11 +159,8 @@ def cmdtable(args):
         dims = None if args.dims is None else tuple(int(v) for v in args.dims.split(","))
     except ValueError:
         raise ValueError(f"bad --dims {args.dims!r}: use a comma list, e.g. 2,4") from None
-    rows = [
-        _minsize_row(res)
-        for _, _, _, res in solver.table2_cells(delta=args.delta, P=args.prob, dims=dims)
-    ]
-    _emit(_MINSIZE_COLUMNS, rows, args)
+    cells = solver.table2_cells(delta=args.delta, P=args.prob, dims=dims)
+    _emit([_minsize_row(res) for res in cells], args)
     return 0
 
 
@@ -178,7 +168,6 @@ def cmd_clifford(args):
     from . import repcore, solver
 
     repcore._at_least(args.max_qubits, "--max-qubits", 1)
-    columns = ["n", "clifford_cardinality", "s_min_printed", "s_min_closed_form", "log10_ratio"]
     rows = []
     for n in range(1, args.max_qubits + 1):
         card = solver.clifford_cardinality(n)
@@ -199,7 +188,7 @@ def cmd_clifford(args):
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        _emit(columns, rows, args)
+        _emit(rows, args)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -227,21 +216,18 @@ def cmd_mc_verify(args):
         "tail_fraction": est.fraction,
         "tail_stderr": est.stderr,
     }
-    columns = list(row)
     verdicts = []
     for method in methods_for_kind(kind):
         prob = bounds.total_bound(args.d, args.t, kind, args.size, args.delta, method).probability
         ok = est.fraction <= prob + 3.0 * est.stderr
         row[method.value] = prob
         row[method.value + "-dominates"] = ok
-        columns += [method.value, method.value + "-dominates"]
         verdicts.append(ok)
     if verdicts:
         row["dominance"] = "PASS" if all(verdicts) else "FAIL"
     else:
         row["dominance"] = "N/A"
-    columns.append("dominance")
-    _emit(columns, [row], args)
+    _emit([row], args)
     if not verdicts:
         print(f"error: no tail bound applies to kind {kind.value}; nothing was checked",
               file=sys.stderr)
@@ -287,7 +273,7 @@ def build_parser():
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--prob", type=float, default=0.99)
     p.add_argument("--dims", default=None, help="comma subset of dimensions, e.g. 2,4")
-    p.set_defaults(fn=cmdtable)
+    p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("clifford", help="Clifford group size vs random-set size data")
     p.add_argument("--max-qubits", type=int, default=50)

@@ -331,7 +331,7 @@ def empirical_tail(d, t, kind, S, delta, trials, seed):
     inputs are checked before the first trial runs.
     """
     d, t, _ = _check_dim(_at_least(d, "d", 2), t)
-    _open_unit(delta, "delta")
+    delta = _open_unit(delta, "delta")
     S, trials = _at_least(S, "S", 1), _at_least(trials, "trials", 1)
     seed = _at_least(seed, "seed", 0)
     kind = GateSetKind(kind)

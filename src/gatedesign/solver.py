@@ -35,11 +35,9 @@ class MinSizeResult:
 
 
 def _check_args(d, t, delta, P):
-    """The checked (d, t), ints >= 2 and >= 1, then delta and P checked in (0, 1)."""
+    """The checked (d, t, delta, P): ints >= 2 and >= 1, then floats in (0, 1)."""
     d, t = _at_least(d, "d", 2), _at_least(t, "t", 1)
-    _open_unit(delta, "delta")
-    _open_unit(P, "P")
-    return d, t
+    return d, t, _open_unit(delta, "delta"), _open_unit(P, "P")
 
 
 def min_size_closed_form(d, t, delta, P):
@@ -49,7 +47,7 @@ def min_size_closed_form(d, t, delta, P):
     with the dimension sum exact; the rate is -2 b, b the master-plain
     exponent at S = 1 (:func:`kinds._s_linear_exponent`).
     """
-    d, t = _check_args(d, t, delta, P)
+    d, t, delta, P = _check_args(d, t, delta, P)
     return _closed_form_from_sum(d, t, delta, P, repcore.block_spectrum(d, t).sum_dim)
 
 
@@ -84,7 +82,7 @@ def min_size_search(d, t, delta, P, method):
     """
     from . import bounds
 
-    d, t = _check_args(d, t, delta, P)
+    d, t, delta, P = _check_args(d, t, delta, P)
     method = Method(method)
     step = 2 if method.kind is GateSetKind.SYMMETRIC else 1
     target = math.log1p(-P)
@@ -178,9 +176,10 @@ TABLE2_COLUMNS = {
 
 
 def table2_cells(delta=0.5, P=0.99, dims=None):
-    """Generate the minimal-size table: (d, t, method, MinSizeResult) for
-    every method but the simplified master-symmetric one at every (d, t) of
-    :data:`TABLE2_COLUMNS`, ordered by d, then t, then method."""
+    """Generate the minimal-size table: each cell's :class:`MinSizeResult`,
+    which holds its d, t and method, for every method but the simplified
+    master-symmetric one at every (d, t) of :data:`TABLE2_COLUMNS`, ordered by
+    d, then t, then method."""
     try:
         dims = tuple(TABLE2_COLUMNS if dims is None else dims)
     except TypeError:
@@ -199,4 +198,4 @@ def table2_cells(delta=0.5, P=0.99, dims=None):
             for method in Method:
                 if method is Method.MASTER_SYMMETRIC_SIMPLIFIED:
                     continue  # the table's symmetric column is the full bound
-                yield d, t, method, min_size_search(d, t, delta, P, method)
+                yield min_size_search(d, t, delta, P, method)

@@ -7,6 +7,7 @@ argument the same way: a ``ValueError`` naming it. An integral float such as
 2.0 acts as 2, and the result holds ints.
 """
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,6 +158,28 @@ def test_real_arguments_of_any_real_type_give_the_same_bits():
         assert type(got.log_bound) is float
     with pytest.raises(ValueError, match="symmetric sets have even cardinality, got 57$"):
         bd.per_label_bound((1, -1), "master-symmetric", 57.0, 0.5)
+    # a float32 or a Fraction computes as float(v), not in its own arithmetic,
+    # and a size result holds that float
+    for v in (np.float32(0.3), Fraction(3, 10)):
+        x = float(v)
+        assert bd.concentration_bound_t(2, 2, 10, v) == bd.concentration_bound_t(2, 2, 10, x)
+        assert bd.concentration_bound_lambda((1, -1), 10, v) == bd.concentration_bound_lambda(
+            (1, -1), 10, x)
+        assert bd.concentration_bound_beamsplitter(2, 10, v) == (
+            bd.concentration_bound_beamsplitter(2, 10, x))
+    # S reaches the concentration exponent as a float, so an int S whose
+    # product with d is past the float range gives 0, as the float S does
+    for S in (10**308, 1e308):
+        assert bd.concentration_bound_t(2, 1, S, 0.5) == 0.0
+    for delta, P in ((np.float32(0.5), np.float32(0.99)), (Fraction(1, 2), Fraction(99, 100))):
+        for res, want in (
+            (solver.min_size_search(2, 2, delta, P, "master-plain"),
+             solver.min_size_search(2, 2, float(delta), float(P), "master-plain")),
+            (solver.min_size_closed_form(2, 2, delta, P),
+             solver.min_size_closed_form(2, 2, float(delta), float(P))),
+        ):
+            assert res == want
+            assert type(res.delta) is float and type(res.P) is float
     # a seed reaches SeedSequence as the same ints, so the draws do not move
     want = mc.sample_gate_set(2, 2, "plain", 7).unitaries
     for seed in (np.int64(7), 7.0, (7,), [[7]]):

@@ -142,6 +142,27 @@ def test_bounds_curve_rejects_empty_delta_grid(capsys, grid):
     assert "delta grid needs at least one point" in captured.err
 
 
+def test_bounds_curve_one_point_grid_is_its_start(capsys):
+    from gatedesign import bounds as bd
+
+    code, out = run_cli(capsys, "bounds-curve", "--d", "2", "--t", "2", "--size", "10",
+                        "--delta-grid", "0.3:0.9:1")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["delta", "bernstein-plain", "master-plain"]
+    assert len(rows) == 1 and float(rows[0][0]) == 0.3
+    for method, raw in zip(header[1:], rows[0][1:]):
+        assert float(raw) == bd.total_bound(2, 2, "plain", 10, 0.3, method).raw
+
+
+def test_bounds_curve_lifted_kind_has_no_methods(capsys):
+    code = main(["bounds-curve", "--d", "2", "--t", "2", "--size", "10", "--kind", "beamsplitter"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: no bound methods apply to kind beamsplitter\n"
+
+
 @pytest.mark.parametrize("grid", ["0.1:0.9", "a:b:3"])
 def test_bounds_curve_rejects_malformed_delta_grid(capsys, grid):
     code = main(["bounds-curve", "--d", "2", "--t", "2", "--size", "50", "--delta-grid", grid])
@@ -353,9 +374,11 @@ def test_clifford_full_range_runs_fast(capsys):
         (("lambda-set", "--d", "8", "--t", "5"), "26bc0b4c84515b4941274cf97a5106fb"),
         (("lambda-set", "--d", "64", "--t", "5"), "bae26f1dd6f177f8fd5eb7a02a90c5a1"),
         (("clifford", "--max-qubits", "50"), "37b8451c342484e6c699f5720030c0de"),
+        (("--format", "json", "clifford", "--max-qubits", "50"),
+         "be7b070ba8af14f4a725bbe073825ca0"),
     ],
     ids=["lambda-set-d4-t3", "lambda-set-d4-t3-json", "lambda-set-d16-t3", "lambda-set-d2-t5000",
-         "lambda-set-d8-t5", "lambda-set-d64-t5", "clifford-50"],
+         "lambda-set-d8-t5", "lambda-set-d64-t5", "clifford-50", "clifford-50-json"],
 )
 def test_exact_output_is_pinned(capsys, argv, md5):
     code, out = run_cli(capsys, *argv)
@@ -484,6 +507,31 @@ def test_csv_json_value_parity(capsys):
                 assert float(raw) == float(jval)
             else:
                 assert raw == str(jval)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lambda-set", "--d", "2", "--t", "2"),
+    ("bounds-curve", "--d", "2", "--t", "2", "--size", "10", "--kind", "symmetric",
+     "--delta-grid", "0.3,0.6"),
+    ("min-size", "--d", "2", "--t", "2", "--method", "bernstein-plain"),
+    ("table", "--table2", "--dims", "4"),
+    ("clifford", "--max-qubits", "3"),
+    ("mc-verify", "--d", "2", "--t", "1", "--size", "3", "--trials", "2"),
+], ids=lambda argv: argv[0])
+def test_columns_are_the_keys_of_every_row(capsys, argv):
+    # _emit takes the columns from the first row: the JSON columns, the CSV
+    # header and the keys of each row agree, in order
+    code, csv_out = run_cli(capsys, *argv)
+    assert code == 0
+    header, csv_rows = parse_csv(csv_out)
+    code, json_out = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    payload = json.loads(json_out)
+    assert payload["columns"] == header
+    assert payload["rows"] and len(payload["rows"]) == len(csv_rows)
+    for row, csv_row in zip(payload["rows"], csv_rows):
+        assert list(row) == header
+        assert len(csv_row) == len(header)
 
 
 def test_output_file_lf_only(capsys, tmp_path):

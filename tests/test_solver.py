@@ -399,10 +399,11 @@ def test_clifford_sum_dimension_shortcut_matches_enumeration():
 def test_table2_cells_filtering():
     cells = list(solver.table2_cells(dims=(16,)))
     # only the simplified master-symmetric bound is dropped, at every d
-    assert Method.MASTER_SYMMETRIC_SIMPLIFIED not in {m for _, _, m, _ in cells}
+    assert Method.MASTER_SYMMETRIC_SIMPLIFIED not in {r.method for r in cells}
+    assert {r.d for r in cells} == {16}
     for method in (Method.BERNSTEIN_PLAIN, Method.BERNSTEIN_SYMMETRIC, Method.MASTER_PLAIN,
                    Method.MASTER_SYMMETRIC):
-        assert [t for _, t, m, _ in cells if m is method] == [2, 3, 4, 5]
+        assert [r.t for r in cells if r.method is method] == [2, 3, 4, 5]
 
 
 def test_table2_cells_rejects_malformed_dims():
@@ -412,7 +413,9 @@ def test_table2_cells_rejects_malformed_dims():
         next(solver.table2_cells(dims="24"))
     with pytest.raises(ValueError, match="dims must be an iterable of dimensions, got 2"):
         next(solver.table2_cells(dims=2))
-    assert next(solver.table2_cells(dims=[2.0]))[:3] == (2, 2, Method.BERNSTEIN_PLAIN)
+    r = next(solver.table2_cells(dims=[2.0]))
+    assert (r.d, r.t, r.method) == (2, 2, Method.BERNSTEIN_PLAIN)
+    assert type(r.d) is int
 
 
 @pytest.mark.parametrize("d", [16, 32, 64])
